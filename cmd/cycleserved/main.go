@@ -148,7 +148,7 @@ func run() error {
 	slots := flag.Int("slots", 0, "concurrent detections (worker pool size; 0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 1024, "admission queue bound; deeper requests are rejected (negative = unbounded)")
 	cache := flag.Int("cache", 1024, "verdict cache capacity (entries)")
-	parallel := flag.Int("parallel", 1, "per-request trial parallelism (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 1, "trial parallelism of bounded/odd requests (0 = GOMAXPROCS); even/det run on one fused session")
 	workers := flag.Int("workers", 0, "engine goroutine pool per session (0 = GOMAXPROCS)")
 	iterations := flag.Int("iterations", 32, "default trial budget for randomized requests that omit one")
 	batch := flag.Int("batch", 0, "fused miss-path batch size: compatible concurrent misses share one engine session (0 = default 8, 1 = disable)")

@@ -17,13 +17,15 @@ type Point string
 
 // The compiled-in injection points.
 const (
-	// DetectorPanic panics inside the service's compute path, immediately
-	// before detector dispatch — the solo-path "detector crashed" fault.
+	// DetectorPanic panics inside the service's miss executor while the
+	// batch's admission slot is held, immediately before detector
+	// dispatch — the "detector crashed" fault, at every batch size.
 	DetectorPanic Point = "detector-panic"
-	// BatchLeaderCrash panics inside the fused-batch executor while the
-	// batch's admission slot is held — the "batch leader crashed" fault
-	// that single-flight followers and batch waiters must survive without
-	// hanging, double-releasing, or caching a poisoned entry.
+	// BatchLeaderCrash panics at the same site — the "batch leader
+	// crashed" fault that single-flight followers and batch waiters must
+	// survive without hanging, double-releasing, or caching a poisoned
+	// entry. Both points fire in every batch; they are separate so chaos
+	// specs can count them independently.
 	BatchLeaderCrash Point = "batch-leader-crash"
 	// RoundStall sleeps at an engine round boundary, simulating a stalled
 	// session (overloaded host, page-fault storm). It spends wall-clock

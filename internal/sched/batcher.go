@@ -31,15 +31,12 @@ func (e PanicError) Error() string { return fmt.Sprintf("sched: batch exec panic
 // caller whose context ends while waiting abandons its result but does
 // not retract its item — Exec still computes it (and the service still
 // caches it).
-//
-// MaxBatch ≤ 1 degenerates to the solo path: Do invokes Exec inline with
-// a single-item batch, no timer, no cross-goroutine hand-off.
 type Batcher[K comparable, T, R any] struct {
-	// MaxBatch caps the number of items per batch (≤ 1 = solo).
+	// MaxBatch caps the number of items per batch; a batch that reaches
+	// it dispatches on the filling caller's goroutine.
 	MaxBatch int
 	// Linger is how long an open batch waits for joiners before
-	// dispatching; ≤ 0 dispatches immediately (solo behavior with batch
-	// bookkeeping).
+	// dispatching; ≤ 0 dispatches as soon as the timer goroutine runs.
 	Linger time.Duration
 	// Weight and MaxWeight bound a batch by total item weight (e.g. fused
 	// node count): a join that would push the batch past MaxWeight
@@ -51,8 +48,8 @@ type Batcher[K comparable, T, R any] struct {
 	// error applied to every item).
 	Exec func(key K, items []T) ([]R, error)
 	// Observe, when set, receives the fill size of every executed batch
-	// (solo degenerate calls report 1; all-abandoned skipped batches are
-	// not reported). Purely passive; set before the batcher is shared.
+	// (all-abandoned skipped batches are not reported). Purely passive;
+	// set before the batcher is shared.
 	Observe func(size int)
 
 	mu      sync.Mutex
@@ -91,19 +88,6 @@ type openBatch[T, R any] struct {
 // result and the size of the batch it was computed in.
 func (b *Batcher[K, T, R]) Do(ctx context.Context, key K, item T) (R, int, error) {
 	var zero R
-	if b.MaxBatch <= 1 {
-		if b.Observe != nil {
-			b.Observe(1)
-		}
-		results, err := b.Exec(key, []T{item})
-		if err != nil {
-			return zero, 1, err
-		}
-		if len(results) != 1 {
-			return zero, 1, fmt.Errorf("sched: batch exec returned %d results for 1 item", len(results))
-		}
-		return results[0], 1, nil
-	}
 	w := 1
 	if b.Weight != nil {
 		w = b.Weight(item)

@@ -162,31 +162,6 @@ func TestBatcherMaxWeight(t *testing.T) {
 	}
 }
 
-// TestBatcherSoloMode pins that MaxBatch ≤ 1 runs inline, one Exec per Do.
-func TestBatcherSoloMode(t *testing.T) {
-	var execs atomic.Int64
-	b := &Batcher[string, int, int]{
-		MaxBatch: 1,
-		Linger:   time.Hour, // must be irrelevant
-		Exec: func(key string, items []int) ([]int, error) {
-			execs.Add(1)
-			if len(items) != 1 {
-				t.Errorf("solo batch has %d items", len(items))
-			}
-			return []int{items[0] * 2}, nil
-		},
-	}
-	for i := 0; i < 3; i++ {
-		r, size, err := b.Do(context.Background(), "k", i)
-		if err != nil || r != i*2 || size != 1 {
-			t.Fatalf("Do(%d) = (%d, %d, %v)", i, r, size, err)
-		}
-	}
-	if got := execs.Load(); got != 3 {
-		t.Fatalf("exec calls = %d, want 3", got)
-	}
-}
-
 // TestBatcherExecError pins that an Exec error reaches every waiter.
 func TestBatcherExecError(t *testing.T) {
 	boom := errors.New("boom")

@@ -70,8 +70,8 @@ func TestGateObserveWaitTimes(t *testing.T) {
 }
 
 // TestBatcherObserveFillSizes pins the Batcher hook: one observation per
-// executed batch carrying its fill size, including the solo degenerate
-// path, and none for all-abandoned skipped batches.
+// executed batch carrying its fill size, and none for all-abandoned
+// skipped batches.
 func TestBatcherObserveFillSizes(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int
@@ -107,20 +107,6 @@ func TestBatcherObserveFillSizes(t *testing.T) {
 	}
 	mu.Unlock()
 
-	solo := &Batcher[string, int, int]{
-		MaxBatch: 1,
-		Exec:     b.Exec,
-		Observe:  b.Observe,
-	}
-	if _, _, err := solo.Do(context.Background(), "k", 9); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if len(sizes) != 2 || sizes[1] != 1 {
-		t.Fatalf("sizes = %v, want [4 1]", sizes)
-	}
-	mu.Unlock()
-
 	// All waiters abandon before the linger fires: skipped, not observed.
 	quick := &Batcher[string, int, int]{
 		MaxBatch: 4,
@@ -138,7 +124,7 @@ func TestBatcherObserveFillSizes(t *testing.T) {
 		t.Fatalf("Skipped = %d, want 1", quick.Skipped())
 	}
 	mu.Lock()
-	if len(sizes) != 2 {
+	if len(sizes) != 1 {
 		t.Fatalf("skipped batch was observed: %v", sizes)
 	}
 	mu.Unlock()

@@ -40,8 +40,9 @@
 // cmd/cycleserved maps onto 408/429/499/503. Deadlines compose
 // earliest-wins from Request.Deadline, Config.DefaultDeadline, and
 // Config.MaxDeadline; admission sheds against an EWMA of recent session
-// durations; panics are fenced at the dispatch, batch, and job-goroutine
-// boundaries and surface in Stats.Panics. DrainJobs supports graceful
+// durations; panics are fenced in the one miss executor (every batch
+// size), at the batcher's dispatch, and in the job goroutine, and surface
+// in Stats.Panics. DrainJobs supports graceful
 // shutdown, and internal/faultpoint drives the chaos tests that pin all
 // of this (see docs/ARCHITECTURE.md, "Failure domains & request
 // lifecycle").

@@ -19,29 +19,38 @@ func slowGraph(t *testing.T) *graph.Graph {
 	return graph.Gnm(400, 900, graph.NewRand(7))
 }
 
+// fusableAlgos are the algos whose misses run through the fused drivers
+// (core.DetectEvenCycleFused, deterministic.DetectMulti) at every batch
+// size, so cancellation must reach both.
+var fusableAlgos = []Algo{AlgoEven, AlgoDet}
+
 // TestDeadlineExpiresMidComputation pins the 408 domain: a request whose
 // deadline expires while its engine session is running is cancelled
 // cooperatively and surfaces ErrDeadline (not a raw context error).
 func TestDeadlineExpiresMidComputation(t *testing.T) {
-	faultpoint.Reset()
-	defer faultpoint.Reset()
-	if err := faultpoint.Set("round-stall:every=1:delay=5ms"); err != nil {
-		t.Fatal(err)
-	}
-	svc := New(Config{Slots: 1, BatchSize: 1}) // solo path: ctx reaches the engine
-	req := &Request{Graph: slowGraph(t), Algo: AlgoEven, K: 2, Iterations: 5, Deadline: 25 * time.Millisecond}
-	_, _, err := svc.Do(context.Background(), req)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
-	}
-	if st := svc.Stats(); st.DeadlineExceeded != 1 || st.Errors != 1 {
-		t.Fatalf("stats = %+v, want DeadlineExceeded=1 Errors=1", st)
-	}
-	// The service is intact: the same request without a deadline (and
-	// without the stall) completes.
-	faultpoint.Reset()
-	if _, _, err := svc.Do(context.Background(), &Request{Graph: slowGraph(t), Algo: AlgoEven, K: 2, Iterations: 5}); err != nil {
-		t.Fatalf("post-deadline request: %v", err)
+	for _, algo := range fusableAlgos {
+		t.Run(string(algo), func(t *testing.T) {
+			faultpoint.Reset()
+			defer faultpoint.Reset()
+			if err := faultpoint.Set("round-stall:every=1:delay=5ms"); err != nil {
+				t.Fatal(err)
+			}
+			svc := New(Config{Slots: 1, BatchSize: 1}) // a direct batch of one: ctx reaches the engine
+			req := &Request{Graph: slowGraph(t), Algo: algo, K: 2, Iterations: 5, Deadline: 25 * time.Millisecond}
+			_, _, err := svc.Do(context.Background(), req)
+			if !errors.Is(err, ErrDeadline) {
+				t.Fatalf("err = %v, want ErrDeadline", err)
+			}
+			if st := svc.Stats(); st.DeadlineExceeded != 1 || st.Errors != 1 {
+				t.Fatalf("stats = %+v, want DeadlineExceeded=1 Errors=1", st)
+			}
+			// The service is intact: the same request without a deadline
+			// (and without the stall) completes.
+			faultpoint.Reset()
+			if _, _, err := svc.Do(context.Background(), &Request{Graph: slowGraph(t), Algo: algo, K: 2, Iterations: 5}); err != nil {
+				t.Fatalf("post-deadline request: %v", err)
+			}
+		})
 	}
 }
 
@@ -49,33 +58,62 @@ func TestDeadlineExpiresMidComputation(t *testing.T) {
 // request stops its engine session at a round boundary and surfaces
 // ErrCancelled.
 func TestClientCancellationMidComputation(t *testing.T) {
-	faultpoint.Reset()
-	defer faultpoint.Reset()
-	if err := faultpoint.Set("round-stall:every=1:delay=5ms"); err != nil {
+	for _, algo := range fusableAlgos {
+		t.Run(string(algo), func(t *testing.T) {
+			faultpoint.Reset()
+			defer faultpoint.Reset()
+			if err := faultpoint.Set("round-stall:every=1:delay=5ms"); err != nil {
+				t.Fatal(err)
+			}
+			svc := New(Config{Slots: 1, BatchSize: 1})
+			ctx, cancel := context.WithCancel(context.Background())
+			errc := make(chan error, 1)
+			go func() {
+				_, _, err := svc.Do(ctx, &Request{Graph: slowGraph(t), Algo: algo, K: 2, Iterations: 5})
+				errc <- err
+			}()
+			// Wait until the computation holds the slot (it is inside the
+			// engine), then abandon it.
+			waitUntil(t, func() bool { return svc.Stats().InFlight == 1 })
+			cancel()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, ErrCancelled) {
+					t.Fatalf("err = %v, want ErrCancelled", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("cancelled request never returned — cooperative cancellation failed")
+			}
+			if st := svc.Stats(); st.Cancelled != 1 {
+				t.Fatalf("stats = %+v, want Cancelled=1", st)
+			}
+		})
+	}
+}
+
+// TestEstimatedQueueWaitBelowSlotCount pins that the admission estimate
+// counts a queue shorter than the slot count: one waiter on two slots
+// with a 1s mean session waits half a second.
+func TestEstimatedQueueWaitBelowSlotCount(t *testing.T) {
+	svc := New(Config{Slots: 2})
+	svc.noteSessionDuration(time.Second)
+	for i := 0; i < 2; i++ {
+		if err := svc.gate.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- svc.gate.Acquire(context.Background()) }()
+	waitUntil(t, func() bool { return svc.gate.Waiting() == 1 })
+	if got := svc.estimatedQueueWait(); got != 500*time.Millisecond {
+		t.Errorf("estimated queue wait = %v, want 500ms", got)
+	}
+	svc.gate.Release() // hands the slot to the waiter
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	svc := New(Config{Slots: 1, BatchSize: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := svc.Do(ctx, &Request{Graph: slowGraph(t), Algo: AlgoEven, K: 2, Iterations: 5})
-		errc <- err
-	}()
-	// Wait until the computation holds the slot (it is inside the
-	// engine), then abandon it.
-	waitUntil(t, func() bool { return svc.Stats().InFlight == 1 })
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrCancelled) {
-			t.Fatalf("err = %v, want ErrCancelled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled request never returned — cooperative cancellation failed")
-	}
-	if st := svc.Stats(); st.Cancelled != 1 {
-		t.Fatalf("stats = %+v, want Cancelled=1", st)
-	}
+	svc.gate.Release()
+	svc.gate.Release()
 }
 
 // TestShedWhenQueueWaitExceedsDeadline pins the 429 domain: with a known
@@ -136,31 +174,37 @@ func TestOverloadedWrapsShed(t *testing.T) {
 	}
 }
 
-// TestDetectorPanicIsolated pins the 503 domain on the solo path: an
-// injected detector crash converts to ErrInternal, wakes coalesced
-// followers (they retry and crash too, with every=1), never caches, and
-// leaves the service fully usable once the fault is disarmed.
+// TestDetectorPanicIsolated pins the 503 domain on a direct batch of one,
+// for a fused-driver algo and for the unfusable per-item arm: an injected
+// detector crash converts to ErrInternal, never caches, and leaves the
+// service fully usable once the fault is disarmed.
 func TestDetectorPanicIsolated(t *testing.T) {
-	faultpoint.Reset()
-	defer faultpoint.Reset()
-	if err := faultpoint.Set("detector-panic:every=1"); err != nil {
-		t.Fatal(err)
-	}
-	svc := New(Config{Slots: 2, BatchSize: 1})
 	g := graph.Gnm(60, 120, graph.NewRand(4))
-	req := &Request{Graph: g, Algo: AlgoDet, K: 2}
-	_, _, err := svc.Do(context.Background(), req)
-	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("err = %v, want ErrInternal", err)
-	}
-	if st := svc.Stats(); st.Panics != 1 || st.InFlight != 0 {
-		t.Fatalf("stats = %+v, want Panics=1 InFlight=0", st)
-	}
-	// Disarm: the same request must now compute (no poisoned cache
-	// entry, no stuck in-flight key, no leaked slot).
-	faultpoint.Reset()
-	if _, src, err := svc.Do(context.Background(), req); err != nil || src != SourceComputed {
-		t.Fatalf("post-panic request: source=%q err=%v", src, err)
+	for _, req := range []*Request{
+		{Graph: g, Algo: AlgoDet, K: 2},
+		{Graph: g, Algo: AlgoOdd, K: 2, Seed: 1, Iterations: 2},
+	} {
+		t.Run(string(req.Algo), func(t *testing.T) {
+			faultpoint.Reset()
+			defer faultpoint.Reset()
+			if err := faultpoint.Set("detector-panic:every=1"); err != nil {
+				t.Fatal(err)
+			}
+			svc := New(Config{Slots: 2, BatchSize: 1})
+			_, _, err := svc.Do(context.Background(), req)
+			if !errors.Is(err, ErrInternal) {
+				t.Fatalf("err = %v, want ErrInternal", err)
+			}
+			if st := svc.Stats(); st.Panics != 1 || st.InFlight != 0 {
+				t.Fatalf("stats = %+v, want Panics=1 InFlight=0", st)
+			}
+			// Disarm: the same request must now compute (no poisoned cache
+			// entry, no stuck in-flight key, no leaked slot).
+			faultpoint.Reset()
+			if _, src, err := svc.Do(context.Background(), req); err != nil || src != SourceComputed {
+				t.Fatalf("post-panic request: source=%q err=%v", src, err)
+			}
+		})
 	}
 }
 

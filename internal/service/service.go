@@ -11,7 +11,6 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/deterministic"
-	"repro/internal/faultpoint"
 	"repro/internal/graph"
 	"repro/internal/lowprob"
 	"repro/internal/obs"
@@ -147,9 +146,12 @@ type Config struct {
 	MaxQueue int
 	// CacheEntries is the LRU verdict-cache capacity; 0 means 1024.
 	CacheEntries int
-	// Parallel is the per-request trial parallelism handed to the
-	// detectors (0/1 sequential, negative GOMAXPROCS). The pool bound
-	// applies to requests; Parallel spends each request's slot wider.
+	// Parallel is the per-request trial parallelism of the bounded and
+	// odd detectors (0/1 sequential, negative GOMAXPROCS): the pool bound
+	// applies to requests, and Parallel spends such a request's slot
+	// wider. Even and det misses run their trials on one fused engine
+	// session at any batch size and ignore it; responses are identical
+	// either way.
 	Parallel int
 	// Workers and Shards configure each engine session (see
 	// congest.Engine); 0 keeps the engine defaults.
@@ -157,8 +159,8 @@ type Config struct {
 	Shards  int
 	// BatchSize caps the fused miss-path batch: up to this many
 	// compatible cache misses share one engine session on the disjoint
-	// union of their graphs. 0 means 8; ≤ 1 disables batching (every miss
-	// computes solo, the pre-batching behavior).
+	// union of their graphs. 0 means 8; ≤ 1 disables batching: every miss
+	// runs at once as a batch of one under its own admission slot.
 	BatchSize int
 	// BatchLinger is how long an under-full batch waits for joiners
 	// before dispatching — the latency a lone miss pays to offer itself
@@ -238,14 +240,14 @@ type Stats struct {
 	// MeanSessionMS is the EWMA of engine-session wall time that the
 	// deadline-aware admission check estimates queue wait from.
 	MeanSessionMS float64 `json:"mean_session_ms"`
-	// EngineSessions counts engine sessions actually run — solo
-	// computations plus ONE per fused batch: the "work actually done"
-	// number that cache hits, coalescing and batching save. (Before the
-	// batched miss path this equaled computed + amplified; now it can be
-	// smaller, since a fused session serves a whole batch.)
+	// EngineSessions counts engine sessions that produced verdicts, ONE
+	// per batch whatever its size: the "work actually done" number that
+	// cache hits, coalescing and batching save. A fused session serves a
+	// whole batch, so it can be smaller than computed + amplified.
 	EngineSessions int64 `json:"engine_sessions"`
-	// FusedSessions and SoloSessions split EngineSessions by path;
-	// FusedRequests counts the requests those fused sessions served.
+	// SoloSessions and FusedSessions split EngineSessions into batches
+	// of one and larger batches; FusedRequests counts the requests those
+	// fused sessions served.
 	FusedSessions int64 `json:"fused_sessions"`
 	SoloSessions  int64 `json:"solo_sessions"`
 	FusedRequests int64 `json:"fused_requests"`
@@ -360,7 +362,12 @@ func New(cfg Config) *Service {
 			// whole batch behind itself).
 			Weight:    func(it *fuseItem) int { return it.req.Graph.NumNodes() },
 			MaxWeight: congest.MaxNodes / 16,
-			Exec:      s.execBatch,
+			Exec: func(ck compatKey, items []*fuseItem) ([]fuseOut, error) {
+				s.batchesFormed.Add(1)
+				s.batchSizeSum.Add(int64(len(items)))
+				s.maxBatchSize.Max(int64(len(items)))
+				return s.execBatch(context.Background(), ck, items)
+			},
 		}
 	}
 	s.jobs.init()
@@ -513,16 +520,18 @@ func (s *Service) admissible(ctx context.Context) error {
 }
 
 // estimatedQueueWait predicts how long a newly queued request waits for
-// an admission slot: queue-ahead-of-us divided by the slot count, times
-// the EWMA session duration. Zero until the first session completes —
-// an idle or cold service never sheds on an estimate it doesn't have.
+// an admission slot: queue-ahead-of-us times the EWMA session duration,
+// divided by the slot count (multiplied first, so a queue shorter than
+// the slot count still estimates a wait). Zero until the first session
+// completes — an idle or cold service never sheds on an estimate it
+// doesn't have.
 func (s *Service) estimatedQueueWait() time.Duration {
 	mean := s.meanSessionNs.Load()
 	if mean == 0 {
 		return 0
 	}
 	waiting := int64(s.gate.Waiting())
-	return time.Duration(waiting / int64(s.gate.Slots()) * mean)
+	return time.Duration(waiting * mean / int64(s.gate.Slots()))
 }
 
 // noteSessionDuration folds one engine-session wall time into the EWMA.
@@ -554,9 +563,10 @@ type Info struct {
 // in-flight computation, amplify a cached not-found entry, or compute —
 // possibly fused with concurrent compatible misses (see Config.BatchSize).
 // The returned Source says which path served it. ctx cancellation is
-// honored while queued for admission or while waiting on another
-// request's computation; a computation that has started always runs to
-// completion (its result is cached for everyone).
+// honored while queued for admission, while waiting on another request's
+// computation, and inside a miss computed as a direct batch of one; a
+// fused batch that has started always runs to completion (its results
+// are cached for everyone).
 func (s *Service) Do(ctx context.Context, req *Request) (*Response, Source, error) {
 	resp, info, err := s.DoInfo(ctx, req)
 	return resp, info.Source, err
@@ -667,16 +677,6 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 		} else {
 			s.computed.Add(1)
 		}
-		var tInstall time.Time
-		if timed {
-			tInstall = time.Now()
-		}
-		s.mu.Lock()
-		s.cache.put(key, &entry{resp: resp, budget: req.Iterations})
-		s.mu.Unlock()
-		if timed {
-			s.noteStage(req.Trace, obs.StageCacheInstall, time.Since(tInstall))
-		}
 		s.finish(key, c, resp, nil)
 		if s.observe {
 			s.durFor(source, batch).ObserveDuration(time.Since(t0))
@@ -686,35 +686,19 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 }
 
 // dispatch runs the leader's computation: through the batcher when the
-// request is fusable and batching is on, otherwise solo under its own
-// admission slot. It returns the batch size the work ran in.
+// request is fusable and batching is on, otherwise at once as a batch of
+// one under the request's context. It returns the batch size the work
+// ran in.
 func (s *Service) dispatch(ctx context.Context, req *Request, fp graph.Fingerprint, key cacheKey, prior *entry) (*Response, bool, int, error) {
-	timed := s.observe || req.Trace != nil
+	item := &fuseItem{req: req, fp: fp, key: key, prior: prior}
 	if s.batcher == nil || !fusable(req.Algo) || s.computeHook != nil {
-		var tq time.Time
-		if timed {
-			tq = time.Now()
-		}
-		if err := s.gate.Acquire(ctx); err != nil {
+		outs, err := s.execBatch(ctx, compatFor(req), []*fuseItem{item})
+		if err != nil {
 			return nil, false, 0, err
 		}
-		defer s.gate.Release()
-		start := time.Now()
-		if timed {
-			s.noteStage(req.Trace, obs.StageQueueWait, start.Sub(tq))
-		}
-		resp, amplified, err := s.computeGuarded(ctx, req, fp, prior)
-		if err == nil {
-			s.noteSessionDuration(time.Since(start))
-			s.soloSessions.Add(1)
-		}
-		if timed {
-			s.noteStage(req.Trace, obs.StageEngine, time.Since(start))
-		}
-		return resp, amplified, 1, err
+		return outs[0].resp, outs[0].amplified, 1, outs[0].err
 	}
-	item := &fuseItem{req: req, fp: fp, key: key, prior: prior}
-	if timed {
+	if s.observe || req.Trace != nil {
 		item.enqueued = time.Now()
 	}
 	out, batch, err := s.batcher.Do(ctx, compatFor(req), item)
@@ -737,62 +721,17 @@ func (s *Service) finish(key cacheKey, c *call, resp *Response, err error) {
 	close(c.done)
 }
 
-// amplifySalt separates the derived seeds of amplification runs from
-// every other consumer of sched.Tag.
-const amplifySalt = 0x5e2f1ce
-
-// computeGuarded is compute under the solo-path panic fence: a detector
-// crash (real or injected) converts to ErrInternal instead of unwinding
-// through DoInfo with the in-flight entry still registered — which
-// would hang every coalesced follower forever. The admission slot is
-// released by dispatch's defer either way, and nothing is cached.
-func (s *Service) computeGuarded(ctx context.Context, req *Request, fp graph.Fingerprint, prior *entry) (resp *Response, amplified bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			resp, amplified, err = nil, false, fmt.Errorf("%w: detector panicked: %v", ErrInternal, r)
-		}
-	}()
-	if faultpoint.Enabled() {
-		faultpoint.Crash(faultpoint.DetectorPanic)
-	}
-	return s.compute(ctx, req, fp, prior)
-}
-
-// compute runs the detector, with the seed derivation shared by the solo
-// and fused paths (see runSeed). When prior is a not-found entry with
-// budget B < req.Iterations, only the missing req.Iterations-B trials
-// run, with a seed derived from (run seed, B) so the accumulated trial
-// history never repeats a coloring; costs accumulate into the returned
-// response. The reported second value is true on that amplification path.
-//
-// ctx cancellation propagates into the engine as a cooperative
-// CancelFlag polled at round boundaries: an abandoned or timed-out
-// request stops mid-session with congest.ErrCanceled (classified by the
-// caller) instead of running to quiescence. Detached paths (fused
-// batches, async jobs) pass a context with a nil Done channel, which
-// arms nothing and leaves transcripts untouched.
-func (s *Service) compute(ctx context.Context, req *Request, fp graph.Fingerprint, prior *entry) (*Response, bool, error) {
-	var cancel *congest.CancelFlag
-	if ctx.Done() != nil {
-		cancel = &congest.CancelFlag{}
-		stop := congest.WatchContext(ctx, cancel)
-		defer stop()
-	}
-	if s.computeHook != nil {
-		return s.computeHook(req, fp, prior)
-	}
-	iterations := req.Iterations
-	seed := runSeed(req, fp)
-	amplify := prior != nil && !prior.resp.Found && req.Algo.randomized()
-	if amplify {
-		iterations = req.Iterations - prior.budget
-		seed = sched.Tag(seed, amplifySalt, uint64(prior.budget))
-	}
-	resp := &Response{Algo: req.Algo, K: req.K, Fingerprint: fp.String()}
+// compute runs a bounded or odd detection — the algos without a fused
+// path — on the item's trial plan (see trialPlan), and accumulates an
+// amplified item's prior costs into its response. cancel is the
+// executor's cooperative CancelFlag (nil when detached).
+func (s *Service) compute(cancel *congest.CancelFlag, it *fuseItem) fuseOut {
+	req := it.req
+	seed, iterations := trialPlan(it)
+	resp := newResponse(it)
 	switch req.Algo {
-	case AlgoEven, AlgoBounded:
-		opt := core.Options{
+	case AlgoBounded:
+		res, err := core.DetectBoundedCycle(req.Graph, req.K, core.Options{
 			Eps:           req.Eps,
 			MaxIterations: iterations,
 			Threshold:     req.Threshold,
@@ -803,25 +742,16 @@ func (s *Service) compute(ctx context.Context, req *Request, fp graph.Fingerprin
 			Pipelined:     req.Pipelined,
 			Cancel:        cancel,
 			Observe:       s.engineObs,
+		})
+		if err != nil {
+			return fuseOut{err: err}
 		}
-		if req.Algo == AlgoEven {
-			res, err := core.DetectEvenCycle(req.Graph, req.K, opt)
-			if err != nil {
-				return nil, false, err
-			}
-			fillEven(resp, req.K, res)
-		} else {
-			res, err := core.DetectBoundedCycle(req.Graph, req.K, opt)
-			if err != nil {
-				return nil, false, err
-			}
-			resp.Found = res.Found
-			resp.Witness = res.Witness
-			resp.FoundLen = res.FoundLen
-			resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
-			resp.MaxCongestion, resp.Overflowed = res.MaxCongestion, res.Overflowed
-			resp.Iterations = res.IterationsRun
-		}
+		resp.Found = res.Found
+		resp.Witness = res.Witness
+		resp.FoundLen = res.FoundLen
+		resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
+		resp.MaxCongestion, resp.Overflowed = res.MaxCongestion, res.Overflowed
+		resp.Iterations = res.IterationsRun
 	case AlgoOdd:
 		res, err := lowprob.DetectOdd(req.Graph, req.K, lowprob.OddOptions{
 			MaxIterations: iterations,
@@ -835,7 +765,7 @@ func (s *Service) compute(ctx context.Context, req *Request, fp graph.Fingerprin
 			Observe:       s.engineObs,
 		})
 		if err != nil {
-			return nil, false, err
+			return fuseOut{err: err}
 		}
 		resp.Found = res.Found
 		resp.Witness = res.Witness
@@ -844,29 +774,13 @@ func (s *Service) compute(ctx context.Context, req *Request, fp graph.Fingerprin
 		}
 		resp.Rounds, resp.Messages = res.Rounds, res.Messages
 		resp.Iterations = res.IterationsRun
-	case AlgoDet:
-		res, err := deterministic.Detect(req.Graph, req.K, deterministic.Options{
-			Threshold: req.Threshold,
-			Workers:   s.cfg.Workers,
-			Shards:    s.cfg.Shards,
-			Cancel:    cancel,
-			Observe:   s.engineObs,
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		fillDet(resp, req.K, res)
 	default:
-		return nil, false, fmt.Errorf("service: unknown algo %q", req.Algo)
+		return fuseOut{err: fmt.Errorf("service: algo %q has no unfused path", req.Algo)}
 	}
-	if amplify {
-		accumulatePrior(resp, prior.resp)
-	}
-	return resp, amplify, nil
+	return finishAmplify(it, resp)
 }
 
-// fillEven copies an Algorithm 1 result into a response (shared by the
-// solo and fused serve paths, which must produce identical responses).
+// fillEven copies an Algorithm 1 result into a response.
 func fillEven(resp *Response, k int, res *core.Result) {
 	resp.Found = res.Found
 	resp.Witness = res.Witness
@@ -887,17 +801,6 @@ func fillDet(resp *Response, k int, res *deterministic.Result) {
 	}
 	resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
 	resp.MaxCongestion, resp.Overflowed = res.MaxCongestion, res.Overflowed
-}
-
-// accumulatePrior folds a prior entry's history into an amplified
-// response so it reports the full budget the verdict rests on.
-func accumulatePrior(resp, p *Response) {
-	resp.Rounds += p.Rounds
-	resp.Messages += p.Messages
-	resp.Bits += p.Bits
-	resp.MaxCongestion = max(resp.MaxCongestion, p.MaxCongestion)
-	resp.Overflowed = resp.Overflowed || p.Overflowed
-	resp.Iterations += p.Iterations
 }
 
 // Config returns the service configuration with defaults resolved.

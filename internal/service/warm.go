@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/incr"
@@ -88,7 +87,7 @@ func (s *Service) warmChild(parent, child *graph.Graph, added [][2]graph.NodeID)
 			}
 			if rc.Fallback {
 				fallbacks++
-				if resp, err = s.warmFullRun(child, c.key, cfp); err != nil {
+				if resp, err = s.warmFullRun(child, childKey); err != nil {
 					continue
 				}
 			} else {
@@ -107,22 +106,17 @@ func (s *Service) warmChild(parent, child *graph.Graph, added [][2]graph.NodeID)
 }
 
 // warmFullRun is the localization fallback: an ordinary full deterministic
-// detection on the child graph, taking a normal admission slot so warm
-// work cannot oversubscribe the pool past Config.Slots.
-func (s *Service) warmFullRun(child *graph.Graph, key cacheKey, cfp graph.Fingerprint) (*Response, error) {
+// detection on the child graph, run as a batch of one — so warm work
+// takes a normal admission slot and cannot oversubscribe the pool past
+// Config.Slots. The executor installs the verdict with its warm mark.
+func (s *Service) warmFullRun(child *graph.Graph, key cacheKey) (*Response, error) {
 	req := &Request{Graph: child, Algo: AlgoDet, K: key.k, Threshold: key.threshold}
-	ctx := context.Background()
-	if err := s.gate.Acquire(ctx); err != nil {
+	it := &fuseItem{req: req, fp: key.fp, key: key, warmed: true}
+	outs, err := s.execBatch(context.Background(), compatFor(req), []*fuseItem{it})
+	if err != nil {
 		return nil, err
 	}
-	defer s.gate.Release()
-	start := time.Now()
-	resp, _, err := s.computeGuarded(ctx, req, cfp, nil)
-	if err == nil {
-		s.noteSessionDuration(time.Since(start))
-		s.soloSessions.Add(1)
-	}
-	return resp, err
+	return outs[0].resp, outs[0].err
 }
 
 // rekeyResponse clones a cached response under a new fingerprint. The

@@ -54,9 +54,11 @@ func WithServiceCache(entries int) ServiceOption {
 	return func(c *serviceConfig) { c.cfg.CacheEntries = entries }
 }
 
-// WithServiceParallel sets the per-request trial parallelism (matching
-// WithParallel on the direct detection calls: 0/1 sequential, negative
-// GOMAXPROCS).
+// WithServiceParallel sets the trial parallelism of bounded and odd
+// detections (matching WithParallel on the direct detection calls: 0/1
+// sequential, negative GOMAXPROCS). Even and deterministic detections run
+// on one fused engine session and ignore it; results are identical either
+// way.
 func WithServiceParallel(p int) ServiceOption {
 	return func(c *serviceConfig) { c.cfg.Parallel = p }
 }
