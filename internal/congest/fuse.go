@@ -19,19 +19,31 @@ import "repro/internal/graph"
 // i's node streams derive from: node u of graph i (global ID
 // parts.Base[i]+u) draws exactly the stream it would on
 // NewNetwork(gs[i], seeds[i]) under the same session tag.
+//
+// A batch of one is its own union: the engine runs on gs[0] itself under
+// seeds[0], with no CSR copy and no per-node seed bases.
 func NewFusedEngine(gs []*graph.Graph, seeds []uint64) (*Engine, *graph.UnionParts) {
 	if len(seeds) != len(gs) {
 		panic("congest: NewFusedEngine needs one seed per graph")
 	}
-	u, parts := graph.UnionTagged(gs)
-	bases := make([]uint64, u.NumNodes())
-	for i := range gs {
-		lo, hi := parts.Component(i)
-		for v := lo; v < hi; v++ {
-			bases[v] = SeedBase(seeds[i], v-lo)
+	var net *Network
+	var parts *graph.UnionParts
+	if len(gs) == 1 {
+		net = NewNetwork(gs[0], seeds[0])
+		parts = &graph.UnionParts{Comp: make([]int32, gs[0].NumNodes()), Base: []int32{0}}
+	} else {
+		var u *graph.Graph
+		u, parts = graph.UnionTagged(gs)
+		bases := make([]uint64, u.NumNodes())
+		for i := range gs {
+			lo, hi := parts.Component(i)
+			for v := lo; v < hi; v++ {
+				bases[v] = SeedBase(seeds[i], v-lo)
+			}
 		}
+		net = NewNetworkSeedBases(u, bases)
 	}
-	eng := NewEngine(NewNetworkSeedBases(u, bases))
+	eng := NewEngine(net)
 	eng.SetComponents(parts.Comp, len(gs))
 	return eng, parts
 }

@@ -108,6 +108,40 @@ func TestFusedEngineMatchesSoloRuns(t *testing.T) {
 	}
 }
 
+// TestFusedEngineBatchOfOne pins that a one-graph batch runs on the input
+// graph itself, not a copy, and still matches a solo run draw for draw,
+// with one PerComp entry equal to the whole report.
+func TestFusedEngineBatchOfOne(t *testing.T) {
+	gs, seeds := fuseTestGraphs(11)
+	g := gs[0]
+	eng, parts := NewFusedEngine(gs[:1], seeds[:1])
+	if eng.Network().Graph() != g {
+		t.Fatal("batch of one copied its graph")
+	}
+	if lo, hi := parts.Component(0); lo != 0 || int(hi) != g.NumNodes() {
+		t.Fatalf("component 0 spans [%d,%d), want [0,%d)", lo, hi, g.NumNodes())
+	}
+	fused := &drawFlood{}
+	frep, err := eng.Run(fused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := &drawFlood{}
+	srep, err := NewEngine(NewNetwork(g, seeds[0])).Run(solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range solo.Draws {
+		if fused.Draws[u] != solo.Draws[u] {
+			t.Fatalf("node %d: fused draw %x, solo draw %x", u, fused.Draws[u], solo.Draws[u])
+		}
+	}
+	want := CompStats{Rounds: srep.Rounds, Messages: srep.Messages}
+	if len(frep.PerComp) != 1 || frep.PerComp[0] != want {
+		t.Fatalf("PerComp %+v, want [%+v]", frep.PerComp, want)
+	}
+}
+
 // TestFusedAccountingScheduleInvariant pins that the per-component split
 // is identical under serial and parallel execution (workers, shards,
 // forced-parallel thresholds).

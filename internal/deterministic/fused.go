@@ -26,6 +26,9 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 	if k > MaxK {
 		return nil, fmt.Errorf("deterministic: k = %d exceeds the %d-bit walk-length field (MaxK = %d)", k, hopBits, MaxK)
 	}
+	if len(gs) == 0 {
+		return nil, fmt.Errorf("deterministic: empty fused batch")
+	}
 	seeds := make([]uint64, len(gs))
 	for i := range seeds {
 		seeds[i] = opt.Seed // the protocol draws no randomness
@@ -38,19 +41,26 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 
-	total := eng.Network().NumNodes()
-	proto := newDetProto(total, k, 0)
-	proto.tauAt = make([]int32, total)
 	taus := make([]int, len(gs))
+	uniform := true
 	for i, g := range gs {
-		tau := opt.Threshold
-		if tau <= 0 {
-			tau = DefaultThreshold(g.NumNodes(), k)
+		taus[i] = opt.Threshold
+		if taus[i] <= 0 {
+			taus[i] = DefaultThreshold(g.NumNodes(), k)
 		}
-		taus[i] = tau
-		lo, hi := parts.Component(i)
-		for v := lo; v < hi; v++ {
-			proto.tauAt[v] = int32(tau)
+		uniform = uniform && taus[i] == taus[0]
+	}
+	// One τ for the whole union (always so for a batch of one) needs no
+	// per-node table.
+	total := eng.Network().NumNodes()
+	proto := newDetProto(total, k, taus[0])
+	if !uniform {
+		proto.tauAt = make([]int32, total)
+		for i, tau := range taus {
+			lo, hi := parts.Component(i)
+			for v := lo; v < hi; v++ {
+				proto.tauAt[v] = int32(tau)
+			}
 		}
 	}
 	rep, err := eng.Run(proto)

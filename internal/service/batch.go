@@ -63,10 +63,11 @@ type fuseItem struct {
 	fp    graph.Fingerprint
 	key   cacheKey
 	prior *entry
-	// warmed marks the verdict as mutation-time warm work (the
-	// localization fallback): its cache entry keeps the warm mark, so
-	// later hits on it count as warm_hits.
-	warmed bool
+	// warm marks mutation-time work with no request behind it (the
+	// localization fallback): the executor neither installs its verdict
+	// nor stamps its stages. warmChild installs it, with the warm mark,
+	// unless a request has claimed or cached the key meanwhile.
+	warm bool
 	// enqueued is when the item entered the batcher, set only on timed
 	// requests (observed service or per-request trace); the executor
 	// measures the linger stage against it. Zero when untimed or direct.
@@ -172,8 +173,8 @@ func (s *Service) execBatch(ctx context.Context, ck compatKey, items []*fuseItem
 	outs = s.run(cancel, ck, items)
 	engineDur := time.Since(start)
 
-	// Cache every successful verdict under its own fingerprint — here,
-	// not in Do, so verdicts of waiters that gave up are kept too.
+	// Cache every successful request verdict under its own fingerprint —
+	// here, not in Do, so verdicts of waiters that gave up are kept too.
 	var tInstall time.Time
 	if timed {
 		tInstall = time.Now()
@@ -183,7 +184,9 @@ func (s *Service) execBatch(ctx context.Context, ck compatKey, items []*fuseItem
 	for i, it := range items {
 		if outs[i].err == nil {
 			ran = true
-			s.cache.put(it.key, &entry{resp: outs[i].resp, budget: it.req.Iterations, warmed: it.warmed})
+			if !it.warm {
+				s.cache.put(it.key, &entry{resp: outs[i].resp, budget: it.req.Iterations})
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -192,10 +195,11 @@ func (s *Service) execBatch(ctx context.Context, ck compatKey, items []*fuseItem
 	}
 	if timed {
 		// noteStage tolerates a nil trace (histogram-only) on an armed
-		// service; an untraced rider of a disarmed service is skipped.
+		// service; an untraced rider of a disarmed service is skipped, and
+		// so is warm work, which no request spent.
 		install := time.Since(tInstall)
 		for _, it := range items {
-			if !s.observe && it.req.Trace == nil {
+			if it.warm || !s.observe && it.req.Trace == nil {
 				continue
 			}
 			if !it.enqueued.IsZero() {

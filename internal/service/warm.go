@@ -108,10 +108,11 @@ func (s *Service) warmChild(parent, child *graph.Graph, added [][2]graph.NodeID)
 // warmFullRun is the localization fallback: an ordinary full deterministic
 // detection on the child graph, run as a batch of one — so warm work
 // takes a normal admission slot and cannot oversubscribe the pool past
-// Config.Slots. The executor installs the verdict with its warm mark.
+// Config.Slots. The item is marked warm, so the executor leaves the
+// install to warmChild's guarded put.
 func (s *Service) warmFullRun(child *graph.Graph, key cacheKey) (*Response, error) {
 	req := &Request{Graph: child, Algo: AlgoDet, K: key.k, Threshold: key.threshold}
-	it := &fuseItem{req: req, fp: key.fp, key: key, warmed: true}
+	it := &fuseItem{req: req, fp: key.fp, key: key, warm: true}
 	outs, err := s.execBatch(context.Background(), compatFor(req), []*fuseItem{it})
 	if err != nil {
 		return nil, err

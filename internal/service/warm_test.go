@@ -152,6 +152,66 @@ func TestWarmStartFallback(t *testing.T) {
 	}
 }
 
+// TestWarmFallbackKeepsRequestEntry: a request for the child key that
+// completes while the fallback detection runs installs its own verdict,
+// and the fallback must not overwrite it (nor mark it warm).
+func TestWarmFallbackKeepsRequestEntry(t *testing.T) {
+	s := New(Config{Slots: 2, BatchSize: 1})
+	var edges [][2]graph.NodeID
+	for v := graph.NodeID(1); v < 6; v++ {
+		edges = append(edges, [2]graph.NodeID{0, v})
+	}
+	parent := graph.FromEdges(6, edges)
+	added := [][2]graph.NodeID{{1, 2}}
+	child, err := parent.WithEdges(added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var childCalls int
+	var reqResp *Response
+	s.computeHook = func(req *Request, fp graph.Fingerprint, prior *entry) (*Response, bool, error) {
+		resp := &Response{Algo: req.Algo, K: req.K, Fingerprint: fp.String()}
+		if fp != child.Fingerprint() {
+			return resp, false, nil
+		}
+		childCalls++
+		if childCalls == 1 {
+			// The fallback is running: a request for the same key
+			// computes and caches its verdict before the fallback ends.
+			got, src, err := s.Do(context.Background(), &Request{Graph: req.Graph, Algo: AlgoDet, K: req.K})
+			if err != nil || src != SourceComputed {
+				t.Errorf("request during fallback: src=%s err=%v, want computed", src, err)
+			}
+			reqResp = got
+			resp.Rounds = 2 // tells the fallback's verdict apart
+		}
+		return resp, false, nil
+	}
+	if err := s.CreateCorpus("g", parent); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Do(context.Background(), &Request{Graph: parent, Algo: AlgoDet, K: 2}); err != nil {
+		t.Fatal(err)
+	}
+	mut, err := s.AddCorpusEdges("g", added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mut.Fallbacks != 1 || childCalls != 2 {
+		t.Fatalf("mutation = %+v with %d child computes, want one fallback and two computes", mut, childCalls)
+	}
+	resp, src, err := s.Do(context.Background(), &Request{Graph: child, Algo: AlgoDet, K: 2})
+	if err != nil || src != SourceCache {
+		t.Fatalf("src=%s err=%v, want cached", src, err)
+	}
+	if resp != reqResp {
+		t.Fatalf("cached child verdict %+v, want the request's %+v", resp, reqResp)
+	}
+	if st := s.Stats(); st.WarmHits != 0 {
+		t.Fatalf("warm_hits = %d, want 0: the request's entry is not warm work", st.WarmHits)
+	}
+}
+
 // TestWarmStartCarriesFound: a cached Found survives any edge addition
 // (edges are only ever added), so the warm path re-keys it without any
 // detector work, witness intact and re-verified.
