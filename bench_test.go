@@ -7,7 +7,9 @@ package evencycle
 // cmd/benchtab.
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/congest"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/deterministic"
 	"repro/internal/graph"
 	"repro/internal/lowprob"
+	"repro/internal/obs"
 	"repro/internal/quantum"
 )
 
@@ -142,22 +145,61 @@ func (t *treeProbe) MaxDepth() int32 {
 	return best
 }
 
+// detectScenario is one pinned end-to-end detector workload: a planted
+// C_2k on a light host, run for a fixed number of colorings with no
+// early stop, so every run measures the same work.
+type detectScenario struct {
+	name      string
+	n, k      int
+	deg       float64 // average degree of the planted-light host
+	iters     int     // coloring iterations (KeepGoing, no early stop)
+	graphSeed uint64
+	seed      uint64
+}
+
+// detectScenarios is the scenario table of BenchmarkDetectEvenCycle; the
+// deterministic and observed benchmarks reuse its n=2000/k=2 instance so
+// their numbers compare against it on identical work.
+var detectScenarios = []detectScenario{
+	{name: "n=2000/k=2", n: 2000, k: 2, deg: 2.0, iters: 6, graphSeed: 11, seed: 42},
+	{name: "n=2000/k=3", n: 2000, k: 3, deg: 1.5, iters: 4, graphSeed: 11, seed: 42},
+}
+
+// graph builds the scenario's instance.
+func (sc detectScenario) graph() (*graph.Graph, error) {
+	g, _, err := graph.PlantedLight(sc.n, 2*sc.k, sc.deg, graph.NewRand(sc.graphSeed))
+	return g, err
+}
+
+// run executes one op of the scenario; observe, when non-nil, is armed
+// as the engine's per-session hook.
+func (sc detectScenario) run(g *graph.Graph, observe func(int, time.Duration)) error {
+	res, err := core.DetectEvenCycle(g, sc.k, core.Options{
+		Seed: sc.seed, MaxIterations: sc.iters, KeepGoing: true, Observe: observe,
+	})
+	if err != nil {
+		return err
+	}
+	if res.IterationsRun != sc.iters {
+		return fmt.Errorf("ran %d iterations, want %d", res.IterationsRun, sc.iters)
+	}
+	return nil
+}
+
 // BenchmarkDetectEvenCycle is the end-to-end detector benchmark: a full
 // Algorithm 1 run (set construction + K colorings × three color-BFS calls)
-// on a planted instance. It is the headline number of the perf trajectory
-// recorded in BENCH_*.json; the scenarios are bench.DetectScenarios, the
-// same pinned table `cmd/benchtab -json` measures.
+// on a planted instance, over the pinned detectScenarios.
 func BenchmarkDetectEvenCycle(b *testing.B) {
-	for _, sc := range bench.DetectScenarios {
-		b.Run(sc.Name, func(b *testing.B) {
-			g, err := sc.Graph()
+	for _, sc := range detectScenarios {
+		b.Run(sc.name, func(b *testing.B) {
+			g, err := sc.graph()
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sc.Run(g); err != nil {
+				if err := sc.run(g, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -165,13 +207,42 @@ func BenchmarkDetectEvenCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectEvenCycleObserved is BenchmarkDetectEvenCycle's
+// n=2000/k=2 scenario with the engine's per-session hook armed (two
+// histogram observations plus one clock pair per session). The gap to
+// the disarmed benchmark is the cost of observation, measured rather
+// than assumed.
+func BenchmarkDetectEvenCycleObserved(b *testing.B) {
+	sc := detectScenarios[0]
+	g, err := sc.graph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	rounds := reg.Histogram("bench_session_rounds", "", obs.RoundBuckets(), 1)
+	wall := reg.Histogram("bench_session_seconds", "", obs.DurationBuckets(), 1e-9)
+	observe := func(r int, w time.Duration) {
+		rounds.Observe(int64(r))
+		wall.ObserveDuration(w)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sc.run(g, observe); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if rounds.Count() == 0 {
+		b.Fatal("armed hook observed no session")
+	}
+}
+
 // BenchmarkDetectDeterministic measures the deterministic broadcast
 // detector end to end on the same pinned instance as
 // BenchmarkDetectEvenCycle's n=2000/k=2 scenario (one seedless broadcast
-// session: all-source walk relay + witness reconstruction). It mirrors
-// the det-broadcast entry of the perf-trajectory JSON.
+// session: all-source walk relay + witness reconstruction).
 func BenchmarkDetectDeterministic(b *testing.B) {
-	g, err := bench.DetectScenarios[0].Graph()
+	g, err := detectScenarios[0].graph()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,6 @@
 //
 //	benchtab [-quick] [-seed N] [-csv|-md] [-out FILE] [-workers W] [-parallel P] [E1,E3,... | all]
 //	benchtab -quick -md -out EXPERIMENTS.md all
-//	benchtab -json [-label L] [-baseline BENCH_x.json] [-max-regression 0.10] [-quick] [-out BENCH_y.json]
 //
 // -workers sets the per-session goroutine pool of the CONGEST simulator;
 // -parallel sets how many independent detection trials each sweep point
@@ -18,12 +17,8 @@
 // (tables are deterministic for a fixed -seed, so the file must
 // round-trip byte-identically).
 //
-// -json switches to the perf-trajectory mode: instead of experiment
-// tables, the fixed scenario suite of internal/bench (mirroring the root
-// package's BenchmarkDetectEvenCycle) is measured for wall time and
-// allocations and emitted as JSON. -baseline embeds a previous record so
-// the written file carries its own comparison point; see the README's
-// Performance section for the recording workflow.
+// Wall-clock speed is not measured here: see the README's "Measuring
+// performance" for the end-to-end benchmark and the go test benchmarks.
 package main
 
 import (
@@ -53,12 +48,6 @@ func run() error {
 	workers := flag.Int("workers", 0, "simulator goroutine pool size (0 = GOMAXPROCS)")
 	parallel := flag.Int("parallel", 1,
 		"independent detection trials in flight per sweep point (0 = GOMAXPROCS, 1 = sequential); tables are identical either way")
-	jsonMode := flag.Bool("json", false,
-		"emit the perf-trajectory JSON (BENCH_*.json) instead of experiment tables; the perf workloads are pinned, so -seed/-workers/-parallel and experiment ids do not apply")
-	label := flag.String("label", "current", "label recorded in the perf JSON (-json only)")
-	baselineFile := flag.String("baseline", "", "previous BENCH_*.json to embed as the comparison baseline (-json only)")
-	maxRegression := flag.Float64("max-regression", 0,
-		"fail when any scenario's ns/op exceeds the -baseline value by more than this fraction, e.g. 0.10 (-json only; 0 disables)")
 	flag.Parse()
 
 	ids := flag.Args()
@@ -79,42 +68,6 @@ func run() error {
 		}
 		defer file.Close()
 		w = file
-	}
-
-	if *jsonMode {
-		if len(flag.Args()) > 0 {
-			return fmt.Errorf("-json measures the pinned perf suite; experiment ids %v do not apply", flag.Args())
-		}
-		if *csv || *md {
-			return fmt.Errorf("-json is mutually exclusive with -csv/-md")
-		}
-		rec, err := bench.RunPerf(*quick, *label)
-		if err != nil {
-			return err
-		}
-		if *baselineFile != "" {
-			f, err := os.Open(*baselineFile)
-			if err != nil {
-				return err
-			}
-			base, err := bench.ReadPerfRecord(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-			base.Baseline = nil // keep one level of history per record
-			rec.Baseline = base
-		}
-		if err := rec.WriteJSON(w); err != nil {
-			return err
-		}
-		if *maxRegression > 0 {
-			return rec.CheckRegression(*maxRegression)
-		}
-		return nil
-	}
-	if *maxRegression > 0 {
-		return fmt.Errorf("-max-regression applies to -json mode only")
 	}
 
 	if *csv && *md {

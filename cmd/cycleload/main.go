@@ -6,12 +6,13 @@
 // percentiles, and the serve-path split the server advertises in its
 // X-Evencycle-Source headers — and can gate on minimum cache-hit ratio
 // and maximum failures, which is how the CI smoke job asserts the service
-// works.
+// works. Every request goes over HTTP through one client bounded at five
+// minutes, so a wedged server fails the run instead of hanging it.
 //
 // Usage:
 //
 //	cycleload -addr http://localhost:8972 -requests 400 -clients 8 \
-//	  -algo det -k 2 -distinct 4 [-json -out BENCH_5.json] \
+//	  -algo det -k 2 -distinct 4 [-json -out load.json] \
 //	  [-min-hit-ratio 0.5] [-max-failures 0]
 //
 // The corpus names are discovered from GET /v1/corpus; -distinct D uses
@@ -30,26 +31,17 @@
 // -max-engine-sessions gates on fused batching actually collapsing the
 // session count (the CI smoke job's batching assertion).
 //
-// The in-process mode (-direct, requires -inline) drives service.Do
-// directly instead of going through HTTP, so the measurement isolates
-// the miss path itself — fingerprint, scheduling, engine session — from
-// the HTTP/JSON transport cost, which on small graphs is several times
-// the detection cost and identical on every serve path. -direct -vs-solo
-// replays the same workload twice, against a batching-disabled service
-// and a batched one, verifies the responses are byte-identical per graph
-// across both, and emits a single comparison record with the throughput
-// ratio (BENCH_6.json); -min-speedup gates on that ratio and -trials
-// takes the best of N runs per path to damp scheduler noise.
-//
 // Failure-domain accounting: every request lands in an outcome class
 // ("2xx", "408" deadline, "429" shed, "499" cancelled, "503" contained
 // panic/drain, "client_timeout", "net"), tallied in totals.by_class.
 // -deadline-ms attaches a per-request deadline (the 408/429 domains);
 // -timeout D -timeout-frac F abandons a fraction F of requests
 // client-side after D (the 499 domain, exercising cooperative engine
-// cancellation under live load).
+// cancellation under live load). Server-side faults are armed with
+// cycleserved -fault; the in-process chaos gate is the service test
+// TestChaosReplayByteIdentity.
 //
-// Retry policy (-retries N, HTTP mode only): 429 and 503 are the
+// Retry policy (-retries N): 429 and 503 are the
 // server's explicit safe-to-retry pushback, so with N > 0 the client
 // retries them up to N times, sleeping the server's Retry-After hint
 // when one is sent and otherwise an exponential backoff (25ms doubling,
@@ -58,18 +50,6 @@
 // then succeeded counts as "2xx_retried" in totals.by_class — visibly
 // distinct from clean "2xx", so a run that leaned on retries can't
 // masquerade as one that didn't.
-//
-// The chaos mode (-chaos, requires -direct -inline) is the robustness
-// acceptance harness: it replays the workload fault-free to capture
-// reference response bodies, arms the -fault specs (or a default storm
-// of round stalls, detector panics, and batch-leader crashes), replays
-// again under a watchdog, and gates on the failure-domain invariants —
-// the chaos run finishes (no hangs), every failure carries the typed
-// taxonomy, every surviving response is byte-identical to its reference,
-// the armed faults actually fired, and the service drains to idle (no
-// leaked admission slots). BENCH_7.json is the overload-with-deadlines
-// artifact: a -deadline-ms run on a small slot count, recording the
-// 2xx/408/429 split and the shed/deadline counters server-side.
 package main
 
 import (
@@ -85,25 +65,18 @@ import (
 	"os"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faultpoint"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
 
-// listFlag collects repeated -fault spec flags.
-type listFlag []string
-
-func (c *listFlag) String() string { return strings.Join(*c, ",") }
-func (c *listFlag) Set(v string) error {
-	*c = append(*c, v)
-	return nil
-}
+// httpClient carries every request cycleload makes, so none can outlive
+// the five-minute bound.
+var httpClient = &http.Client{Timeout: 5 * time.Minute}
 
 func main() {
 	if err := run(); err != nil {
@@ -112,8 +85,8 @@ func main() {
 	}
 }
 
-// LoadRecord is the serialized result of one load run (BENCH_5.json and
-// the CI service-smoke artifact use it).
+// LoadRecord is the serialized result of one load run (-json; the CI
+// service-smoke and overload artifacts use it).
 type LoadRecord struct {
 	Schema string     `json:"schema"`
 	Label  string     `json:"label"`
@@ -126,12 +99,11 @@ type LoadRecord struct {
 	RPS       float64 `json:"rps"`
 	Latency   Latency `json:"latency_ns"`
 	// ServerStats is the server's own counter snapshot after the run
-	// (GET /v1/stats, or Service.Stats in -direct mode) — the
-	// authoritative engine-session count behind the client-observed
-	// batch sizes.
+	// (GET /v1/stats) — the authoritative engine-session count behind
+	// the client-observed batch sizes.
 	ServerStats *service.Stats `json:"server_stats,omitempty"`
 	// ServerMetrics is the before/after delta of the server's /metrics
-	// exposition (-metrics, HTTP mode): server-side latency quantiles
+	// exposition (-metrics): server-side latency quantiles
 	// and the counter deltas cross-checking the client tally.
 	ServerMetrics *ServerMetricsDelta `json:"server_metrics,omitempty"`
 }
@@ -156,13 +128,11 @@ type LoadConfig struct {
 	// ClientTimeoutMS (the 499 domain).
 	ClientTimeoutMS int64   `json:"client_timeout_ms,omitempty"`
 	TimeoutFrac     float64 `json:"timeout_frac,omitempty"`
-	// Retries is how many times a 429/503 is retried (HTTP mode;
-	// Retry-After honored, exponential backoff otherwise, capped at
-	// MaxBackoffMS). 0 = fail immediately, the pre-retry behavior.
+	// Retries is how many times a 429/503 is retried (Retry-After
+	// honored, exponential backoff otherwise, capped at MaxBackoffMS).
+	// 0 = fail immediately, the pre-retry behavior.
 	Retries      int   `json:"retries,omitempty"`
 	MaxBackoffMS int64 `json:"max_backoff_ms,omitempty"`
-	// Faults echoes the armed fault-injection specs of a chaos run.
-	Faults []string `json:"faults,omitempty"`
 }
 
 // LoadTotals is the outcome tally.
@@ -186,30 +156,6 @@ type LoadTotals struct {
 	// server fused them into (the X-Evencycle-Batch header): key "1" is
 	// solo sessions, larger keys are fused batches.
 	BatchSizes map[string]int `json:"batch_sizes,omitempty"`
-}
-
-// MissBatchRecord is the -vs-solo comparison artifact (BENCH_6.json):
-// the same miss-path workload replayed against a solo-session service
-// and a fused-batching one, with the responses pinned identical.
-type MissBatchRecord struct {
-	Schema string     `json:"schema"`
-	Label  string     `json:"label"`
-	Config LoadConfig `json:"config"`
-	// BatchSize / BatchLingerNs / Slots are the batched service's knobs
-	// (the solo reference differs only in BatchSize 1).
-	BatchSize     int   `json:"batch_size"`
-	BatchLingerNs int64 `json:"batch_linger_ns"`
-	Slots         int   `json:"slots"`
-	// Trials is how many times each path ran; Solo/Batched are the
-	// best-throughput trial of each.
-	Trials  int         `json:"trials"`
-	Solo    *LoadRecord `json:"solo"`
-	Batched *LoadRecord `json:"batched"`
-	// Speedup is Batched.RPS / Solo.RPS.
-	Speedup float64 `json:"speedup"`
-	// ResponsesIdentical records the equivalence check: every graph's
-	// response body byte-identical between the solo and batched runs.
-	ResponsesIdentical bool `json:"responses_identical"`
 }
 
 // Latency summarizes the per-request latency sample in nanoseconds.
@@ -239,11 +185,7 @@ type sample struct {
 	// the sleep the retry loop prefers over its own backoff schedule.
 	retryAfter time.Duration
 	body       []byte
-	// resp holds the unserialized response in -direct mode; the body is
-	// marshaled after the timed run so serialization isn't billed to the
-	// service.
-	resp *service.Response
-	err  error
+	err        error
 }
 
 func run() error {
@@ -263,60 +205,34 @@ func run() error {
 	inline := flag.String("inline", "", "many-small-graphs mode: generate -distinct graphs from this spec template\n"+
 		"client-side (one per derived seed) and ship them inline instead of using the corpus")
 	maxSessions := flag.Int("max-engine-sessions", -1, "fail if the server's final engine-session count exceeds this (negative disables)")
-	direct := flag.Bool("direct", false, "drive the service in-process instead of over HTTP (requires -inline)")
-	vsSolo := flag.Bool("vs-solo", false, "with -direct: replay against solo and batched services and emit the comparison record")
-	trials := flag.Int("trials", 1, "with -vs-solo: runs per path, best throughput kept")
-	minSpeedup := flag.Float64("min-speedup", -1, "with -vs-solo: fail unless batched/solo rps reaches this (negative disables)")
-	slots := flag.Int("slots", 0, "with -direct: service compute slots (0 = service default)")
-	batch := flag.Int("batch", 0, "with -direct: max fused batch size (0 = service default, 1 = disable)")
-	batchLinger := flag.Duration("batch-linger", 0, "with -direct: batch linger window (0 = service default)")
 	deadlineMS := flag.Int64("deadline-ms", 0, "per-request deadline in ms (0 = none); expiry is the 408 class, shedding the 429 class")
-	retries := flag.Int("retries", 0, "retry 429/503 responses up to this many times, honoring Retry-After (HTTP mode; 0 = never)")
+	retries := flag.Int("retries", 0, "retry 429/503 responses up to this many times, honoring Retry-After (0 = never)")
 	maxBackoff := flag.Duration("max-backoff", 2*time.Second, "cap on the per-retry backoff sleep")
 	clientTimeout := flag.Duration("timeout", 0, "client-side abandonment: give up on injected requests after this long (0 = never)")
 	timeoutFrac := flag.Float64("timeout-frac", 0, "fraction of requests that get the -timeout abandonment (0 = none)")
-	chaos := flag.Bool("chaos", false, "chaos acceptance mode (requires -direct -inline): fault-free reference replay, then a fault-injected replay gated on the failure-domain invariants")
-	chaosTimeout := flag.Duration("chaos-timeout", 2*time.Minute, "with -chaos: watchdog bound on the fault-injected replay (a hang fails the run)")
-	metrics := flag.Bool("metrics", false, "scrape GET /metrics before and after the replay (HTTP mode): record the server-side\n"+
+	metrics := flag.Bool("metrics", false, "scrape GET /metrics before and after the replay: record the server-side\n"+
 		"latency delta and fail unless the server's success count matches the client's")
 	maxServerP99 := flag.Duration("max-server-p99", 0, "with -metrics: fail if the server-side p99 over the run exceeds this (0 = no bound)")
-	mutate := flag.String("mutate", "", "mutate-then-detect mode (HTTP only): add -requests random single edges to this corpus name,\n"+
+	mutate := flag.String("mutate", "", "mutate-then-detect mode: add -requests random single edges to this corpus name,\n"+
 		"detecting after each op and gating mutation lineage + served-fingerprint consistency (see mutate.go)")
-	var faults listFlag
-	flag.Var(&faults, "fault", "arm a fault-injection point as point:every=N[:limit=M][:delay=D] (repeatable; -direct/-chaos only)")
 	flag.Parse()
 
-	if *vsSolo && !*direct {
-		return fmt.Errorf("-vs-solo requires -direct")
+	if *mutate != "" && (*metrics || *inline != "") {
+		return fmt.Errorf("-mutate drives a server corpus; it composes with neither -metrics nor -inline")
 	}
-	if *chaos && !*direct {
-		return fmt.Errorf("-chaos requires -direct (the reference/chaos replays share one process)")
-	}
-	if *direct && *inline == "" {
-		return fmt.Errorf("-direct needs -inline (it has no server corpus to draw from)")
-	}
-	if len(faults) > 0 && !*direct {
-		return fmt.Errorf("-fault only applies in -direct mode; arm server-side faults via cycleserved -fault")
-	}
-	if *metrics && (*direct || *mutate != "") {
-		return fmt.Errorf("-metrics scrapes a live server over HTTP; it composes with neither -direct nor -mutate")
-	}
-	if *mutate != "" {
-		if *direct || *inline != "" {
-			return fmt.Errorf("-mutate drives a server corpus over HTTP; it composes with neither -direct nor -inline")
-		}
-		rec, err := mutateRun(*addr, *mutate, *requests, *k, *seed, *label)
+	var w io.Writer = os.Stdout
+	if *out != "" {
+		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
-		var w io.Writer = os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
+		defer f.Close()
+		w = f
+	}
+	if *mutate != "" {
+		rec, err := mutateRun(*addr, *mutate, *requests, *k, *seed, *label)
+		if err != nil {
+			return err
 		}
 		if *jsonOut {
 			enc := json.NewEncoder(w)
@@ -366,131 +282,30 @@ func run() error {
 		Retries:         *retries,
 		MaxBackoffMS:    maxBackoff.Milliseconds(),
 	}
-	if *retries > 0 && *direct {
-		return fmt.Errorf("-retries only applies over HTTP; -direct failures carry typed errors, not statuses")
-	}
 	fmt.Fprintf(os.Stderr, "load: %d requests, %d clients, %d distinct graphs, algo=%s k=%d\n",
 		*requests, *clients, len(names), *algo, *k)
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-
-	if *chaos {
-		algoP, err := service.ParseAlgo(*algo)
-		if err != nil {
-			return err
-		}
-		svcCfg := service.Config{Slots: *slots, CacheEntries: 2*len(gs) + 16,
-			BatchSize: *batch, BatchLinger: *batchLinger}
-		return chaosRun(w, svcCfg, gs, names, algoP, cfg, faults, *label, *jsonOut, *chaosTimeout)
-	}
-	for _, spec := range faults {
-		if err := faultpoint.Set(spec); err != nil {
-			return fmt.Errorf("-fault %q: %w", spec, err)
-		}
-		fmt.Fprintf(os.Stderr, "WARNING: fault injection armed: %s\n", spec)
-	}
-
-	if *vsSolo {
-		algoP, err := service.ParseAlgo(*algo)
-		if err != nil {
-			return err
-		}
-		base := service.Config{Slots: *slots, CacheEntries: 2*len(gs) + 16,
-			BatchSize: *batch, BatchLinger: *batchLinger}
-		batchedCfg := service.New(base).Config() // resolve defaults for the record
-		soloCfg := base
-		soloCfg.BatchSize = 1
-
-		solo, batched, identical, err := compareRuns(soloCfg, base, gs, names, algoP, cfg, *trials)
-		if err != nil {
-			return err
-		}
-		rec := &MissBatchRecord{
-			Schema: "evencycle-missbatch/v1", Label: *label, Config: cfg,
-			BatchSize: batchedCfg.BatchSize, BatchLingerNs: batchedCfg.BatchLinger.Nanoseconds(),
-			Slots: batchedCfg.Slots, Trials: *trials,
-			Solo: solo, Batched: batched,
-			Speedup:            batched.RPS / solo.RPS,
-			ResponsesIdentical: identical,
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
-		} else {
-			renderVsSolo(w, rec)
-		}
-		if !identical {
-			return fmt.Errorf("batched responses differ from solo responses")
-		}
-		if *maxFailures >= 0 {
-			if f := solo.Totals.Failures + batched.Totals.Failures; f > *maxFailures {
-				return fmt.Errorf("%d requests failed (max %d)", f, *maxFailures)
-			}
-		}
-		if *maxSessions >= 0 && batched.ServerStats.EngineSessions > int64(*maxSessions) {
-			return fmt.Errorf("batched path ran %d engine sessions (max %d — batching did not collapse the miss path)",
-				batched.ServerStats.EngineSessions, *maxSessions)
-		}
-		if *minSpeedup >= 0 && rec.Speedup < *minSpeedup {
-			return fmt.Errorf("batched/solo speedup %.2f below required %.2f", rec.Speedup, *minSpeedup)
-		}
-		return nil
-	}
-
-	var rec *LoadRecord
-	if *direct {
-		algoP, err := service.ParseAlgo(*algo)
-		if err != nil {
-			return err
-		}
-		svcCfg := service.Config{Slots: *slots, CacheEntries: 2*len(gs) + 16,
-			BatchSize: *batch, BatchLinger: *batchLinger}
-		rec, _, _, err = directRun(svcCfg, gs, names, algoP, cfg)
-		if err != nil {
-			return err
-		}
-	} else {
-		var before *obs.Exposition
+	var before *obs.Exposition
+	if *metrics {
 		var err error
-		if *metrics {
-			if before, err = scrapeMetrics(*addr); err != nil {
-				return fmt.Errorf("pre-run scrape: %w", err)
-			}
+		if before, err = scrapeMetrics(*addr); err != nil {
+			return fmt.Errorf("pre-run scrape: %w", err)
 		}
-		if rec, err = httpRun(*addr, gs, names, cfg); err != nil {
+	}
+	rec, err := httpRun(*addr, gs, names, cfg)
+	if err != nil {
+		return err
+	}
+	if *metrics {
+		after, err := scrapeMetrics(*addr)
+		if err != nil {
+			return fmt.Errorf("post-run scrape: %w", err)
+		}
+		if rec.ServerMetrics, err = metricsDelta(before, after); err != nil {
 			return err
-		}
-		if *metrics {
-			after, err := scrapeMetrics(*addr)
-			if err != nil {
-				return fmt.Errorf("post-run scrape: %w", err)
-			}
-			if rec.ServerMetrics, err = metricsDelta(before, after); err != nil {
-				return err
-			}
 		}
 	}
 	rec.Label = *label
-	if *algo == "det" || *algo == "deterministic" {
-		// DetByteIdentical is filled per run; surface a pointer even when
-		// no body repeated so the gate below stays meaningful.
-		if rec.Totals.DetByteIdentical == nil {
-			identical := true
-			rec.Totals.DetByteIdentical = &identical
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -574,7 +389,6 @@ func httpRun(addr string, gs []*graph.Graph, names []string, cfg LoadConfig) (*L
 			return nil, err
 		}
 	}
-	client := &http.Client{Timeout: 5 * time.Minute}
 	stride := timeoutStride(cfg.TimeoutFrac)
 	samples, elapsed := replay(cfg.Requests, cfg.Clients, func(i int) sample {
 		ctx := context.Background()
@@ -583,7 +397,7 @@ func httpRun(addr string, gs []*graph.Graph, names []string, cfg LoadConfig) (*L
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(cfg.ClientTimeoutMS)*time.Millisecond)
 			defer cancel()
 		}
-		return oneRequestRetry(ctx, client, addr, bodies[i%len(names)], names[i%len(names)],
+		return oneRequestRetry(ctx, addr, bodies[i%len(names)], names[i%len(names)],
 			cfg.Retries, time.Duration(cfg.MaxBackoffMS)*time.Millisecond)
 	})
 	rec := summarize(samples, elapsed)
@@ -601,73 +415,6 @@ func httpRun(addr string, gs []*graph.Graph, names []string, cfg LoadConfig) (*L
 	return rec, nil
 }
 
-// directRun replays the workload in-process against a fresh Service,
-// returning the run record, the per-graph response bodies (for
-// cross-path equivalence checks), and the raw samples (for per-request
-// chaos gating).
-func directRun(svcCfg service.Config, gs []*graph.Graph, names []string, algo service.Algo, cfg LoadConfig) (*LoadRecord, map[string][]byte, []sample, error) {
-	svc := service.New(svcCfg)
-	stride := timeoutStride(cfg.TimeoutFrac)
-	samples, elapsed := replay(cfg.Requests, cfg.Clients, func(i int) sample {
-		name := names[i%len(names)]
-		req := &service.Request{
-			Graph: gs[i%len(gs)], Algo: algo, K: cfg.K,
-			Seed: cfg.Seed, Iterations: cfg.Iterations,
-			Deadline: time.Duration(cfg.DeadlineMS) * time.Millisecond,
-		}
-		ctx := context.Background()
-		if stride > 0 && i%stride == 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(cfg.ClientTimeoutMS)*time.Millisecond)
-			defer cancel()
-		}
-		start := time.Now()
-		resp, info, err := svc.DoInfo(ctx, req)
-		ns := time.Since(start).Nanoseconds()
-		if err != nil {
-			return sample{ns: ns, name: name, class: classOfErr(err), err: err}
-		}
-		return sample{ns: ns, source: string(info.Source), batch: info.Batch, name: name, class: "2xx", resp: resp}
-	})
-	for i := range samples {
-		s := &samples[i]
-		if s.err == nil && s.resp != nil {
-			if s.body, s.err = json.Marshal(s.resp); s.err != nil {
-				s.body = nil
-			}
-		}
-	}
-	rec := summarize(samples, elapsed)
-	rec.Target = "in-process"
-	rec.Config = cfg
-	st := svc.Stats()
-	rec.ServerStats = &st
-	if algo == service.AlgoDet {
-		identical := detBodiesIdentical(samples)
-		rec.Totals.DetByteIdentical = &identical
-	}
-	return rec, firstBodies(samples), samples, nil
-}
-
-// classOfErr maps a direct-mode failure onto its outcome class — the
-// same domains an HTTP client would read off the status line.
-func classOfErr(err error) string {
-	switch {
-	case errors.Is(err, service.ErrDeadline):
-		return "408"
-	case errors.Is(err, service.ErrShed):
-		return "429"
-	case errors.Is(err, service.ErrCancelled):
-		return "499"
-	case errors.Is(err, service.ErrInternal):
-		return "503"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "client_timeout"
-	default:
-		return "err"
-	}
-}
-
 // timeoutStride converts -timeout-frac into "every Nth request": 0.25 →
 // every 4th. Zero disables injection.
 func timeoutStride(frac float64) int {
@@ -681,217 +428,8 @@ func timeoutStride(frac float64) int {
 	return stride
 }
 
-// compareRuns interleaves `trials` solo and batched replays (each
-// against a fresh service, so every trial exercises the pure miss path)
-// and keeps each path's best-throughput record. Interleaving means a
-// burst of host interference lands on both paths alike instead of
-// skewing whichever side it happened to hit. All trials of both paths
-// must produce byte-identical per-graph responses.
-func compareRuns(soloCfg, batchedCfg service.Config, gs []*graph.Graph, names []string, algo service.Algo, cfg LoadConfig, trials int) (solo, batched *LoadRecord, identical bool, err error) {
-	if trials < 1 {
-		trials = 1
-	}
-	var ref map[string][]byte
-	identical = true
-	for t := 0; t < trials; t++ {
-		for _, p := range []struct {
-			cfg  service.Config
-			best **LoadRecord
-		}{{soloCfg, &solo}, {batchedCfg, &batched}} {
-			rec, bodies, _, rerr := directRun(p.cfg, gs, names, algo, cfg)
-			if rerr != nil {
-				return nil, nil, false, rerr
-			}
-			if ref == nil {
-				ref = bodies
-			} else if !bodiesEqual(ref, bodies) {
-				identical = false
-			}
-			if *p.best == nil || rec.RPS > (*p.best).RPS {
-				*p.best = rec
-			}
-		}
-	}
-	return solo, batched, identical, nil
-}
-
-// ChaosRecord is the -chaos artifact: one fault-free reference replay
-// and one fault-injected replay of the same workload, with the
-// failure-domain invariants that gate the run.
-type ChaosRecord struct {
-	Schema string     `json:"schema"`
-	Label  string     `json:"label"`
-	Config LoadConfig `json:"config"`
-	// Faults are the armed injection specs; Fired counts how often each
-	// point actually triggered during the chaos replay.
-	Faults []string         `json:"faults"`
-	Fired  map[string]int64 `json:"fired"`
-	// Reference is the fault-free replay; Chaos the injected one.
-	Reference *LoadRecord `json:"reference"`
-	Chaos     *LoadRecord `json:"chaos"`
-	// The gates: every chaos response matched its reference byte for
-	// byte, every failure carried the typed taxonomy, and the service
-	// ended idle (no leaked admission slots or queue entries).
-	UnaffectedIdentical bool `json:"unaffected_identical"`
-	ContainedFailures   bool `json:"contained_failures"`
-	DrainedClean        bool `json:"drained_clean"`
-}
-
-// defaultChaosFaults is the storm armed when -chaos is given without
-// explicit -fault specs: periodic round stalls plus a bounded number of
-// detector and batch-leader crashes.
-var defaultChaosFaults = []string{
-	"round-stall:every=11:delay=200us",
-	"detector-panic:every=2:limit=4",
-	"batch-leader-crash:every=2:limit=3",
-}
-
-// chaosRun is the robustness acceptance harness (see the package
-// comment). It exits non-zero if any failure-domain invariant breaks.
-func chaosRun(w io.Writer, svcCfg service.Config, gs []*graph.Graph, names []string, algo service.Algo, cfg LoadConfig, faults []string, label string, jsonOut bool, watchdog time.Duration) error {
-	if len(faults) == 0 {
-		faults = defaultChaosFaults
-	}
-	cfg.Faults = faults
-
-	// Reference replay: fault-free, no client abandonment — every graph's
-	// canonical response body.
-	faultpoint.Reset()
-	refCfg := cfg
-	refCfg.ClientTimeoutMS, refCfg.TimeoutFrac = 0, 0
-	refRec, refBodies, _, err := directRun(svcCfg, gs, names, algo, refCfg)
-	if err != nil {
-		return err
-	}
-	if refRec.Totals.Failures > 0 {
-		return fmt.Errorf("reference replay had %d failures — fix the workload before injecting faults", refRec.Totals.Failures)
-	}
-
-	for _, spec := range faults {
-		if err := faultpoint.Set(spec); err != nil {
-			return fmt.Errorf("-fault %q: %w", spec, err)
-		}
-		fmt.Fprintf(os.Stderr, "chaos: armed %s\n", spec)
-	}
-	defer faultpoint.Reset()
-
-	// Chaos replay under a watchdog: a fault that wedges a request (lost
-	// wakeup, leaked slot) must fail the run, not hang CI.
-	type result struct {
-		rec     *LoadRecord
-		samples []sample
-		err     error
-	}
-	resc := make(chan result, 1)
-	go func() {
-		rec, _, samples, err := directRun(svcCfg, gs, names, algo, cfg)
-		resc <- result{rec, samples, err}
-	}()
-	var res result
-	select {
-	case res = <-resc:
-	case <-time.After(watchdog):
-		return fmt.Errorf("chaos replay hung: not finished after %v (fault left a request stuck)", watchdog)
-	}
-	if res.err != nil {
-		return res.err
-	}
-
-	fired := make(map[string]int64)
-	for p, n := range faultpoint.Fired() {
-		fired[string(p)] = n
-	}
-	rec := &ChaosRecord{
-		Schema: "evencycle-chaos/v1", Label: label, Config: cfg,
-		Faults: faults, Fired: fired,
-		Reference: refRec, Chaos: res.rec,
-		UnaffectedIdentical: true, ContainedFailures: true,
-	}
-	for _, s := range res.samples {
-		switch {
-		case s.err == nil:
-			if !bytes.Equal(refBodies[s.name], s.body) {
-				fmt.Fprintf(os.Stderr, "chaos: %s diverged from reference:\n  %s\n  %s\n", s.name, refBodies[s.name], s.body)
-				rec.UnaffectedIdentical = false
-			}
-		case s.class == "408" || s.class == "429" || s.class == "499" ||
-			s.class == "503" || s.class == "client_timeout":
-			// contained: the failure carries the typed taxonomy
-		default:
-			fmt.Fprintf(os.Stderr, "chaos: untyped failure (%s): %v\n", s.class, s.err)
-			rec.ContainedFailures = false
-		}
-	}
-	st := res.rec.ServerStats
-	rec.DrainedClean = st != nil && st.InFlight == 0 && st.Queued == 0
-
-	if jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	} else {
-		renderChaos(w, rec)
-	}
-
-	var total int64
-	for _, n := range rec.Fired {
-		total += n
-	}
-	switch {
-	case total == 0:
-		return fmt.Errorf("chaos gate: no armed faultpoint fired — the replay exercised nothing")
-	case !rec.ContainedFailures:
-		return fmt.Errorf("chaos gate: a failure escaped the typed error taxonomy")
-	case !rec.UnaffectedIdentical:
-		return fmt.Errorf("chaos gate: a response served under faults diverged from its fault-free reference")
-	case !rec.DrainedClean:
-		return fmt.Errorf("chaos gate: service not idle after the replay (leaked slot or queue entry)")
-	}
-	return nil
-}
-
-func renderChaos(w io.Writer, rec *ChaosRecord) {
-	fmt.Fprintf(w, "chaos replay: %d requests, %d clients, faults %v\n",
-		rec.Config.Requests, rec.Config.Clients, rec.Faults)
-	fmt.Fprintf(w, "  fired: %v\n", rec.Fired)
-	fmt.Fprintf(w, "  reference: %d ok; chaos: %d ok, %d failed, classes %v\n",
-		rec.Reference.Totals.Completed, rec.Chaos.Totals.Completed,
-		rec.Chaos.Totals.Failures, rec.Chaos.Totals.ByClass)
-	fmt.Fprintf(w, "  unaffected identical: %v  contained failures: %v  drained clean: %v\n",
-		rec.UnaffectedIdentical, rec.ContainedFailures, rec.DrainedClean)
-}
-
-// firstBodies maps each graph name to its first successful response body.
-func firstBodies(samples []sample) map[string][]byte {
-	m := make(map[string][]byte)
-	for _, s := range samples {
-		if s.err != nil || s.body == nil {
-			continue
-		}
-		if _, ok := m[s.name]; !ok {
-			m[s.name] = s.body
-		}
-	}
-	return m
-}
-
-func bodiesEqual(a, b map[string][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for name, body := range a {
-		if !bytes.Equal(b[name], body) {
-			fmt.Fprintf(os.Stderr, "responses differ for %s:\n  %s\n  %s\n", name, body, b[name])
-			return false
-		}
-	}
-	return true
-}
-
 func serverStats(addr string) (*service.Stats, error) {
-	resp, err := http.Get(addr + "/v1/stats")
+	resp, err := httpClient.Get(addr + "/v1/stats")
 	if err != nil {
 		return nil, err
 	}
@@ -907,7 +445,7 @@ func serverStats(addr string) (*service.Stats, error) {
 }
 
 func corpusNames(addr string) ([]string, error) {
-	resp, err := http.Get(addr + "/v1/corpus")
+	resp, err := httpClient.Get(addr + "/v1/corpus")
 	if err != nil {
 		return nil, err
 	}
@@ -928,14 +466,14 @@ func corpusNames(addr string) ([]string, error) {
 	return names, nil
 }
 
-func oneRequest(ctx context.Context, client *http.Client, addr string, body []byte, name string) sample {
+func oneRequest(ctx context.Context, addr string, body []byte, name string) sample {
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/detect", bytes.NewReader(body))
 	if err != nil {
 		return sample{name: name, class: "err", err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		class := "net"
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -992,8 +530,8 @@ func retryable(class string) bool {
 // classed "2xx_retried" so summaries separate clean admissions from
 // recovered ones; the reported latency covers only the final attempt
 // (queueing delay the client chose to insert is not service latency).
-func oneRequestRetry(ctx context.Context, client *http.Client, addr string, body []byte, name string, retries int, maxBackoff time.Duration) sample {
-	s := oneRequest(ctx, client, addr, body, name)
+func oneRequestRetry(ctx context.Context, addr string, body []byte, name string, retries int, maxBackoff time.Duration) sample {
+	s := oneRequest(ctx, addr, body, name)
 	backoff := 25 * time.Millisecond
 	for attempt := 0; attempt < retries && retryable(s.class); attempt++ {
 		sleep := backoff
@@ -1010,7 +548,7 @@ func oneRequestRetry(ctx context.Context, client *http.Client, addr string, body
 			return s
 		}
 		backoff *= 2
-		s = oneRequest(ctx, client, addr, body, name)
+		s = oneRequest(ctx, addr, body, name)
 		if s.class == "2xx" {
 			s.class = "2xx_retried"
 		}
@@ -1158,24 +696,4 @@ func renderText(w io.Writer, rec *LoadRecord) {
 	if rec.Totals.DetByteIdentical != nil {
 		fmt.Fprintf(w, "det responses byte-identical per graph: %v\n", *rec.Totals.DetByteIdentical)
 	}
-}
-
-func renderVsSolo(w io.Writer, rec *MissBatchRecord) {
-	fmt.Fprintf(w, "miss-path comparison (%d×%q, %d requests, %d clients, algo=%s, best of %d):\n",
-		rec.Config.Distinct, rec.Config.Inline, rec.Config.Requests, rec.Config.Clients,
-		rec.Config.Algo, rec.Trials)
-	for _, p := range []struct {
-		name string
-		r    *LoadRecord
-	}{{"solo", rec.Solo}, {"batched", rec.Batched}} {
-		fmt.Fprintf(w, "  %-8s %9.1f req/s  p50=%-10s sessions=%d",
-			p.name, p.r.RPS, time.Duration(p.r.Latency.P50), p.r.ServerStats.EngineSessions)
-		if p.r.ServerStats.BatchesFormed > 0 {
-			fmt.Fprintf(w, " (batches=%d mean=%.2f max=%d)",
-				p.r.ServerStats.BatchesFormed, p.r.ServerStats.MeanBatchSize, p.r.ServerStats.MaxBatchSize)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "  speedup %.2fx (batch %d, linger %s), responses identical: %v\n",
-		rec.Speedup, rec.BatchSize, time.Duration(rec.BatchLingerNs), rec.ResponsesIdentical)
 }

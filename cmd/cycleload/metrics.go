@@ -38,7 +38,7 @@ type ServerMetricsDelta struct {
 
 // scrapeMetrics fetches and strictly parses the server's exposition.
 func scrapeMetrics(addr string) (*obs.Exposition, error) {
-	resp, err := http.Get(addr + "/metrics")
+	resp, err := httpClient.Get(addr + "/metrics")
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 package main
 
-// The mutate-then-detect mode (-mutate NAME, HTTP only) drives the
+// The mutate-then-detect mode (-mutate NAME) drives the
 // incremental corpus mutation path end to end against a live server:
 // each op POSTs one random edge to /v1/corpus/NAME/edges and immediately
 // detects on the mutated corpus. The gates are consistency, not speed —
@@ -56,9 +56,7 @@ type mutateResponse struct {
 }
 
 func mutateRun(addr, name string, ops, k int, seed uint64, label string) (*MutateRecord, error) {
-	client := &http.Client{Timeout: 5 * time.Minute}
-
-	resp, err := client.Get(addr + "/v1/corpus")
+	resp, err := httpClient.Get(addr + "/v1/corpus")
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +87,7 @@ func mutateRun(addr, name string, ops, k int, seed uint64, label string) (*Mutat
 		u := rng.Intn(n)
 		v := rng.Intn(n)
 		body, _ := json.Marshal(map[string]any{"edges": [][2]int{{u, v}}})
-		hr, err := client.Post(addr+"/v1/corpus/"+name+"/edges", "application/json", bytes.NewReader(body))
+		hr, err := httpClient.Post(addr+"/v1/corpus/"+name+"/edges", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return nil, fmt.Errorf("op %d: mutate: %w", i, err)
 		}
@@ -114,7 +112,7 @@ func mutateRun(addr, name string, ops, k int, seed uint64, label string) (*Mutat
 		rec.Fallbacks += mut.Fallbacks
 
 		det, _ := json.Marshal(map[string]any{"algo": "det", "k": k, "corpus": name})
-		hr, err = client.Post(addr+"/v1/detect", "application/json", bytes.NewReader(det))
+		hr, err = httpClient.Post(addr+"/v1/detect", "application/json", bytes.NewReader(det))
 		if err != nil {
 			return nil, fmt.Errorf("op %d: detect: %w", i, err)
 		}

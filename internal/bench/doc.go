@@ -10,8 +10,7 @@
 // Determinism contract: experiment tables are a pure function of
 // (Config.Seed, Quick) — sweeps run their trials on the shared scheduler
 // (internal/sched), so Workers and Parallel change wall-clock time but
-// never a single cell of a rendered table. The exception is perf.go, the
-// wall-time/allocation trajectory suite behind `benchtab -json`
-// (BENCH_*.json records): its ns/op is a measurement, but its workloads
-// and their domain costs (rounds, messages) are pinned and deterministic.
+// never a single cell of a rendered table. Wall-clock speed is not this
+// package's business: it is measured by the `go test -bench` benchmarks
+// beside the code they time and, end to end, by benchmark/.
 package bench

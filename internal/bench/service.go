@@ -9,8 +9,8 @@ package bench
 // contract itself — engine sessions == distinct keys however many workers
 // race (single-flight + cache make computation at-most-once per key), and
 // deterministic-mode responses byte-identical across worker counts.
-// Throughput/latency for the same scenario family is recorded out of band
-// by cmd/cycleload (BENCH_5.json; see the CI service-smoke job).
+// Throughput/latency for the same scenario family is measured out of band
+// by the end-to-end benchmark (benchmark/, `bash benchmark/run.sh`).
 
 import (
 	"context"
@@ -163,8 +163,8 @@ func S1(cfg Config) (*Table, error) {
 	tab.AddNote("requests replay a mixed planted-C4 / C4-free corpus in det mode from %d closed-loop clients; "+
 		"saved = hits + coalesced (the split between the two depends on scheduling and is deliberately not tabled)", clients)
 	tab.AddNote("at-most-once: engine sessions == distinct graphs — the single-flight + fingerprint-cache contract under concurrency")
-	tab.AddNote("wall-clock throughput/latency for this family is measured by cmd/cycleload against cycleserved " +
-		"and recorded as BENCH_5.json (see the CI service-smoke job); this table pins only host-independent counters")
+	tab.AddNote("wall-clock throughput/latency for this family is measured against cycleserved by the end-to-end " +
+		"benchmark (bash benchmark/run.sh, workloads hit-corpus and miss-det-open); this table pins only host-independent counters")
 	return tab, nil
 }
 
@@ -251,6 +251,7 @@ func S2(cfg Config) (*Table, error) {
 		"Randomized responses match across paths because the service derives each request's run seed " +
 		"from (seed, fingerprint) identically on both, and the fused engine reproduces each component's solo transcript")
 	tab.AddNote("how many sessions fuse is scheduling-dependent and deliberately not tabled; " +
-		"the wall-clock win is recorded out of band as BENCH_6.json (the cycleload -direct -vs-solo many-small-graphs comparison)")
+		"the wall-clock cost of solo vs fused sessions is measured by BenchmarkMissPath{Solo,Fused} (internal/core) " +
+		"and BenchmarkDetMissPath{Solo,Fused} (internal/deterministic)")
 	return tab, nil
 }

@@ -9,9 +9,9 @@ import "fmt"
 // and self-loops: it identifies the graph itself, not how it was built.
 //
 // The value is pinned: it must never change across releases, because the
-// detection service keys its cross-request result cache on it and recorded
-// corpus fingerprints (BENCH_*.json, CI smoke replays) compare against
-// stored values. fingerprint_test.go pins known values for exactly this
+// detection service keys its cross-request result cache on it, durable
+// corpora journal it, and CI smoke replays compare against stored
+// values. fingerprint_test.go pins known values for exactly this
 // reason — if a change to this file trips those tests, the change is wrong.
 type Fingerprint [2]uint64
 
