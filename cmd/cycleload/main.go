@@ -44,8 +44,8 @@
 // Retry policy (-retries N): 429 and 503 are the
 // server's explicit safe-to-retry pushback, so with N > 0 the client
 // retries them up to N times, sleeping the server's Retry-After hint
-// when one is sent and otherwise an exponential backoff (25ms doubling,
-// capped by -max-backoff), both with ±25% jitter so synchronized
+// when one is sent and otherwise an exponential backoff (25ms doubling),
+// either capped at 2s and jittered ±25% so synchronized
 // clients don't re-arrive in lockstep. A request that failed first and
 // then succeeded counts as "2xx_retried" in totals.by_class — visibly
 // distinct from clean "2xx", so a run that leaned on retries can't
@@ -129,10 +129,9 @@ type LoadConfig struct {
 	ClientTimeoutMS int64   `json:"client_timeout_ms,omitempty"`
 	TimeoutFrac     float64 `json:"timeout_frac,omitempty"`
 	// Retries is how many times a 429/503 is retried (Retry-After
-	// honored, exponential backoff otherwise, capped at MaxBackoffMS).
+	// honored, exponential backoff otherwise, capped at maxRetryBackoff).
 	// 0 = fail immediately, the pre-retry behavior.
-	Retries      int   `json:"retries,omitempty"`
-	MaxBackoffMS int64 `json:"max_backoff_ms,omitempty"`
+	Retries int `json:"retries,omitempty"`
 }
 
 // LoadTotals is the outcome tally.
@@ -207,7 +206,6 @@ func run() error {
 	maxSessions := flag.Int("max-engine-sessions", -1, "fail if the server's final engine-session count exceeds this (negative disables)")
 	deadlineMS := flag.Int64("deadline-ms", 0, "per-request deadline in ms (0 = none); expiry is the 408 class, shedding the 429 class")
 	retries := flag.Int("retries", 0, "retry 429/503 responses up to this many times, honoring Retry-After (0 = never)")
-	maxBackoff := flag.Duration("max-backoff", 2*time.Second, "cap on the per-retry backoff sleep")
 	clientTimeout := flag.Duration("timeout", 0, "client-side abandonment: give up on injected requests after this long (0 = never)")
 	timeoutFrac := flag.Float64("timeout-frac", 0, "fraction of requests that get the -timeout abandonment (0 = none)")
 	metrics := flag.Bool("metrics", false, "scrape GET /metrics before and after the replay: record the server-side\n"+
@@ -280,7 +278,6 @@ func run() error {
 		ClientTimeoutMS: clientTimeout.Milliseconds(),
 		TimeoutFrac:     *timeoutFrac,
 		Retries:         *retries,
-		MaxBackoffMS:    maxBackoff.Milliseconds(),
 	}
 	fmt.Fprintf(os.Stderr, "load: %d requests, %d clients, %d distinct graphs, algo=%s k=%d\n",
 		*requests, *clients, len(names), *algo, *k)
@@ -397,8 +394,7 @@ func httpRun(addr string, gs []*graph.Graph, names []string, cfg LoadConfig) (*L
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(cfg.ClientTimeoutMS)*time.Millisecond)
 			defer cancel()
 		}
-		return oneRequestRetry(ctx, addr, bodies[i%len(names)], names[i%len(names)],
-			cfg.Retries, time.Duration(cfg.MaxBackoffMS)*time.Millisecond)
+		return oneRequestRetry(ctx, addr, bodies[i%len(names)], names[i%len(names)], cfg.Retries)
 	})
 	rec := summarize(samples, elapsed)
 	rec.Target = addr
@@ -521,16 +517,19 @@ func retryable(class string) bool {
 	return class == "429" || class == "503"
 }
 
+// maxRetryBackoff caps the sleep between retries of a 429/503.
+const maxRetryBackoff = 2 * time.Second
+
 // oneRequestRetry wraps oneRequest with a bounded retry loop for
 // back-pressure responses. The sleep between attempts prefers the
 // server's Retry-After hint when one came back, otherwise an exponential
-// schedule starting at 25ms; either way it is capped at maxBackoff and
+// schedule starting at 25ms; either way it is capped at maxRetryBackoff and
 // jittered ±25% so a fleet of shed clients does not re-converge on the
 // same instant. A request that succeeds after at least one retry is
 // classed "2xx_retried" so summaries separate clean admissions from
 // recovered ones; the reported latency covers only the final attempt
 // (queueing delay the client chose to insert is not service latency).
-func oneRequestRetry(ctx context.Context, addr string, body []byte, name string, retries int, maxBackoff time.Duration) sample {
+func oneRequestRetry(ctx context.Context, addr string, body []byte, name string, retries int) sample {
 	s := oneRequest(ctx, addr, body, name)
 	backoff := 25 * time.Millisecond
 	for attempt := 0; attempt < retries && retryable(s.class); attempt++ {
@@ -538,9 +537,7 @@ func oneRequestRetry(ctx context.Context, addr string, body []byte, name string,
 		if s.retryAfter > 0 {
 			sleep = s.retryAfter
 		}
-		if maxBackoff > 0 && sleep > maxBackoff {
-			sleep = maxBackoff
-		}
+		sleep = min(sleep, maxRetryBackoff)
 		sleep = time.Duration(float64(sleep) * (0.75 + 0.5*rand.Float64()))
 		select {
 		case <-time.After(sleep):

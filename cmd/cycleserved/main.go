@@ -152,7 +152,7 @@ func run() error {
 	workers := flag.Int("workers", 0, "engine goroutine pool per session (0 = GOMAXPROCS)")
 	iterations := flag.Int("iterations", 32, "default trial budget for randomized requests that omit one")
 	batch := flag.Int("batch", 0, "fused miss-path batch size: compatible concurrent misses share one engine session (0 = default 8, 1 = disable)")
-	batchLinger := flag.Duration("batch-linger", 0, "how long an under-full batch waits for joiners (0 = default 2ms)")
+	batchLinger := flag.Duration("batch-linger", 0, "how long an under-full batch waits for joiners; only misses arriving while another miss is active batch (0 = default 2ms)")
 	corpusSeed := flag.Uint64("corpus-seed", 1, "seed for randomized corpus generators")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for requests that omit deadline_ms (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", 0, "cap on client-supplied deadlines (0 = uncapped)")

@@ -26,7 +26,8 @@ func (e PanicError) Error() string { return fmt.Sprintf("sched: batch exec panic
 // engine session.
 //
 // Dispatch runs Exec synchronously on whichever goroutine triggered it
-// (the filling caller or the timer), mirroring the single-flight leader
+// (the filling caller, the caller whose join split the batch by weight,
+// or the timer), mirroring the single-flight leader
 // convention: a batch that has started always runs to completion. A
 // caller whose context ends while waiting abandons its result but does
 // not retract its item — Exec still computes it (and the service still
@@ -98,14 +99,13 @@ func (b *Batcher[K, T, R]) Do(ctx context.Context, key K, item T) (R, int, error
 		b.pending = make(map[K]*openBatch[T, R])
 	}
 	ob := b.pending[key]
+	var full *openBatch[T, R]
 	if ob != nil && b.MaxWeight > 0 && ob.weight+w > b.MaxWeight {
-		// This item does not fit: the open batch dispatches as-is and the
-		// item opens a fresh one.
+		// This item does not fit: the open batch dispatches as-is (below,
+		// before this caller waits) and the item opens a fresh one.
 		delete(b.pending, key)
 		ob.timer.Stop()
-		full := ob
-		defer b.dispatch(key, full)
-		ob = nil
+		full, ob = ob, nil
 	}
 	if ob == nil {
 		ob = &openBatch[T, R]{done: make(chan struct{})}
@@ -125,13 +125,17 @@ func (b *Batcher[K, T, R]) Do(ctx context.Context, key K, item T) (R, int, error
 	idx := len(ob.items)
 	ob.items = append(ob.items, item)
 	ob.weight += w
-	if len(ob.items) >= b.MaxBatch {
+	filled := len(ob.items) >= b.MaxBatch
+	if filled {
 		delete(b.pending, key)
 		ob.timer.Stop()
-		b.mu.Unlock()
+	}
+	b.mu.Unlock()
+	if full != nil {
+		b.dispatch(key, full)
+	}
+	if filled {
 		b.dispatch(key, ob)
-	} else {
-		b.mu.Unlock()
 	}
 
 	select {

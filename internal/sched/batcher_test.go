@@ -162,6 +162,46 @@ func TestBatcherMaxWeight(t *testing.T) {
 	}
 }
 
+// TestBatcherSplitDispatchesAtOnce pins that a batch closed by a join
+// that would exceed MaxWeight dispatches right away, not after the
+// splitting caller's own new batch has lingered and run.
+func TestBatcherSplitDispatchesAtOnce(t *testing.T) {
+	b := &Batcher[string, int, int]{
+		MaxBatch:  8,
+		Linger:    time.Hour,
+		Weight:    func(it int) int { return it },
+		MaxWeight: 100,
+		Exec: func(key string, items []int) ([]int, error) {
+			return make([]int, len(items)), nil
+		},
+	}
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := b.Do(context.Background(), "k", 60)
+		first <- err
+	}()
+	for {
+		b.mu.Lock()
+		open := b.pending["k"] != nil
+		b.mu.Unlock()
+		if open {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // the splitter's own batch lingers for the hour
+	go b.Do(ctx, "k", 60)
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatalf("first waiter: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("split-off full batch still waiting on its splitter's batch")
+	}
+}
+
 // TestBatcherExecError pins that an Exec error reaches every waiter.
 func TestBatcherExecError(t *testing.T) {
 	boom := errors.New("boom")

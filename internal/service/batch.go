@@ -15,12 +15,13 @@ import (
 )
 
 // The miss executor. Every cache miss is computed by execBatch as part of
-// a batch: concurrent misses whose parameters are compatible (same algo /
-// k / threshold / ε / schedule — everything but the graph, seed and
-// budget) are collected by a sched.Batcher and run as ONE fused engine
-// session on the disjoint union of their graphs
-// (core.DetectEvenCycleFused / deterministic.DetectMulti); every other
-// miss is a batch of one. The fused run is transcript-equivalent per
+// a batch: misses that arrive while another miss is active and whose
+// parameters are compatible (same algo / k / threshold / ε / schedule —
+// everything but the graph, seed and budget) are collected by a
+// sched.Batcher and run as ONE fused engine session on the disjoint
+// union of their graphs (core.DetectEvenCycleFused /
+// deterministic.DetectMulti); every other miss, including one that finds
+// the service idle, is a batch of one. The fused run is transcript-equivalent per
 // component to a solo run, so each component's verdict is cached under
 // its own fingerprint exactly as if it had been computed alone: a batch
 // of B misses seeds B cache entries for the price of one session.

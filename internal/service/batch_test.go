@@ -3,12 +3,15 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/faultpoint"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // batchCorpus builds `count` distinct small graphs: a mix of planted
@@ -56,6 +59,16 @@ func doAll(t *testing.T, s *Service, reqs []*Request) ([]*Response, []Info) {
 	return resps, infos
 }
 
+// holdBusy makes s behave as though a miss were active, so every fusable
+// miss that arrives until the returned release is called rides the
+// batcher instead of taking the idle direct path. Fusion tests use it to
+// keep their concurrent requests fusing however the scheduler orders
+// them.
+func holdBusy(s *Service) (release func()) {
+	s.activeMisses.Add(1)
+	return func() { s.activeMisses.Add(-1) }
+}
+
 // TestBatchedDetFusesAndSeedsCache pins the tentpole counters on the
 // deterministic detector: B compatible concurrent misses run as ONE
 // fused engine session, every component's verdict lands in the cache
@@ -74,7 +87,9 @@ func TestBatchedDetFusesAndSeedsCache(t *testing.T) {
 	batched := New(Config{BatchSize: B, BatchLinger: 2 * time.Second})
 	solo := New(Config{BatchSize: 1})
 
+	release := holdBusy(batched)
 	bresps, infos := doAll(t, batched, mkReqs())
+	release()
 	sresps, _ := doAll(t, solo, mkReqs())
 
 	for i := range gs {
@@ -139,9 +154,14 @@ func TestBatchedEvenMatchesSoloService(t *testing.T) {
 	batched := New(Config{BatchSize: B, BatchLinger: 200 * time.Millisecond})
 	solo := New(Config{BatchSize: 1})
 
-	bresps, _ := doAll(t, batched, mkReqs(3))
+	release := holdBusy(batched)
+	bresps, binfos := doAll(t, batched, mkReqs(3))
+	release()
 	sresps, _ := doAll(t, solo, mkReqs(3))
 	for i := range gs {
+		if binfos[i].Batch != B {
+			t.Errorf("graph %d: batch = %d, want %d (identity must be checked on a fused run)", i, binfos[i].Batch, B)
+		}
 		if !reflect.DeepEqual(bresps[i], sresps[i]) {
 			t.Errorf("graph %d: batched response differs from solo:\nbatched %+v\nsolo    %+v",
 				i, bresps[i], sresps[i])
@@ -155,7 +175,9 @@ func TestBatchedEvenMatchesSoloService(t *testing.T) {
 
 	// Amplification through the fused path: raise the budget; not-found
 	// entries run only the missing trials, identically on both services.
+	release = holdBusy(batched)
 	bresps2, binfos2 := doAll(t, batched, mkReqs(7))
+	release()
 	sresps2, sinfos2 := doAll(t, solo, mkReqs(7))
 	for i := range gs {
 		if !reflect.DeepEqual(bresps2[i], sresps2[i]) {
@@ -171,29 +193,34 @@ func TestBatchedEvenMatchesSoloService(t *testing.T) {
 
 // TestBatchedWaiterCancelStillCaches pins the abandoned-waiter contract:
 // a caller whose context dies while its batch lingers gets ctx.Err(),
-// but the batch still computes and caches its verdict.
+// but the batch still computes and caches its verdict once a live
+// batchmate dispatches it. The abandoned key is never requested again
+// before the check, so its cached entry can only be the batch's.
 func TestBatchedWaiterCancelStillCaches(t *testing.T) {
-	g := graph.Gnm(40, 80, graph.NewRand(5))
-	s := New(Config{BatchSize: 8, BatchLinger: 20 * time.Millisecond})
+	gs := batchCorpus(t, 2, 2, 5)
+	s := New(Config{BatchSize: 2, BatchLinger: time.Hour})
+	release := holdBusy(s)
+	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := &Request{Graph: g, Algo: AlgoDet, K: 2}
-	if _, _, err := s.DoInfo(ctx, req); err == nil {
+	abandoned := &Request{Graph: gs[0], Algo: AlgoDet, K: 2}
+	if _, _, err := s.DoInfo(ctx, abandoned); err == nil {
 		t.Fatal("expected context error from canceled waiter")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, info, err := s.DoInfo(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Source == SourceCache {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned item's verdict never reached the cache")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The live batchmate fills the batch, which runs both items.
+	_, info, err := s.DoInfo(context.Background(), &Request{Graph: gs[1], Algo: AlgoDet, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Batch != 2 {
+		t.Fatalf("live batchmate ran in a batch of %d, want 2", info.Batch)
+	}
+	_, info, err = s.DoInfo(context.Background(), abandoned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Source != SourceCache {
+		t.Fatalf("source = %s, want cache: the abandoned item's verdict was not cached", info.Source)
 	}
 }
 
@@ -206,8 +233,13 @@ func TestBatchIncompatibleRequestsDoNotFuse(t *testing.T) {
 		{Graph: gs[0], Algo: AlgoDet, K: 2},
 		{Graph: gs[1], Algo: AlgoDet, K: 3},
 	}
+	release := holdBusy(s)
 	doAll(t, s, reqs)
+	release()
 	st := s.Stats()
+	if st.BatchesFormed != 2 {
+		t.Errorf("batches formed = %d, want 2 (both misses rode the batcher)", st.BatchesFormed)
+	}
 	if st.FusedSessions != 0 {
 		t.Errorf("fused sessions = %d, want 0 (incompatible k)", st.FusedSessions)
 	}
@@ -233,5 +265,129 @@ func TestBatchUnfusableAlgoKeepsSoloPath(t *testing.T) {
 	st := s.Stats()
 	if st.BatchesFormed != 0 || st.SoloSessions != 2 {
 		t.Errorf("batches=%d solo=%d, want 0/2", st.BatchesFormed, st.SoloSessions)
+	}
+}
+
+// doPrompt runs one request and fails the test if it has not returned
+// within 10 s: a lone miss that lingers in the batcher would otherwise
+// block for the whole hour-long linger these tests configure.
+func doPrompt(t *testing.T, s *Service, req *Request) Info {
+	t.Helper()
+	type result struct {
+		info Info
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, info, err := s.DoInfo(context.Background(), req)
+		done <- result{info, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r.info
+	case <-time.After(10 * time.Second):
+		t.Fatal("lone miss on an idle service waited on the batch linger")
+		return Info{}
+	}
+}
+
+// TestIdleMissSkipsLinger pins the routing rule's fast path: a fusable
+// miss that finds no other miss active runs at once as a direct batch of
+// one, never entering the batcher — no formed batch, no linger stage.
+func TestIdleMissSkipsLinger(t *testing.T) {
+	g := graph.Gnm(40, 80, graph.NewRand(3))
+	for _, algo := range fusableAlgos {
+		t.Run(string(algo), func(t *testing.T) {
+			s := New(Config{BatchLinger: time.Hour})
+			tr := &obs.Trace{}
+			info := doPrompt(t, s, &Request{Graph: g, Algo: algo, K: 2, Seed: 1, Iterations: 3, Trace: tr})
+			if info.Source != SourceComputed || info.Batch != 1 {
+				t.Errorf("source=%s batch=%d, want computed/1", info.Source, info.Batch)
+			}
+			st := s.Stats()
+			if st.SoloSessions != 1 || st.BatchesFormed != 0 {
+				t.Errorf("solo=%d batches=%d, want 1/0", st.SoloSessions, st.BatchesFormed)
+			}
+			if ns := tr.Ns(obs.StageBatchLinger); ns != 0 {
+				t.Errorf("idle miss stamped a %dns batch-linger stage", ns)
+			}
+			if tr.Ns(obs.StageEngine) == 0 {
+				t.Error("idle miss stamped no engine stage")
+			}
+		})
+	}
+}
+
+// TestBusyMissRidesBatcher pins the other side of the rule: misses that
+// arrive while another miss is active go through the batcher and fuse.
+// The first miss is held active by keeping the only admission slot.
+func TestBusyMissRidesBatcher(t *testing.T) {
+	gs := batchCorpus(t, 2, 3, 17)
+	s := New(Config{Slots: 1, BatchSize: 2, BatchLinger: time.Hour})
+	if err := s.gate.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	infos := make([]Info, len(gs))
+	var wg sync.WaitGroup
+	start := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, info, err := s.DoInfo(context.Background(), &Request{Graph: gs[i], Algo: AlgoEven, K: 2, Seed: 5, Iterations: 3})
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+			infos[i] = info
+		}()
+	}
+	start(0)
+	waitUntil(t, func() bool { return s.gate.Waiting() == 1 }) // the idle miss waits for the slot
+	start(1)
+	start(2)
+	waitUntil(t, func() bool { return s.gate.Waiting() == 2 }) // the fused batch of the other two
+	s.gate.Release()
+	wg.Wait()
+
+	if infos[0].Batch != 1 || infos[1].Batch != 2 || infos[2].Batch != 2 {
+		t.Errorf("batch sizes %d/%d/%d, want 1/2/2", infos[0].Batch, infos[1].Batch, infos[2].Batch)
+	}
+	st := s.Stats()
+	if st.BatchesFormed != 1 || st.SoloSessions != 1 || st.FusedSessions != 1 {
+		t.Errorf("batches=%d solo=%d fused=%d, want 1/1/1", st.BatchesFormed, st.SoloSessions, st.FusedSessions)
+	}
+}
+
+// TestIdleMissCancelsMidSession pins that a lone miss keeps the direct
+// path's cooperative cancellation: its request context reaches the
+// engine, so an abandoned request stops mid-session with the cancelled
+// class and caches nothing, instead of running to completion.
+func TestIdleMissCancelsMidSession(t *testing.T) {
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	if err := faultpoint.Set("round-stall:every=1:delay=5ms"); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Slots: 1, BatchLinger: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := s.Do(ctx, &Request{Graph: slowGraph(t), Algo: AlgoEven, K: 2, Seed: 1, Iterations: 5})
+		errc <- err
+	}()
+	waitUntil(t, func() bool { return s.Stats().InFlight == 1 }) // inside the engine
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrCancelled) {
+			t.Fatalf("err = %v, want ErrCancelled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled lone miss never returned")
+	}
+	if st := s.Stats(); st.Cancelled != 1 || st.SoloSessions != 0 || st.CacheEntries != 0 {
+		t.Fatalf("cancelled=%d solo=%d cache=%d, want 1/0/0", st.Cancelled, st.SoloSessions, st.CacheEntries)
 	}
 }

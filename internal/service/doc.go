@@ -25,6 +25,14 @@
 // amplify/engine-session counters the load harness and the S1 experiment
 // assert on.
 //
+// Every cache miss is computed by one executor as a batch (batch.go).
+// Compatible even and det misses that overlap in time are fused into
+// one engine session on the disjoint union of their graphs; a miss that
+// finds no other miss active has nothing to fuse with and runs at once
+// as a batch of one, under its own context. Only misses that arrive
+// while another miss is active wait in the sched.Batcher for
+// Config.BatchLinger, so an idle service never pays the linger.
+//
 // The package also provides an async job registry (Submit/Job) used by
 // cmd/cycleserved's /v1/jobs API, and a named-graph corpus registry so
 // requests can reference pre-registered instances instead of shipping

@@ -160,11 +160,14 @@ type Config struct {
 	// BatchSize caps the fused miss-path batch: up to this many
 	// compatible cache misses share one engine session on the disjoint
 	// union of their graphs. 0 means 8; ≤ 1 disables batching: every miss
-	// runs at once as a batch of one under its own admission slot.
+	// runs at once as a batch of one under its own admission slot. With
+	// batching on, a miss that finds no other miss active also runs at
+	// once as a batch of one: there is nothing to fuse it with.
 	BatchSize int
 	// BatchLinger is how long an under-full batch waits for joiners
-	// before dispatching — the latency a lone miss pays to offer itself
-	// for fusion. 0 means 2ms; negative dispatches immediately.
+	// before dispatching. Only a miss that arrives while another miss is
+	// active enters a batch, so a lone miss never pays it. 0 means 2ms;
+	// negative dispatches immediately.
 	BatchLinger time.Duration
 	// DefaultDeadline bounds requests that state no deadline of their
 	// own; 0 leaves them unbounded. MaxDeadline caps every request's
@@ -247,12 +250,15 @@ type Stats struct {
 	EngineSessions int64 `json:"engine_sessions"`
 	// SoloSessions and FusedSessions split EngineSessions into batches
 	// of one and larger batches; FusedRequests counts the requests those
-	// fused sessions served.
+	// fused sessions served. A miss that arrived with no other miss
+	// active counts as a solo session.
 	FusedSessions int64 `json:"fused_sessions"`
 	SoloSessions  int64 `json:"solo_sessions"`
 	FusedRequests int64 `json:"fused_requests"`
-	// BatchesFormed counts miss-path batches dispatched (any size);
-	// MeanBatchSize and MaxBatchSize describe their size distribution.
+	// BatchesFormed counts miss-path batches dispatched through the
+	// batcher (any size); MeanBatchSize and MaxBatchSize describe their
+	// size distribution. Misses that arrived with no other miss active
+	// never enter the batcher and never count here.
 	BatchesFormed int64   `json:"batches_formed"`
 	MeanBatchSize float64 `json:"mean_batch_size"`
 	MaxBatchSize  int64   `json:"max_batch_size"`
@@ -299,6 +305,11 @@ type Service struct {
 	// meanSessionNs is an EWMA (α = 1/8) of engine-session wall time,
 	// feeding the admission check's queue-wait estimate.
 	meanSessionNs atomic.Int64
+
+	// activeMisses counts miss leaders inside dispatch, of any algo. A
+	// fusable miss that finds it at zero has nothing to fuse with and
+	// skips the batcher's linger.
+	activeMisses atomic.Int64
 
 	// computeHook, when set, replaces the detector dispatch — tests use it
 	// to block and count computations deterministically. Never set in
@@ -564,8 +575,9 @@ type Info struct {
 // possibly fused with concurrent compatible misses (see Config.BatchSize).
 // The returned Source says which path served it. ctx cancellation is
 // honored while queued for admission, while waiting on another request's
-// computation, and inside a miss computed as a direct batch of one; a
-// fused batch that has started always runs to completion (its results
+// computation, and inside a miss computed as a direct batch of one (as
+// every miss that finds no other miss active is); a fused batch that has
+// started always runs to completion (its results
 // are cached for everyone).
 func (s *Service) Do(ctx context.Context, req *Request) (*Response, Source, error) {
 	resp, info, err := s.DoInfo(ctx, req)
@@ -686,12 +698,14 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 }
 
 // dispatch runs the leader's computation: through the batcher when the
-// request is fusable and batching is on, otherwise at once as a batch of
-// one under the request's context. It returns the batch size the work
-// ran in.
+// request is fusable, batching is on and another miss is active to fuse
+// with, otherwise at once as a batch of one under the request's context.
+// It returns the batch size the work ran in.
 func (s *Service) dispatch(ctx context.Context, req *Request, fp graph.Fingerprint, key cacheKey, prior *entry) (*Response, bool, int, error) {
 	item := &fuseItem{req: req, fp: fp, key: key, prior: prior}
-	if s.batcher == nil || !fusable(req.Algo) || s.computeHook != nil {
+	lone := s.activeMisses.Add(1) == 1
+	defer s.activeMisses.Add(-1)
+	if lone || s.batcher == nil || !fusable(req.Algo) || s.computeHook != nil {
 		outs, err := s.execBatch(ctx, compatFor(req), []*fuseItem{item})
 		if err != nil {
 			return nil, false, 0, err

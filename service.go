@@ -79,9 +79,9 @@ func WithServiceBatch(size int) ServiceOption {
 }
 
 // WithServiceBatchLinger sets how long an under-full batch waits for
-// joiners before dispatching (the extra latency a lone miss pays to
-// offer itself for fusion). Default 2ms; negative dispatches
-// immediately.
+// joiners before dispatching. It applies only to a miss that arrives
+// while another miss is active; a lone miss runs at once. Default 2ms;
+// negative dispatches immediately.
 func WithServiceBatchLinger(d time.Duration) ServiceOption {
 	return func(c *serviceConfig) { c.cfg.BatchLinger = d }
 }
