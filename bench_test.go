@@ -114,7 +114,7 @@ type treeProbe struct {
 	depth []int32
 }
 
-func (t *treeProbe) Init(rt *congest.Runtime) {
+func (t *treeProbe) Init(rt *congest.Session) {
 	t.depth = make([]int32, rt.N())
 	for i := range t.depth {
 		t.depth[i] = -1
@@ -123,7 +123,7 @@ func (t *treeProbe) Init(rt *congest.Runtime) {
 	rt.WakeAt(0, 0)
 }
 
-func (t *treeProbe) HandleRound(rt *congest.Runtime, u graph.NodeID, r int, inbox []congest.Message) {
+func (t *treeProbe) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []congest.Message) {
 	if t.depth[u] >= 0 && r > int(t.depth[u]) {
 		return
 	}

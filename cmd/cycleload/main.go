@@ -210,7 +210,6 @@ func run() error {
 	timeoutFrac := flag.Float64("timeout-frac", 0, "fraction of requests that get the -timeout abandonment (0 = none)")
 	metrics := flag.Bool("metrics", false, "scrape GET /metrics before and after the replay: record the server-side\n"+
 		"latency delta and fail unless the server's success count matches the client's")
-	maxServerP99 := flag.Duration("max-server-p99", 0, "with -metrics: fail if the server-side p99 over the run exceeds this (0 = no bound)")
 	mutate := flag.String("mutate", "", "mutate-then-detect mode: add -requests random single edges to this corpus name,\n"+
 		"detecting after each op and gating mutation lineage + served-fingerprint consistency (see mutate.go)")
 	flag.Parse()
@@ -332,7 +331,7 @@ func run() error {
 		return fmt.Errorf("deterministic-mode responses were not byte-identical per graph")
 	}
 	if rec.ServerMetrics != nil {
-		if err := checkServerMetrics(rec.ServerMetrics, rec, *maxServerP99); err != nil {
+		if err := checkServerMetrics(rec.ServerMetrics, rec); err != nil {
 			return err
 		}
 	}

@@ -83,7 +83,6 @@ func TestCheckServerMetrics(t *testing.T) {
 	cases := []struct {
 		name    string
 		delta   ServerMetricsDelta
-		maxP99  time.Duration
 		wantErr string
 	}{
 		{name: "agrees, retried successes counted",
@@ -94,18 +93,10 @@ func TestCheckServerMetrics(t *testing.T) {
 		{name: "served_total disagrees",
 			delta:   ServerMetricsDelta{DurationCount: 10, ServedTotal: 12},
 			wantErr: "served_total delta 12"},
-		{name: "p99 over bound",
-			delta:   ServerMetricsDelta{DurationCount: 10, ServedTotal: 10, P99Ns: 5e6},
-			maxP99:  time.Millisecond,
-			wantErr: "server-side p99",
-		},
-		{name: "p99 within bound",
-			delta:  ServerMetricsDelta{DurationCount: 10, ServedTotal: 10, P99Ns: 5e5},
-			maxP99: time.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkServerMetrics(&tc.delta, rec, tc.maxP99)
+			err := checkServerMetrics(&tc.delta, rec)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("unexpected error: %v", err)

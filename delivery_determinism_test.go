@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/deterministic"
 	"repro/internal/graph"
@@ -23,22 +24,22 @@ import (
 // engineCfgs spans serial, parallel-defaults, and forced-parallel with a
 // shard count different from the worker count.
 var engineCfgs = []struct {
-	name                       string
-	workers, shards, threshold int
+	name string
+	rt   congest.Runtime
 }{
-	{"serial", 1, 0, 0},
-	{"w2", 2, 0, 1},
-	{"w8s3", 8, 3, 1},
+	{"serial", congest.Runtime{Workers: 1}},
+	{"w2", congest.Runtime{Workers: 2, ParallelThreshold: 1}},
+	{"w8s3", congest.Runtime{Workers: 8, Shards: 3, ParallelThreshold: 1}},
 }
 
-func fingerprintInvariant(t *testing.T, run func(workers, shards, threshold int) (string, error)) {
+func fingerprintInvariant(t *testing.T, run func(rt congest.Runtime) (string, error)) {
 	t.Helper()
-	base, err := run(engineCfgs[0].workers, engineCfgs[0].shards, engineCfgs[0].threshold)
+	base, err := run(engineCfgs[0].rt)
 	if err != nil {
 		t.Fatalf("%s: %v", engineCfgs[0].name, err)
 	}
 	for _, cfg := range engineCfgs[1:] {
-		got, err := run(cfg.workers, cfg.shards, cfg.threshold)
+		got, err := run(cfg.rt)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
@@ -63,10 +64,10 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	gOdd := plantedInstance(t, 400, 5)
 
 	t.Run("even-batch", func(t *testing.T) {
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := core.DetectEvenCycle(g, 2, core.Options{
 				Seed: 42, MaxIterations: 4, KeepGoing: true,
-				Workers: w, Shards: s, ParallelThreshold: p,
+				Runtime: rt,
 			})
 			if err != nil {
 				return "", err
@@ -76,10 +77,10 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	})
 
 	t.Run("even-pipelined", func(t *testing.T) {
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := core.DetectEvenCycle(g, 2, core.Options{
 				Seed: 42, MaxIterations: 4, KeepGoing: true, Pipelined: true,
-				Workers: w, Shards: s, ParallelThreshold: p,
+				Runtime: rt,
 			})
 			if err != nil {
 				return "", err
@@ -91,10 +92,10 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	// Bounded detection runs color-BFS in the merged DetectSkip mode;
 	// with Pipelined it covers the DetectSkip+Pipelined combination.
 	t.Run("bounded-skip-batch", func(t *testing.T) {
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := core.DetectBoundedCycle(g, 2, core.Options{
 				Seed: 7, MaxIterations: 3, KeepGoing: true,
-				Workers: w, Shards: s, ParallelThreshold: p,
+				Runtime: rt,
 			})
 			if err != nil {
 				return "", err
@@ -104,10 +105,10 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	})
 
 	t.Run("bounded-skip-pipelined", func(t *testing.T) {
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := core.DetectBoundedCycle(g, 2, core.Options{
 				Seed: 7, MaxIterations: 3, KeepGoing: true, Pipelined: true,
-				Workers: w, Shards: s, ParallelThreshold: p,
+				Runtime: rt,
 			})
 			if err != nil {
 				return "", err
@@ -117,10 +118,10 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	})
 
 	t.Run("listing", func(t *testing.T) {
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := core.ListEvenCycles(g, 2, core.Options{
 				Seed: 9, MaxIterations: 3, KeepGoing: true,
-				Workers: w, Shards: s, ParallelThreshold: p,
+				Runtime: rt,
 			})
 			if err != nil {
 				return "", err
@@ -130,10 +131,10 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	})
 
 	t.Run("lowprob-even", func(t *testing.T) {
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := lowprob.Detect(g, 2, core.Options{
 				Seed: 11, MaxIterations: 40, KeepGoing: true,
-				Workers: w, Shards: s, ParallelThreshold: p,
+				Runtime: rt,
 			})
 			if err != nil {
 				return "", err
@@ -143,10 +144,10 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	})
 
 	t.Run("lowprob-odd", func(t *testing.T) {
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := lowprob.DetectOdd(gOdd, 2, lowprob.OddOptions{
 				Seed: 13, MaxIterations: 40, KeepGoing: true,
-				Workers: w, Shards: s, ParallelThreshold: p,
+				Runtime: rt,
 			})
 			if err != nil {
 				return "", err
@@ -156,10 +157,10 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	})
 
 	t.Run("baseline-threshold", func(t *testing.T) {
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := baseline.DetectLocalThreshold(g, 2, baseline.LocalThresholdOptions{
 				Seed: 17, Attempts: 20, KeepGoing: true,
-				Workers: w, Shards: s, ParallelThreshold: p,
+				Runtime: rt,
 			})
 			if err != nil {
 				return "", err
@@ -192,9 +193,9 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	// graph. The seed is folded into the sweep to pin exactly that.
 	t.Run("deterministic", func(t *testing.T) {
 		seeds := []uint64{29, 31337}
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := deterministic.Detect(g, 2, deterministic.Options{
-				Seed: seeds[(w+s+p)%2], Workers: w, Shards: s, ParallelThreshold: p,
+				Seed: seeds[(rt.Workers+rt.Shards+rt.ParallelThreshold)%2], Runtime: rt,
 			})
 			if err != nil {
 				return "", err
@@ -204,10 +205,10 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	})
 
 	t.Run("quantum-even", func(t *testing.T) {
-		fingerprintInvariant(t, func(w, s, p int) (string, error) {
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
 			res, err := quantum.DetectEvenCycle(g, 2, quantum.Options{
 				Seed: 23, MaxSims: 6, AttemptIterations: 2,
-				Workers: w, Shards: s, ParallelThreshold: p,
+				Runtime: rt,
 			})
 			if err != nil {
 				return "", err

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/deterministic"
 	"repro/internal/graph"
@@ -82,11 +83,10 @@ func VerifyCycle(g *Graph, verts []NodeID) error {
 type Option func(*config)
 
 type config struct {
+	congest.Runtime
 	eps        float64
 	iterations int
 	seed       uint64
-	workers    int
-	shards     int
 	parallel   int
 	pipelined  bool
 	maxSims    int
@@ -108,13 +108,13 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithWorkers sets the simulator's goroutine pool size (default
 // GOMAXPROCS).
-func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
+func WithWorkers(w int) Option { return func(c *config) { c.Workers = w } }
 
 // WithShards overrides the receiver-shard count of the simulator's
 // parallel delivery phase (default: one shard per worker). Transcripts —
 // and therefore results — are bit-identical for every value; the knob
 // exists for tuning (see congest.Engine.Shards).
-func WithShards(s int) Option { return func(c *config) { c.shards = s } }
+func WithShards(s int) Option { return func(c *config) { c.Shards = s } }
 
 // WithThreshold overrides the congestion threshold τ: the per-node
 // identifier cap of the classical detectors (Instruction 19 of
@@ -149,6 +149,13 @@ func buildConfig(opts []Option) config {
 	return c
 }
 
+// Costs is the CONGEST cost record of a classical run: executed rounds,
+// messages, the model-level bits those messages consumed, the largest
+// identifier set any node accumulated, and whether some node hit the
+// congestion threshold τ and discarded its set. Overflow can cost
+// detections, never fabricate one.
+type Costs = congest.Costs
+
 // Result reports a classical detection run.
 type Result struct {
 	// Found is true iff a target cycle was detected; Witness then holds a
@@ -158,19 +165,10 @@ type Result struct {
 	// FoundLen is the witness length (equals the target length; for
 	// bounded-length detection it is the detected ℓ ≤ 2k).
 	FoundLen int
-	// Rounds is the executed CONGEST round count; Messages the total
-	// message count; Bits the model-level bandwidth those messages
-	// consumed; MaxCongestion the largest identifier set any node
-	// accumulated.
-	Rounds        int
-	Messages      int64
-	Bits          int64
-	MaxCongestion int
-	// Overflowed reports whether some node hit the congestion threshold τ
-	// and discarded its identifier set (detectors with threshold pruning:
-	// Detect, DetectBounded, DetectLocal, DetectDeterministic). Overflow
-	// can cost detections, never fabricate one.
-	Overflowed bool
+	// Costs is the run's CONGEST cost. MaxCongestion and Overflowed are
+	// set by the detectors with threshold pruning: Detect, DetectBounded,
+	// DetectLocal and DetectDeterministic.
+	Costs
 	// Iterations is the number of coloring repetitions executed (0 for the
 	// deterministic detector, which runs a single session).
 	Iterations int
@@ -185,24 +183,14 @@ func Detect(g *Graph, k int, opts ...Option) (*Result, error) {
 		MaxIterations: c.iterations,
 		Threshold:     c.threshold,
 		Seed:          c.seed,
-		Workers:       c.workers,
-		Shards:        c.shards,
+		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		Pipelined:     c.pipelined,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	out := &Result{
-		Found:         res.Found,
-		Witness:       res.Witness,
-		Rounds:        res.Rounds,
-		Messages:      res.Messages,
-		Bits:          res.Bits,
-		MaxCongestion: res.MaxCongestion,
-		Overflowed:    res.Overflowed,
-		Iterations:    res.IterationsRun,
-	}
+	out := &Result{Found: res.Found, Witness: res.Witness, Costs: res.Costs, Iterations: res.IterationsRun}
 	if res.Found {
 		out.FoundLen = 2 * k
 	}
@@ -218,25 +206,15 @@ func DetectBounded(g *Graph, k int, opts ...Option) (*Result, error) {
 		MaxIterations: c.iterations,
 		Threshold:     c.threshold,
 		Seed:          c.seed,
-		Workers:       c.workers,
-		Shards:        c.shards,
+		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		Pipelined:     c.pipelined,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	return &Result{
-		Found:         res.Found,
-		Witness:       res.Witness,
-		FoundLen:      res.FoundLen,
-		Rounds:        res.Rounds,
-		Messages:      res.Messages,
-		Bits:          res.Bits,
-		MaxCongestion: res.MaxCongestion,
-		Overflowed:    res.Overflowed,
-		Iterations:    res.IterationsRun,
-	}, nil
+	return &Result{Found: res.Found, Witness: res.Witness, FoundLen: res.FoundLen,
+		Costs: res.Costs, Iterations: res.IterationsRun}, nil
 }
 
 // DetectOdd decides C_{2k+1}-freeness with the Section 3.4 randomized
@@ -247,21 +225,15 @@ func DetectOdd(g *Graph, k int, opts ...Option) (*Result, error) {
 	res, err := lowprob.DetectOdd(g, k, lowprob.OddOptions{
 		MaxIterations: c.iterations,
 		Seed:          c.seed,
-		Workers:       c.workers,
-		Shards:        c.shards,
+		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		SeedProb:      1, // classical mode: every color-0 node participates
 	})
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	out := &Result{
-		Found:      res.Found,
-		Witness:    res.Witness,
-		Rounds:     res.Rounds,
-		Messages:   res.Messages,
-		Iterations: res.IterationsRun,
-	}
+	out := &Result{Found: res.Found, Witness: res.Witness, Iterations: res.IterationsRun}
+	out.Rounds, out.Messages = res.Rounds, res.Messages
 	if res.Found {
 		out.FoundLen = 2*k + 1
 	}
@@ -280,8 +252,7 @@ func ListCycles(g *Graph, k int, opts ...Option) ([][]NodeID, error) {
 		MaxIterations: c.iterations,
 		Threshold:     c.threshold,
 		Seed:          c.seed,
-		Workers:       c.workers,
-		Shards:        c.shards,
+		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		Pipelined:     c.pipelined,
 	})
@@ -310,8 +281,7 @@ func DetectLocal(g *Graph, k int, opts ...Option) (*LocalDetection, error) {
 		MaxIterations: c.iterations,
 		Threshold:     c.threshold,
 		Seed:          c.seed,
-		Workers:       c.workers,
-		Shards:        c.shards,
+		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		Pipelined:     c.pipelined,
 	})
@@ -319,16 +289,7 @@ func DetectLocal(g *Graph, k int, opts ...Option) (*LocalDetection, error) {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
 	out := &LocalDetection{
-		Result: Result{
-			Found:         res.Found,
-			Witness:       res.Witness,
-			Rounds:        res.Rounds,
-			Messages:      res.Messages,
-			Bits:          res.Bits,
-			MaxCongestion: res.MaxCongestion,
-			Overflowed:    res.Overflowed,
-			Iterations:    res.IterationsRun,
-		},
+		Result:    Result{Found: res.Found, Witness: res.Witness, Costs: res.Costs, Iterations: res.IterationsRun},
 		Rejecting: res.Rejecting,
 	}
 	if res.Found {
@@ -371,8 +332,7 @@ func DetectQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
 		MaxSims:           c.maxSims,
 		AttemptIterations: c.iterations,
 		Seed:              c.seed,
-		Workers:           c.workers,
-		Shards:            c.shards,
+		Runtime:           c.Runtime,
 		Parallel:          c.parallel,
 	})
 	if err != nil {
@@ -390,8 +350,7 @@ func DetectOddQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
 		MaxSims:           c.maxSims,
 		AttemptIterations: c.iterations,
 		Seed:              c.seed,
-		Workers:           c.workers,
-		Shards:            c.shards,
+		Runtime:           c.Runtime,
 		Parallel:          c.parallel,
 	})
 	if err != nil {
@@ -419,21 +378,12 @@ func DetectDeterministic(g *Graph, k int, opts ...Option) (*Result, error) {
 	res, err := deterministic.Detect(g, k, deterministic.Options{
 		Threshold: c.threshold,
 		Seed:      c.seed,
-		Workers:   c.workers,
-		Shards:    c.shards,
+		Runtime:   c.Runtime,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	out := &Result{
-		Found:         res.Found,
-		Witness:       res.Witness,
-		Rounds:        res.Rounds,
-		Messages:      res.Messages,
-		Bits:          res.Bits,
-		MaxCongestion: res.MaxCongestion,
-		Overflowed:    res.Overflowed,
-	}
+	out := &Result{Found: res.Found, Witness: res.Witness, Costs: res.Costs}
 	if res.Found {
 		out.FoundLen = 2 * k
 	}
@@ -449,8 +399,7 @@ func DetectBoundedQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, erro
 		MaxSims:           c.maxSims,
 		AttemptIterations: c.iterations,
 		Seed:              c.seed,
-		Workers:           c.workers,
-		Shards:            c.shards,
+		Runtime:           c.Runtime,
 		Parallel:          c.parallel,
 	})
 	if err != nil {

@@ -58,7 +58,7 @@ func edgeKey(a, b graph.NodeID) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-func (p *kballProto) Init(rt *congest.Runtime) {
+func (p *kballProto) Init(rt *congest.Session) {
 	n := rt.N()
 	p.known = idset.New(n)
 	p.queue = make([][]queuedEdge, n)
@@ -78,7 +78,7 @@ func (p *kballProto) Init(rt *congest.Runtime) {
 	}
 }
 
-func (p *kballProto) HandleRound(rt *congest.Runtime, u graph.NodeID, r int, inbox []congest.Message) {
+func (p *kballProto) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []congest.Message) {
 	for _, m := range inbox {
 		if m.Kind() != kindEdge {
 			continue

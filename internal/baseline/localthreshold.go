@@ -29,12 +29,9 @@ type LocalThresholdOptions struct {
 	HasFixedSource bool
 	FixedSource    graph.NodeID
 	Seed           uint64
-	Workers        int
-	// Shards / ParallelThreshold tune the engine's parallel delivery
-	// phase (see congest.Engine); 0 keeps the engine defaults.
-	// Transcripts are bit-identical for every setting.
-	Shards            int
-	ParallelThreshold int
+	// Runtime configures the engine (see congest.Runtime); transcripts
+	// are bit-identical for every setting.
+	congest.Runtime
 	// Parallel is the number of attempts in flight (0/1 sequential,
 	// negative GOMAXPROCS); results are deterministic regardless.
 	Parallel  int
@@ -87,9 +84,7 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
-	eng.Shards = opt.Shards
-	eng.ParallelThreshold = opt.ParallelThreshold
+	eng.Runtime = opt.Runtime
 
 	all := make([]bool, n)
 	for v := range all {

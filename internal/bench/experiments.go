@@ -29,6 +29,9 @@ type Config struct {
 	Parallel int
 }
 
+// rt returns the engine runtime configured by the Config.
+func (cfg Config) rt() congest.Runtime { return congest.Runtime{Workers: cfg.Workers} }
+
 // runner returns the trial scheduler configured by the Config.
 func (cfg Config) runner() sched.TrialRunner {
 	return sched.TrialRunner{Workers: cfg.Parallel}
@@ -163,7 +166,7 @@ func E1(cfg Config) (*Table, error) {
 						POverride:     scaledP(n, k),
 						MaxIterations: 1,
 						KeepGoing:     true,
-						Workers:       cfg.Workers,
+						Runtime:       cfg.rt(),
 					})
 				},
 				func(it int, res *core.Result) bool {
@@ -232,7 +235,7 @@ func E2(cfg Config) (*Table, error) {
 					POverride:     scaledP(n, k),
 					MaxIterations: 1,
 					KeepGoing:     true,
-					Workers:       cfg.Workers,
+					Runtime:       cfg.rt(),
 				})
 			},
 			func(it int, res *core.Result) bool {
@@ -286,7 +289,7 @@ func E3(cfg Config) (*Table, error) {
 				MaxSims:           1,
 				AttemptIterations: 1,
 				EpsFn:             scaledEps(k),
-				Workers:           cfg.Workers,
+				Runtime:           cfg.rt(),
 			})
 			if err != nil {
 				return nil, err
@@ -342,7 +345,7 @@ func E4(cfg Config) (*Table, error) {
 					POverride:     scaledP(n, k),
 					SeedProb:      q,
 					MaxIterations: iters,
-					Workers:       cfg.Workers,
+					Runtime:       cfg.rt(),
 				})
 			},
 			func(trial int, res *core.Result) bool {
@@ -389,7 +392,7 @@ func E5(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		res, err := quantum.DetectOddCycle(g, k, quantum.Options{
-			Seed: cfg.Seed, MaxSims: 1, AttemptIterations: 1, Workers: cfg.Workers,
+			Seed: cfg.Seed, MaxSims: 1, AttemptIterations: 1, Runtime: cfg.rt(),
 		})
 		if err != nil {
 			return nil, err
@@ -437,7 +440,7 @@ func E6(cfg Config) (*Table, error) {
 		}
 		res, err := quantum.DetectBoundedCycle(g, k, quantum.Options{
 			Seed: cfg.Seed, MaxSims: 1, AttemptIterations: 1,
-			EpsFn: boundedEps, Workers: cfg.Workers,
+			EpsFn: boundedEps, Runtime: cfg.rt(),
 		})
 		if err != nil {
 			return nil, err
@@ -486,7 +489,7 @@ func E7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		res, err := core.DetectEvenCycle(g, 2, core.Options{
-			Seed: cfg.Seed + uint64(trial), MaxIterations: 800, Workers: cfg.Workers,
+			Seed: cfg.Seed + uint64(trial), MaxIterations: 800, Runtime: cfg.rt(),
 		})
 		if err != nil {
 			return nil, err
@@ -514,7 +517,7 @@ func E7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		res, err := core.DetectEvenCycle(g, 2, core.Options{
-			Seed: cfg.Seed + uint64(trial), MaxIterations: 800, Workers: cfg.Workers,
+			Seed: cfg.Seed + uint64(trial), MaxIterations: 800, Runtime: cfg.rt(),
 		})
 		if err != nil {
 			return nil, err
@@ -543,7 +546,7 @@ func E7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		res, err := lowprob.DetectOdd(g, 2, lowprob.OddOptions{
-			Seed: cfg.Seed + uint64(trial), MaxIterations: 30000, SeedProb: 1, Workers: cfg.Workers,
+			Seed: cfg.Seed + uint64(trial), MaxIterations: 30000, SeedProb: 1, Runtime: cfg.rt(),
 		})
 		if err != nil {
 			return nil, err
@@ -713,7 +716,7 @@ func E10(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.DetectEvenCycle(g, 2, core.Options{Seed: cfg.Seed + uint64(trial), Workers: cfg.Workers})
+		return core.DetectEvenCycle(g, 2, core.Options{Seed: cfg.Seed + uint64(trial), Runtime: cfg.rt()})
 	})
 	if err != nil {
 		return nil, err
@@ -727,7 +730,7 @@ func E10(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.DetectEvenCycle(g, 2, core.Options{Seed: cfg.Seed + uint64(trial), Workers: cfg.Workers})
+		return core.DetectEvenCycle(g, 2, core.Options{Seed: cfg.Seed + uint64(trial), Runtime: cfg.rt()})
 	})
 	if err != nil {
 		return nil, err
@@ -741,7 +744,7 @@ func E10(cfg Config) (*Table, error) {
 	}
 	falsePos, err := countFound(func(trial int) (*core.Result, error) {
 		return core.DetectEvenCycle(g, 2, core.Options{
-			Seed: cfg.Seed + uint64(trial), MaxIterations: 40, Workers: cfg.Workers,
+			Seed: cfg.Seed + uint64(trial), MaxIterations: 40, Runtime: cfg.rt(),
 		})
 	})
 	if err != nil {
@@ -782,7 +785,7 @@ func D1(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			det, err := deterministic.Detect(g, k, deterministic.Options{Workers: cfg.Workers})
+			det, err := deterministic.Detect(g, k, deterministic.Options{Runtime: cfg.rt()})
 			if err != nil {
 				return nil, err
 			}
@@ -791,7 +794,7 @@ func D1(cfg Config) (*Table, error) {
 				POverride:     scaledP(n, k),
 				MaxIterations: 1,
 				KeepGoing:     true,
-				Workers:       cfg.Workers,
+				Runtime:       cfg.rt(),
 			})
 			if err != nil {
 				return nil, err
@@ -841,7 +844,7 @@ func A1(cfg Config) (*Table, error) {
 			}
 			res, err := core.DetectEvenCycle(g, 2, core.Options{
 				Seed: cfg.Seed, POverride: scaledP(n, 2), MaxIterations: iters,
-				KeepGoing: true, Pipelined: pipelined, Workers: cfg.Workers,
+				KeepGoing: true, Pipelined: pipelined, Runtime: cfg.rt(),
 			})
 			if err != nil {
 				return nil, err
@@ -958,7 +961,7 @@ func A4(cfg Config) (*Table, error) {
 			}
 			res, err := quantum.DetectEvenCycle(g, 2, quantum.Options{
 				Seed: cfg.Seed, MaxSims: 1, AttemptIterations: 1,
-				NoDecomposition: noDecomp, EpsFn: scaledEps(2), Workers: cfg.Workers,
+				NoDecomposition: noDecomp, EpsFn: scaledEps(2), Runtime: cfg.rt(),
 			})
 			if err != nil {
 				return nil, err

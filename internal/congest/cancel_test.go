@@ -19,8 +19,8 @@ type spinner struct {
 	once   bool
 }
 
-func (s *spinner) Init(rt *Runtime) { rt.WakeAt(0, 0) }
-func (s *spinner) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (s *spinner) Init(rt *Session) { rt.WakeAt(0, 0) }
+func (s *spinner) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	if r >= 100 && !s.once {
 		s.once = true
 		close(s.notify)
@@ -130,7 +130,7 @@ type panicAtNode struct {
 	all    bool // wake every node at round 0 (forces big due lists)
 }
 
-func (p *panicAtNode) Init(rt *Runtime) {
+func (p *panicAtNode) Init(rt *Session) {
 	if p.all {
 		for u := 0; u < rt.N(); u++ {
 			rt.WakeAt(NodeID(u), 0)
@@ -140,7 +140,7 @@ func (p *panicAtNode) Init(rt *Runtime) {
 	rt.WakeAt(p.target, 0)
 }
 
-func (p *panicAtNode) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (p *panicAtNode) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	if u == p.target {
 		panic("boom: injected handler panic")
 	}
@@ -176,8 +176,8 @@ func TestHandlerPanicParallelBecomesError(t *testing.T) {
 // initPanics panics during Init.
 type initPanics struct{}
 
-func (initPanics) Init(rt *Runtime)                                       { panic("boom in Init") }
-func (initPanics) HandleRound(rt *Runtime, u NodeID, r int, in []Message) {}
+func (initPanics) Init(rt *Session)                                       { panic("boom in Init") }
+func (initPanics) HandleRound(rt *Session, u NodeID, r int, in []Message) {}
 
 func TestInitPanicBecomesError(t *testing.T) {
 	net := NewNetwork(graph.Path(4), 1)

@@ -73,11 +73,11 @@ type Handler interface {
 	// Init is called once, sequentially, before round 0. It typically
 	// allocates per-node state and schedules initial wake-ups via
 	// rt.WakeAt.
-	Init(rt *Runtime)
+	Init(rt *Session)
 	// HandleRound is called for node u at round r with the messages
 	// delivered to u at the beginning of r. The inbox slice is only valid
 	// for the duration of the call.
-	HandleRound(rt *Runtime, u NodeID, r int, inbox []Message)
+	HandleRound(rt *Session, u NodeID, r int, inbox []Message)
 }
 
 // Rejection records a node's reject output together with the witness cycle
@@ -85,6 +85,54 @@ type Handler interface {
 type Rejection struct {
 	Node    NodeID
 	Witness []graph.NodeID
+}
+
+// Runtime is the engine's parallelism: Engine embeds it, and so does
+// every detector's options struct, which hands it to its engines as one
+// value. Transcripts — and therefore every report and result — are
+// bit-identical for every setting; the knobs trade only wall-clock time.
+type Runtime struct {
+	// Workers is the size of the goroutine pool mapping node handlers onto
+	// rounds; 0 means GOMAXPROCS.
+	Workers int
+	// Shards overrides the receiver-shard count of the parallel delivery
+	// phase; 0 derives it from Workers. The knob exists for tuning and so
+	// the determinism tests can pin shard-count invariance explicitly.
+	Shards int
+	// ParallelThreshold is the minimum batch size (due handlers for the
+	// execution phase, staged messages for the delivery phase) below
+	// which a round runs serially even when Workers allows parallelism;
+	// rounds smaller than this are dominated by goroutine hand-off, not
+	// work. 0 means the default of 256.
+	ParallelThreshold int
+}
+
+// Costs is the CONGEST cost record of a detection run, the quantities
+// the paper's analysis bounds. Every detector result embeds it, and so
+// does the service's wire response (hence the JSON keys).
+type Costs struct {
+	// Rounds is the CONGEST time summed over every session of the run.
+	Rounds int `json:"rounds"`
+	// Messages is the delivered message count, and Bits the model-level
+	// bandwidth they consumed (see MessageBits).
+	Messages int64 `json:"messages"`
+	Bits     int64 `json:"bits"`
+	// MaxCongestion is the largest identifier set any node accumulated,
+	// the watermark the threshold τ caps.
+	MaxCongestion int `json:"max_congestion"`
+	// Overflowed reports whether any node hit τ and discarded its set;
+	// detection may then be missed, never fabricated.
+	Overflowed bool `json:"overflowed"`
+}
+
+// Merge folds o into c as sequential composition: rounds, messages and
+// bits add, the congestion watermark is the larger, overflow is either.
+func (c *Costs) Merge(o Costs) {
+	c.Rounds += o.Rounds
+	c.Messages += o.Messages
+	c.Bits += o.Bits
+	c.MaxCongestion = max(c.MaxCongestion, o.MaxCongestion)
+	c.Overflowed = c.Overflowed || o.Overflowed
 }
 
 // Report summarizes one engine run.
@@ -144,6 +192,12 @@ func MessageBits(n int) int64 {
 		bits++
 	}
 	return int64(8 + 2*bits)
+}
+
+// Costs returns the report's rounds, messages and bits as a cost record
+// (congestion is the caller's protocol-level measure, not MaxInbox).
+func (r *Report) Costs() Costs {
+	return Costs{Rounds: r.Rounds, Messages: r.Messages, Bits: r.Bits}
 }
 
 // Accumulate adds r's counters into t (for sequential protocol

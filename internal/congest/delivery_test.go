@@ -136,8 +136,8 @@ func TestBroadcastMatchesSendLoop(t *testing.T) {
 // given node, which must trip the bandwidth check.
 type doubleSendBroadcast struct{ node NodeID }
 
-func (h doubleSendBroadcast) Init(rt *Runtime) { rt.WakeAt(h.node, 0) }
-func (h doubleSendBroadcast) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (h doubleSendBroadcast) Init(rt *Session) { rt.WakeAt(h.node, 0) }
+func (h doubleSendBroadcast) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	rt.Send(u, rt.Neighbors(u)[0], 1, 0, 0)
 	rt.Broadcast(u, 1, 0, 0)
 }
@@ -158,8 +158,8 @@ func TestBroadcastEnforcesBandwidth(t *testing.T) {
 // payloadOverflow ships a B payload beyond the packed wire capacity.
 type payloadOverflow struct{}
 
-func (payloadOverflow) Init(rt *Runtime) { rt.WakeAt(0, 0) }
-func (payloadOverflow) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (payloadOverflow) Init(rt *Session) { rt.WakeAt(0, 0) }
+func (payloadOverflow) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	rt.Send(u, rt.Neighbors(u)[0], 1, 0, MaxPayloadB+1)
 }
 

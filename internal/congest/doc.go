@@ -12,7 +12,7 @@
 // O(log n)-bit message to each of its neighbors, receives the messages sent
 // to it, and performs arbitrary local computation. Nodes know their own
 // O(log n)-bit identifier, their incident edges, and (as in the paper) the
-// number n of vertices. Runtime.Broadcast additionally models the Broadcast
+// number n of vertices. Session.Broadcast additionally models the Broadcast
 // CONGEST restriction (one message per round to all neighbors at once);
 // it is transcript-equivalent to a Send loop over the adjacency list.
 //

@@ -22,9 +22,8 @@ type Engine struct {
 	net *Network
 	// MaxRounds aborts runaway protocols; 0 means the default cap.
 	MaxRounds int
-	// Workers is the size of the goroutine pool mapping node handlers onto
-	// rounds; 0 means GOMAXPROCS.
-	Workers int
+	// Runtime sets the parallelism of the handler and delivery phases.
+	Runtime
 	// StopOnReject halts the session at the end of the first round in
 	// which some node rejected.
 	StopOnReject bool
@@ -38,17 +37,6 @@ type Engine struct {
 	DropProb float64
 	// Timeline collects per-round statistics into Report.Timeline.
 	Timeline bool
-	// Shards overrides the receiver-shard count of the parallel delivery
-	// phase; 0 derives it from Workers. Transcripts are bit-identical for
-	// every value — the knob exists for tuning and so the determinism
-	// tests can pin shard-count invariance explicitly.
-	Shards int
-	// ParallelThreshold is the minimum batch size (due handlers for the
-	// execution phase, staged messages for the delivery phase) below
-	// which a round runs serially even when Workers allows parallelism;
-	// rounds smaller than this are dominated by goroutine hand-off, not
-	// work. 0 means the default of 256.
-	ParallelThreshold int
 	// Cancel, when set, is polled once per executed round (one atomic
 	// load at the round boundary): tripping it makes in-flight and future
 	// runs on this engine return ErrCanceled instead of a report, so an
@@ -180,7 +168,7 @@ func (e *Engine) RunSession(h Handler, sess uint64) (rep *Report, err error) {
 // a dirty-list at session end or guarded by a monotone stamp, so reuse
 // requires no O(n) clearing and back-to-back sessions allocate ~nothing.
 //
-// Runtime is the handler-facing alias of Session: methods marked
+// Handlers receive their Session as a parameter: methods marked
 // "node-local" may be called only from within HandleRound (or Init) and,
 // when called for node u, only by u's handler invocation.
 type Session struct {
@@ -305,11 +293,6 @@ type Session struct {
 	rejections []Rejection
 	violation  error
 }
-
-// Runtime is the per-session interface handlers use to interact with the
-// simulated network (an alias of Session, kept as the name handler
-// signatures use).
-type Runtime = Session
 
 // inboxCursor is a receiver's delivery state: the region
 // inboxBuf[beg:pos] is u's inbox for the round whose stamp matches

@@ -13,13 +13,13 @@ import (
 // per-round allocation behavior.
 type pingpong struct{ rounds int }
 
-func (p *pingpong) Init(rt *Runtime) {
+func (p *pingpong) Init(rt *Session) {
 	for u := 0; u < rt.N(); u++ {
 		rt.WakeAt(NodeID(u), 0)
 	}
 }
 
-func (p *pingpong) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (p *pingpong) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	if r >= p.rounds {
 		return
 	}

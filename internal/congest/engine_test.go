@@ -16,7 +16,7 @@ type floodHandler struct {
 	broadcast bool
 }
 
-func (f *floodHandler) Init(rt *Runtime) {
+func (f *floodHandler) Init(rt *Session) {
 	f.heard = make([]int32, rt.N())
 	for i := range f.heard {
 		f.heard[i] = -1
@@ -25,7 +25,7 @@ func (f *floodHandler) Init(rt *Runtime) {
 	rt.WakeAt(0, 0)
 }
 
-func (f *floodHandler) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (f *floodHandler) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	if f.heard[u] >= 0 && int(f.heard[u]) < r {
 		return // already flooded on a previous round
 	}
@@ -74,8 +74,8 @@ func TestFloodReachesAllAtBFSDistance(t *testing.T) {
 // bandwidthViolator sends twice on the same edge in one round.
 type bandwidthViolator struct{}
 
-func (bandwidthViolator) Init(rt *Runtime) { rt.WakeAt(0, 0) }
-func (bandwidthViolator) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (bandwidthViolator) Init(rt *Session) { rt.WakeAt(0, 0) }
+func (bandwidthViolator) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	v := rt.Neighbors(u)[0]
 	rt.Send(u, v, 1, 0, 0)
 	rt.Send(u, v, 1, 1, 0)
@@ -92,8 +92,8 @@ func TestBandwidthViolationDetected(t *testing.T) {
 // nonNeighborSender sends to a node that is not adjacent.
 type nonNeighborSender struct{}
 
-func (nonNeighborSender) Init(rt *Runtime) { rt.WakeAt(0, 0) }
-func (nonNeighborSender) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (nonNeighborSender) Init(rt *Session) { rt.WakeAt(0, 0) }
+func (nonNeighborSender) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	rt.Send(u, 2, 1, 0, 0) // path 0-1-2: node 2 is not adjacent to 0
 }
 
@@ -109,12 +109,12 @@ func TestLocalityViolationDetected(t *testing.T) {
 // both legal (one message per *directed* edge).
 type sameRoundBothDirections struct{ got [2]bool }
 
-func (s *sameRoundBothDirections) Init(rt *Runtime) {
+func (s *sameRoundBothDirections) Init(rt *Session) {
 	rt.WakeAt(0, 0)
 	rt.WakeAt(1, 0)
 }
 
-func (s *sameRoundBothDirections) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (s *sameRoundBothDirections) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	if r == 0 {
 		rt.Send(u, 1-u, 1, uint64(u), 0)
 		return
@@ -139,8 +139,8 @@ func TestDirectedEdgeBandwidth(t *testing.T) {
 // 100 only.
 type wakeScheduler struct{ ranAt []int }
 
-func (w *wakeScheduler) Init(rt *Runtime) { rt.WakeAt(0, 100) }
-func (w *wakeScheduler) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (w *wakeScheduler) Init(rt *Session) { rt.WakeAt(0, 100) }
+func (w *wakeScheduler) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	w.ranAt = append(w.ranAt, r)
 }
 
@@ -162,8 +162,8 @@ func TestWakeFastForward(t *testing.T) {
 // pastWake scheduling must fail.
 type pastWake struct{}
 
-func (pastWake) Init(rt *Runtime) { rt.WakeAt(0, 5) }
-func (pastWake) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (pastWake) Init(rt *Session) { rt.WakeAt(0, 5) }
+func (pastWake) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	rt.WakeAt(u, r-1)
 }
 
@@ -179,8 +179,8 @@ func TestPastWakeRejected(t *testing.T) {
 // forever.
 type haltingHandler struct{}
 
-func (haltingHandler) Init(rt *Runtime) { rt.WakeAt(0, 0) }
-func (haltingHandler) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (haltingHandler) Init(rt *Session) { rt.WakeAt(0, 0) }
+func (haltingHandler) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	if r == 3 {
 		rt.Halt()
 		return
@@ -205,8 +205,8 @@ func TestHaltStopsSession(t *testing.T) {
 // infiniteLoop never stops; the round cap must fire.
 type infiniteLoop struct{}
 
-func (infiniteLoop) Init(rt *Runtime) { rt.WakeAt(0, 0) }
-func (infiniteLoop) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (infiniteLoop) Init(rt *Session) { rt.WakeAt(0, 0) }
+func (infiniteLoop) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	rt.Send(u, rt.Neighbors(u)[0], 1, 0, 0)
 }
 
@@ -223,8 +223,8 @@ func TestMaxRoundsCap(t *testing.T) {
 // rejecter rejects immediately with a witness.
 type rejecter struct{}
 
-func (rejecter) Init(rt *Runtime) { rt.WakeAt(3, 0) }
-func (rejecter) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (rejecter) Init(rt *Session) { rt.WakeAt(3, 0) }
+func (rejecter) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	rt.Reject(u, []NodeID{1, 2, 3})
 }
 
@@ -245,8 +245,8 @@ func TestRejectionRecorded(t *testing.T) {
 // stopOnRejectHandler floods forever but rejects at round 2.
 type stopOnRejectHandler struct{}
 
-func (stopOnRejectHandler) Init(rt *Runtime) { rt.WakeAt(0, 0) }
-func (stopOnRejectHandler) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (stopOnRejectHandler) Init(rt *Session) { rt.WakeAt(0, 0) }
+func (stopOnRejectHandler) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	if r == 2 && u == 0 {
 		rt.Reject(u, nil)
 	}
@@ -271,14 +271,14 @@ func TestStopOnReject(t *testing.T) {
 // same network+seed and differ across nodes.
 type randProbe struct{ draws []uint64 }
 
-func (p *randProbe) Init(rt *Runtime) {
+func (p *randProbe) Init(rt *Session) {
 	p.draws = make([]uint64, rt.N())
 	for u := 0; u < rt.N(); u++ {
 		rt.WakeAt(NodeID(u), 0)
 	}
 }
 
-func (p *randProbe) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (p *randProbe) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	p.draws[u] = rt.Rand(u).Uint64()
 }
 

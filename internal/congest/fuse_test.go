@@ -17,7 +17,7 @@ type drawFlood struct {
 	until []int32
 }
 
-func (p *drawFlood) Init(rt *Runtime) {
+func (p *drawFlood) Init(rt *Session) {
 	n := rt.N()
 	p.Draws = make([]uint64, n)
 	p.mins = make([]uint64, n)
@@ -27,7 +27,7 @@ func (p *drawFlood) Init(rt *Runtime) {
 	}
 }
 
-func (p *drawFlood) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (p *drawFlood) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	if r == 0 {
 		d := rt.Rand(u).Uint64()
 		p.Draws[u] = d

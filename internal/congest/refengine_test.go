@@ -23,7 +23,7 @@ import (
 	"repro/internal/graph"
 )
 
-// probeRuntime is the least common API of the production Runtime and the
+// probeRuntime is the least common API of the production Session and the
 // reference runtime, so one protocol implementation can drive both.
 type probeRuntime interface {
 	N() int
@@ -49,8 +49,8 @@ type probeHandler interface {
 // engineProbe adapts a probeHandler to the production engine.
 type engineProbe struct{ h probeHandler }
 
-func (a engineProbe) Init(rt *Runtime) { a.h.ProbeInit(rt) }
-func (a engineProbe) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (a engineProbe) Init(rt *Session) { a.h.ProbeInit(rt) }
+func (a engineProbe) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	a.h.ProbeRound(rt, u, r, inbox)
 }
 

@@ -19,7 +19,7 @@ type transcriptProbe struct {
 	draws []uint64
 }
 
-func (p *transcriptProbe) Init(rt *Runtime) {
+func (p *transcriptProbe) Init(rt *Session) {
 	n := rt.N()
 	p.heard = make([]int32, n)
 	p.draws = make([]uint64, n)
@@ -30,7 +30,7 @@ func (p *transcriptProbe) Init(rt *Runtime) {
 	rt.WakeAt(0, 0)
 }
 
-func (p *transcriptProbe) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (p *transcriptProbe) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	if p.draws[u] == 0 {
 		p.draws[u] = rt.Rand(u).Uint64() | 1
 	}
@@ -154,8 +154,8 @@ func TestConcurrentRunsOnOneEngine(t *testing.T) {
 // scheduled wake at 900 that does nothing.
 type gapProtocol struct{ ran []int }
 
-func (p *gapProtocol) Init(rt *Runtime) { rt.WakeAt(0, 0) }
-func (p *gapProtocol) HandleRound(rt *Runtime, u NodeID, r int, inbox []Message) {
+func (p *gapProtocol) Init(rt *Session) { rt.WakeAt(0, 0) }
+func (p *gapProtocol) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	p.ran = append(p.ran, r)
 	switch r {
 	case 0:

@@ -19,12 +19,7 @@ type BoundedResult struct {
 	Witness  []graph.NodeID
 	Detector graph.NodeID
 
-	Rounds        int
-	Messages      int64
-	Bits          int64
-	MaxCongestion int
-	// Overflowed reports whether any forwarder hit the threshold.
-	Overflowed    bool
+	congest.Costs
 	IterationsRun int
 	Params        Params
 }
@@ -67,15 +62,11 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 	n := g.NumNodes()
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
-	eng.Shards = opt.Shards
-	eng.ParallelThreshold = opt.ParallelThreshold
-	eng.MaxRounds = opt.MaxRounds
+	eng.Runtime = opt.Runtime
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 
 	res := &BoundedResult{Params: params}
-	total := &congest.Report{}
 
 	sets := &Sets{Params: params, WAllNeighbors: true}
 	rep, err := eng.Run(sets)
@@ -83,7 +74,7 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 		return nil, fmt.Errorf("core: bounded set construction: %w", err)
 	}
 	sets.Finish()
-	total.Accumulate(rep)
+	res.Merge(rep.Costs())
 
 	seedProb := opt.SeedProb
 	if seedProb == 0 {
@@ -139,11 +130,7 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 				if err != nil {
 					return nil, fmt.Errorf("core: bounded %s: %w", call.name, err)
 				}
-				out.rep.Accumulate(rep)
-				if c := bfs.MaxCongestion(); c > out.maxCong {
-					out.maxCong = c
-				}
-				out.overflowed = out.overflowed || bfs.Overflowed()
+				out.costs.Merge(bfsCosts(rep, bfs))
 				if len(bfs.Detections()) > 0 && !out.found {
 					d := bfs.Detections()[0]
 					witness, err := bfs.Witness(d)
@@ -170,11 +157,7 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 		}
 		fold := func(it int, out *iterOutcome) bool {
 			res.IterationsRun++
-			total.Accumulate(&out.rep)
-			if out.maxCong > res.MaxCongestion {
-				res.MaxCongestion = out.maxCong
-			}
-			res.Overflowed = res.Overflowed || out.overflowed
+			res.Merge(out.costs)
 			if out.found && !res.Found {
 				res.Found = true
 				res.FoundLen = L
@@ -190,8 +173,5 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 			return nil, err
 		}
 	}
-	res.Rounds = total.Rounds
-	res.Messages = total.Messages
-	res.Bits = total.Bits
 	return res, nil
 }

@@ -535,7 +535,7 @@ type batchPhase struct {
 
 var _ congest.Handler = (*batchPhase)(nil)
 
-func (p *batchPhase) Init(rt *congest.Runtime) {
+func (p *batchPhase) Init(rt *congest.Session) {
 	b := p.bfs
 	if p.phase == 1 {
 		b.ensureBuckets()
@@ -592,7 +592,7 @@ func (b *ColorBFS) ensureBuckets() {
 // initSender loads v's forwarding queue for its transmission phase and
 // wakes it, unless it has nothing to transmit (inactive seed, empty or
 // overflowed set).
-func (p *batchPhase) initSender(rt *congest.Runtime, v graph.NodeID) {
+func (p *batchPhase) initSender(rt *congest.Session, v graph.NodeID) {
 	b := p.bfs
 	switch c := b.spec.Color[v]; {
 	case c == 0:
@@ -619,7 +619,7 @@ func (p *batchPhase) initSender(rt *congest.Runtime, v graph.NodeID) {
 	rt.WakeAt(v, 0)
 }
 
-func (p *batchPhase) HandleRound(rt *congest.Runtime, u graph.NodeID, r int, inbox []congest.Message) {
+func (p *batchPhase) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []congest.Message) {
 	b := p.bfs
 	if !b.spec.InH[u] {
 		// Non-H nodes neither accept nor transmit (their queues are never
@@ -677,7 +677,7 @@ type pipelinedRun struct {
 
 var _ congest.Handler = (*pipelinedRun)(nil)
 
-func (p *pipelinedRun) Init(rt *congest.Runtime) {
+func (p *pipelinedRun) Init(rt *congest.Session) {
 	b := p.bfs
 	b.ensureBuckets()
 	for _, v := range b.bucketSeeds {
@@ -692,7 +692,7 @@ func (p *pipelinedRun) Init(rt *congest.Runtime) {
 	}
 }
 
-func (p *pipelinedRun) HandleRound(rt *congest.Runtime, u graph.NodeID, r int, inbox []congest.Message) {
+func (p *pipelinedRun) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []congest.Message) {
 	b := p.bfs
 	if !b.spec.InH[u] {
 		// As in the batch schedule: non-H nodes are pure bystanders.

@@ -307,7 +307,7 @@ type refBatchPhase struct {
 	queueIdx []int
 }
 
-func (p *refBatchPhase) Init(rt *congest.Runtime) {
+func (p *refBatchPhase) Init(rt *congest.Session) {
 	b := p.bfs
 	n := rt.N()
 	p.queue = make([][]uint64, n)
@@ -347,7 +347,7 @@ func (p *refBatchPhase) Init(rt *congest.Runtime) {
 	}
 }
 
-func (p *refBatchPhase) HandleRound(rt *congest.Runtime, u graph.NodeID, r int, inbox []congest.Message) {
+func (p *refBatchPhase) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []congest.Message) {
 	b := p.bfs
 	c := b.spec.Color[u]
 	for _, m := range inbox {
@@ -385,7 +385,7 @@ type refPipelinedRun struct {
 	bfs *refColorBFS
 }
 
-func (p *refPipelinedRun) Init(rt *congest.Runtime) {
+func (p *refPipelinedRun) Init(rt *congest.Session) {
 	b := p.bfs
 	for u := 0; u < rt.N(); u++ {
 		v := graph.NodeID(u)
@@ -400,7 +400,7 @@ func (p *refPipelinedRun) Init(rt *congest.Runtime) {
 	}
 }
 
-func (p *refPipelinedRun) HandleRound(rt *congest.Runtime, u graph.NodeID, r int, inbox []congest.Message) {
+func (p *refPipelinedRun) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []congest.Message) {
 	b := p.bfs
 	c := b.spec.Color[u]
 	forwarder := b.isAscForwarder(c) || b.isDescForwarder(c)

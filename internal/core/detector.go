@@ -46,21 +46,14 @@ type Options struct {
 	KeepGoing bool
 	// Seed is the master random seed.
 	Seed uint64
-	// Workers configures engine parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Shards overrides the receiver-shard count of the engine's parallel
-	// delivery phase and ParallelThreshold its serial/parallel cutover
-	// (see congest.Engine); 0 keeps the engine defaults. Transcripts are
-	// bit-identical for every setting.
-	Shards            int
-	ParallelThreshold int
+	// Runtime configures every engine session of the run (see
+	// congest.Runtime); transcripts are bit-identical for every setting.
+	congest.Runtime
 	// Parallel is the number of coloring iterations (trials) in flight at
 	// once: 0 or 1 runs them sequentially, negative means GOMAXPROCS.
 	// Results are deterministic for a fixed Seed regardless of Parallel
 	// (see internal/sched for the contract).
 	Parallel int
-	// MaxRounds bounds each engine session (0 = engine default).
-	MaxRounds int
 	// DropProb injects adversarial message loss (see congest.Engine);
 	// detection may be missed under loss but one-sidedness is structural.
 	DropProb float64
@@ -84,17 +77,9 @@ type Result struct {
 	Witness  []graph.NodeID
 	Detector graph.NodeID
 
-	// Rounds is the executed CONGEST round count, summed over every
-	// session of the run (set construction plus all color-BFS phases).
-	Rounds int
-	// Messages is the total message count, and Bits the model-level
-	// bandwidth they consumed (Messages × (8 + 2⌈log₂ n⌉)).
-	Messages int64
-	Bits     int64
-	// MaxCongestion is the largest identifier set any node accumulated.
-	MaxCongestion int
-	// Overflowed reports whether any forwarder hit the threshold.
-	Overflowed bool
+	// Costs sums every session of the run (set construction plus all
+	// color-BFS phases).
+	congest.Costs
 	// IterationsRun is the number of coloring repetitions executed.
 	IterationsRun int
 
@@ -167,14 +152,20 @@ func iterationColorsInto(dst []int8, L int, seed uint64, it int) {
 // shared scheduler): the summed cost of its color-BFS calls plus the
 // detection state needed to finish the run.
 type iterOutcome struct {
-	rep        congest.Report
-	maxCong    int
-	overflowed bool
-	found      bool
-	witness    []graph.NodeID
-	detector   graph.NodeID
-	bfs        *ColorBFS
-	det        Detection
+	costs    congest.Costs
+	found    bool
+	witness  []graph.NodeID
+	detector graph.NodeID
+	bfs      *ColorBFS
+	det      Detection
+}
+
+// bfsCosts is one color-BFS call's cost: the sessions' report plus the
+// invocation's congestion watermark and overflow flag.
+func bfsCosts(rep *congest.Report, bfs *ColorBFS) congest.Costs {
+	c := rep.Costs()
+	c.MaxCongestion, c.Overflowed = bfs.MaxCongestion(), bfs.Overflowed()
+	return c
 }
 
 // runAlgorithm1Capturing is runAlgorithm1 but additionally returns the
@@ -185,16 +176,12 @@ func runAlgorithm1Capturing(g *graph.Graph, params Params, opt Options) (*Result
 	n := g.NumNodes()
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
-	eng.Shards = opt.Shards
-	eng.ParallelThreshold = opt.ParallelThreshold
-	eng.MaxRounds = opt.MaxRounds
+	eng.Runtime = opt.Runtime
 	eng.DropProb = opt.DropProb
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 
 	res := &Result{Params: params}
-	total := &congest.Report{}
 	var detBFS *ColorBFS
 	var det Detection
 
@@ -205,7 +192,7 @@ func runAlgorithm1Capturing(g *graph.Graph, params Params, opt Options) (*Result
 		return nil, nil, det, nil, fmt.Errorf("core: set construction: %w", err)
 	}
 	sets.Finish()
-	total.Accumulate(rep)
+	res.Merge(rep.Costs())
 	res.SizeU, res.SizeS, res.SizeW = sets.SizeU, sets.SizeS, sets.SizeW
 
 	seedProb := opt.SeedProb
@@ -262,11 +249,7 @@ func runAlgorithm1Capturing(g *graph.Graph, params Params, opt Options) (*Result
 			if err != nil {
 				return nil, fmt.Errorf("core: %s: %w", call.name, err)
 			}
-			out.rep.Accumulate(rep)
-			if c := bfs.MaxCongestion(); c > out.maxCong {
-				out.maxCong = c
-			}
-			out.overflowed = out.overflowed || bfs.Overflowed()
+			out.costs.Merge(bfsCosts(rep, bfs))
 			if len(bfs.Detections()) > 0 && !out.found {
 				d := bfs.Detections()[0]
 				witness, err := bfs.Witness(d)
@@ -293,11 +276,7 @@ func runAlgorithm1Capturing(g *graph.Graph, params Params, opt Options) (*Result
 	}
 	fold := func(it int, out *iterOutcome) bool {
 		res.IterationsRun = it + 1
-		total.Accumulate(&out.rep)
-		if out.maxCong > res.MaxCongestion {
-			res.MaxCongestion = out.maxCong
-		}
-		res.Overflowed = res.Overflowed || out.overflowed
+		res.Merge(out.costs)
 		if out.found && !res.Found {
 			res.Found = true
 			res.Witness = out.witness
@@ -316,8 +295,5 @@ func runAlgorithm1Capturing(g *graph.Graph, params Params, opt Options) (*Result
 	if _, err := sched.Run(runner, params.Iterations, trial, fold); err != nil {
 		return nil, nil, det, nil, err
 	}
-	res.Rounds = total.Rounds
-	res.Messages = total.Messages
-	res.Bits = total.Bits
 	return res, detBFS, det, eng, nil
 }

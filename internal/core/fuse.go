@@ -78,10 +78,7 @@ func DetectEvenCycleFused(items []FusedItem, k int, opt Options) ([]*Result, err
 	}
 
 	eng, parts := congest.NewFusedEngine(gs, seeds)
-	eng.Workers = opt.Workers
-	eng.Shards = opt.Shards
-	eng.ParallelThreshold = opt.ParallelThreshold
-	eng.MaxRounds = opt.MaxRounds
+	eng.Runtime = opt.Runtime
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 	total := eng.Network().NumNodes()
@@ -115,10 +112,10 @@ func DetectEvenCycleFused(items []FusedItem, k int, opt Options) ([]*Result, err
 
 	results := make([]*Result, B)
 	active := make([]bool, B)
-	var totals []congest.CompStats
 	for i := range items {
 		lo, hi := parts.Component(i)
 		res := &Result{Params: params[i]}
+		res.Rounds, res.Messages = setsRep.PerComp[i].Rounds, setsRep.PerComp[i].Messages
 		for v := lo; v < hi; v++ {
 			if sets.InU[v] {
 				res.SizeU++
@@ -133,7 +130,6 @@ func DetectEvenCycleFused(items []FusedItem, k int, opt Options) ([]*Result, err
 		results[i] = res
 		active[i] = true
 	}
-	totals = append(totals, setsRep.PerComp...)
 
 	// Shared mask arrays for the three calls. Deactivating a component
 	// zeroes its block in every mask (and its colors stay whatever the
@@ -218,13 +214,13 @@ func DetectEvenCycleFused(items []FusedItem, k int, opt Options) ([]*Result, err
 					continue
 				}
 				lo, hi := parts.Component(i)
-				totals[i].Rounds += rep.PerComp[i].Rounds
-				totals[i].Messages += rep.PerComp[i].Messages
 				res := results[i]
-				if c := bfs.MaxCongestionRange(lo, hi); c > res.MaxCongestion {
-					res.MaxCongestion = c
-				}
-				res.Overflowed = res.Overflowed || bfs.OverflowedRange(lo, hi)
+				res.Merge(congest.Costs{
+					Rounds:        rep.PerComp[i].Rounds,
+					Messages:      rep.PerComp[i].Messages,
+					MaxCongestion: bfs.MaxCongestionRange(lo, hi),
+					Overflowed:    bfs.OverflowedRange(lo, hi),
+				})
 				if res.Found || foundAt[i] {
 					continue
 				}
@@ -262,10 +258,8 @@ func DetectEvenCycleFused(items []FusedItem, k int, opt Options) ([]*Result, err
 		}
 	}
 
-	for i := range items {
-		results[i].Rounds = totals[i].Rounds
-		results[i].Messages = totals[i].Messages
-		results[i].Bits = totals[i].Messages * congest.MessageBits(items[i].Graph.NumNodes())
+	for i, res := range results {
+		res.Bits = res.Messages * congest.MessageBits(items[i].Graph.NumNodes())
 	}
 	return results, nil
 }

@@ -104,10 +104,7 @@ func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
 	n := g.NumNodes()
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
-	eng.Shards = opt.Shards
-	eng.ParallelThreshold = opt.ParallelThreshold
-	eng.MaxRounds = opt.MaxRounds
+	eng.Runtime = opt.Runtime
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 

@@ -31,13 +31,13 @@ type WitnessNotify struct {
 var _ congest.Handler = (*WitnessNotify)(nil)
 
 // Init wakes the detector.
-func (w *WitnessNotify) Init(rt *congest.Runtime) {
+func (w *WitnessNotify) Init(rt *congest.Session) {
 	w.Member = make([]bool, rt.N())
 	rt.WakeAt(w.Det.Node, 0)
 }
 
 // HandleRound implements congest.Handler.
-func (w *WitnessNotify) HandleRound(rt *congest.Runtime, u graph.NodeID, r int, inbox []congest.Message) {
+func (w *WitnessNotify) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []congest.Message) {
 	b := w.BFS
 	id := w.Det.Seed
 	if r == 0 && u == w.Det.Node {

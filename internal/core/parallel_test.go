@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -25,7 +26,7 @@ func TestDetectorDeterministicAcrossParallel(t *testing.T) {
 			MaxIterations: 24,
 			KeepGoing:     keepGoing,
 			Parallel:      parallel,
-			Workers:       workers,
+			Runtime:       congest.Runtime{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +95,7 @@ func benchmarkDetectorTrials(b *testing.B, parallel int) {
 			MaxIterations: 16,
 			KeepGoing:     true,
 			Parallel:      parallel,
-			Workers:       1,
+			Runtime:       congest.Runtime{Workers: 1},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -39,7 +39,7 @@ type Sets struct {
 var _ congest.Handler = (*Sets)(nil)
 
 // Init implements congest.Handler.
-func (s *Sets) Init(rt *congest.Runtime) {
+func (s *Sets) Init(rt *congest.Session) {
 	n := rt.N()
 	s.InU = make([]bool, n)
 	s.InS = make([]bool, n)
@@ -51,7 +51,7 @@ func (s *Sets) Init(rt *congest.Runtime) {
 }
 
 // HandleRound implements congest.Handler.
-func (s *Sets) HandleRound(rt *congest.Runtime, u graph.NodeID, r int, inbox []congest.Message) {
+func (s *Sets) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []congest.Message) {
 	switch r {
 	case 0:
 		lightMax, p := s.Params.LightMax, s.Params.P

@@ -41,14 +41,10 @@ type Options struct {
 	// so every Seed yields a bit-identical transcript and Result; the
 	// field exists so tests can pin exactly that.
 	Seed uint64
-	// Workers, Shards and ParallelThreshold configure the engine's
-	// parallel handler/delivery phases (see congest.Engine); transcripts
-	// are bit-identical for every setting.
-	Workers           int
-	Shards            int
-	ParallelThreshold int
-	// MaxRounds bounds the engine session (0 = engine default).
-	MaxRounds int
+	// Runtime configures the engine's parallel handler/delivery phases
+	// (see congest.Runtime); transcripts are bit-identical for every
+	// setting.
+	congest.Runtime
 	// Cancel aborts the broadcast session at the next round boundary when
 	// tripped (see congest.CancelFlag); untripped it changes nothing.
 	Cancel *congest.CancelFlag
@@ -66,18 +62,10 @@ type Result struct {
 	Witness  []graph.NodeID
 	Detector graph.NodeID
 
-	// Rounds is the CONGEST time of the single broadcast session;
-	// Messages the delivered message count and Bits their model-level
-	// bandwidth.
-	Rounds   int
-	Messages int64
-	Bits     int64
-	// MaxCongestion is the largest walk-key set any node accumulated
-	// (bounded by the threshold).
-	MaxCongestion int
-	// Overflowed reports whether any node hit the threshold and discarded
-	// its set; detection may be missed on such instances, never fabricated.
-	Overflowed bool
+	// Costs is the single broadcast session's cost; MaxCongestion is the
+	// largest walk-key set any node accumulated (bounded by the
+	// threshold).
+	congest.Costs
 	// Candidates is the number of walk collisions examined; collisions
 	// whose reconstruction is not a simple 2k-cycle are discarded.
 	Candidates int
@@ -154,13 +142,13 @@ func newDetProto(n, k, tau int) *detProto {
 	}
 }
 
-func (p *detProto) Init(rt *congest.Runtime) {
+func (p *detProto) Init(rt *congest.Session) {
 	for u := 0; u < rt.N(); u++ {
 		rt.WakeAt(graph.NodeID(u), 0)
 	}
 }
 
-func (p *detProto) HandleRound(rt *congest.Runtime, u graph.NodeID, r int, inbox []congest.Message) {
+func (p *detProto) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []congest.Message) {
 	if r == 0 {
 		// Round 0: every node announces itself as a walk of length 0.
 		rt.Broadcast(u, kindWalk, uint64(u), 0)
@@ -326,10 +314,7 @@ func Detect(g *graph.Graph, k int, opt Options) (*Result, error) {
 	}
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
-	eng.Shards = opt.Shards
-	eng.ParallelThreshold = opt.ParallelThreshold
-	eng.MaxRounds = opt.MaxRounds
+	eng.Runtime = opt.Runtime
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 
@@ -338,14 +323,8 @@ func Detect(g *graph.Graph, k int, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("deterministic: %w", err)
 	}
-	res := &Result{
-		Rounds:        rep.Rounds,
-		Messages:      rep.Messages,
-		Bits:          rep.Bits,
-		MaxCongestion: proto.first.MaxLen(),
-		Overflowed:    proto.overAny.Load(),
-		Threshold:     tau,
-	}
+	res := &Result{Costs: rep.Costs(), Threshold: tau}
+	res.MaxCongestion, res.Overflowed = proto.first.MaxLen(), proto.overAny.Load()
 	for _, c := range proto.candidates() {
 		res.Candidates++
 		cycle, err := proto.witness(c)

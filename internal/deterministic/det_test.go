@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -160,11 +161,11 @@ func TestTranscriptInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := []Options{
-		{Seed: 1, Workers: 1},
-		{Seed: 1, Workers: 4, ParallelThreshold: 1},
-		{Seed: 1, Workers: 8, Shards: 3, ParallelThreshold: 1},
-		{Seed: 99999, Workers: 2, ParallelThreshold: 1},
-		{Seed: 424242, Workers: 1},
+		{Seed: 1, Runtime: congest.Runtime{Workers: 1}},
+		{Seed: 1, Runtime: congest.Runtime{Workers: 4, ParallelThreshold: 1}},
+		{Seed: 1, Runtime: congest.Runtime{Workers: 8, Shards: 3, ParallelThreshold: 1}},
+		{Seed: 99999, Runtime: congest.Runtime{Workers: 2, ParallelThreshold: 1}},
+		{Seed: 424242, Runtime: congest.Runtime{Workers: 1}},
 	}
 	var base string
 	for i, opt := range cfgs {

@@ -15,7 +15,7 @@
 //
 // Broadcast CONGEST restricts CONGEST: in each round a node sends one
 // O(log n)-bit message to all its neighbors at once (no per-edge
-// addressing). The protocol here uses only congest.Runtime.Broadcast —
+// addressing). The protocol here uses only congest.Session.Broadcast —
 // never Send — so it exercises exactly that model, and it draws no
 // randomness at all: the transcript is a pure function of the input graph,
 // bit-identical for every engine seed, worker count and shard setting

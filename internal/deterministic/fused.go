@@ -34,10 +34,7 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 		seeds[i] = opt.Seed // the protocol draws no randomness
 	}
 	eng, parts := congest.NewFusedEngine(gs, seeds)
-	eng.Workers = opt.Workers
-	eng.Shards = opt.Shards
-	eng.ParallelThreshold = opt.ParallelThreshold
-	eng.MaxRounds = opt.MaxRounds
+	eng.Runtime = opt.Runtime
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 
@@ -72,13 +69,12 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 	results := make([]*Result, len(gs))
 	for i, g := range gs {
 		lo, hi := parts.Component(i)
-		res := &Result{
+		res := &Result{Costs: congest.Costs{
 			Rounds:        rep.PerComp[i].Rounds,
 			Messages:      rep.PerComp[i].Messages,
 			Bits:          rep.PerComp[i].Messages * congest.MessageBits(g.NumNodes()),
 			MaxCongestion: proto.first.MaxLenRange(lo, hi),
-			Threshold:     taus[i],
-		}
+		}, Threshold: taus[i]}
 		for v := lo; v < hi; v++ {
 			if proto.over[v] {
 				res.Overflowed = true

@@ -129,14 +129,13 @@ func refDetect(g *graph.Graph, k int, tau int) (*Result, error) {
 		}
 		return int(a.Second) - int(b.Second)
 	})
-	res := &Result{
+	res := &Result{Costs: congest.Costs{
 		Rounds:        rounds,
 		Messages:      messages,
 		Bits:          messages * congest.MessageBits(n),
 		MaxCongestion: maxCong,
 		Overflowed:    overflowed,
-		Threshold:     tau,
-	}
+	}, Threshold: tau}
 	for _, c := range cands {
 		res.Candidates++
 		cycle, err := refWitness(known, c, k)
@@ -238,8 +237,8 @@ func TestMatchesMapReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, opt := range []Options{
-				{Threshold: tc.tau, Workers: 1},
-				{Threshold: tc.tau, Workers: 4, Shards: 2, ParallelThreshold: 1},
+				{Threshold: tc.tau, Runtime: congest.Runtime{Workers: 1}},
+				{Threshold: tc.tau, Runtime: congest.Runtime{Workers: 4, Shards: 2, ParallelThreshold: 1}},
 			} {
 				got, err := Detect(tc.g, tc.k, opt)
 				if err != nil {

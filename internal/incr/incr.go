@@ -17,11 +17,8 @@ type Options struct {
 	// graph's DefaultThreshold, NOT the ball's own — the ball run must be
 	// at least as permissive as the full run it stands in for).
 	Threshold int
-	// Workers, Shards and ParallelThreshold configure the engine exactly
-	// as in deterministic.Options.
-	Workers           int
-	Shards            int
-	ParallelThreshold int
+	// Runtime configures the engine exactly as in deterministic.Options.
+	congest.Runtime
 	// Cancel aborts the localized session at the next round boundary.
 	Cancel *congest.CancelFlag
 	// Observe receives each completed engine session's round count and
@@ -120,12 +117,10 @@ func Recheck(g *graph.Graph, added [][2]graph.NodeID, k int, opt Options) (*Resu
 	}
 	sub, orig := g.InducedSubgraph(keep)
 	res, err := deterministic.Detect(sub, k, deterministic.Options{
-		Threshold:         tau(n, k, opt),
-		Workers:           opt.Workers,
-		Shards:            opt.Shards,
-		ParallelThreshold: opt.ParallelThreshold,
-		Cancel:            opt.Cancel,
-		Observe:           opt.Observe,
+		Threshold: tau(n, k, opt),
+		Runtime:   opt.Runtime,
+		Cancel:    opt.Cancel,
+		Observe:   opt.Observe,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("incr: localized detect: %w", err)

@@ -97,12 +97,9 @@ type OddOptions struct {
 	// Threshold overrides the constant forwarding threshold (0 means 4).
 	Threshold int
 	Seed      uint64
-	Workers   int
-	// Shards / ParallelThreshold tune the engine's parallel delivery
-	// phase (see congest.Engine); 0 keeps the engine defaults.
-	// Transcripts are bit-identical for every setting.
-	Shards            int
-	ParallelThreshold int
+	// Runtime configures the engine (see congest.Runtime); transcripts
+	// are bit-identical for every setting.
+	congest.Runtime
 	// Parallel is the number of coloring trials in flight (0/1 sequential,
 	// negative GOMAXPROCS); results are deterministic regardless.
 	Parallel  int
@@ -158,9 +155,7 @@ func DetectOdd(g *graph.Graph, k int, opt OddOptions) (*OddResult, error) {
 
 	net := congest.NewNetwork(g, opt.Seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
-	eng.Shards = opt.Shards
-	eng.ParallelThreshold = opt.ParallelThreshold
+	eng.Runtime = opt.Runtime
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 

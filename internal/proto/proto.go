@@ -32,7 +32,7 @@ type BFSTree struct {
 var _ congest.Handler = (*BFSTree)(nil)
 
 // Init allocates state and wakes the root.
-func (b *BFSTree) Init(rt *congest.Runtime) {
+func (b *BFSTree) Init(rt *congest.Session) {
 	n := rt.N()
 	b.Parent = make([]congest.NodeID, n)
 	b.Depth = make([]int32, n)
@@ -46,7 +46,7 @@ func (b *BFSTree) Init(rt *congest.Runtime) {
 }
 
 // HandleRound implements congest.Handler.
-func (b *BFSTree) HandleRound(rt *congest.Runtime, u congest.NodeID, r int, inbox []congest.Message) {
+func (b *BFSTree) HandleRound(rt *congest.Session, u congest.NodeID, r int, inbox []congest.Message) {
 	if u == b.Root && !b.joined[u] {
 		b.joined[u] = true
 		b.Depth[u] = 0
@@ -109,7 +109,7 @@ type ConvergecastOr struct {
 var _ congest.Handler = (*ConvergecastOr)(nil)
 
 // Init wakes every leaf of the tree.
-func (c *ConvergecastOr) Init(rt *congest.Runtime) {
+func (c *ConvergecastOr) Init(rt *congest.Session) {
 	n := rt.N()
 	if len(c.Value) != n {
 		c.Value = make([]bool, n)
@@ -127,7 +127,7 @@ func (c *ConvergecastOr) Init(rt *congest.Runtime) {
 }
 
 // HandleRound implements congest.Handler.
-func (c *ConvergecastOr) HandleRound(rt *congest.Runtime, u congest.NodeID, r int, inbox []congest.Message) {
+func (c *ConvergecastOr) HandleRound(rt *congest.Session, u congest.NodeID, r int, inbox []congest.Message) {
 	for _, m := range inbox {
 		if m.Kind() != kindUp {
 			continue
@@ -165,7 +165,7 @@ type Broadcast struct {
 var _ congest.Handler = (*Broadcast)(nil)
 
 // Init wakes the root.
-func (b *Broadcast) Init(rt *congest.Runtime) {
+func (b *Broadcast) Init(rt *congest.Session) {
 	n := rt.N()
 	b.Got = make([]uint64, n)
 	b.Received = make([]bool, n)
@@ -173,7 +173,7 @@ func (b *Broadcast) Init(rt *congest.Runtime) {
 }
 
 // HandleRound implements congest.Handler.
-func (b *Broadcast) HandleRound(rt *congest.Runtime, u congest.NodeID, r int, inbox []congest.Message) {
+func (b *Broadcast) HandleRound(rt *congest.Session, u congest.NodeID, r int, inbox []congest.Message) {
 	if b.Received[u] {
 		return
 	}
@@ -213,7 +213,7 @@ type LeaderElect struct {
 var _ congest.Handler = (*LeaderElect)(nil)
 
 // Init wakes every node.
-func (l *LeaderElect) Init(rt *congest.Runtime) {
+func (l *LeaderElect) Init(rt *congest.Session) {
 	n := rt.N()
 	l.Leader = make([]congest.NodeID, n)
 	l.bestTag = make([]uint64, n)
@@ -224,7 +224,7 @@ func (l *LeaderElect) Init(rt *congest.Runtime) {
 }
 
 // HandleRound implements congest.Handler.
-func (l *LeaderElect) HandleRound(rt *congest.Runtime, u congest.NodeID, r int, inbox []congest.Message) {
+func (l *LeaderElect) HandleRound(rt *congest.Session, u congest.NodeID, r int, inbox []congest.Message) {
 	improved := false
 	if !l.started[u] {
 		l.started[u] = true

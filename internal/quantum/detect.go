@@ -35,14 +35,11 @@ type Options struct {
 	// experiments use constant-rescaled ε = 1/(3τ_scaled) so that the
 	// exponent — the measured quantity — is visible at simulation sizes
 	// (see core.Options.POverride for the same reasoning).
-	EpsFn   func(n int) (float64, error)
-	Seed    uint64
-	Workers int
-	// Shards / ParallelThreshold tune the engine's parallel delivery
-	// phase (see congest.Engine); 0 keeps the engine defaults.
-	// Transcripts are bit-identical for every setting.
-	Shards            int
-	ParallelThreshold int
+	EpsFn func(n int) (float64, error)
+	Seed  uint64
+	// Runtime configures every engine of the pipeline (see
+	// congest.Runtime); transcripts are bit-identical for every setting.
+	congest.Runtime
 
 	// Parallel is the number of Setup simulations amplified concurrently
 	// per component (0/1 sequential, negative GOMAXPROCS); see
@@ -104,12 +101,10 @@ func DetectEvenCycle(g *graph.Graph, k int, opt Options) (*Result, error) {
 		eps:   func(n int) (float64, error) { return lowprob.SuccessProb(n, k) },
 		attempt: func(sub *graph.Graph, seed uint64) (bool, []graph.NodeID, int, error) {
 			res, err := lowprob.Detect(sub, k, core.Options{
-				Seed:              seed,
-				MaxIterations:     opt.AttemptIterations,
-				SeedProb:          opt.AttemptSeedProb,
-				Workers:           opt.Workers,
-				Shards:            opt.Shards,
-				ParallelThreshold: opt.ParallelThreshold,
+				Seed:          seed,
+				MaxIterations: opt.AttemptIterations,
+				SeedProb:      opt.AttemptSeedProb,
+				Runtime:       opt.Runtime,
 			})
 			if err != nil {
 				return false, nil, 0, err
@@ -131,12 +126,10 @@ func DetectOddCycle(g *graph.Graph, k int, opt Options) (*Result, error) {
 		eps:   func(n int) (float64, error) { return lowprob.OddSuccessProb(n), nil },
 		attempt: func(sub *graph.Graph, seed uint64) (bool, []graph.NodeID, int, error) {
 			res, err := lowprob.DetectOdd(sub, k, lowprob.OddOptions{
-				Seed:              seed,
-				MaxIterations:     opt.AttemptIterations,
-				SeedProb:          opt.AttemptSeedProb,
-				Workers:           opt.Workers,
-				Shards:            opt.Shards,
-				ParallelThreshold: opt.ParallelThreshold,
+				Seed:          seed,
+				MaxIterations: opt.AttemptIterations,
+				SeedProb:      opt.AttemptSeedProb,
+				Runtime:       opt.Runtime,
 			})
 			if err != nil {
 				return false, nil, 0, err
@@ -159,12 +152,10 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*Result, error) {
 		eps:   func(n int) (float64, error) { return lowprob.BoundedSuccessProb(n, k) },
 		attempt: func(sub *graph.Graph, seed uint64) (bool, []graph.NodeID, int, error) {
 			res, err := lowprob.DetectBounded(sub, k, core.Options{
-				Seed:              seed,
-				MaxIterations:     opt.AttemptIterations,
-				SeedProb:          opt.AttemptSeedProb,
-				Workers:           opt.Workers,
-				Shards:            opt.Shards,
-				ParallelThreshold: opt.ParallelThreshold,
+				Seed:          seed,
+				MaxIterations: opt.AttemptIterations,
+				SeedProb:      opt.AttemptSeedProb,
+				Runtime:       opt.Runtime,
 			})
 			if err != nil {
 				return false, nil, 0, err
@@ -267,9 +258,7 @@ func amplifyComponent(comp decomp.Component, pipe pipeline, opt Options, salt ui
 	}
 	net := congest.NewNetwork(comp.Sub, opt.Seed^salt*0x9e3779b97f4a7c15)
 	eng := congest.NewEngine(net)
-	eng.Workers = opt.Workers
-	eng.Shards = opt.Shards
-	eng.ParallelThreshold = opt.ParallelThreshold
+	eng.Runtime = opt.Runtime
 
 	tree, repTree, err := proto.BuildTree(eng, 0)
 	if err != nil {

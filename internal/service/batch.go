@@ -26,6 +26,11 @@ import (
 // its own fingerprint exactly as if it had been computed alone: a batch
 // of B misses seeds B cache entries for the price of one session.
 
+// batchLinger is how long an under-full batch waits for joiners before
+// dispatching. Only a miss that arrives while another miss is active
+// enters a batch, so a lone miss never pays it.
+const batchLinger = 2 * time.Millisecond
+
 // fusable reports whether the algo has a fused execution path. The
 // bounded-length and odd detectors have none — their internal structure
 // (length pairs, repetition schedule) has no fused variant — so their
@@ -281,8 +286,7 @@ func (s *Service) runFused(cancel *congest.CancelFlag, ck compatKey, items []*fu
 			Eps:       ck.eps,
 			Threshold: ck.threshold,
 			Pipelined: ck.pipelined,
-			Workers:   s.cfg.Workers,
-			Shards:    s.cfg.Shards,
+			Runtime:   s.rt,
 			Cancel:    cancel,
 			Observe:   s.engineObs,
 		})
@@ -301,8 +305,7 @@ func (s *Service) runFused(cancel *congest.CancelFlag, ck compatKey, items []*fu
 		}
 		results, err := deterministic.DetectMulti(gs, ck.k, deterministic.Options{
 			Threshold: ck.threshold,
-			Workers:   s.cfg.Workers,
-			Shards:    s.cfg.Shards,
+			Runtime:   s.rt,
 			Cancel:    cancel,
 			Observe:   s.engineObs,
 		})
@@ -339,11 +342,7 @@ func finishAmplify(it *fuseItem, resp *Response) fuseOut {
 		return fuseOut{resp: resp}
 	}
 	p := it.prior.resp
-	resp.Rounds += p.Rounds
-	resp.Messages += p.Messages
-	resp.Bits += p.Bits
-	resp.MaxCongestion = max(resp.MaxCongestion, p.MaxCongestion)
-	resp.Overflowed = resp.Overflowed || p.Overflowed
+	resp.Merge(p.Costs)
 	resp.Iterations += p.Iterations
 	return fuseOut{resp: resp, amplified: true}
 }

@@ -84,7 +84,8 @@ func TestBatchedDetFusesAndSeedsCache(t *testing.T) {
 		}
 		return reqs
 	}
-	batched := New(Config{BatchSize: B, BatchLinger: 2 * time.Second})
+	batched := New(Config{BatchSize: B})
+	batched.batcher.Linger = 2 * time.Second
 	solo := New(Config{BatchSize: 1})
 
 	release := holdBusy(batched)
@@ -151,7 +152,8 @@ func TestBatchedEvenMatchesSoloService(t *testing.T) {
 		}
 		return reqs
 	}
-	batched := New(Config{BatchSize: B, BatchLinger: 200 * time.Millisecond})
+	batched := New(Config{BatchSize: B})
+	batched.batcher.Linger = 200 * time.Millisecond
 	solo := New(Config{BatchSize: 1})
 
 	release := holdBusy(batched)
@@ -198,7 +200,8 @@ func TestBatchedEvenMatchesSoloService(t *testing.T) {
 // before the check, so its cached entry can only be the batch's.
 func TestBatchedWaiterCancelStillCaches(t *testing.T) {
 	gs := batchCorpus(t, 2, 2, 5)
-	s := New(Config{BatchSize: 2, BatchLinger: time.Hour})
+	s := New(Config{BatchSize: 2})
+	s.batcher.Linger = time.Hour
 	release := holdBusy(s)
 	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -228,7 +231,8 @@ func TestBatchedWaiterCancelStillCaches(t *testing.T) {
 // concurrent misses differing in k run in separate sessions.
 func TestBatchIncompatibleRequestsDoNotFuse(t *testing.T) {
 	gs := batchCorpus(t, 2, 2, 13)
-	s := New(Config{BatchSize: 2, BatchLinger: 20 * time.Millisecond})
+	s := New(Config{BatchSize: 2})
+	s.batcher.Linger = 20 * time.Millisecond
 	reqs := []*Request{
 		{Graph: gs[0], Algo: AlgoDet, K: 2},
 		{Graph: gs[1], Algo: AlgoDet, K: 3},
@@ -252,7 +256,8 @@ func TestBatchIncompatibleRequestsDoNotFuse(t *testing.T) {
 // detectors bypass the batcher entirely.
 func TestBatchUnfusableAlgoKeepsSoloPath(t *testing.T) {
 	gs := batchCorpus(t, 2, 2, 21)
-	s := New(Config{BatchSize: 8, BatchLinger: time.Second})
+	s := New(Config{BatchSize: 8})
+	s.batcher.Linger = time.Second
 	reqs := []*Request{
 		{Graph: gs[0], Algo: AlgoOdd, K: 2, Seed: 1, Iterations: 2},
 		{Graph: gs[1], Algo: AlgoBounded, K: 3, Seed: 2, Iterations: 2},
@@ -301,7 +306,8 @@ func TestIdleMissSkipsLinger(t *testing.T) {
 	g := graph.Gnm(40, 80, graph.NewRand(3))
 	for _, algo := range fusableAlgos {
 		t.Run(string(algo), func(t *testing.T) {
-			s := New(Config{BatchLinger: time.Hour})
+			s := New(Config{})
+			s.batcher.Linger = time.Hour
 			tr := &obs.Trace{}
 			info := doPrompt(t, s, &Request{Graph: g, Algo: algo, K: 2, Seed: 1, Iterations: 3, Trace: tr})
 			if info.Source != SourceComputed || info.Batch != 1 {
@@ -326,7 +332,8 @@ func TestIdleMissSkipsLinger(t *testing.T) {
 // The first miss is held active by keeping the only admission slot.
 func TestBusyMissRidesBatcher(t *testing.T) {
 	gs := batchCorpus(t, 2, 3, 17)
-	s := New(Config{Slots: 1, BatchSize: 2, BatchLinger: time.Hour})
+	s := New(Config{Slots: 1, BatchSize: 2})
+	s.batcher.Linger = time.Hour
 	if err := s.gate.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +377,8 @@ func TestIdleMissCancelsMidSession(t *testing.T) {
 	if err := faultpoint.Set("round-stall:every=1:delay=5ms"); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Slots: 1, BatchLinger: time.Hour})
+	s := New(Config{Slots: 1})
+	s.batcher.Linger = time.Hour
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {

@@ -30,8 +30,8 @@
 // one engine session on the disjoint union of their graphs; a miss that
 // finds no other miss active has nothing to fuse with and runs at once
 // as a batch of one, under its own context. Only misses that arrive
-// while another miss is active wait in the sched.Batcher for
-// Config.BatchLinger, so an idle service never pays the linger.
+// while another miss is active wait in the sched.Batcher, for at most
+// the fixed 2ms batch linger, so an idle service never pays it.
 //
 // The package also provides an async job registry (Submit/Job) used by
 // cmd/cycleserved's /v1/jobs API, and a named-graph corpus registry so

@@ -217,7 +217,8 @@ func TestBatchLeaderPanicIsolated(t *testing.T) {
 	if err := faultpoint.Set("batch-leader-crash:every=1:limit=1"); err != nil {
 		t.Fatal(err)
 	}
-	svc := New(Config{Slots: 2, BatchSize: 4, BatchLinger: time.Millisecond})
+	svc := New(Config{Slots: 2, BatchSize: 4})
+	svc.batcher.Linger = time.Millisecond
 	g := graph.Gnm(60, 120, graph.NewRand(5))
 	req := &Request{Graph: g, Algo: AlgoDet, K: 2}
 	_, _, err := svc.Do(context.Background(), req)

@@ -103,17 +103,15 @@ type Request struct {
 // metadata, so repeated deterministic-mode requests serialize to
 // byte-identical responses no matter how they were served.
 type Response struct {
-	Algo          Algo           `json:"algo"`
-	K             int            `json:"k"`
-	Fingerprint   string         `json:"fingerprint"`
-	Found         bool           `json:"found"`
-	Witness       []graph.NodeID `json:"witness,omitempty"`
-	FoundLen      int            `json:"found_len,omitempty"`
-	Rounds        int            `json:"rounds"`
-	Messages      int64          `json:"messages"`
-	Bits          int64          `json:"bits"`
-	MaxCongestion int            `json:"max_congestion"`
-	Overflowed    bool           `json:"overflowed"`
+	Algo        Algo           `json:"algo"`
+	K           int            `json:"k"`
+	Fingerprint string         `json:"fingerprint"`
+	Found       bool           `json:"found"`
+	Witness     []graph.NodeID `json:"witness,omitempty"`
+	FoundLen    int            `json:"found_len,omitempty"`
+	// Costs is the verdict's cost; its fields marshal inline, in order,
+	// as rounds, messages, bits, max_congestion, overflowed.
+	congest.Costs
 	// Iterations is the cumulative trial budget behind this verdict (0
 	// for the deterministic detector's single session).
 	Iterations int `json:"iterations"`
@@ -164,11 +162,6 @@ type Config struct {
 	// batching on, a miss that finds no other miss active also runs at
 	// once as a batch of one: there is nothing to fuse it with.
 	BatchSize int
-	// BatchLinger is how long an under-full batch waits for joiners
-	// before dispatching. Only a miss that arrives while another miss is
-	// active enters a batch, so a lone miss never pays it. 0 means 2ms;
-	// negative dispatches immediately.
-	BatchLinger time.Duration
 	// DefaultDeadline bounds requests that state no deadline of their
 	// own; 0 leaves them unbounded. MaxDeadline caps every request's
 	// deadline (including the default); 0 means no cap. Earliest wins
@@ -293,6 +286,8 @@ type Service struct {
 	// observe mirrors Config.Observe: true arms the latency/stage
 	// timers on the request path.
 	observe bool
+	// rt is Config.Workers/Shards as the Runtime every detector run gets.
+	rt congest.Runtime
 	// engineObs is handed to every detector run as Options.Observe when
 	// armed (nil when disarmed — the engine then skips its clock reads).
 	engineObs func(rounds int, wall time.Duration)
@@ -342,9 +337,6 @@ func New(cfg Config) *Service {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 8
 	}
-	if cfg.BatchLinger == 0 {
-		cfg.BatchLinger = 2 * time.Millisecond
-	}
 	s := &Service{
 		cfg:      cfg,
 		gate:     sched.NewGate(cfg.Slots),
@@ -353,6 +345,7 @@ func New(cfg Config) *Service {
 		corpus:   make(map[string]*graph.Graph),
 		metrics:  newMetrics(),
 		observe:  cfg.Observe,
+		rt:       congest.Runtime{Workers: cfg.Workers, Shards: cfg.Shards},
 	}
 	if cfg.Persist != nil {
 		// Preload the recovered durable corpus: every graph acknowledged
@@ -367,7 +360,7 @@ func New(cfg Config) *Service {
 	if cfg.BatchSize > 1 {
 		s.batcher = &sched.Batcher[compatKey, *fuseItem, fuseOut]{
 			MaxBatch: cfg.BatchSize,
-			Linger:   cfg.BatchLinger,
+			Linger:   batchLinger,
 			// Bound the fused union well below the wire format's node cap
 			// (and below sizes where one giant component would serialize the
 			// whole batch behind itself).
@@ -750,8 +743,7 @@ func (s *Service) compute(cancel *congest.CancelFlag, it *fuseItem) fuseOut {
 			MaxIterations: iterations,
 			Threshold:     req.Threshold,
 			Seed:          seed,
-			Workers:       s.cfg.Workers,
-			Shards:        s.cfg.Shards,
+			Runtime:       s.rt,
 			Parallel:      s.cfg.Parallel,
 			Pipelined:     req.Pipelined,
 			Cancel:        cancel,
@@ -763,16 +755,14 @@ func (s *Service) compute(cancel *congest.CancelFlag, it *fuseItem) fuseOut {
 		resp.Found = res.Found
 		resp.Witness = res.Witness
 		resp.FoundLen = res.FoundLen
-		resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
-		resp.MaxCongestion, resp.Overflowed = res.MaxCongestion, res.Overflowed
+		resp.Costs = res.Costs
 		resp.Iterations = res.IterationsRun
 	case AlgoOdd:
 		res, err := lowprob.DetectOdd(req.Graph, req.K, lowprob.OddOptions{
 			MaxIterations: iterations,
 			Threshold:     req.Threshold,
 			Seed:          seed,
-			Workers:       s.cfg.Workers,
-			Shards:        s.cfg.Shards,
+			Runtime:       s.rt,
 			Parallel:      s.cfg.Parallel,
 			SeedProb:      1,
 			Cancel:        cancel,
@@ -801,8 +791,7 @@ func fillEven(resp *Response, k int, res *core.Result) {
 	if res.Found {
 		resp.FoundLen = 2 * k
 	}
-	resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
-	resp.MaxCongestion, resp.Overflowed = res.MaxCongestion, res.Overflowed
+	resp.Costs = res.Costs
 	resp.Iterations = res.IterationsRun
 }
 
@@ -813,8 +802,7 @@ func fillDet(resp *Response, k int, res *deterministic.Result) {
 	if res.Found {
 		resp.FoundLen = 2 * k
 	}
-	resp.Rounds, resp.Messages, resp.Bits = res.Rounds, res.Messages, res.Bits
-	resp.MaxCongestion, resp.Overflowed = res.MaxCongestion, res.Overflowed
+	resp.Costs = res.Costs
 }
 
 // Config returns the service configuration with defaults resolved.

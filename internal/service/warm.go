@@ -79,8 +79,7 @@ func (s *Service) warmChild(parent, child *graph.Graph, added [][2]graph.NodeID)
 		} else {
 			rc, err := incr.Recheck(child, added, c.key.k, incr.Options{
 				Threshold: c.key.threshold,
-				Workers:   s.cfg.Workers,
-				Shards:    s.cfg.Shards,
+				Runtime:   s.rt,
 			})
 			if err != nil {
 				continue

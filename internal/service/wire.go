@@ -54,7 +54,8 @@ const wireIsolatedSlack = 4096
 // validate rejects inline graphs that would panic or exhaust the
 // builder: negative n or endpoints, or a vertex count out of proportion
 // to the shipped edge list (see wireIsolatedSlack). Endpoints beyond n
-// just grow the vertex set, as in the file format.
+// just grow the vertex set, as in the file format, up to the same bound:
+// an endpoint must be below it, so the built graph never exceeds it.
 func (wg *WireGraph) validate() error {
 	maxNodes := 2*len(wg.Edges) + wireIsolatedSlack
 	if wg.N < 0 || wg.N > maxNodes {
@@ -62,7 +63,7 @@ func (wg *WireGraph) validate() error {
 			wg.N, len(wg.Edges), maxNodes)
 	}
 	for i, e := range wg.Edges {
-		if e[0] < 0 || e[1] < 0 || int(e[0]) > maxNodes || int(e[1]) > maxNodes {
+		if e[0] < 0 || e[1] < 0 || int(e[0]) >= maxNodes || int(e[1]) >= maxNodes {
 			return fmt.Errorf("service: inline graph edge %d has endpoint out of range: [%d,%d]", i, e[0], e[1])
 		}
 	}

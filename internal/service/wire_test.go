@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -24,6 +25,9 @@ func TestResolveInlineGraphValidation(t *testing.T) {
 		{"n-beyond-edges", WireGraph{N: 1 << 20, Edges: [][2]graph.NodeID{{0, 1}}}, "vertices for 1 edges"},
 		{"negative-endpoint", WireGraph{N: 4, Edges: [][2]graph.NodeID{{-1, 0}}}, "out of range"},
 		{"huge-endpoint", WireGraph{N: 4, Edges: [][2]graph.NodeID{{0, 1 << 30}}}, "out of range"},
+		// One edge allows 2+slack vertices, IDs 0..1+slack; ID 2+slack
+		// would build one vertex more.
+		{"endpoint-at-bound", WireGraph{Edges: [][2]graph.NodeID{{0, 2 + wireIsolatedSlack}}}, "out of range"},
 	}
 	for _, tc := range cases {
 		wg := tc.wg
@@ -38,6 +42,36 @@ func TestResolveInlineGraphValidation(t *testing.T) {
 	}}, 8)
 	if err != nil || req.Graph.NumNodes() != 3 {
 		t.Fatalf("valid inline graph: req=%v err=%v", req, err)
+	}
+	// The largest endpoint one edge may name builds exactly the bound.
+	req, err = svc.Resolve(&WireRequest{Algo: "det", K: 2, Graph: &WireGraph{
+		Edges: [][2]graph.NodeID{{0, 1 + wireIsolatedSlack}},
+	}}, 8)
+	if err != nil || req.Graph.NumNodes() != 2+wireIsolatedSlack {
+		t.Fatalf("endpoint below bound: req=%v err=%v", req, err)
+	}
+}
+
+// TestResponseWireJSONGolden pins the key names and key order of a
+// detect response body: the det byte-identity replays and the benchmark's
+// body comparisons depend on both. The cost fields are promoted from
+// congest.Costs, so they are set by assignment.
+func TestResponseWireJSONGolden(t *testing.T) {
+	resp := Response{Algo: AlgoEven, K: 2, Fingerprint: "f00d", Found: true,
+		Witness: []graph.NodeID{0, 1, 2, 3}, FoundLen: 4, Iterations: 9}
+	resp.Rounds = 5
+	resp.Messages = 6
+	resp.Bits = 7
+	resp.MaxCongestion = 8
+	resp.Overflowed = true
+	body, err := json.Marshal(&resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"algo":"even","k":2,"fingerprint":"f00d","found":true,"witness":[0,1,2,3],"found_len":4,` +
+		`"rounds":5,"messages":6,"bits":7,"max_congestion":8,"overflowed":true,"iterations":9}`
+	if string(body) != want {
+		t.Fatalf("response body\n got %s\nwant %s", body, want)
 	}
 }
 

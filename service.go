@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/service"
 )
@@ -78,14 +77,6 @@ func WithServiceBatch(size int) ServiceOption {
 	return func(c *serviceConfig) { c.cfg.BatchSize = size }
 }
 
-// WithServiceBatchLinger sets how long an under-full batch waits for
-// joiners before dispatching. It applies only to a miss that arrives
-// while another miss is active; a lone miss runs at once. Default 2ms;
-// negative dispatches immediately.
-func WithServiceBatchLinger(d time.Duration) ServiceOption {
-	return func(c *serviceConfig) { c.cfg.BatchLinger = d }
-}
-
 // WithServiceIterations sets the default trial budget for randomized
 // detections that do not carry an explicit WithIterations. Service
 // requests must state a finite budget (the faithful counts are
@@ -146,15 +137,11 @@ func (s *Service) do(ctx context.Context, req *service.Request) (*Result, Servic
 		return nil, src, fmt.Errorf("evencycle: %w", err)
 	}
 	return &Result{
-		Found:         resp.Found,
-		Witness:       slices.Clone(resp.Witness),
-		FoundLen:      resp.FoundLen,
-		Rounds:        resp.Rounds,
-		Messages:      resp.Messages,
-		Bits:          resp.Bits,
-		MaxCongestion: resp.MaxCongestion,
-		Overflowed:    resp.Overflowed,
-		Iterations:    resp.Iterations,
+		Found:      resp.Found,
+		Witness:    slices.Clone(resp.Witness),
+		FoundLen:   resp.FoundLen,
+		Costs:      resp.Costs,
+		Iterations: resp.Iterations,
 	}, src, nil
 }
 
