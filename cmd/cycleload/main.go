@@ -89,7 +89,6 @@ func main() {
 // service-smoke and overload artifacts use it).
 type LoadRecord struct {
 	Schema string     `json:"schema"`
-	Label  string     `json:"label"`
 	Target string     `json:"target"`
 	Config LoadConfig `json:"config"`
 	Totals LoadTotals `json:"totals"`
@@ -196,7 +195,6 @@ func run() error {
 	distinct := flag.Int("distinct", 0, "corpus names to cycle through (0 = all)")
 	iterations := flag.Int("iterations", 0, "trial budget per request (0 = server default; randomized algos)")
 	seed := flag.Uint64("seed", 1, "request seed (randomized algos)")
-	label := flag.String("label", "cycleload", "label recorded in the JSON output")
 	jsonOut := flag.Bool("json", false, "emit the LoadRecord JSON instead of text")
 	out := flag.String("out", "", "output file (default stdout)")
 	minHitRatio := flag.Float64("min-hit-ratio", -1, "fail unless the hit ratio reaches this (negative disables)")
@@ -227,7 +225,7 @@ func run() error {
 		w = f
 	}
 	if *mutate != "" {
-		rec, err := mutateRun(*addr, *mutate, *requests, *k, *seed, *label)
+		rec, err := mutateRun(*addr, *mutate, *requests, *k, *seed)
 		if err != nil {
 			return err
 		}
@@ -301,7 +299,6 @@ func run() error {
 			return err
 		}
 	}
-	rec.Label = *label
 	if *jsonOut {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

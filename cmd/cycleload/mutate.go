@@ -25,7 +25,6 @@ import (
 // MutateRecord is the serialized result of one mutate-then-detect run.
 type MutateRecord struct {
 	Schema string `json:"schema"`
-	Label  string `json:"label"`
 	Target string `json:"target"`
 	Corpus string `json:"corpus"`
 	Ops    int    `json:"ops"`
@@ -55,7 +54,7 @@ type mutateResponse struct {
 	Fallbacks         int    `json:"fallbacks"`
 }
 
-func mutateRun(addr, name string, ops, k int, seed uint64, label string) (*MutateRecord, error) {
+func mutateRun(addr, name string, ops, k int, seed uint64) (*MutateRecord, error) {
 	resp, err := httpClient.Get(addr + "/v1/corpus")
 	if err != nil {
 		return nil, err
@@ -80,7 +79,7 @@ func mutateRun(addr, name string, ops, k int, seed uint64, label string) (*Mutat
 		return nil, fmt.Errorf("corpus %q has %d vertices; mutation needs at least 2", name, n)
 	}
 
-	rec := &MutateRecord{Schema: "evencycle-mutate/v1", Label: label, Target: addr, Corpus: name, Ops: ops}
+	rec := &MutateRecord{Schema: "evencycle-mutate/v1", Target: addr, Corpus: name, Ops: ops}
 	rng := rand.New(rand.NewSource(int64(seed)))
 	start := time.Now()
 	for i := 0; i < ops; i++ {

@@ -194,6 +194,16 @@ func MessageBits(n int) int64 {
 	return int64(8 + 2*bits)
 }
 
+// Comp returns component c's rounds and messages: PerComp[c] when the
+// engine has a component map, and otherwise the report's own totals (a
+// network without a map is one component).
+func (r *Report) Comp(c int) CompStats {
+	if r.PerComp == nil {
+		return CompStats{Rounds: r.Rounds, Messages: r.Messages}
+	}
+	return r.PerComp[c]
+}
+
 // Costs returns the report's rounds, messages and bits as a cost record
 // (congestion is the caller's protocol-level measure, not MaxInbox).
 func (r *Report) Costs() Costs {

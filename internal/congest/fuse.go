@@ -14,36 +14,35 @@ package congest
 import "repro/internal/graph"
 
 // NewFusedEngine builds the disjoint-union network of the given graphs
-// and returns an engine with per-component accounting installed, plus the
-// component map for demultiplexing. seeds[i] is the master seed component
-// i's node streams derive from: node u of graph i (global ID
-// parts.Base[i]+u) draws exactly the stream it would on
-// NewNetwork(gs[i], seeds[i]) under the same session tag.
+// and returns an engine with per-component accounting installed. The
+// union lays the graphs out in argument order, as graph.UnionTagged
+// does: graph i's node u is global node base_i+u, where base_i is the
+// total node count of graphs 0..i-1, and callers read component i's
+// share of a report through Report.Comp(i). seeds[i] is the master seed
+// component i's node streams derive from: global node base_i+u draws
+// exactly the stream node u draws on NewNetwork(gs[i], seeds[i]) under
+// the same session tag.
 //
 // A batch of one is its own union: the engine runs on gs[0] itself under
-// seeds[0], with no CSR copy and no per-node seed bases.
-func NewFusedEngine(gs []*graph.Graph, seeds []uint64) (*Engine, *graph.UnionParts) {
+// seeds[0], with no CSR copy, no per-node seed bases and no component
+// map (Report.Comp(0) is the report's own totals). It is therefore
+// exactly a solo engine, DropProb included.
+func NewFusedEngine(gs []*graph.Graph, seeds []uint64) *Engine {
 	if len(seeds) != len(gs) {
 		panic("congest: NewFusedEngine needs one seed per graph")
 	}
-	var net *Network
-	var parts *graph.UnionParts
 	if len(gs) == 1 {
-		net = NewNetwork(gs[0], seeds[0])
-		parts = &graph.UnionParts{Comp: make([]int32, gs[0].NumNodes()), Base: []int32{0}}
-	} else {
-		var u *graph.Graph
-		u, parts = graph.UnionTagged(gs)
-		bases := make([]uint64, u.NumNodes())
-		for i := range gs {
-			lo, hi := parts.Component(i)
-			for v := lo; v < hi; v++ {
-				bases[v] = SeedBase(seeds[i], v-lo)
-			}
-		}
-		net = NewNetworkSeedBases(u, bases)
+		return NewEngine(NewNetwork(gs[0], seeds[0]))
 	}
-	eng := NewEngine(net)
+	u, parts := graph.UnionTagged(gs)
+	bases := make([]uint64, u.NumNodes())
+	for i := range gs {
+		lo, hi := parts.Component(i)
+		for v := lo; v < hi; v++ {
+			bases[v] = SeedBase(seeds[i], v-lo)
+		}
+	}
+	eng := NewEngine(NewNetworkSeedBases(u, bases))
 	eng.SetComponents(parts.Comp, len(gs))
-	return eng, parts
+	return eng
 }

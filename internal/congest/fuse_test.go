@@ -65,7 +65,7 @@ func fuseTestGraphs(seed uint64) ([]*graph.Graph, []uint64) {
 // that component under its own seed.
 func TestFusedEngineMatchesSoloRuns(t *testing.T) {
 	gs, seeds := fuseTestGraphs(42)
-	eng, parts := NewFusedEngine(gs, seeds)
+	eng := NewFusedEngine(gs, seeds)
 	fused := &drawFlood{}
 	frep, err := eng.Run(fused)
 	if err != nil {
@@ -74,7 +74,7 @@ func TestFusedEngineMatchesSoloRuns(t *testing.T) {
 	if len(frep.PerComp) != len(gs) {
 		t.Fatalf("PerComp has %d entries for %d graphs", len(frep.PerComp), len(gs))
 	}
-	var sumRounds int
+	var sumRounds, lo int
 	var sumMsgs int64
 	for i, g := range gs {
 		solo := &drawFlood{}
@@ -82,13 +82,13 @@ func TestFusedEngineMatchesSoloRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, _ := parts.Component(i)
 		for u := 0; u < g.NumNodes(); u++ {
-			if fused.Draws[int(lo)+u] != solo.Draws[u] {
+			if fused.Draws[lo+u] != solo.Draws[u] {
 				t.Fatalf("component %d node %d: fused draw %x, solo draw %x",
-					i, u, fused.Draws[int(lo)+u], solo.Draws[u])
+					i, u, fused.Draws[lo+u], solo.Draws[u])
 			}
 		}
+		lo += g.NumNodes()
 		if frep.PerComp[i].Rounds != srep.Rounds {
 			t.Errorf("component %d: fused rounds %d, solo %d", i, frep.PerComp[i].Rounds, srep.Rounds)
 		}
@@ -109,36 +109,45 @@ func TestFusedEngineMatchesSoloRuns(t *testing.T) {
 }
 
 // TestFusedEngineBatchOfOne pins that a one-graph batch runs on the input
-// graph itself, not a copy, and still matches a solo run draw for draw,
-// with one PerComp entry equal to the whole report.
+// graph itself, not a copy, with no component map: it matches a solo run
+// draw for draw, Report.Comp(0) is the report's own totals, and — unlike
+// a larger batch — it runs under DropProb exactly as a solo engine does.
 func TestFusedEngineBatchOfOne(t *testing.T) {
 	gs, seeds := fuseTestGraphs(11)
 	g := gs[0]
-	eng, parts := NewFusedEngine(gs[:1], seeds[:1])
+	eng := NewFusedEngine(gs[:1], seeds[:1])
 	if eng.Network().Graph() != g {
 		t.Fatal("batch of one copied its graph")
 	}
-	if lo, hi := parts.Component(0); lo != 0 || int(hi) != g.NumNodes() {
-		t.Fatalf("component 0 spans [%d,%d), want [0,%d)", lo, hi, g.NumNodes())
+	if eng.numComp != 0 {
+		t.Fatalf("batch of one installed a component map of %d components", eng.numComp)
 	}
-	fused := &drawFlood{}
-	frep, err := eng.Run(fused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo := &drawFlood{}
-	srep, err := NewEngine(NewNetwork(g, seeds[0])).Run(solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range solo.Draws {
-		if fused.Draws[u] != solo.Draws[u] {
-			t.Fatalf("node %d: fused draw %x, solo draw %x", u, fused.Draws[u], solo.Draws[u])
+	for _, drop := range []float64{0, 0.3} {
+		eng.DropProb = drop
+		fused := &drawFlood{}
+		frep, err := eng.RunSession(fused, 7)
+		if err != nil {
+			t.Fatalf("drop %v: %v", drop, err)
 		}
-	}
-	want := CompStats{Rounds: srep.Rounds, Messages: srep.Messages}
-	if len(frep.PerComp) != 1 || frep.PerComp[0] != want {
-		t.Fatalf("PerComp %+v, want [%+v]", frep.PerComp, want)
+		soloEng := NewEngine(NewNetwork(g, seeds[0]))
+		soloEng.DropProb = drop
+		solo := &drawFlood{}
+		srep, err := soloEng.RunSession(solo, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := range solo.Draws {
+			if fused.Draws[u] != solo.Draws[u] {
+				t.Fatalf("drop %v, node %d: fused draw %x, solo draw %x", drop, u, fused.Draws[u], solo.Draws[u])
+			}
+		}
+		if frep.PerComp != nil {
+			t.Fatalf("drop %v: PerComp %+v, want none", drop, frep.PerComp)
+		}
+		want := CompStats{Rounds: srep.Rounds, Messages: srep.Messages}
+		if got := frep.Comp(0); got != want {
+			t.Fatalf("drop %v: Comp(0) = %+v, want the solo totals %+v", drop, got, want)
+		}
 	}
 }
 
@@ -147,8 +156,7 @@ func TestFusedEngineBatchOfOne(t *testing.T) {
 // forced-parallel thresholds).
 func TestFusedAccountingScheduleInvariant(t *testing.T) {
 	gs, seeds := fuseTestGraphs(7)
-	base, parts := NewFusedEngine(gs, seeds)
-	_ = parts
+	base := NewFusedEngine(gs, seeds)
 	ref, err := base.Run(&drawFlood{})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +164,7 @@ func TestFusedAccountingScheduleInvariant(t *testing.T) {
 	for _, cfg := range []struct{ workers, shards, thresh int }{
 		{1, 0, 0}, {4, 2, 1}, {8, 8, 1}, {2, 1, 1},
 	} {
-		eng, _ := NewFusedEngine(gs, seeds)
+		eng := NewFusedEngine(gs, seeds)
 		eng.Workers, eng.Shards, eng.ParallelThreshold = cfg.workers, cfg.shards, cfg.thresh
 		rep, err := eng.Run(&drawFlood{})
 		if err != nil {
@@ -175,7 +183,7 @@ func TestFusedAccountingScheduleInvariant(t *testing.T) {
 // per-component accounting cannot be combined (counts are sender-side).
 func TestFusedEngineRejectsDropProb(t *testing.T) {
 	gs, seeds := fuseTestGraphs(3)
-	eng, _ := NewFusedEngine(gs, seeds)
+	eng := NewFusedEngine(gs, seeds)
 	eng.DropProb = 0.5
 	if _, err := eng.Run(&drawFlood{}); err == nil {
 		t.Fatal("expected error combining SetComponents with DropProb")

@@ -423,7 +423,7 @@ func (b *ColorBFS) thresholdAt(v graph.NodeID) int32 {
 	if b.spec.ThresholdAt != nil {
 		return b.spec.ThresholdAt[v]
 	}
-	return int32(b.spec.Threshold)
+	return idset.CapLen(b.spec.Threshold)
 }
 
 // MaxCongestionRange returns the congestion watermark restricted to nodes
@@ -438,8 +438,12 @@ func (b *ColorBFS) MaxCongestionRange(lo, hi graph.NodeID) int {
 func (b *ColorBFS) Overflowed() bool { return b.over.Load() }
 
 // OverflowedRange reports whether any forwarder in [lo, hi) discarded its
-// set (the per-component split of Overflowed).
+// set (the per-component split of Overflowed; over every node it is
+// Overflowed, O(1)).
 func (b *ColorBFS) OverflowedRange(lo, hi graph.NodeID) bool {
+	if lo == 0 && int(hi) == b.n {
+		return b.Overflowed()
+	}
 	for v := lo; v < hi; v++ {
 		if b.ascOver[v] || b.descOver[v] {
 			return true

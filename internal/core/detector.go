@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/graph"
+	"repro/internal/idset"
 	"repro/internal/sched"
 )
 
@@ -41,8 +42,8 @@ type Options struct {
 	BFSThreshold int
 	// Pipelined selects the pipelined color-BFS schedule (ablation A1).
 	Pipelined bool
-	// EarlyStop ends the iteration loop at the first detection (on by
-	// default via DetectEvenCycle; set KeepGoing to run all iterations).
+	// KeepGoing runs all K iterations instead of stopping at the first
+	// detection.
 	KeepGoing bool
 	// Seed is the master random seed.
 	Seed uint64
@@ -93,15 +94,27 @@ type Result struct {
 // DetectEvenCycle runs Algorithm 1, deciding C_{2k}-freeness on g with
 // one-sided error: if it reports Found, g contains C_{2k} (the witness is
 // re-verified against g before returning); if g contains C_{2k}, it reports
-// Found with probability ≥ 1-ε under the faithful parameterization.
+// Found with probability ≥ 1-ε under the faithful parameterization. It is
+// a batch of one for the fused driver (see DetectEvenCycleFused).
 func DetectEvenCycle(g *graph.Graph, k int, opt Options) (*Result, error) {
+	comps, _, err := algorithm1([]FusedItem{{Graph: g, Seed: opt.Seed, Iterations: opt.MaxIterations}}, k, opt, false)
+	if err != nil {
+		return nil, err
+	}
+	return &comps[0].res, nil
+}
+
+// resolveParams derives the parameterization of a run on n vertices: the
+// paper's values at ε = opt.Eps (0 means 1/3) with opt's K, p and τ
+// overrides applied.
+func resolveParams(n, k int, opt Options) (Params, error) {
 	eps := opt.Eps
 	if eps == 0 {
 		eps = 1.0 / 3
 	}
-	params, err := NewParams(g.NumNodes(), k, eps)
+	params, err := NewParams(n, k, eps)
 	if err != nil {
-		return nil, err
+		return Params{}, err
 	}
 	if opt.MaxIterations > 0 {
 		params.Iterations = opt.MaxIterations
@@ -112,14 +125,7 @@ func DetectEvenCycle(g *graph.Graph, k int, opt Options) (*Result, error) {
 	if opt.Threshold > 0 {
 		params.Tau = opt.Threshold
 	}
-	return runAlgorithm1(g, params, opt)
-}
-
-// runAlgorithm1 executes the three-call structure of Algorithm 1 for the
-// given (possibly overridden) parameters.
-func runAlgorithm1(g *graph.Graph, params Params, opt Options) (*Result, error) {
-	res, _, _, _, err := runAlgorithm1Capturing(g, params, opt)
-	return res, err
+	return params, nil
 }
 
 // IterationColors draws the fresh uniform coloring of iteration `it`
@@ -148,9 +154,9 @@ func iterationColorsInto(dst []int8, L int, seed uint64, it int) {
 	}
 }
 
-// iterOutcome is the result of one coloring iteration (one trial of the
-// shared scheduler): the summed cost of its color-BFS calls plus the
-// detection state needed to finish the run.
+// iterOutcome is one component's result of one coloring iteration (one
+// trial of the shared scheduler): the summed cost of its color-BFS calls
+// plus the detection state needed to finish the run.
 type iterOutcome struct {
 	costs    congest.Costs
 	found    bool
@@ -168,50 +174,119 @@ func bfsCosts(rep *congest.Report, bfs *ColorBFS) congest.Costs {
 	return c
 }
 
-// runAlgorithm1Capturing is runAlgorithm1 but additionally returns the
-// detecting ColorBFS instance, its detection and the engine, so that
-// follow-up protocols (witness notification, Section 1.2's local
-// detection) can run on the same session state.
-func runAlgorithm1Capturing(g *graph.Graph, params Params, opt Options) (*Result, *ColorBFS, Detection, *congest.Engine, error) {
-	n := g.NumNodes()
-	net := congest.NewNetwork(g, opt.Seed)
-	eng := congest.NewEngine(net)
+// component is one item of an algorithm1 run: the item, its own
+// parameters, its node range in the fused network and its result. A
+// capturing run that found a cycle also keeps the detecting ColorBFS and
+// its detection, so that a follow-up protocol (witness notification) can
+// run on the same session state.
+type component struct {
+	FusedItem
+	params Params
+	lo, hi graph.NodeID
+	active bool
+	res    Result
+	bfs    *ColorBFS
+	det    Detection
+}
+
+// algorithm1 is the one driver of Algorithm 1. It runs the items in fused
+// engine sessions on the disjoint union of their graphs; a batch of one
+// runs on its graph itself (see congest.NewFusedEngine) and is the solo
+// detector. Everything n-dependent is per component, so each component
+// executes exactly the protocol it would alone (see DetectEvenCycleFused).
+//
+// An item's budget of 0 keeps opt.MaxIterations (0: the faithful K).
+// Session tags are item 0's solo tags, sched.Tag(seed, 0xa190, it, ci);
+// in a batch of more than one no color-BFS session draws randomness
+// (DetectEvenCycleFused admits neither SeedProb < 1 nor DropProb), so
+// only a batch of one depends on them. A batch of one runs its trials
+// opt.Parallel at a time; larger batches run them sequentially, because
+// the fold masks finished components out of arrays that the trials read.
+// capture (a batch of one only) retains the detecting ColorBFS; the
+// engine is returned for the follow-up protocol.
+func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]component, *congest.Engine, error) {
+	comps := make([]component, len(items))
+	gs := make([]*graph.Graph, len(items))
+	seeds := make([]uint64, len(items))
+	iterations, uniform := 0, true
+	total := 0
+	for i, it := range items {
+		p, err := resolveParams(it.Graph.NumNodes(), k, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		if it.Iterations > 0 {
+			p.Iterations = it.Iterations
+		}
+		// The union lays item i's nodes out right after item i-1's (see
+		// congest.NewFusedEngine).
+		lo := graph.NodeID(total)
+		total += p.N
+		comps[i] = component{FusedItem: it, params: p, lo: lo, hi: graph.NodeID(total), active: true}
+		comps[i].res.Params = p
+		gs[i], seeds[i] = it.Graph, it.Seed
+		iterations = max(iterations, p.Iterations)
+		uniform = uniform && p.N == comps[0].params.N
+	}
+	eng := congest.NewFusedEngine(gs, seeds)
 	eng.Runtime = opt.Runtime
 	eng.DropProb = opt.DropProb
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 
-	res := &Result{Params: params}
-	var detBFS *ColorBFS
-	var det Detection
-
-	// Instructions 1–5: construct U, S, W (one communication round).
-	sets := &Sets{Params: params}
+	bfsThreshold := func(p Params) int {
+		if opt.BFSThreshold > 0 {
+			return opt.BFSThreshold
+		}
+		return p.Tau
+	}
+	// Instructions 1–5 for the whole batch in one session. Every
+	// parameter is a function of n, so a batch whose graphs share n
+	// (always so for a batch of one) needs no per-node tables; otherwise
+	// per-node p, n^{1/k} and τ give each component its own.
+	sets := &Sets{Params: comps[0].params}
+	thr := bfsThreshold(comps[0].params)
+	var thrAt []int32
+	if !uniform {
+		sets.PAt = make([]float64, total)
+		sets.LightMaxAt = make([]int32, total)
+		thrAt = make([]int32, total)
+		for i := range comps {
+			c := &comps[i]
+			t := idset.CapLen(bfsThreshold(c.params))
+			for v := c.lo; v < c.hi; v++ {
+				sets.PAt[v] = c.params.P
+				sets.LightMaxAt[v] = int32(c.params.LightMax)
+				thrAt[v] = t
+			}
+		}
+	}
 	rep, err := eng.Run(sets)
 	if err != nil {
-		return nil, nil, det, nil, fmt.Errorf("core: set construction: %w", err)
+		return nil, nil, fmt.Errorf("core: set construction: %w", err)
 	}
-	sets.Finish()
-	res.Merge(rep.Costs())
-	res.SizeU, res.SizeS, res.SizeW = sets.SizeU, sets.SizeS, sets.SizeW
+	for i := range comps {
+		c := &comps[i]
+		rc := rep.Comp(i)
+		c.res.Rounds, c.res.Messages = rc.Rounds, rc.Messages
+		for v := c.lo; v < c.hi; v++ {
+			c.res.SizeU += b2i(sets.InU[v])
+			c.res.SizeS += b2i(sets.InS[v])
+			c.res.SizeW += b2i(sets.InW[v])
+		}
+	}
 
 	seedProb := opt.SeedProb
 	if seedProb == 0 {
 		seedProb = 1
 	}
-	bfsThreshold := opt.BFSThreshold
-	if bfsThreshold == 0 {
-		bfsThreshold = params.Tau
-	}
-
-	all := make([]bool, n)
-	notS := make([]bool, n)
-	for v := 0; v < n; v++ {
+	all := make([]bool, total)
+	notS := make([]bool, total)
+	for v := range total {
 		all[v] = true
 		notS[v] = !sets.InS[v]
 	}
-	L := 2 * params.K
-
+	L := 2 * k
 	calls := []struct {
 		name     string
 		inH, inX []bool
@@ -221,79 +296,147 @@ func runAlgorithm1Capturing(g *graph.Graph, params Params, opt Options) (*Result
 		{"heavy (G∖S,W)", notS, sets.InW},      // Instruction 11
 	}
 
-	// Instruction 7: K search phases, as independent trials on the shared
-	// scheduler. Each trial runs the three color-BFS calls of one coloring
-	// under explicit session tags; the fold below aggregates the
-	// deterministic prefix, so the result is the same for every Parallel.
-	// Invocations are pooled: every trial reuses the identifier-set tables
-	// of earlier ones, so the 3×K color-BFS calls allocate almost nothing
-	// after the first coloring.
-	pool := NewColorBFSPool(n)
-	trial := func(it int) (*iterOutcome, error) {
-		colors := IterationColors(n, L, opt.Seed, it)
-		out := &iterOutcome{}
+	// Instruction 7: K search phases, as trials on the shared scheduler.
+	// Each trial runs the three color-BFS calls of one coloring under
+	// explicit session tags and returns one outcome per component; the
+	// fold aggregates the deterministic prefix, so the result is the same
+	// for every Parallel. Invocations are pooled: every trial reuses the
+	// identifier-set tables of earlier ones.
+	pool := NewColorBFSPool(total)
+	trial := func(it int) ([]iterOutcome, error) {
+		outs := make([]iterOutcome, len(comps))
+		// A fresh coloring array per trial: pooled invocations cache their
+		// send-phase buckets by the Color slice's identity. Inactive
+		// components keep color 0; their nodes are outside every H.
+		colors := make([]int8, total)
+		for i := range comps {
+			if c := &comps[i]; c.active {
+				iterationColorsInto(colors[c.lo:c.hi], L, c.Seed, it)
+			}
+		}
 		for ci, call := range calls {
 			bfs, err := pool.Acquire(ColorBFSSpec{
-				L:         L,
-				Color:     colors,
-				InH:       call.inH,
-				InX:       call.inX,
-				Threshold: bfsThreshold,
-				SeedProb:  seedProb,
-				Pipelined: opt.Pipelined,
+				L:           L,
+				Color:       colors,
+				InH:         call.inH,
+				InX:         call.inX,
+				Threshold:   thr,
+				ThresholdAt: thrAt,
+				SeedProb:    seedProb,
+				Pipelined:   opt.Pipelined,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("core: %s: %w", call.name, err)
 			}
-			rep, err := bfs.RunSessions(eng, sched.Tag(opt.Seed, 0xa190, uint64(it), uint64(ci)))
+			rep, err := bfs.RunSessions(eng, sched.Tag(comps[0].Seed, 0xa190, uint64(it), uint64(ci)))
 			if err != nil {
 				return nil, fmt.Errorf("core: %s: %w", call.name, err)
 			}
-			out.costs.Merge(bfsCosts(rep, bfs))
-			if len(bfs.Detections()) > 0 && !out.found {
-				d := bfs.Detections()[0]
-				witness, err := bfs.Witness(d)
-				if err != nil {
-					return nil, fmt.Errorf("core: %s: %w", call.name, err)
+			retained := false
+			for i := range comps {
+				c, out := &comps[i], &outs[i]
+				if !c.active {
+					continue
 				}
-				if err := graph.IsSimpleCycle(g, witness, L); err != nil {
-					return nil, fmt.Errorf("core: %s produced invalid witness %v: %w", call.name, witness, err)
+				rc := rep.Comp(i)
+				out.costs.Merge(congest.Costs{
+					Rounds:        rc.Rounds,
+					Messages:      rc.Messages,
+					MaxCongestion: bfs.MaxCongestionRange(c.lo, c.hi),
+					Overflowed:    bfs.OverflowedRange(c.lo, c.hi),
+				})
+				if out.found {
+					continue
 				}
-				out.found = true
-				out.witness = witness
-				out.detector = d.Node
-				out.bfs = bfs
-				out.det = d
+				for _, d := range bfs.Detections() {
+					if d.Node < c.lo || d.Node >= c.hi {
+						continue
+					}
+					witness, err := bfs.Witness(d)
+					if err != nil {
+						return nil, fmt.Errorf("core: %s: %w", call.name, err)
+					}
+					for j := range witness {
+						witness[j] -= c.lo
+					}
+					if err := graph.IsSimpleCycle(c.Graph, witness, L); err != nil {
+						return nil, fmt.Errorf("core: %s produced invalid witness %v: %w", call.name, witness, err)
+					}
+					out.found, out.witness, out.detector = true, witness, d.Node-c.lo
+					if capture {
+						out.bfs, out.det, retained = bfs, d, true
+					}
+					break
+				}
 			}
-			if out.bfs != bfs {
-				// The detecting invocation is retained (witness notification
-				// walks its parent pointers after the loop); everything else
-				// goes back to the pool.
+			if !retained {
 				pool.Release(bfs)
 			}
 		}
-		return out, nil
+		return outs, nil
 	}
-	fold := func(it int, out *iterOutcome) bool {
-		res.IterationsRun = it + 1
-		res.Merge(out.costs)
-		if out.found && !res.Found {
-			res.Found = true
-			res.Witness = out.witness
-			res.Detector = out.detector
-			detBFS = out.bfs
-			det = out.det
-		} else if out.bfs != nil {
-			// A detecting trial that lost the fold (KeepGoing, or a later
-			// index than the first winner) no longer needs its retained
-			// invocation; only detBFS must stay readable for notification.
-			pool.Release(out.bfs)
+	// stops reports whether component c ends with iteration it.
+	stops := func(c *component, it int) bool {
+		return (c.res.Found && !opt.KeepGoing) || it+1 >= c.params.Iterations
+	}
+	fold := func(it int, outs []iterOutcome) bool {
+		live := 0
+		for i := range comps {
+			c, out := &comps[i], &outs[i]
+			if !c.active {
+				continue
+			}
+			c.res.IterationsRun = it + 1
+			c.res.Merge(out.costs)
+			if out.found && !c.res.Found {
+				c.res.Found, c.res.Witness, c.res.Detector = true, out.witness, out.detector
+				c.bfs, c.det = out.bfs, out.det
+			} else if out.bfs != nil {
+				// A detecting trial that lost the fold (KeepGoing, or a later
+				// index than the first winner) no longer needs its retained
+				// invocation.
+				pool.Release(out.bfs)
+			}
+			if !stops(c, it) {
+				live++
+			}
 		}
-		return res.Found && !opt.KeepGoing
+		if live == 0 {
+			return true
+		}
+		// Some component continues, so this is a batch of more than one
+		// and the trials run sequentially: masking the finished components
+		// out of the shared arrays races with no trial.
+		for i := range comps {
+			c := &comps[i]
+			if !c.active || !stops(c, it) {
+				continue
+			}
+			c.active = false
+			for v := c.lo; v < c.hi; v++ {
+				all[v], notS[v] = false, false
+				sets.InU[v], sets.InS[v], sets.InW[v] = false, false, false
+			}
+		}
+		return false
 	}
 	runner := sched.TrialRunner{Workers: opt.Parallel}
-	if _, err := sched.Run(runner, params.Iterations, trial, fold); err != nil {
-		return nil, nil, det, nil, err
+	if len(comps) > 1 {
+		runner.Workers = 1
 	}
-	return res, detBFS, det, eng, nil
+	if _, err := sched.Run(runner, iterations, trial, fold); err != nil {
+		return nil, nil, err
+	}
+	for i := range comps {
+		c := &comps[i]
+		c.res.Bits = c.res.Messages * congest.MessageBits(c.params.N)
+	}
+	return comps, eng, nil
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

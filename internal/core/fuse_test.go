@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -99,26 +100,6 @@ func TestDetectEvenCycleFusedMatchesParallelSolo(t *testing.T) {
 	}
 }
 
-// TestDetectEvenCycleFusedSingleton pins the degenerate batch of one.
-func TestDetectEvenCycleFusedSingleton(t *testing.T) {
-	g, _, err := graph.PlantedLight(60, 4, 2.0, graph.NewRand(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	item := FusedItem{Graph: g, Seed: 31, Iterations: 4}
-	fused, err := DetectEvenCycleFused([]FusedItem{item}, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := DetectEvenCycle(g, 2, soloOptions(Options{}, item))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fused[0], solo) {
-		t.Fatalf("singleton:\nfused %+v\nsolo  %+v", fused[0], solo)
-	}
-}
-
 // TestDetectEvenCycleFusedRejectsUnsupported pins the unsupported-knob
 // errors (randomized activation, fault injection, missing budget).
 func TestDetectEvenCycleFusedRejectsUnsupported(t *testing.T) {
@@ -135,5 +116,54 @@ func TestDetectEvenCycleFusedRejectsUnsupported(t *testing.T) {
 	}
 	if _, err := DetectEvenCycleFused(nil, 2, Options{}); err == nil {
 		t.Fatal("expected empty-batch rejection")
+	}
+}
+
+// TestThresholdAboveInt32Saturates pins that a τ beyond MaxInt32 caps
+// nothing instead of wrapping when converted to the per-node int32
+// bound: the faithful τ of k=24 on C₄₈ (24·2²⁴·48 ≈ 1.9·10¹⁰) and an
+// explicit Threshold of 2³² must run without error and without
+// overflow, solo, as a fused batch of one, and as a batch of two whose
+// graphs differ in n (per-node thresholds).
+func TestThresholdAboveInt32Saturates(t *testing.T) {
+	planted, _, err := graph.PlantedLight(60, 4, 2.0, graph.NewRand(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		g, peer *graph.Graph
+		k       int
+		opt     Options
+	}{
+		{"faithful-k24-C48", graph.Cycle(48), graph.Cycle(50), 24, Options{}},
+		{"threshold-2^32", planted, graph.Gnm(40, 120, graph.NewRand(3)), 2, Options{Threshold: 1 << 32}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			item := FusedItem{Graph: tc.g, Seed: 5, Iterations: 2}
+			solo, err := DetectEvenCycle(tc.g, tc.k, soloOptions(tc.opt, item))
+			if err != nil {
+				t.Fatalf("solo: %v", err)
+			}
+			if solo.Params.Tau <= math.MaxInt32 {
+				t.Fatalf("τ = %d does not exceed MaxInt32", solo.Params.Tau)
+			}
+			one, err := DetectEvenCycleFused([]FusedItem{item}, tc.k, tc.opt)
+			if err != nil {
+				t.Fatalf("batch of one: %v", err)
+			}
+			two, err := DetectEvenCycleFused([]FusedItem{item, {Graph: tc.peer, Seed: 6, Iterations: 2}}, tc.k, tc.opt)
+			if err != nil {
+				t.Fatalf("batch of two: %v", err)
+			}
+			for name, res := range map[string]*Result{"solo": solo, "batch of one": one[0], "batch of two": two[0], "peer": two[1]} {
+				if res.Overflowed {
+					t.Errorf("%s: overflowed under τ = %d", name, res.Params.Tau)
+				}
+			}
+			if !reflect.DeepEqual(two[0], solo) {
+				t.Errorf("batch component differs from solo:\nfused %+v\nsolo  %+v", two[0], solo)
+			}
+		})
 	}
 }

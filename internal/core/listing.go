@@ -83,22 +83,9 @@ type ListResult struct {
 // witness, and distinct cycles are collected. Every returned cycle is
 // verified against g.
 func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
-	eps := opt.Eps
-	if eps == 0 {
-		eps = 1.0 / 3
-	}
-	params, err := NewParams(g.NumNodes(), k, eps)
+	params, err := resolveParams(g.NumNodes(), k, opt)
 	if err != nil {
 		return nil, err
-	}
-	if opt.MaxIterations > 0 {
-		params.Iterations = opt.MaxIterations
-	}
-	if opt.POverride > 0 {
-		params.ApplyP(opt.POverride)
-	}
-	if opt.Threshold > 0 {
-		params.Tau = opt.Threshold
 	}
 
 	n := g.NumNodes()

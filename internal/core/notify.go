@@ -92,39 +92,18 @@ type LocalResult struct {
 // witness-notification protocol, returning the full rejecting set — the
 // local-detection output of Section 1.2.
 func DetectEvenCycleLocal(g *graph.Graph, k int, opt Options) (*LocalResult, error) {
-	// Re-run the final detecting color-BFS is not needed: we re-execute
-	// the whole driver but capture the detecting BFS by replaying the
-	// winning call with the same seeds. Simpler and faithful: run the
-	// driver, then reconstruct membership from the witness directly via a
-	// notification session on a fresh ColorBFS replay is not available —
-	// instead the driver below duplicates runAlgorithm1's loop, keeping
-	// the detecting ColorBFS alive for the notification.
-	eps := opt.Eps
-	if eps == 0 {
-		eps = 1.0 / 3
-	}
-	params, err := NewParams(g.NumNodes(), k, eps)
+	comps, eng, err := algorithm1([]FusedItem{{Graph: g, Seed: opt.Seed, Iterations: opt.MaxIterations}}, k, opt, true)
 	if err != nil {
 		return nil, err
 	}
-	if opt.MaxIterations > 0 {
-		params.Iterations = opt.MaxIterations
-	}
-	if opt.POverride > 0 {
-		params.ApplyP(opt.POverride)
-	}
-	if opt.Threshold > 0 {
-		params.Tau = opt.Threshold
-	}
-	res, bfs, det, eng, err := runAlgorithm1Capturing(g, params, opt)
-	if err != nil {
-		return nil, err
-	}
+	res := &comps[0].res
 	out := &LocalResult{Result: res}
 	if !res.Found {
 		return out, nil
 	}
-	notify := &WitnessNotify{BFS: bfs, Det: det}
+	// The driver retained the detecting ColorBFS: notification walks its
+	// parent pointers on the same engine.
+	notify := &WitnessNotify{BFS: comps[0].bfs, Det: comps[0].det}
 	rep, err := eng.Run(notify)
 	if err != nil {
 		return nil, fmt.Errorf("core: witness notification: %w", err)

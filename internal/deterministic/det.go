@@ -115,10 +115,8 @@ type detProto struct {
 	// candidate records, not in a store.
 	first *idset.Store
 
-	// over[v] is set when v's set hit the threshold; overAny mirrors it
-	// globally (written from concurrent handlers, hence atomic).
-	over    []bool
-	overAny atomic.Bool
+	// over[v] is set when v's set hit the threshold.
+	over []bool
 
 	// Pending relays, drained one broadcast per round (pipelined).
 	queue [][]uint64
@@ -133,7 +131,7 @@ var _ congest.Handler = (*detProto)(nil)
 func newDetProto(n, k, tau int) *detProto {
 	return &detProto{
 		k:     uint64(k),
-		tau:   int32(tau),
+		tau:   idset.CapLen(tau),
 		first: idset.New(n),
 		over:  make([]bool, n),
 		queue: make([][]uint64, n),
@@ -195,7 +193,6 @@ func (p *detProto) accept(u graph.NodeID, m congest.Message) {
 		// and cancel the relays not yet sent (those already broadcast
 		// remain valid walk certificates downstream).
 		p.over[u] = true
-		p.overAny.Store(true)
 		p.queue[u] = p.queue[u][:p.qIdx[u]]
 		return
 	}
@@ -300,44 +297,12 @@ func (p *detProto) witness(c candidate) ([]graph.NodeID, error) {
 // collision reconstructs a self-intersecting walk (parent chains are
 // first-arrival; chords can pollute them, mostly at k ≥ 3 on dense
 // instances — experiment D1 tabulates the realized detection rate).
+//
+// Detect is DetectMulti's batch of one.
 func Detect(g *graph.Graph, k int, opt Options) (*Result, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("deterministic: k = %d < 2 (C_2k detection needs k ≥ 2)", k)
-	}
-	if k > MaxK {
-		return nil, fmt.Errorf("deterministic: k = %d exceeds the %d-bit walk-length field (MaxK = %d)", k, hopBits, MaxK)
-	}
-	n := g.NumNodes()
-	tau := opt.Threshold
-	if tau <= 0 {
-		tau = DefaultThreshold(n, k)
-	}
-	net := congest.NewNetwork(g, opt.Seed)
-	eng := congest.NewEngine(net)
-	eng.Runtime = opt.Runtime
-	eng.Cancel = opt.Cancel
-	eng.Observe = opt.Observe
-
-	proto := newDetProto(n, k, tau)
-	rep, err := eng.Run(proto)
+	results, err := DetectMulti([]*graph.Graph{g}, k, opt)
 	if err != nil {
-		return nil, fmt.Errorf("deterministic: %w", err)
+		return nil, err
 	}
-	res := &Result{Costs: rep.Costs(), Threshold: tau}
-	res.MaxCongestion, res.Overflowed = proto.first.MaxLen(), proto.overAny.Load()
-	for _, c := range proto.candidates() {
-		res.Candidates++
-		cycle, err := proto.witness(c)
-		if err != nil {
-			return nil, err
-		}
-		if graph.IsSimpleCycle(g, cycle, 2*k) != nil {
-			continue // a self-intersecting closed walk, not a C_2k
-		}
-		res.Found = true
-		res.Witness = cycle
-		res.Detector = c.Node
-		break
-	}
-	return res, nil
+	return results[0], nil
 }

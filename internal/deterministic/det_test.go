@@ -2,6 +2,8 @@ package deterministic
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/congest"
@@ -202,5 +204,48 @@ func TestRejectsBadK(t *testing.T) {
 	}
 	if _, err := Detect(g, MaxK+1, Options{}); err == nil {
 		t.Fatal("k beyond the walk-length field accepted")
+	}
+}
+
+// TestThresholdAboveInt32Saturates pins that a τ beyond MaxInt32 caps
+// nothing instead of wrapping when converted to the per-node int32
+// bound: Threshold 2³² runs exactly as Threshold MaxInt32, solo and
+// fused, and the verdict matches the default τ's.
+func TestThresholdAboveInt32Saturates(t *testing.T) {
+	g := graph.Gnm(50, 100, graph.NewRand(4))
+	peer := graph.Gnm(30, 70, graph.NewRand(5))
+	def, err := Detect(g, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !def.Found {
+		t.Fatal("fixture: the default τ misses the C₄")
+	}
+	capped, err := DetectMulti([]*graph.Graph{g, peer}, 2, Options{Threshold: math.MaxInt32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge, err := DetectMulti([]*graph.Graph{g, peer}, 2, Options{Threshold: 1 << 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := Detect(g, 2, Options{Threshold: 1 << 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"solo": solo, "fused": huge[0], "peer": huge[1]} {
+		if res.Overflowed || res.Threshold != 1<<32 {
+			t.Errorf("%s: overflowed %v, threshold %d", name, res.Overflowed, res.Threshold)
+		}
+	}
+	for i, res := range []*Result{huge[0], huge[1], solo} {
+		want := *capped[i%2]
+		want.Threshold = 1 << 32
+		if !reflect.DeepEqual(*res, want) {
+			t.Errorf("run %d at τ=2³² differs from τ=MaxInt32:\n got %+v\nwant %+v", i, *res, want)
+		}
+	}
+	if solo.Found != def.Found {
+		t.Errorf("τ=2³² found %v, default τ found %v", solo.Found, def.Found)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/graph"
+	"repro/internal/idset"
 )
 
 // DetectMulti runs the deterministic detector for a batch of independent
@@ -18,7 +19,9 @@ import (
 // everything per-session: engine and protocol allocation, round
 // scheduling, and bitmap/scatter fixed costs, amortized across the
 // batch. Per-component costs are split via the engine's component
-// accounting; Bits are charged at each component's own MessageBits(n).
+// accounting (Report.Comp); Bits are charged at each component's own
+// MessageBits(n). This is the detector's one driver: Detect is a batch
+// of one, which runs on its graph itself with no component map.
 func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("deterministic: k = %d < 2 (C_2k detection needs k ≥ 2)", k)
@@ -33,30 +36,31 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 	for i := range seeds {
 		seeds[i] = opt.Seed // the protocol draws no randomness
 	}
-	eng, parts := congest.NewFusedEngine(gs, seeds)
+	eng := congest.NewFusedEngine(gs, seeds)
 	eng.Runtime = opt.Runtime
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 
-	taus := make([]int, len(gs))
-	uniform := true
-	for i, g := range gs {
-		taus[i] = opt.Threshold
-		if taus[i] <= 0 {
-			taus[i] = DefaultThreshold(g.NumNodes(), k)
+	tau := func(g *graph.Graph) int {
+		if opt.Threshold > 0 {
+			return opt.Threshold
 		}
-		uniform = uniform && taus[i] == taus[0]
+		return DefaultThreshold(g.NumNodes(), k)
+	}
+	uniform := true
+	for _, g := range gs {
+		uniform = uniform && tau(g) == tau(gs[0])
 	}
 	// One τ for the whole union (always so for a batch of one) needs no
-	// per-node table.
-	total := eng.Network().NumNodes()
-	proto := newDetProto(total, k, taus[0])
+	// per-node table. The union lays graph i's nodes out right after
+	// graph i-1's (see congest.NewFusedEngine).
+	proto := newDetProto(eng.Network().NumNodes(), k, tau(gs[0]))
 	if !uniform {
-		proto.tauAt = make([]int32, total)
-		for i, tau := range taus {
-			lo, hi := parts.Component(i)
-			for v := lo; v < hi; v++ {
-				proto.tauAt[v] = int32(tau)
+		proto.tauAt = make([]int32, 0, eng.Network().NumNodes())
+		for _, g := range gs {
+			t := idset.CapLen(tau(g))
+			for range g.NumNodes() {
+				proto.tauAt = append(proto.tauAt, t)
 			}
 		}
 	}
@@ -67,14 +71,17 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 
 	cands := proto.candidates()
 	results := make([]*Result, len(gs))
+	var hi graph.NodeID
 	for i, g := range gs {
-		lo, hi := parts.Component(i)
+		lo := hi
+		hi += graph.NodeID(g.NumNodes())
+		rc := rep.Comp(i)
 		res := &Result{Costs: congest.Costs{
-			Rounds:        rep.PerComp[i].Rounds,
-			Messages:      rep.PerComp[i].Messages,
-			Bits:          rep.PerComp[i].Messages * congest.MessageBits(g.NumNodes()),
+			Rounds:        rc.Rounds,
+			Messages:      rc.Messages,
+			Bits:          rc.Messages * congest.MessageBits(g.NumNodes()),
 			MaxCongestion: proto.first.MaxLenRange(lo, hi),
-		}, Threshold: taus[i]}
+		}, Threshold: tau(g)}
 		for v := lo; v < hi; v++ {
 			if proto.over[v] {
 				res.Overflowed = true
@@ -84,7 +91,7 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 		// Candidates are globally sorted by (Node, Src, Second); a
 		// component's node block is contiguous, so its candidates appear in
 		// exactly the order a solo run sorts them. Examine them in that
-		// order until the first verified simple cycle, as Detect does.
+		// order until the first verified simple cycle.
 		for _, c := range cands {
 			if c.Node < lo || c.Node >= hi {
 				continue

@@ -68,19 +68,3 @@ func TestDetectMultiMatchesSolo(t *testing.T) {
 		}
 	}
 }
-
-// TestDetectMultiSingleton pins that a batch of one is identical to solo.
-func TestDetectMultiSingleton(t *testing.T) {
-	g := graph.Gnm(80, 240, graph.NewRand(5))
-	fused, err := DetectMulti([]*graph.Graph{g}, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := Detect(g, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fused[0], solo) {
-		t.Fatalf("singleton fused %+v != solo %+v", fused[0], solo)
-	}
-}

@@ -1,6 +1,9 @@
 package idset
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // NodeID mirrors graph.NodeID; the package depends on nothing so the
 // substrate layers (graph, congest, core, baseline) can all use it.
@@ -101,11 +104,15 @@ func (s *Store) MaxLen() int {
 }
 
 // MaxLenRange returns the largest set size among nodes in [lo, hi).
-// Unlike MaxLen it is an O(hi-lo) scan of the meta slab; fused sessions
-// use it to split the congestion watermark by component (sets only ever
-// grow within a generation, so the final per-node length IS the node's
-// historical maximum).
+// Unlike MaxLen it is an O(hi-lo) scan of the meta slab, except over the
+// whole store, where it is MaxLen; fused sessions use it to split the
+// congestion watermark by component (sets only ever grow within a
+// generation, so the final per-node length IS the node's historical
+// maximum).
 func (s *Store) MaxLenRange(lo, hi NodeID) int {
+	if lo == 0 && int(hi) == len(s.meta) {
+		return s.MaxLen()
+	}
 	best := int32(0)
 	for v := lo; v < hi; v++ {
 		if l := s.lenOf(v); l > best {
@@ -153,6 +160,13 @@ func (s *Store) InsertCapped(v NodeID, id uint64, val int32, capLen int32) (inse
 	}
 	_, _, inserted = s.put(v, id, val, false)
 	return inserted, false
+}
+
+// CapLen converts a set-size bound to InsertCapped's int32 domain,
+// saturating at math.MaxInt32. A set's live count is itself an int32, so
+// every bound at or above MaxInt32 caps exactly the same sets: none.
+func CapLen(bound int) int32 {
+	return int32(min(bound, math.MaxInt32))
 }
 
 // Put adds or overwrites id → val in node v's set, returning the previous

@@ -305,6 +305,34 @@ func TestParameterPlumbing(t *testing.T) {
 	}
 }
 
+// TestThresholdAboveInt32 pins that a request τ beyond MaxInt32 reaches
+// the detectors saturated, not wrapped: a det verdict at τ = 2³² is the
+// default τ's (and is cached forever, so a wrapped τ's blind miss would
+// stick), and an even request at the same τ runs without error or
+// overflow.
+func TestThresholdAboveInt32(t *testing.T) {
+	svc := New(Config{})
+	g := graph.Gnm(50, 100, graph.NewRand(4))
+	def, _, err := svc.Do(context.Background(), &Request{Graph: g, Algo: AlgoDet, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge, _, err := svc.Do(context.Background(), &Request{Graph: g, Algo: AlgoDet, K: 2, Threshold: 1 << 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !def.Found || !huge.Found || huge.Overflowed {
+		t.Fatalf("det at τ=2³²: found %v overflowed %v; default τ found %v", huge.Found, huge.Overflowed, def.Found)
+	}
+	even, _, err := svc.Do(context.Background(), &Request{Graph: g, Algo: AlgoEven, K: 2, Seed: 3, Iterations: 2, Threshold: 1 << 32})
+	if err != nil {
+		t.Fatalf("even at τ=2³²: %v", err)
+	}
+	if even.Overflowed {
+		t.Fatal("even at τ=2³² overflowed")
+	}
+}
+
 // TestRequestValidation covers the pre-admission error paths.
 func TestRequestValidation(t *testing.T) {
 	svc := New(Config{})
