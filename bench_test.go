@@ -180,8 +180,8 @@ func (sc detectScenario) run(g *graph.Graph, observe func(int, time.Duration)) e
 	if err != nil {
 		return err
 	}
-	if res.IterationsRun != sc.iters {
-		return fmt.Errorf("ran %d iterations, want %d", res.IterationsRun, sc.iters)
+	if res.Iterations != sc.iters {
+		return fmt.Errorf("ran %d iterations, want %d", res.Iterations, sc.iters)
 	}
 	return nil
 }

@@ -101,6 +101,13 @@ type outcome struct {
 	MaxBallEdges int              `json:"max_ball_edges,omitempty"`
 }
 
+// setVerdict copies a detector's verdict record into o.
+func (o *outcome) setVerdict(v *evencycle.Result) {
+	o.Found, o.Witness, o.FoundLen = v.Found, v.Witness, v.FoundLen
+	o.Rounds, o.Messages, o.Bits = v.Rounds, v.Messages, v.Bits
+	o.MaxCongestion, o.Overflowed, o.Iterations = v.MaxCongestion, v.Overflowed, v.Iterations
+}
+
 // verifyWitness fills WitnessVerified (and prints in text mode).
 func (o *outcome) verifyWitness(g *evencycle.Graph, jsonMode bool) {
 	if len(o.Witness) == 0 {
@@ -228,11 +235,7 @@ func run() error {
 			if err != nil {
 				return false, err
 			}
-			o.Found = res.Found
-			o.Witness = res.Witness
-			o.FoundLen = res.FoundLen
-			o.Rounds, o.Messages, o.Bits = res.Rounds, res.Messages, res.Bits
-			o.MaxCongestion, o.Overflowed, o.Iterations = res.MaxCongestion, res.Overflowed, res.Iterations
+			o.setVerdict(res)
 			return res.Found, nil
 		}
 	}
@@ -293,11 +296,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		out.Found = res.Found
-		out.Witness = res.Witness
-		out.FoundLen = res.FoundLen
-		out.Rounds, out.Messages, out.Bits = res.Rounds, res.Messages, res.Bits
-		out.MaxCongestion, out.Overflowed = res.MaxCongestion, res.Overflowed
+		out.setVerdict(res)
 		if !*jsonMode {
 			fmt.Printf("found=%v rounds=%d messages=%d congestion=%d overflowed=%v\n",
 				out.Found, out.Rounds, out.Messages, out.MaxCongestion, out.Overflowed)
@@ -332,11 +331,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		out.Found = res.Found
-		out.Witness = res.Witness
-		out.FoundLen = res.FoundLen
-		out.Rounds, out.Messages, out.Bits = res.Rounds, res.Messages, res.Bits
-		out.MaxCongestion, out.Overflowed, out.Iterations = res.MaxCongestion, res.Overflowed, res.Iterations
+		out.setVerdict(&res.Result)
 		out.Rejecting = res.Rejecting
 		if !*jsonMode {
 			fmt.Printf("found=%v rounds=%d rejecting nodes=%v\n", out.Found, out.Rounds, out.Rejecting)
@@ -364,9 +359,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		out.Found = res.Found
-		out.Witness = res.Witness
-		out.Rounds, out.MaxCongestion, out.Attempts = res.Rounds, res.MaxCongestion, res.AttemptsRun
+		out.setVerdict(&res.Verdict)
+		out.Attempts = res.Iterations
 		if !*jsonMode {
 			fmt.Printf("found=%v attempts=%d rounds=%d congestion=%d\n",
 				out.Found, out.Attempts, out.Rounds, out.MaxCongestion)
@@ -380,9 +374,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		out.Found = res.Found
-		out.Witness = res.Witness
-		out.Rounds, out.Messages, out.MaxBallEdges = res.Rounds, res.Messages, res.MaxBallEdges
+		out.setVerdict(&res.Verdict)
+		out.MaxBallEdges = res.MaxBallEdges
 		if !*jsonMode {
 			fmt.Printf("found=%v rounds=%d messages=%d maxBallEdges=%d\n",
 				out.Found, out.Rounds, out.Messages, out.MaxBallEdges)

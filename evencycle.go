@@ -156,23 +156,11 @@ func buildConfig(opts []Option) config {
 // detections, never fabricate one.
 type Costs = congest.Costs
 
-// Result reports a classical detection run.
-type Result struct {
-	// Found is true iff a target cycle was detected; Witness then holds a
-	// verified simple cycle of the target length.
-	Found   bool
-	Witness []NodeID
-	// FoundLen is the witness length (equals the target length; for
-	// bounded-length detection it is the detected ℓ ≤ 2k).
-	FoundLen int
-	// Costs is the run's CONGEST cost. MaxCongestion and Overflowed are
-	// set by the detectors with threshold pruning: Detect, DetectBounded,
-	// DetectLocal and DetectDeterministic.
-	Costs
-	// Iterations is the number of coloring repetitions executed (0 for the
-	// deterministic detector, which runs a single session).
-	Iterations int
-}
+// Result reports a classical detection run: Found, a verified Witness of
+// length FoundLen, the run's CONGEST Costs and the Iterations executed
+// (0 for the deterministic detector, which runs a single session). Every
+// detector returning a Result sets all of Costs, congestion included.
+type Result = congest.Verdict
 
 // Detect decides C_{2k}-freeness on g with the paper's classical
 // Algorithm 1 (Theorem 1): one-sided error, O(n^{1-1/k}) rounds.
@@ -190,11 +178,7 @@ func Detect(g *Graph, k int, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	out := &Result{Found: res.Found, Witness: res.Witness, Costs: res.Costs, Iterations: res.IterationsRun}
-	if res.Found {
-		out.FoundLen = 2 * k
-	}
-	return out, nil
+	return &res.Verdict, nil
 }
 
 // DetectBounded decides F_{2k}-freeness (any cycle of length ≤ 2k,
@@ -213,8 +197,7 @@ func DetectBounded(g *Graph, k int, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	return &Result{Found: res.Found, Witness: res.Witness, FoundLen: res.FoundLen,
-		Costs: res.Costs, Iterations: res.IterationsRun}, nil
+	return &res.Verdict, nil
 }
 
 // DetectOdd decides C_{2k+1}-freeness with the Section 3.4 randomized
@@ -232,12 +215,7 @@ func DetectOdd(g *Graph, k int, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	out := &Result{Found: res.Found, Witness: res.Witness, Iterations: res.IterationsRun}
-	out.Rounds, out.Messages = res.Rounds, res.Messages
-	if res.Found {
-		out.FoundLen = 2*k + 1
-	}
-	return out, nil
+	return &res.Verdict, nil
 }
 
 // ListCycles runs the listing variant (Section 1.2 of the paper): all
@@ -288,14 +266,7 @@ func DetectLocal(g *Graph, k int, opts ...Option) (*LocalDetection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	out := &LocalDetection{
-		Result:    Result{Found: res.Found, Witness: res.Witness, Costs: res.Costs, Iterations: res.IterationsRun},
-		Rejecting: res.Rejecting,
-	}
-	if res.Found {
-		out.FoundLen = 2 * k
-	}
-	return out, nil
+	return &LocalDetection{Result: res.Verdict, Rejecting: res.Rejecting}, nil
 }
 
 // QuantumResult reports a quantum detection run: the verdict plus the
@@ -383,11 +354,7 @@ func DetectDeterministic(g *Graph, k int, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
 	}
-	out := &Result{Found: res.Found, Witness: res.Witness, Costs: res.Costs}
-	if res.Found {
-		out.FoundLen = 2 * k
-	}
-	return out, nil
+	return &res.Verdict, nil
 }
 
 // DetectBoundedQuantum decides F_{2k}-freeness in Õ(n^{1/2-1/2k}) charged

@@ -3,6 +3,8 @@ package evencycle
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/congest"
 )
 
 func TestFacadeDetectPlanted(t *testing.T) {
@@ -196,5 +198,25 @@ func TestFacadeDetectLocal(t *testing.T) {
 		if !member[v] {
 			t.Fatalf("node %d rejects but is not on the witness %v", v, res.Witness)
 		}
+	}
+}
+
+// TestDetectLocalChargesNotificationBits pins that the notification's
+// messages are charged bits like every other session's: the whole run
+// is one n-node network, so bits are exactly messages × MessageBits(n).
+func TestDetectLocalChargesNotificationBits(t *testing.T) {
+	g, _, err := WithPlantedCycle(RandomGraph(400, 700, 5), 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := DetectLocal(g, 2, WithSeed(1), WithIterations(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found {
+		t.Fatalf("planted C_4 missed (%d iterations)", res.Iterations)
+	}
+	if want := res.Messages * congest.MessageBits(g.NumNodes()); res.Bits != want {
+		t.Fatalf("bits = %d for %d messages, want %d", res.Bits, res.Messages, want)
 	}
 }

@@ -20,7 +20,7 @@ func TestLocalThresholdFindsPlantedC4(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_4 missed after %d attempts", res.AttemptsRun)
+		t.Fatalf("planted C_4 missed after %d attempts", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, 4); err != nil {
 		t.Fatalf("invalid witness: %v", err)
@@ -172,7 +172,7 @@ func TestNaiveDetectCongestionBlowup(t *testing.T) {
 		t.Fatalf("naive congestion %d suspiciously low around a degree-200 hub", res.MaxCongestion)
 	}
 	if !res.Found {
-		t.Fatalf("naive color coding missed planted C_4 in %d iterations", res.AttemptsRun)
+		t.Fatalf("naive color coding missed planted C_4 in %d iterations", res.Iterations)
 	}
 }
 

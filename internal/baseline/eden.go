@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -38,8 +39,7 @@ func EdenBudgetRounds(n, k int) (float64, error) {
 // re-implementing all of [DISC'19] is out of scope (see the substitution
 // matrix in docs/ARCHITECTURE.md); the row's *curve* is its budget.
 type EdenShapeResult struct {
-	Found        bool
-	Witness      []graph.NodeID
+	congest.Verdict
 	BudgetRounds float64
 	Exponent     float64
 }
@@ -59,12 +59,7 @@ func DetectEdenShape(g *graph.Graph, k int, opt core.Options) (*EdenShapeResult,
 	if err != nil {
 		return nil, err
 	}
-	return &EdenShapeResult{
-		Found:        res.Found,
-		Witness:      res.Witness,
-		BudgetRounds: budget,
-		Exponent:     exp,
-	}, nil
+	return &EdenShapeResult{Verdict: res.Verdict, BudgetRounds: budget, Exponent: exp}, nil
 }
 
 // VanApeldoornDeVosExponent is the quantum F_{2k} exponent of [PODC'22]:

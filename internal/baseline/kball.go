@@ -12,10 +12,10 @@ const kindEdge uint8 = 20 // an edge announcement (A = packed endpoints, B = TTL
 
 // KBallResult reports the deterministic full-information detector.
 type KBallResult struct {
-	Found    bool
-	Witness  []graph.NodeID
-	Rounds   int
-	Messages int64
+	// Verdict carries the flood's rounds, messages and bits; the
+	// detector has no threshold, so MaxCongestion and Overflowed stay
+	// unset.
+	congest.Verdict
 	// MaxBallEdges is the largest edge set any node accumulated — the
 	// congestion that drives the Θ(n)-type round complexity.
 	MaxBallEdges int
@@ -135,11 +135,10 @@ func DetectKBall(g *graph.Graph, k int, seed uint64, workers int) (*KBallResult,
 	if err != nil {
 		return nil, fmt.Errorf("baseline: k-ball flood: %w", err)
 	}
-	res := &KBallResult{Rounds: rep.Rounds, Messages: rep.Messages}
-	res.MaxBallEdges = proto.known.MaxLen()
+	res := &KBallResult{MaxBallEdges: proto.known.MaxLen()}
+	res.Costs = rep.Costs()
 	if cyc := graph.FindCycleLen(g, 2*k); cyc != nil {
-		res.Found = true
-		res.Witness = cyc
+		res.Found, res.Witness, res.FoundLen = true, cyc, 2*k
 	}
 	return res, nil
 }

@@ -38,14 +38,10 @@ type LocalThresholdOptions struct {
 	KeepGoing bool
 }
 
-// LocalThresholdResult reports a run.
+// LocalThresholdResult reports a run; Iterations counts the
+// (source, coloring) attempts executed.
 type LocalThresholdResult struct {
-	Found         bool
-	Witness       []graph.NodeID
-	Rounds        int
-	Messages      int64
-	AttemptsRun   int
-	MaxCongestion int
+	congest.Verdict
 }
 
 // DetectLocalThreshold runs the local-threshold algorithm of
@@ -96,8 +92,7 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 	// shared scheduler, with all shared randomness derived from the
 	// attempt index so the outcome is the same for every Parallel setting.
 	type attemptOutcome struct {
-		rep     congest.Report
-		maxCong int
+		costs   congest.Costs
 		found   bool
 		witness []graph.NodeID
 	}
@@ -130,8 +125,7 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 		if err != nil {
 			return nil, fmt.Errorf("baseline: local threshold: %w", err)
 		}
-		out := &attemptOutcome{maxCong: bfs.MaxCongestion()}
-		out.rep.Accumulate(rep)
+		out := &attemptOutcome{costs: bfs.Costs(rep)}
 		if ds := bfs.Detections(); len(ds) > 0 {
 			witness, err := bfs.Witness(ds[0])
 			if err != nil {
@@ -146,16 +140,11 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 		return out, nil
 	}
 	res := &LocalThresholdResult{}
-	total := &congest.Report{}
 	fold := func(a int, out *attemptOutcome) bool {
-		res.AttemptsRun = a + 1
-		total.Accumulate(&out.rep)
-		if out.maxCong > res.MaxCongestion {
-			res.MaxCongestion = out.maxCong
-		}
+		res.Iterations = a + 1
+		res.Merge(out.costs)
 		if out.found && !res.Found {
-			res.Found = true
-			res.Witness = out.witness
+			res.Found, res.Witness, res.FoundLen = true, out.witness, L
 		}
 		return res.Found && !opt.KeepGoing
 	}
@@ -163,8 +152,6 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 	if _, err := sched.Run(runner, attempts, trial, fold); err != nil {
 		return nil, err
 	}
-	res.Rounds = total.Rounds
-	res.Messages = total.Messages
 	return res, nil
 }
 
@@ -187,9 +174,8 @@ func NaiveDetect(g *graph.Graph, k int, iterations int, seed uint64) (*LocalThre
 	rng := graph.NewRand(seed ^ 0x0a11)
 	L := 2 * k
 	res := &LocalThresholdResult{}
-	total := &congest.Report{}
 	for it := 0; it < iterations; it++ {
-		res.AttemptsRun = it + 1
+		res.Iterations = it + 1
 		for v := range colors {
 			colors[v] = int8(rng.IntN(L))
 		}
@@ -204,10 +190,7 @@ func NaiveDetect(g *graph.Graph, k int, iterations int, seed uint64) (*LocalThre
 		if err != nil {
 			return nil, err
 		}
-		total.Accumulate(rep)
-		if c := bfs.MaxCongestion(); c > res.MaxCongestion {
-			res.MaxCongestion = c
-		}
+		res.Merge(bfs.Costs(rep))
 		if ds := bfs.Detections(); len(ds) > 0 && !res.Found {
 			witness, err := bfs.Witness(ds[0])
 			if err != nil {
@@ -216,12 +199,9 @@ func NaiveDetect(g *graph.Graph, k int, iterations int, seed uint64) (*LocalThre
 			if err := graph.IsSimpleCycle(g, witness, L); err != nil {
 				return nil, err
 			}
-			res.Found = true
-			res.Witness = witness
+			res.Found, res.Witness, res.FoundLen = true, witness, L
 			break
 		}
 	}
-	res.Rounds = total.Rounds
-	res.Messages = total.Messages
 	return res, nil
 }

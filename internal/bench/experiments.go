@@ -356,7 +356,7 @@ func E4(cfg Config) (*Table, error) {
 					maxCong = res.MaxCongestion
 				}
 				totalRounds += res.Rounds
-				totalIters += res.IterationsRun
+				totalIters += res.Iterations
 				return false
 			})
 		if err != nil {

@@ -108,8 +108,8 @@ type Runtime struct {
 }
 
 // Costs is the CONGEST cost record of a detection run, the quantities
-// the paper's analysis bounds. Every detector result embeds it, and so
-// does the service's wire response (hence the JSON keys).
+// the paper's analysis bounds. Every Verdict embeds it (hence the JSON
+// keys).
 type Costs struct {
 	// Rounds is the CONGEST time summed over every session of the run.
 	Rounds int `json:"rounds"`
@@ -133,6 +133,26 @@ func (c *Costs) Merge(o Costs) {
 	c.Bits += o.Bits
 	c.MaxCongestion = max(c.MaxCongestion, o.MaxCongestion)
 	c.Overflowed = c.Overflowed || o.Overflowed
+}
+
+// Verdict is the outcome record of a detection run: the verdict, its
+// witness, the run's cost and its trial count. Every detector result
+// embeds it, the facade's Result is it, and the service's wire response
+// embeds it (hence the JSON keys).
+type Verdict struct {
+	// Found is true iff a target cycle was detected; by one-sidedness
+	// the input then contains it, and Witness holds a simple cycle of
+	// length FoundLen verified against the input.
+	Found   bool           `json:"found"`
+	Witness []graph.NodeID `json:"witness,omitempty"`
+	// FoundLen is the witness length: the target length, or for
+	// bounded-length detection the detected ℓ ≤ 2k; 0 when not found.
+	FoundLen int `json:"found_len,omitempty"`
+	// Costs is the run's CONGEST cost; its fields marshal inline.
+	Costs
+	// Iterations is the number of coloring repetitions (trials) the
+	// verdict rests on; 0 for the single-session deterministic detectors.
+	Iterations int `json:"iterations"`
 }
 
 // Report summarizes one engine run.

@@ -12,16 +12,11 @@ import (
 // BoundedResult reports the outcome of bounded-length cycle detection
 // (F_{2k}-freeness, F_{2k} = {C_ℓ | 3 ≤ ℓ ≤ 2k}).
 type BoundedResult struct {
-	// Found is true when a cycle of some length ℓ ∈ [3, 2k] was detected;
-	// FoundLen is that length and Witness the verified cycle.
-	Found    bool
-	FoundLen int
-	Witness  []graph.NodeID
+	// Verdict is Found when a cycle of some length ℓ ∈ [3, 2k] was
+	// detected; FoundLen is that length and Witness the verified cycle.
+	congest.Verdict
 	Detector graph.NodeID
-
-	congest.Costs
-	IterationsRun int
-	Params        Params
+	Params   Params
 }
 
 // DetectBoundedCycle decides F_{2k}-freeness: whether g contains any cycle
@@ -130,7 +125,7 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 				if err != nil {
 					return nil, fmt.Errorf("core: bounded %s: %w", call.name, err)
 				}
-				out.costs.Merge(bfsCosts(rep, bfs))
+				out.costs.Merge(bfs.Costs(rep))
 				if len(bfs.Detections()) > 0 && !out.found {
 					d := bfs.Detections()[0]
 					witness, err := bfs.Witness(d)
@@ -156,7 +151,7 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 			return out, nil
 		}
 		fold := func(it int, out *iterOutcome) bool {
-			res.IterationsRun++
+			res.Iterations++
 			res.Merge(out.costs)
 			if out.found && !res.Found {
 				res.Found = true

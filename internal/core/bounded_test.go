@@ -17,7 +17,7 @@ func TestDetectBoundedFindsTriangle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_3 missed (%d iterations)", res.IterationsRun)
+		t.Fatalf("planted C_3 missed (%d iterations)", res.Iterations)
 	}
 	if res.FoundLen > 4 {
 		t.Fatalf("FoundLen = %d, want ≤ 4", res.FoundLen)
@@ -38,7 +38,7 @@ func TestDetectBoundedFindsC4(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_4 missed (%d iterations)", res.IterationsRun)
+		t.Fatalf("planted C_4 missed (%d iterations)", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, res.FoundLen); err != nil {
 		t.Fatalf("invalid witness: %v", err)
@@ -57,7 +57,7 @@ func TestDetectBoundedFindsC5ViaSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_5 missed (%d iterations)", res.IterationsRun)
+		t.Fatalf("planted C_5 missed (%d iterations)", res.Iterations)
 	}
 	if res.FoundLen < 3 || res.FoundLen > 6 {
 		t.Fatalf("FoundLen = %d outside [3,6]", res.FoundLen)
@@ -107,7 +107,7 @@ func TestDetectBoundedOnIncidenceGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_4 in incidence graph missed (%d iterations)", res.IterationsRun)
+		t.Fatalf("planted C_4 in incidence graph missed (%d iterations)", res.Iterations)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestDetectBoundedK4MultiPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_5 missed (%d iterations)", res.IterationsRun)
+		t.Fatalf("planted C_5 missed (%d iterations)", res.Iterations)
 	}
 	// Planted chords can create incidental shorter cycles; anything ≤ 6
 	// is a legitimate find, but it must verify.
@@ -137,8 +137,8 @@ func TestDetectBoundedK4MultiPair(t *testing.T) {
 		t.Fatalf("invalid witness: %v", err)
 	}
 	// The run must have consumed the ℓ=2 pair's budget before finding.
-	if res.IterationsRun <= 25000 {
-		t.Fatalf("IterationsRun = %d: expected the ℓ=2 pair's full budget plus ℓ=3 work", res.IterationsRun)
+	if res.Iterations <= 25000 {
+		t.Fatalf("Iterations = %d: expected the ℓ=2 pair's full budget plus ℓ=3 work", res.Iterations)
 	}
 }
 

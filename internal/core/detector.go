@@ -72,17 +72,13 @@ type Options struct {
 
 // Result reports the outcome and cost of a detection run.
 type Result struct {
-	// Found is true when some node rejected; by one-sidedness the input
-	// then provably contains the target cycle, and Witness holds it.
-	Found    bool
-	Witness  []graph.NodeID
+	// Verdict is Found when some node rejected; by one-sidedness the
+	// input then provably contains the target cycle, and Witness holds
+	// it. Its Costs sum every session of the run (set construction plus
+	// all color-BFS phases).
+	congest.Verdict
+	// Detector is the rejecting node.
 	Detector graph.NodeID
-
-	// Costs sums every session of the run (set construction plus all
-	// color-BFS phases).
-	congest.Costs
-	// IterationsRun is the number of coloring repetitions executed.
-	IterationsRun int
 
 	// Set sizes from the construction phase.
 	SizeU, SizeS, SizeW int
@@ -164,14 +160,6 @@ type iterOutcome struct {
 	detector graph.NodeID
 	bfs      *ColorBFS
 	det      Detection
-}
-
-// bfsCosts is one color-BFS call's cost: the sessions' report plus the
-// invocation's congestion watermark and overflow flag.
-func bfsCosts(rep *congest.Report, bfs *ColorBFS) congest.Costs {
-	c := rep.Costs()
-	c.MaxCongestion, c.Overflowed = bfs.MaxCongestion(), bfs.Overflowed()
-	return c
 }
 
 // component is one item of an algorithm1 run: the item, its own
@@ -386,10 +374,10 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 			if !c.active {
 				continue
 			}
-			c.res.IterationsRun = it + 1
+			c.res.Iterations = it + 1
 			c.res.Merge(out.costs)
 			if out.found && !c.res.Found {
-				c.res.Found, c.res.Witness, c.res.Detector = true, out.witness, out.detector
+				c.res.Found, c.res.Witness, c.res.FoundLen, c.res.Detector = true, out.witness, L, out.detector
 				c.bfs, c.det = out.bfs, out.det
 			} else if out.bfs != nil {
 				// A detecting trial that lost the fold (KeepGoing, or a later

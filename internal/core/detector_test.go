@@ -73,7 +73,7 @@ func TestDetectEvenCycleFindsPlantedC4(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_4 missed after %d iterations", res.IterationsRun)
+		t.Fatalf("planted C_4 missed after %d iterations", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, 4); err != nil {
 		t.Fatalf("invalid witness: %v", err)
@@ -94,7 +94,7 @@ func TestDetectEvenCycleFindsPlantedC6(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_6 missed after %d iterations", res.IterationsRun)
+		t.Fatalf("planted C_6 missed after %d iterations", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, 6); err != nil {
 		t.Fatalf("invalid witness: %v", err)
@@ -118,7 +118,7 @@ func TestDetectEvenCycleFindsHeavyCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("heavy planted C_4 missed after %d iterations", res.IterationsRun)
+		t.Fatalf("heavy planted C_4 missed after %d iterations", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, 4); err != nil {
 		t.Fatalf("invalid witness: %v", err)
@@ -195,7 +195,7 @@ func TestDetectEvenCyclePipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("pipelined mode missed planted C_4 (%d iterations)", res.IterationsRun)
+		t.Fatalf("pipelined mode missed planted C_4 (%d iterations)", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, 4); err != nil {
 		t.Fatalf("invalid witness: %v", err)

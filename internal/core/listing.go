@@ -72,10 +72,10 @@ type ListResult struct {
 	// Cycles are the distinct (up to rotation/reflection) verified
 	// 2k-cycles found, in canonical form, sorted lexicographically.
 	Cycles [][]graph.NodeID
-	// Rounds/Messages aggregate the run's cost.
-	Rounds        int
-	Messages      int64
-	IterationsRun int
+	// Costs aggregates the run's cost.
+	congest.Costs
+	// Iterations is the number of coloring repetitions executed.
+	Iterations int
 }
 
 // ListEvenCycles runs Algorithm 1 in listing mode: all iterations execute
@@ -95,16 +95,13 @@ func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
 	eng.Cancel = opt.Cancel
 	eng.Observe = opt.Observe
 
-	res := &ListResult{}
-	total := &congest.Report{}
-
 	sets := &Sets{Params: params}
 	rep, err := eng.Run(sets)
 	if err != nil {
 		return nil, fmt.Errorf("core: listing set construction: %w", err)
 	}
 	sets.Finish()
-	total.Accumulate(rep)
+	res := &ListResult{Costs: rep.Costs()}
 
 	seedProb := opt.SeedProb
 	if seedProb == 0 {
@@ -134,7 +131,7 @@ func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
 	// trial; the fold merges each trial's witnesses in index order, so the
 	// listed set is identical for every Parallel setting.
 	type listOutcome struct {
-		rep       congest.Report
+		costs     congest.Costs
 		witnesses [][]graph.NodeID
 	}
 	seen := make(map[string]struct{})
@@ -159,7 +156,7 @@ func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.rep.Accumulate(rep)
+			out.costs.Merge(bfs.Costs(rep))
 			for _, d := range bfs.Detections() {
 				witness, err := bfs.Witness(d)
 				if err != nil {
@@ -175,8 +172,8 @@ func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
 		return out, nil
 	}
 	fold := func(it int, out *listOutcome) bool {
-		res.IterationsRun = it + 1
-		total.Accumulate(&out.rep)
+		res.Iterations = it + 1
+		res.Merge(out.costs)
 		for _, witness := range out.witnesses {
 			key := cycleKey(witness)
 			if _, dup := seen[key]; dup {
@@ -192,7 +189,5 @@ func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
 		return nil, err
 	}
 	slices.SortFunc(res.Cycles, slices.Compare)
-	res.Rounds = total.Rounds
-	res.Messages = total.Messages
 	return res, nil
 }

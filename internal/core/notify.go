@@ -109,8 +109,7 @@ func DetectEvenCycleLocal(g *graph.Graph, k int, opt Options) (*LocalResult, err
 		return nil, fmt.Errorf("core: witness notification: %w", err)
 	}
 	out.NotifyRounds = rep.Rounds
-	out.Rounds += rep.Rounds
-	out.Messages += rep.Messages
+	out.Merge(rep.Costs())
 	for v, member := range notify.Member {
 		if member {
 			out.Rejecting = append(out.Rejecting, graph.NodeID(v))

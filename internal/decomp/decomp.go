@@ -28,9 +28,6 @@ type Decomposition struct {
 	Delta int
 }
 
-// Separation is the guaranteed distance between same-color clusters.
-func (d *Decomposition) Separation(k int) int { return k + 1 }
-
 // Decompose builds a (k, O(k log n), O(log n)) decomposition of g:
 // every node is in ≥ 1 cluster, same-color clusters are at distance ≥ k+1,
 // and every cluster has (weak) diameter O(k log n). It retries with more

@@ -56,16 +56,13 @@ type Options struct {
 
 // Result reports a deterministic detection run.
 type Result struct {
-	// Found is true iff a verified C_2k was reconstructed; Witness then
-	// holds the cycle and Detector the node whose walk collision found it.
-	Found    bool
-	Witness  []graph.NodeID
+	// Verdict is Found iff a verified C_2k was reconstructed; Witness
+	// then holds the cycle. Its Costs are the single broadcast session's
+	// cost; MaxCongestion is the largest walk-key set any node
+	// accumulated (bounded by the threshold).
+	congest.Verdict
+	// Detector is the node whose walk collision found the cycle.
 	Detector graph.NodeID
-
-	// Costs is the single broadcast session's cost; MaxCongestion is the
-	// largest walk-key set any node accumulated (bounded by the
-	// threshold).
-	congest.Costs
 	// Candidates is the number of walk collisions examined; collisions
 	// whose reconstruction is not a simple 2k-cycle are discarded.
 	Candidates int

@@ -76,12 +76,13 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 		lo := hi
 		hi += graph.NodeID(g.NumNodes())
 		rc := rep.Comp(i)
-		res := &Result{Costs: congest.Costs{
+		res := &Result{Threshold: tau(g)}
+		res.Costs = congest.Costs{
 			Rounds:        rc.Rounds,
 			Messages:      rc.Messages,
 			Bits:          rc.Messages * congest.MessageBits(g.NumNodes()),
 			MaxCongestion: proto.first.MaxLenRange(lo, hi),
-		}, Threshold: tau(g)}
+		}
 		for v := lo; v < hi; v++ {
 			if proto.over[v] {
 				res.Overflowed = true
@@ -107,8 +108,7 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 			if graph.IsSimpleCycle(g, cycle, 2*k) != nil {
 				continue
 			}
-			res.Found = true
-			res.Witness = cycle
+			res.Found, res.Witness, res.FoundLen = true, cycle, 2*k
 			res.Detector = c.Node - lo
 			break
 		}

@@ -129,13 +129,14 @@ func refDetect(g *graph.Graph, k int, tau int) (*Result, error) {
 		}
 		return int(a.Second) - int(b.Second)
 	})
-	res := &Result{Costs: congest.Costs{
+	res := &Result{Threshold: tau}
+	res.Costs = congest.Costs{
 		Rounds:        rounds,
 		Messages:      messages,
 		Bits:          messages * congest.MessageBits(n),
 		MaxCongestion: maxCong,
 		Overflowed:    overflowed,
-	}, Threshold: tau}
+	}
 	for _, c := range cands {
 		res.Candidates++
 		cycle, err := refWitness(known, c, k)
@@ -145,8 +146,7 @@ func refDetect(g *graph.Graph, k int, tau int) (*Result, error) {
 		if graph.IsSimpleCycle(g, cycle, 2*k) != nil {
 			continue
 		}
-		res.Found = true
-		res.Witness = cycle
+		res.Found, res.Witness, res.FoundLen = true, cycle, 2*k
 		res.Detector = c.Node
 		break
 	}

@@ -114,12 +114,10 @@ type OddOptions struct {
 
 // OddResult reports a run of the odd-cycle detector.
 type OddResult struct {
-	Found         bool
-	Witness       []graph.NodeID
-	Detector      graph.NodeID
-	Rounds        int
-	Messages      int64
-	IterationsRun int
+	// Verdict carries every coloring's cost, including the color-BFS
+	// congestion watermark and overflow against the threshold.
+	congest.Verdict
+	Detector graph.NodeID
 }
 
 // DetectOdd runs the Section 3.4 low-probability detector for
@@ -168,7 +166,7 @@ func DetectOdd(g *graph.Graph, k int, opt OddOptions) (*OddResult, error) {
 	// fold aggregates the deterministic prefix, so the outcome is the same
 	// for every Parallel setting.
 	type oddOutcome struct {
-		rep      congest.Report
+		costs    congest.Costs
 		found    bool
 		witness  []graph.NodeID
 		detector graph.NodeID
@@ -191,8 +189,7 @@ func DetectOdd(g *graph.Graph, k int, opt OddOptions) (*OddResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lowprob: odd color-BFS: %w", err)
 		}
-		out := &oddOutcome{}
-		out.rep.Accumulate(rep)
+		out := &oddOutcome{costs: bfs.Costs(rep)}
 		if ds := bfs.Detections(); len(ds) > 0 {
 			witness, err := bfs.Witness(ds[0])
 			if err != nil {
@@ -209,13 +206,11 @@ func DetectOdd(g *graph.Graph, k int, opt OddOptions) (*OddResult, error) {
 		return out, nil
 	}
 	res := &OddResult{}
-	total := &congest.Report{}
 	fold := func(it int, out *oddOutcome) bool {
-		res.IterationsRun = it + 1
-		total.Accumulate(&out.rep)
+		res.Iterations = it + 1
+		res.Merge(out.costs)
 		if out.found && !res.Found {
-			res.Found = true
-			res.Witness = out.witness
+			res.Found, res.Witness, res.FoundLen = true, out.witness, L
 			res.Detector = out.detector
 		}
 		return res.Found && !opt.KeepGoing
@@ -224,8 +219,6 @@ func DetectOdd(g *graph.Graph, k int, opt OddOptions) (*OddResult, error) {
 	if _, err := sched.Run(runner, iterations, trial, fold); err != nil {
 		return nil, err
 	}
-	res.Rounds = total.Rounds
-	res.Messages = total.Messages
 	return res, nil
 }
 

@@ -65,7 +65,7 @@ func TestDetectEventuallyFinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("low-prob detector never found planted C_4 in %d iterations", res.IterationsRun)
+		t.Fatalf("low-prob detector never found planted C_4 in %d iterations", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, 4); err != nil {
 		t.Fatalf("invalid witness: %v", err)
@@ -102,7 +102,7 @@ func TestDetectOddFindsTriangle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_3 missed in %d iterations", res.IterationsRun)
+		t.Fatalf("planted C_3 missed in %d iterations", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, 3); err != nil {
 		t.Fatalf("invalid witness: %v", err)
@@ -120,7 +120,7 @@ func TestDetectOddFindsC5(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("planted C_5 missed in %d iterations", res.IterationsRun)
+		t.Fatalf("planted C_5 missed in %d iterations", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, 5); err != nil {
 		t.Fatalf("invalid witness: %v", err)
@@ -162,7 +162,7 @@ func TestDetectBoundedLowProb(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Found {
-		t.Fatalf("bounded low-prob detector missed planted C_4 (%d iterations)", res.IterationsRun)
+		t.Fatalf("bounded low-prob detector missed planted C_4 (%d iterations)", res.Iterations)
 	}
 	if err := graph.IsSimpleCycle(g, res.Witness, res.FoundLen); err != nil {
 		t.Fatalf("invalid witness: %v", err)

@@ -402,18 +402,6 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// FamilyNames returns the registered family names in registration
-// order; useful for tests asserting coverage.
-func (r *Registry) FamilyNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, len(r.families))
-	for i, f := range r.families {
-		names[i] = f.name
-	}
-	return names
-}
-
 // sortedLabelKeys is kept for parse.go; declared here so both files
 // share one small helper set.
 func sortedLabelKeys(m map[string]string) []string {

@@ -18,9 +18,6 @@ type Sample struct {
 	Value  float64
 }
 
-// Label returns the value of label key, or "" when absent.
-func (s Sample) Label(key string) string { return s.Labels[key] }
-
 // ParsedFamily is one metric family reconstructed from # HELP/# TYPE
 // headers and the samples that follow them.
 type ParsedFamily struct {
@@ -35,9 +32,6 @@ type Exposition struct {
 	Families []*ParsedFamily
 	byName   map[string]*ParsedFamily
 }
-
-// Family returns the family with the given base name, or nil.
-func (e *Exposition) Family(name string) *ParsedFamily { return e.byName[name] }
 
 // baseName strips the histogram sample suffixes so _bucket/_sum/_count
 // lines attach to their family.

@@ -294,9 +294,7 @@ func (s *Service) runFused(cancel *congest.CancelFlag, ck compatKey, items []*fu
 			return nil, err
 		}
 		for i, it := range items {
-			resp := newResponse(it)
-			fillEven(resp, ck.k, results[i])
-			outs[i] = finishAmplify(it, resp)
+			outs[i] = finishAmplify(it, newResponse(it, results[i].Verdict))
 		}
 	case AlgoDet:
 		gs := make([]*graph.Graph, B)
@@ -313,9 +311,7 @@ func (s *Service) runFused(cancel *congest.CancelFlag, ck compatKey, items []*fu
 			return nil, err
 		}
 		for i, it := range items {
-			resp := newResponse(it)
-			fillDet(resp, ck.k, results[i])
-			outs[i] = fuseOut{resp: resp}
+			outs[i] = fuseOut{resp: newResponse(it, results[i].Verdict)}
 		}
 	default:
 		return nil, fmt.Errorf("service: algo %q has no fused path", ck.algo)
@@ -323,9 +319,9 @@ func (s *Service) runFused(cancel *congest.CancelFlag, ck compatKey, items []*fu
 	return outs, nil
 }
 
-// newResponse is the item's response before the detector fills it in.
-func newResponse(it *fuseItem) *Response {
-	return &Response{Algo: it.req.Algo, K: it.req.K, Fingerprint: it.fp.String()}
+// newResponse is the item's response carrying the detector's verdict v.
+func newResponse(it *fuseItem, v congest.Verdict) *Response {
+	return &Response{Algo: it.req.Algo, K: it.req.K, Fingerprint: it.fp.String(), Verdict: v}
 }
 
 // amplifies reports whether the item extends a cached not-found verdict

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/core"
-	"repro/internal/deterministic"
 	"repro/internal/graph"
 	"repro/internal/lowprob"
 	"repro/internal/obs"
@@ -103,18 +102,14 @@ type Request struct {
 // metadata, so repeated deterministic-mode requests serialize to
 // byte-identical responses no matter how they were served.
 type Response struct {
-	Algo        Algo           `json:"algo"`
-	K           int            `json:"k"`
-	Fingerprint string         `json:"fingerprint"`
-	Found       bool           `json:"found"`
-	Witness     []graph.NodeID `json:"witness,omitempty"`
-	FoundLen    int            `json:"found_len,omitempty"`
-	// Costs is the verdict's cost; its fields marshal inline, in order,
-	// as rounds, messages, bits, max_congestion, overflowed.
-	congest.Costs
-	// Iterations is the cumulative trial budget behind this verdict (0
-	// for the deterministic detector's single session).
-	Iterations int `json:"iterations"`
+	Algo        Algo   `json:"algo"`
+	K           int    `json:"k"`
+	Fingerprint string `json:"fingerprint"`
+	// Verdict is the detector's record; its fields marshal inline, in
+	// order, as found, witness, found_len, rounds, messages, bits,
+	// max_congestion, overflowed, iterations. Iterations is the
+	// cumulative trial budget behind the verdict.
+	congest.Verdict
 }
 
 // Source says how a request was served.
@@ -735,7 +730,7 @@ func (s *Service) finish(key cacheKey, c *call, resp *Response, err error) {
 func (s *Service) compute(cancel *congest.CancelFlag, it *fuseItem) fuseOut {
 	req := it.req
 	seed, iterations := trialPlan(it)
-	resp := newResponse(it)
+	var v congest.Verdict
 	switch req.Algo {
 	case AlgoBounded:
 		res, err := core.DetectBoundedCycle(req.Graph, req.K, core.Options{
@@ -752,11 +747,7 @@ func (s *Service) compute(cancel *congest.CancelFlag, it *fuseItem) fuseOut {
 		if err != nil {
 			return fuseOut{err: err}
 		}
-		resp.Found = res.Found
-		resp.Witness = res.Witness
-		resp.FoundLen = res.FoundLen
-		resp.Costs = res.Costs
-		resp.Iterations = res.IterationsRun
+		v = res.Verdict
 	case AlgoOdd:
 		res, err := lowprob.DetectOdd(req.Graph, req.K, lowprob.OddOptions{
 			MaxIterations: iterations,
@@ -771,38 +762,11 @@ func (s *Service) compute(cancel *congest.CancelFlag, it *fuseItem) fuseOut {
 		if err != nil {
 			return fuseOut{err: err}
 		}
-		resp.Found = res.Found
-		resp.Witness = res.Witness
-		if res.Found {
-			resp.FoundLen = 2*req.K + 1
-		}
-		resp.Rounds, resp.Messages = res.Rounds, res.Messages
-		resp.Iterations = res.IterationsRun
+		v = res.Verdict
 	default:
 		return fuseOut{err: fmt.Errorf("service: algo %q has no unfused path", req.Algo)}
 	}
-	return finishAmplify(it, resp)
-}
-
-// fillEven copies an Algorithm 1 result into a response.
-func fillEven(resp *Response, k int, res *core.Result) {
-	resp.Found = res.Found
-	resp.Witness = res.Witness
-	if res.Found {
-		resp.FoundLen = 2 * k
-	}
-	resp.Costs = res.Costs
-	resp.Iterations = res.IterationsRun
-}
-
-// fillDet copies a deterministic-detector result into a response.
-func fillDet(resp *Response, k int, res *deterministic.Result) {
-	resp.Found = res.Found
-	resp.Witness = res.Witness
-	if res.Found {
-		resp.FoundLen = 2 * k
-	}
-	resp.Costs = res.Costs
+	return finishAmplify(it, newResponse(it, v))
 }
 
 // Config returns the service configuration with defaults resolved.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -253,6 +254,41 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if got := computes.Load(); got != 4 {
 		t.Fatalf("computed %d times, want 4", got)
+	}
+}
+
+// TestOddResponseCarriesFullCosts pins that an odd response's body
+// carries the color-BFS costs the detector measured: bits for every
+// message, and the congestion watermark and overflow against τ=2, which
+// every coloring of this instance overflows.
+func TestOddResponseCarriesFullCosts(t *testing.T) {
+	g, err := graph.FromSpec("planted:300:5:1.5", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, _, err := New(Config{}).Do(context.Background(),
+		&Request{Graph: g, Algo: AlgoOdd, K: 2, Seed: 1, Iterations: 40, Threshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct {
+		Messages      int64 `json:"messages"`
+		Bits          int64 `json:"bits"`
+		MaxCongestion int   `json:"max_congestion"`
+		Overflowed    bool  `json:"overflowed"`
+	}
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if want := wire.Messages * congest.MessageBits(300); wire.Messages == 0 || wire.Bits != want {
+		t.Fatalf("bits = %d for %d messages, want %d: %s", wire.Bits, wire.Messages, want, body)
+	}
+	if !wire.Overflowed || wire.MaxCongestion < 1 {
+		t.Fatalf("τ=2 odd run reports overflowed=%v max_congestion=%d: %s", wire.Overflowed, wire.MaxCongestion, body)
 	}
 }
 

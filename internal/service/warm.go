@@ -90,8 +90,7 @@ func (s *Service) warmChild(parent, child *graph.Graph, added [][2]graph.NodeID)
 					continue
 				}
 			} else {
-				resp = &Response{Algo: AlgoDet, K: c.key.k, Fingerprint: cfp.String()}
-				fillDet(resp, c.key.k, rc.Res)
+				resp = &Response{Algo: AlgoDet, K: c.key.k, Fingerprint: cfp.String(), Verdict: rc.Res.Verdict}
 			}
 		}
 		warms++

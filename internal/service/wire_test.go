@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -54,16 +55,13 @@ func TestResolveInlineGraphValidation(t *testing.T) {
 
 // TestResponseWireJSONGolden pins the key names and key order of a
 // detect response body: the det byte-identity replays and the benchmark's
-// body comparisons depend on both. The cost fields are promoted from
-// congest.Costs, so they are set by assignment.
+// body comparisons depend on both. The verdict fields are promoted from
+// congest.Verdict, which embeds congest.Costs.
 func TestResponseWireJSONGolden(t *testing.T) {
-	resp := Response{Algo: AlgoEven, K: 2, Fingerprint: "f00d", Found: true,
-		Witness: []graph.NodeID{0, 1, 2, 3}, FoundLen: 4, Iterations: 9}
-	resp.Rounds = 5
-	resp.Messages = 6
-	resp.Bits = 7
-	resp.MaxCongestion = 8
-	resp.Overflowed = true
+	resp := Response{Algo: AlgoEven, K: 2, Fingerprint: "f00d", Verdict: congest.Verdict{
+		Found: true, Witness: []graph.NodeID{0, 1, 2, 3}, FoundLen: 4, Iterations: 9,
+		Costs: congest.Costs{Rounds: 5, Messages: 6, Bits: 7, MaxCongestion: 8, Overflowed: true},
+	}}
 	body, err := json.Marshal(&resp)
 	if err != nil {
 		t.Fatal(err)

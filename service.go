@@ -126,23 +126,19 @@ func (s *Service) request(g *Graph, algo service.Algo, k int, opts []Option) *se
 	}
 }
 
-// do executes the request and converts the response. The witness is
-// cloned: the service's Response (and its witness slice) is shared by
-// every cache hit on the key, while the direct Detect path hands each
-// caller a fresh slice — a caller mutating Result.Witness must not
-// corrupt the cache entry behind everyone else's hits.
+// do executes the request and returns a copy of the response's verdict.
+// The witness is cloned: the service's Response (and its witness slice)
+// is shared by every cache hit on the key, while the direct Detect path
+// hands each caller a fresh slice — a caller mutating Result.Witness
+// must not corrupt the cache entry behind everyone else's hits.
 func (s *Service) do(ctx context.Context, req *service.Request) (*Result, ServiceSource, error) {
 	resp, src, err := s.svc.Do(ctx, req)
 	if err != nil {
 		return nil, src, fmt.Errorf("evencycle: %w", err)
 	}
-	return &Result{
-		Found:      resp.Found,
-		Witness:    slices.Clone(resp.Witness),
-		FoundLen:   resp.FoundLen,
-		Costs:      resp.Costs,
-		Iterations: resp.Iterations,
-	}, src, nil
+	v := resp.Verdict
+	v.Witness = slices.Clone(v.Witness)
+	return &v, src, nil
 }
 
 // Detect serves a C_{2k}-freeness decision (Algorithm 1) through the
