@@ -73,11 +73,3 @@ func ThisPaperClassicalExponent(k int) float64 { return 1 - 1/float64(k) }
 
 // ThisPaperQuantumExponent is 1/2 - 1/2k (Theorem 2).
 func ThisPaperQuantumExponent(k int) float64 { return 0.5 - 1/float64(2*k) }
-
-// TriangleExponent is the Õ(n^{1/3}) bound of Chang–Saranurak [11]
-// (analytic row only).
-const TriangleExponent = 1.0 / 3
-
-// QuantumTriangleExponent is the Õ(n^{1/5}) bound of [8] (analytic row
-// only).
-const QuantumTriangleExponent = 1.0 / 5

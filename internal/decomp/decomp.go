@@ -258,52 +258,3 @@ func (d *Decomposition) Components(g *graph.Graph, k int) []Component {
 	}
 	return out
 }
-
-// ReducedRun is the outcome of running a detector over all components of a
-// decomposition per Lemma 9.
-type ReducedRun struct {
-	Found bool
-	// Witness in g's vertex IDs (translated back from the component).
-	Witness []graph.NodeID
-	// Rounds charges the decomposition cost plus, per color, the maximum
-	// component cost (same-color components run in parallel).
-	Rounds int
-	// Components is the number of component runs executed.
-	Components int
-}
-
-// RunPerComponent executes `run` on every component (sequentially by
-// color, conceptually in parallel within a color) and aggregates the
-// Lemma 9 round accounting. The callback returns (found, witness-in-sub,
-// rounds). Early exit after the first color that finds a witness.
-func (d *Decomposition) RunPerComponent(
-	g *graph.Graph,
-	k int,
-	run func(c Component) (bool, []graph.NodeID, int, error),
-) (*ReducedRun, error) {
-	comps := d.Components(g, k)
-	res := &ReducedRun{Rounds: d.Rounds}
-	perColorMax := make(map[int]int)
-	for _, c := range comps {
-		found, witness, rounds, err := run(c)
-		if err != nil {
-			return nil, err
-		}
-		res.Components++
-		if rounds > perColorMax[c.Color] {
-			perColorMax[c.Color] = rounds
-		}
-		if found && !res.Found {
-			res.Found = true
-			mapped := make([]graph.NodeID, len(witness))
-			for i, v := range witness {
-				mapped[i] = c.Orig[v]
-			}
-			res.Witness = mapped
-		}
-	}
-	for _, r := range perColorMax {
-		res.Rounds += r
-	}
-	return res, nil
-}

@@ -187,60 +187,6 @@ func TestComponentsAreInducedSubgraphs(t *testing.T) {
 	}
 }
 
-func TestRunPerComponentAggregation(t *testing.T) {
-	g := graph.Cycle(30)
-	d, err := Decompose(g, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	run := func(c Component) (bool, []graph.NodeID, int, error) {
-		calls++
-		return false, nil, 5, nil
-	}
-	res, err := d.RunPerComponent(g, 2, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found {
-		t.Fatal("found without witness")
-	}
-	if res.Components != calls || calls == 0 {
-		t.Fatalf("components = %d, calls = %d", res.Components, calls)
-	}
-	// Rounds = decomposition + 5 per color that has components.
-	if res.Rounds <= d.Rounds {
-		t.Fatalf("rounds %d did not accumulate per-color cost over %d", res.Rounds, d.Rounds)
-	}
-}
-
-func TestRunPerComponentWitnessMapping(t *testing.T) {
-	g := graph.Cycle(12)
-	d, err := Decompose(g, 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(c Component) (bool, []graph.NodeID, int, error) {
-		// Report the first 3 component-local vertices as a fake witness.
-		if c.Sub.NumNodes() >= 3 {
-			return true, []graph.NodeID{0, 1, 2}, 1, nil
-		}
-		return false, nil, 1, nil
-	}
-	res, err := d.RunPerComponent(g, 4, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || len(res.Witness) != 3 {
-		t.Fatalf("res = %+v", res)
-	}
-	for _, v := range res.Witness {
-		if int(v) < 0 || int(v) >= g.NumNodes() {
-			t.Fatalf("witness vertex %d not mapped back to g", v)
-		}
-	}
-}
-
 // Larger separation parameters (the quantum pipeline uses 2·|V(H)|+2, i.e.
 // up to ~18 for C_8) must still produce valid decompositions.
 func TestDecomposeLargeSeparation(t *testing.T) {

@@ -5,7 +5,7 @@ package graph
 // input graph, the offset its vertices were shifted by. Local and global
 // IDs convert by `global = local + Base[i]` / `local = global - Base[Comp[global]]`.
 type UnionParts struct {
-	// Comp[v] is the index (into the UnionN argument list) of the input
+	// Comp[v] is the index (into the UnionTagged argument list) of the input
 	// graph that vertex v of the union belongs to.
 	Comp []int32
 	// Base[i] is the ID shift applied to input graph i: its vertex u
@@ -25,21 +25,15 @@ func (p *UnionParts) Component(i int) (lo, hi int32) {
 	return lo, hi
 }
 
-// UnionN returns the disjoint union of the given graphs, with graph i's
-// vertices shifted past all earlier graphs' vertex blocks. Unlike chaining
-// the pairwise Union (which re-copies the accumulated edge list at every
-// step, O(B²) total work for B graphs), UnionN sizes the fused CSR once
-// and fills it in a single pass over the inputs. UnionN() with no
-// arguments returns the empty graph.
-func UnionN(gs ...*Graph) *Graph {
-	u, _ := UnionTagged(gs)
-	return u
-}
-
-// UnionTagged is UnionN plus the component map needed to demultiplex the
-// union back into its inputs (the fused-session miss path uses it to remap
-// witnesses and split cost accounting per request). The inputs' CSR rows
-// are already sorted, so each row of the union is a shifted copy of the
+// UnionTagged returns the disjoint union of the given graphs, with graph
+// i's vertices shifted past all earlier graphs' vertex blocks, plus the
+// component map needed to demultiplex the union back into its inputs
+// (the fused-session miss path uses it to remap witnesses and split cost
+// accounting per request). No inputs give the empty graph. Unlike
+// chaining the pairwise Union (which re-copies the accumulated edge list
+// at every step, O(B²) total work for B graphs), it sizes the fused CSR
+// once and fills it in a single pass: the inputs' CSR rows are already
+// sorted, so each row of the union is a shifted copy of the
 // corresponding input row — no re-sort, no dedup pass.
 func UnionTagged(gs []*Graph) (*Graph, *UnionParts) {
 	totalN, totalT := 0, 0

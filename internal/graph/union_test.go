@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// unionChained is the pairwise O(B²) reference the single-pass UnionN
-// replaces.
+// unionChained is the pairwise O(B²) reference the single-pass
+// UnionTagged replaces.
 func unionChained(gs []*Graph) *Graph {
 	acc := &Graph{}
 	for _, g := range gs {
@@ -31,9 +31,9 @@ func TestUnionNMatchesChainedUnion(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		gs := randomTestGraphs(t, rng, 1+rng.IntN(8))
 		want := unionChained(gs)
-		got := UnionN(gs...)
+		got, _ := UnionTagged(gs)
 		if err := got.Validate(); err != nil {
-			t.Fatalf("trial %d: UnionN invalid: %v", trial, err)
+			t.Fatalf("trial %d: UnionTagged invalid: %v", trial, err)
 		}
 		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
 			t.Fatalf("trial %d: size mismatch: got (%d,%d) want (%d,%d)",
@@ -46,13 +46,13 @@ func TestUnionNMatchesChainedUnion(t *testing.T) {
 }
 
 func TestUnionNEmptyAndSingle(t *testing.T) {
-	if g := UnionN(); g.NumNodes() != 0 || g.NumEdges() != 0 {
-		t.Fatalf("UnionN() = (%d,%d), want empty", g.NumNodes(), g.NumEdges())
+	if g, _ := UnionTagged(nil); g.NumNodes() != 0 || g.NumEdges() != 0 {
+		t.Fatalf("UnionTagged(nil) = (%d,%d), want empty", g.NumNodes(), g.NumEdges())
 	}
 	g := Gnm(17, 30, NewRand(99))
-	u := UnionN(g)
+	u, _ := UnionTagged([]*Graph{g})
 	if u.Fingerprint() != g.Fingerprint() {
-		t.Fatal("UnionN(g) differs from g")
+		t.Fatal("UnionTagged of g alone differs from g")
 	}
 }
 

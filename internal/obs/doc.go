@@ -2,12 +2,12 @@
 // metrics registry with Prometheus text exposition, and a per-request
 // stage tracer.
 //
-// The registry holds counters, gauges, sampled gauge funcs, and
-// fixed-bucket histograms. Hot-path operations (Counter.Add,
-// Histogram.Observe) are a handful of atomic adds — no locks, no
-// allocation — so instrumented paths keep their AllocsPerRun pins.
-// Registration is the only locked operation and happens at service
-// construction.
+// The registry holds counters and gauges sampled through a func at
+// exposition time, and fixed-bucket histograms. Histogram.Observe is a
+// handful of atomic adds — no locks, no allocation — so instrumented
+// paths keep their AllocsPerRun pins; the owner of a sampled value
+// keeps it as cheap to update. Registration is the only locked
+// operation and happens at service construction.
 //
 // Exposition (Registry.WritePrometheus) renders the text format version
 // 0.0.4: one # HELP and # TYPE line per family, cumulative histogram

@@ -11,47 +11,6 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing metric. The zero value is ready
-// to use; all methods are safe for concurrent callers and lock-free.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n to the counter. n must be non-negative for the Prometheus
-// counter contract to hold; the registry does not police it.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down. The zero value is ready to
-// use; all methods are lock-free.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Max raises the gauge to n if n is larger than the current value.
-func (g *Gauge) Max(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Histogram is a fixed-bucket histogram over int64 observations in some
 // native unit (typically nanoseconds for durations). Observations are
 // two or three atomic adds — no locks, no allocation — so the hot path
@@ -128,11 +87,10 @@ func SizeBuckets(max int64) []int64 {
 	return b
 }
 
-// metricKind discriminates what a series reads from at collection time.
+// series is one labeled member of a family: a histogram, or a value
+// sampled by fn at collection time.
 type series struct {
 	labels string // pre-rendered `key="value"` pairs, "" when unlabeled
-	ctr    *Counter
-	gauge  *Gauge
 	fn     func() int64
 	hist   *Histogram
 }
@@ -158,39 +116,17 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]*family)}
 }
 
-// Counter registers and returns an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", 0, &series{ctr: c})
-	return c
-}
-
-// LabeledCounter registers and returns a counter carrying one
-// key="value" label. Counters sharing a name form one family.
-func (r *Registry) LabeledCounter(name, help, key, value string) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", 0, &series{labels: renderLabel(key, value), ctr: c})
-	return c
-}
-
-// Gauge registers and returns an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", 0, &series{gauge: g})
-	return g
-}
-
-// GaugeFunc registers a gauge whose value is sampled by calling fn at
-// exposition time. fn must be safe to call from the scrape goroutine.
-func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.register(name, help, "gauge", 0, &series{fn: fn})
-}
-
-// CounterFunc registers a counter whose value is sampled by calling fn
-// at exposition time — for monotone counts owned by another subsystem
-// (e.g. store append totals). fn must be monotone non-decreasing.
-func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.register(name, help, "counter", 0, &series{fn: fn})
+// Func registers a series of type typ ("counter" or "gauge") whose
+// value is sampled by calling fn at exposition time, carrying one
+// key="value" label, or none when key is "". Series sharing a name form
+// one family. fn must be safe to call from the scrape goroutine, and a
+// counter's fn monotone non-decreasing.
+func (r *Registry) Func(name, help, typ, key, value string, fn func() int64) {
+	s := &series{fn: fn}
+	if key != "" {
+		s.labels = renderLabel(key, value)
+	}
+	r.register(name, help, typ, 0, s)
 }
 
 // Histogram registers and returns an unlabeled histogram with the given
@@ -317,14 +253,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n", fam.name, escapeHelp(fam.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", fam.name, fam.typ)
 		for _, s := range fam.series {
-			switch {
-			case s.hist != nil:
+			if s.hist != nil {
 				writeHistogram(&b, fam, s)
-			case s.ctr != nil:
-				writeSample(&b, fam.name, s.labels, float64(s.ctr.Value()))
-			case s.gauge != nil:
-				writeSample(&b, fam.name, s.labels, float64(s.gauge.Value()))
-			case s.fn != nil:
+			} else {
 				writeSample(&b, fam.name, s.labels, float64(s.fn()))
 			}
 		}

@@ -4,33 +4,10 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestCounterGauge(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_total", "a counter")
-	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	g := r.Gauge("test_gauge", "a gauge")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
-	}
-	g.Max(3)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("Max(3) lowered gauge to %d", got)
-	}
-	g.Max(9)
-	if got := g.Value(); got != 9 {
-		t.Fatalf("Max(9) = %d, want 9", got)
-	}
-}
 
 func TestHistogramBucketing(t *testing.T) {
 	h := newHistogram([]int64{10, 100, 1000})
@@ -57,14 +34,11 @@ func TestHistogramBucketing(t *testing.T) {
 // monotonicity, +Inf terminal bucket, and _sum/_count consistency.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	reqs := r.Counter("evencycle_requests_total", "requests observed")
-	reqs.Add(12)
+	r.Func("evencycle_requests_total", "requests observed", "counter", "", "", func() int64 { return 12 })
 	for _, path := range []string{"hit", "computed"} {
-		c := r.LabeledCounter("evencycle_served_total", "served by path", "path", path)
-		c.Add(3)
+		r.Func("evencycle_served_total", "served by path", "counter", "path", path, func() int64 { return 3 })
 	}
-	r.Gauge("evencycle_queue_depth", "waiters in the gate").Set(2)
-	r.GaugeFunc("evencycle_cache_entries", "cached verdicts", func() int64 { return 41 })
+	r.Func("evencycle_cache_entries", "cached verdicts", "gauge", "", "", func() int64 { return 41 })
 	h := r.Histogram("evencycle_request_duration_seconds", "request latency",
 		DurationBuckets(), 1e-9)
 	h.ObserveDuration(75 * time.Microsecond)
@@ -191,11 +165,11 @@ h_count 1
 // a scraper renders the exposition, under -race in CI.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("race_total", "x")
-	g := r.Gauge("race_gauge", "x")
+	var c, g atomic.Int64
+	r.Func("race_total", "x", "counter", "", "", c.Load)
+	r.Func("race_gauge", "x", "gauge", "kind", "updown", g.Load)
 	h := r.Histogram("race_seconds", "x", DurationBuckets(), 1e-9)
 	lh := r.LabeledHistogram("race_stage_seconds", "x", "stage", "engine", DurationBuckets(), 1e-9)
-	r.GaugeFunc("race_fn", "x", func() int64 { return c.Value() })
 
 	const writers = 8
 	var wg sync.WaitGroup
@@ -210,7 +184,7 @@ func TestRegistryRace(t *testing.T) {
 					return
 				default:
 				}
-				c.Inc()
+				c.Add(1)
 				g.Add(1 - 2*(i&1))
 				h.Observe(seed + i%1e6)
 				lh.ObserveDuration(time.Duration(i % 1e7))

@@ -12,9 +12,6 @@ type TrialRunner struct {
 	Workers int
 }
 
-// Auto is a TrialRunner with one worker per CPU.
-var Auto = TrialRunner{Workers: -1}
-
 func (r TrialRunner) workers() int {
 	if r.Workers < 0 {
 		return runtime.GOMAXPROCS(0)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/congest"
@@ -157,12 +158,12 @@ func (s *Service) execBatch(ctx context.Context, ck compatKey, items []*fuseItem
 	// The panic fence: a detector or batch-leader crash (real or
 	// injected) fails the whole batch with ErrInternal instead of
 	// unwinding with in-flight keys still registered — which would hang
-	// every coalesced follower forever. The deferred Release above still
-	// runs, and since the cache install below was never reached, no
-	// poisoned entry exists.
+	// every coalesced follower forever. Each request it fails counts in
+	// panics (countError); warm work fails no request. The deferred
+	// Release above still runs, and since the cache install below was
+	// never reached, no poisoned entry exists.
 	defer func() {
 		if r := recover(); r != nil {
-			s.panics.Add(1)
 			outs, err = nil, fmt.Errorf("%w: detector panicked: %v", ErrInternal, r)
 		}
 	}()
@@ -226,7 +227,7 @@ func (s *Service) run(cancel *congest.CancelFlag, ck compatKey, items []*fuseIte
 	if len(items) == 1 {
 		out := s.runOne(cancel, ck, items[0])
 		if out.err == nil {
-			s.soloSessions.Add(1)
+			atomic.AddInt64(&s.live.SoloSessions, 1)
 		}
 		return []fuseOut{out}
 	}
@@ -242,8 +243,8 @@ func (s *Service) run(cancel *congest.CancelFlag, ck compatKey, items []*fuseIte
 		}
 		return outs
 	}
-	s.fusedSessions.Add(1)
-	s.fusedRequests.Add(int64(len(items)))
+	atomic.AddInt64(&s.live.FusedSessions, 1)
+	atomic.AddInt64(&s.live.FusedRequests, int64(len(items)))
 	return outs
 }
 

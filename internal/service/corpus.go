@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/store"
@@ -106,7 +107,7 @@ func (s *Service) AddCorpusEdges(name string, edges [][2]graph.NodeID) (*Mutatio
 	}
 	if ng == g {
 		s.corpusMu.Unlock()
-		s.noopMutations.Add(1)
+		atomic.AddInt64(&s.live.NoopMutations, 1)
 		fp := g.Fingerprint()
 		return &Mutation{Graph: g, Parent: fp, Child: fp, Noop: true}, nil
 	}
@@ -115,11 +116,11 @@ func (s *Service) AddCorpusEdges(name string, edges [][2]graph.NodeID) (*Mutatio
 	// Warm outside corpusMu: re-detection can take detector time, and the
 	// entries it seeds are keyed by fingerprint, so they stay correct even
 	// if another mutation has already moved the name past ng.
-	s.mutations.Add(1)
+	atomic.AddInt64(&s.live.Mutations, 1)
 	mut := &Mutation{Graph: ng, Parent: g.Fingerprint(), Child: ng.Fingerprint()}
 	mut.WarmStarts, mut.Fallbacks = s.warmChild(g, ng, edges)
-	s.warmStarts.Add(int64(mut.WarmStarts))
-	s.warmFallbacks.Add(int64(mut.Fallbacks))
+	atomic.AddInt64(&s.live.WarmStarts, int64(mut.WarmStarts))
+	atomic.AddInt64(&s.live.Fallbacks, int64(mut.Fallbacks))
 	s.noteLineage(mut.Parent, mut.Child)
 	return mut, nil
 }

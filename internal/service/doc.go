@@ -49,9 +49,9 @@
 // earliest-wins from Request.Deadline, Config.DefaultDeadline, and
 // Config.MaxDeadline; admission sheds against an EWMA of recent session
 // durations; panics are fenced in the one miss executor (every batch
-// size), at the batcher's dispatch, and in the job goroutine, and surface
-// in Stats.Panics. DrainJobs supports graceful
-// shutdown, and internal/faultpoint drives the chaos tests that pin all
-// of this (see docs/ARCHITECTURE.md, "Failure domains & request
-// lifecycle").
+// size), at the batcher's dispatch, and in the job goroutine, and each
+// request a fenced panic fails counts in Stats.Panics. DrainJobs
+// supports graceful shutdown, and internal/faultpoint drives the chaos
+// tests that pin all of this (see docs/ARCHITECTURE.md, "Failure
+// domains & request lifecycle").
 package service

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/congest"
 	"repro/internal/sched"
@@ -59,15 +60,17 @@ func classifyErr(ctx context.Context, err error) error {
 // countError attributes one failed request to its taxonomy counter
 // (every failure also counts in errors).
 func (s *Service) countError(err error) {
-	s.errors.Add(1)
+	atomic.AddInt64(&s.live.Errors, 1)
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		s.rejected.Add(1)
+		atomic.AddInt64(&s.live.Rejected, 1)
 	case errors.Is(err, ErrShed):
-		s.shed.Add(1)
+		atomic.AddInt64(&s.live.Shed, 1)
 	case errors.Is(err, ErrDeadline):
-		s.deadlineExceeded.Add(1)
+		atomic.AddInt64(&s.live.DeadlineExceeded, 1)
 	case errors.Is(err, ErrCancelled):
-		s.cancelled.Add(1)
+		atomic.AddInt64(&s.live.Cancelled, 1)
+	case errors.Is(err, ErrInternal):
+		atomic.AddInt64(&s.live.Panics, 1)
 	}
 }

@@ -305,3 +305,39 @@ func TestDefaultAndMaxDeadline(t *testing.T) {
 		t.Fatalf("capped-deadline err = %v, want ErrDeadline", err)
 	}
 }
+
+// TestWarmFallbackPanicCountsNoRequest pins that reason="panic" counts
+// failed requests, not crashed batches: a warm fallback that crashes
+// serves no request, so it moves neither panics nor errors, and
+// errors ≥ the attributed reasons keeps holding.
+func TestWarmFallbackPanicCountsNoRequest(t *testing.T) {
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	s := New(Config{Slots: 1, BatchSize: 1})
+	var edges [][2]graph.NodeID
+	for v := graph.NodeID(0); v < 7; v++ {
+		edges = append(edges, [2]graph.NodeID{v, v + 1})
+	}
+	path := graph.FromEdges(8, edges)
+	if err := s.CreateCorpus("g", path); err != nil {
+		t.Fatal(err)
+	}
+	if resp, _, err := s.Do(context.Background(), &Request{Graph: path, Algo: AlgoDet, K: 2}); err != nil || resp.Found {
+		t.Fatalf("parent detection: resp=%+v err=%v (want NotFound)", resp, err)
+	}
+	if err := faultpoint.Set("detector-panic:every=1"); err != nil {
+		t.Fatal(err)
+	}
+	// The ball around the closing edge covers the whole path, so the
+	// recheck falls back to a full run, which crashes.
+	mut, err := s.AddCorpusEdges("g", [][2]graph.NodeID{{0, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mut.Fallbacks != 1 || mut.WarmStarts != 0 {
+		t.Fatalf("mutation = %+v, want one crashed fallback and no warm start", mut)
+	}
+	if st := s.Stats(); st.Panics != 0 || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want Panics=0 Errors=0", st)
+	}
+}

@@ -1,148 +1,224 @@
 package service
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
-// metrics is the service's registry-backed counter and histogram set.
-// Every Stats atomic lives here as an obs.Counter/Gauge (same lock-free
-// atomic add, now scrapeable), so /v1/stats and /metrics read one
-// source of truth. Histogram families are registered unconditionally —
-// the exposition's shape does not depend on Config.Observe — but only
-// an armed service (Config.Observe) spends timer reads feeding them.
+// metrics is the service's counter and histogram set. The counters and
+// gauges behind Stats are declared once, in catalog; /v1/stats and
+// /metrics both read them from there. Histogram families are registered
+// unconditionally — the exposition's shape does not depend on
+// Config.Observe — but only an armed service (Config.Observe) spends
+// timer reads feeding them.
 type metrics struct {
 	reg *obs.Registry
 
-	// Request accounting. requests counts every Do entry; hits,
-	// coalesced, amplified, computed and errors partition the exits.
-	// Stats() relies on that entry/exit discipline for its coherence
-	// guarantee — see snapshotOrder in Stats.
-	requests                         *obs.Counter
-	hits, coalesced, amplified       *obs.Counter
-	computed, errors                 *obs.Counter
-	rejected, shed, deadlineExceeded *obs.Counter
-	cancelled, panics                *obs.Counter
-	soloSessions, fusedSessions      *obs.Counter
-	fusedRequests, batchesFormed     *obs.Counter
-	mutations, noopMutations         *obs.Counter
-	warmStarts, warmHits             *obs.Counter
-	warmFallbacks                    *obs.Counter
-
+	// live holds the running totals of the catalog's counter rows, in
+	// the Stats fields those rows name. They are written only by atomic
+	// adds (MaxBatchSize by raise) and read only through the catalog.
+	live Stats
 	// batchSizeSum backs Stats.MeanBatchSize; the fill-size histogram
 	// below is the scrapeable distribution, so the raw sum stays
 	// unregistered.
-	batchSizeSum obs.Counter
-	maxBatchSize *obs.Gauge
+	batchSizeSum atomic.Int64
 
 	// Latency histograms (armed by Config.Observe).
-	durHit, durCoalesced, durAmplified *obs.Histogram
-	durComputed, durFused              *obs.Histogram
-	stageDur                           [obs.NumStages]*obs.Histogram
-	engineRounds, engineWall           *obs.Histogram
-	gateWait                           *obs.Histogram
-	batchFill                          *obs.Histogram
-	storeFsync, storeCompact           *obs.Histogram
-	storeAppendBytes                   *obs.Histogram
+	reqDur                   [len(reqPaths)]*obs.Histogram
+	stageDur                 [obs.NumStages]*obs.Histogram
+	engineRounds, engineWall *obs.Histogram
+	gateWait                 *obs.Histogram
+	batchFill                *obs.Histogram
+	storeFsync, storeCompact *obs.Histogram
+	storeAppendBytes         *obs.Histogram
 }
 
-// Metric names, grouped here so the docs' catalog table and the CI
-// scrape checks have one place to diff against.
+// Metric names the tests scrape for.
 const (
-	mRequests       = "evencycle_requests_total"
-	mServed         = "evencycle_served_total"
-	mErrors         = "evencycle_errors_total"
-	mErrorReasons   = "evencycle_request_errors_total"
-	mEngineSessions = "evencycle_engine_sessions_total"
-	mFusedRequests  = "evencycle_fused_requests_total"
-	mBatchesFormed  = "evencycle_batches_formed_total"
-	mRequestDur     = "evencycle_request_duration_seconds"
-	mStageDur       = "evencycle_stage_duration_seconds"
-	mEngineRounds   = "evencycle_engine_session_rounds"
-	mEngineWall     = "evencycle_engine_session_seconds"
-	mGateWait       = "evencycle_gate_wait_seconds"
-	mBatchFill      = "evencycle_batch_fill_size"
-	mStoreFsync     = "evencycle_store_fsync_seconds"
-	mStoreAppend    = "evencycle_store_append_bytes"
-	mStoreCompact   = "evencycle_store_compact_seconds"
+	mRequests     = "evencycle_requests_total"
+	mServed       = "evencycle_served_total"
+	mRequestDur   = "evencycle_request_duration_seconds"
+	mEngineRounds = "evencycle_engine_session_rounds"
+	mGateWait     = "evencycle_gate_wait_seconds"
 )
 
-func newMetrics() *metrics {
-	reg := obs.NewRegistry()
-	m := &metrics{reg: reg}
-
-	m.requests = reg.Counter(mRequests, "Detection requests entered (every Do call).")
-	servedHelp := "Successful requests partitioned by serve path."
-	m.hits = reg.LabeledCounter(mServed, servedHelp, "path", "hit")
-	m.coalesced = reg.LabeledCounter(mServed, servedHelp, "path", "coalesced")
-	m.amplified = reg.LabeledCounter(mServed, servedHelp, "path", "amplified")
-	m.computed = reg.LabeledCounter(mServed, servedHelp, "path", "computed")
-
-	m.errors = reg.Counter(mErrors, "Failed requests (every error exit of Do).")
-	reasonHelp := "Failed requests attributed to the failure taxonomy."
-	m.rejected = reg.LabeledCounter(mErrorReasons, reasonHelp, "reason", "rejected")
-	m.shed = reg.LabeledCounter(mErrorReasons, reasonHelp, "reason", "shed")
-	m.deadlineExceeded = reg.LabeledCounter(mErrorReasons, reasonHelp, "reason", "deadline")
-	m.cancelled = reg.LabeledCounter(mErrorReasons, reasonHelp, "reason", "cancelled")
-	m.panics = reg.LabeledCounter(mErrorReasons, reasonHelp, "reason", "panic")
-
-	sessHelp := "Engine sessions run, split solo vs fused."
-	m.soloSessions = reg.LabeledCounter(mEngineSessions, sessHelp, "mode", "solo")
-	m.fusedSessions = reg.LabeledCounter(mEngineSessions, sessHelp, "mode", "fused")
-	m.fusedRequests = reg.Counter(mFusedRequests, "Requests served by fused sessions.")
-	m.batchesFormed = reg.Counter(mBatchesFormed, "Miss-path batches dispatched (any size).")
-	m.maxBatchSize = reg.Gauge("evencycle_batch_size_max", "Largest fused batch dispatched so far.")
-
-	mutHelp := "Corpus mutations, split applied vs all-duplicate no-ops."
-	m.mutations = reg.LabeledCounter("evencycle_corpus_mutations_total", mutHelp, "kind", "applied")
-	m.noopMutations = reg.LabeledCounter("evencycle_corpus_mutations_total", mutHelp, "kind", "noop")
-	warmHelp := "Warm-start lifecycle events (starts, later cache hits, full-run fallbacks)."
-	m.warmStarts = reg.LabeledCounter("evencycle_warm_total", warmHelp, "event", "start")
-	m.warmHits = reg.LabeledCounter("evencycle_warm_total", warmHelp, "event", "hit")
-	m.warmFallbacks = reg.LabeledCounter("evencycle_warm_total", warmHelp, "event", "fallback")
-
-	durHelp := "Server-side request latency by serve path (successes only)."
-	durBuckets := obs.DurationBuckets()
-	m.durHit = reg.LabeledHistogram(mRequestDur, durHelp, "path", "hit", durBuckets, 1e-9)
-	m.durCoalesced = reg.LabeledHistogram(mRequestDur, durHelp, "path", "coalesced", durBuckets, 1e-9)
-	m.durAmplified = reg.LabeledHistogram(mRequestDur, durHelp, "path", "amplified", durBuckets, 1e-9)
-	m.durComputed = reg.LabeledHistogram(mRequestDur, durHelp, "path", "computed", durBuckets, 1e-9)
-	m.durFused = reg.LabeledHistogram(mRequestDur, durHelp, "path", "fused", durBuckets, 1e-9)
-
-	stageHelp := "Wall-clock time spent in each request stage."
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		m.stageDur[st] = reg.LabeledHistogram(mStageDur, stageHelp, "stage", st.String(), durBuckets, 1e-9)
-	}
-
-	m.engineRounds = reg.Histogram(mEngineRounds, "CONGEST rounds per completed engine session.", obs.RoundBuckets(), 1)
-	m.engineWall = reg.Histogram(mEngineWall, "Wall-clock duration per completed engine session.", durBuckets, 1e-9)
-	m.gateWait = reg.Histogram(mGateWait, "Admission-gate queue wait per granted slot.", durBuckets, 1e-9)
-	m.batchFill = reg.Histogram(mBatchFill, "Fill size of executed miss-path batches.", obs.SizeBuckets(1024), 1)
-
-	m.storeFsync = reg.Histogram(mStoreFsync, "Journal fsync latency on the corpus append path.", durBuckets, 1e-9)
-	m.storeAppendBytes = reg.Histogram(mStoreAppend, "Framed size of journaled corpus records.", obs.SizeBuckets(16<<20), 1)
-	m.storeCompact = reg.Histogram(mStoreCompact, "Corpus snapshot compaction duration.", durBuckets, 1e-9)
-
-	return m
+// stat is one catalog row: a /metrics series and the Stats field it
+// fills. A counter row names its int64 field, which is both the running
+// total in metrics.live and the snapshot's copy; a state row samples a
+// value of the service on demand, for its gauge and for Stats alike.
+type stat struct {
+	family, help string
+	key, value   string // the series' label; no label when key is ""
+	gauge        bool   // exposed as a gauge, else as a counter
+	field        func(*Stats) *int64
+	state        func(*Service) int64
+	fill         func(*Stats, int64)
 }
 
-// durFor maps a successful serve outcome to its latency histogram;
-// fused when the request was computed in a batch of more than one.
-func (m *metrics) durFor(src Source, batch int) *obs.Histogram {
-	if batch > 1 {
-		return m.durFused
+const (
+	servedHelp = "Successful requests partitioned by serve path."
+	reasonHelp = "Failed requests attributed to the failure taxonomy."
+	sessHelp   = "Engine sessions run, split solo vs fused."
+	mutHelp    = "Corpus mutations, split applied vs all-duplicate no-ops."
+	warmHelp   = "Warm-start lifecycle events (starts, later cache hits, full-run fallbacks)."
+)
+
+// catalog declares every counter and gauge behind a Stats field, once.
+// newMetrics registers each row as its /metrics series, and Stats fills
+// a snapshot by reading the rows in this order.
+//
+// The order is what makes a snapshot coherent without a lock. Every
+// request increments requests at entry and exactly one exit counter (a
+// serve path, or errors) at exit, and every failed request increments
+// errors before its reason. Reading the reasons before errors, and
+// every exit before requests, guarantees in every snapshot, however
+// many requests are mid-flight,
+//
+//	requests ≥ hits + coalesced + amplified + computed + errors
+//	errors   ≥ rejected + shed + deadline_exceeded + cancelled + panics
+//
+// Reorder the rows down to requests and the invariants break under load.
+var catalog = [...]stat{
+	{family: "evencycle_request_errors_total", help: reasonHelp, key: "reason", value: "rejected", field: func(st *Stats) *int64 { return &st.Rejected }},
+	{family: "evencycle_request_errors_total", help: reasonHelp, key: "reason", value: "shed", field: func(st *Stats) *int64 { return &st.Shed }},
+	{family: "evencycle_request_errors_total", help: reasonHelp, key: "reason", value: "deadline", field: func(st *Stats) *int64 { return &st.DeadlineExceeded }},
+	{family: "evencycle_request_errors_total", help: reasonHelp, key: "reason", value: "cancelled", field: func(st *Stats) *int64 { return &st.Cancelled }},
+	{family: "evencycle_request_errors_total", help: reasonHelp, key: "reason", value: "panic", field: func(st *Stats) *int64 { return &st.Panics }},
+	{family: mServed, help: servedHelp, key: "path", value: "hit", field: func(st *Stats) *int64 { return &st.Hits }},
+	{family: mServed, help: servedHelp, key: "path", value: "coalesced", field: func(st *Stats) *int64 { return &st.Coalesced }},
+	{family: mServed, help: servedHelp, key: "path", value: "amplified", field: func(st *Stats) *int64 { return &st.Amplified }},
+	{family: mServed, help: servedHelp, key: "path", value: "computed", field: func(st *Stats) *int64 { return &st.Computed }},
+	{family: "evencycle_errors_total", help: "Failed requests (every error exit of Do).", field: func(st *Stats) *int64 { return &st.Errors }},
+	{family: mRequests, help: "Detection requests entered (every Do call).", field: func(st *Stats) *int64 { return &st.Requests }},
+
+	{family: "evencycle_batches_skipped_total", help: "Fused batches skipped because every waiter abandoned them.",
+		state: func(s *Service) int64 {
+			if s.batcher == nil {
+				return 0
+			}
+			return s.batcher.Skipped()
+		},
+		fill: func(st *Stats, v int64) { st.BatchesSkipped = v }},
+	{family: "evencycle_corpus_mutations_total", help: mutHelp, key: "kind", value: "applied", field: func(st *Stats) *int64 { return &st.Mutations }},
+	{family: "evencycle_corpus_mutations_total", help: mutHelp, key: "kind", value: "noop", field: func(st *Stats) *int64 { return &st.NoopMutations }},
+	{family: "evencycle_warm_total", help: warmHelp, key: "event", value: "start", field: func(st *Stats) *int64 { return &st.WarmStarts }},
+	{family: "evencycle_warm_total", help: warmHelp, key: "event", value: "hit", field: func(st *Stats) *int64 { return &st.WarmHits }},
+	{family: "evencycle_warm_total", help: warmHelp, key: "event", value: "fallback", field: func(st *Stats) *int64 { return &st.Fallbacks }},
+	{family: "evencycle_mean_session_ns", help: "EWMA of engine-session wall time feeding the admission estimate (nanoseconds).", gauge: true,
+		state: func(s *Service) int64 { return s.meanSessionNs.Load() },
+		fill:  func(st *Stats, v int64) { st.MeanSessionMS = float64(v) / 1e6 }},
+	{family: "evencycle_engine_sessions_total", help: sessHelp, key: "mode", value: "fused", field: func(st *Stats) *int64 { return &st.FusedSessions }},
+	{family: "evencycle_engine_sessions_total", help: sessHelp, key: "mode", value: "solo", field: func(st *Stats) *int64 { return &st.SoloSessions }},
+	{family: "evencycle_fused_requests_total", help: "Requests served by fused sessions.", field: func(st *Stats) *int64 { return &st.FusedRequests }},
+	{family: "evencycle_batches_formed_total", help: "Miss-path batches dispatched (any size).", field: func(st *Stats) *int64 { return &st.BatchesFormed }},
+	{family: "evencycle_batch_size_max", help: "Largest fused batch dispatched so far.", gauge: true, field: func(st *Stats) *int64 { return &st.MaxBatchSize }},
+	{family: "evencycle_cache_entries", help: "Verdict-cache entries resident.", gauge: true,
+		state: func(s *Service) int64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return int64(s.cache.len())
+		},
+		fill: func(st *Stats, v int64) { st.CacheEntries = int(v) }},
+	{family: "evencycle_gate_in_use", help: "Admission slots currently held.", gauge: true,
+		state: func(s *Service) int64 { return int64(s.gate.InUse()) },
+		fill:  func(st *Stats, v int64) { st.InFlight = int(v) }},
+	{family: "evencycle_gate_waiting", help: "Requests queued for an admission slot.", gauge: true,
+		state: func(s *Service) int64 { return int64(s.gate.Waiting()) },
+		fill:  func(st *Stats, v int64) { st.Queued = int(v) }},
+}
+
+// read returns the row's current value in s.
+func (r *stat) read(s *Service) int64 {
+	if r.state != nil {
+		return r.state(s)
 	}
-	switch src {
-	case SourceCache:
-		return m.durHit
-	case SourceCoalesced:
-		return m.durCoalesced
-	case SourceAmplified:
-		return m.durAmplified
-	default:
-		return m.durComputed
+	return atomic.LoadInt64(r.field(&s.live))
+}
+
+// store writes v into the row's Stats field.
+func (r *stat) store(st *Stats, v int64) {
+	if r.fill != nil {
+		r.fill(st, v)
+	} else {
+		*r.field(st) = v
 	}
+}
+
+// raise lifts the live total at p to n if n is larger.
+func raise(p *int64, n int64) {
+	for {
+		cur := atomic.LoadInt64(p)
+		if n <= cur || atomic.CompareAndSwapInt64(p, cur, n) {
+			return
+		}
+	}
+}
+
+// reqPaths labels the request-duration histograms, indexed by the path
+// constants: fused is a computed request whose batch held more than one.
+var reqPaths = [...]string{"hit", "coalesced", "amplified", "computed", "fused"}
+
+const (
+	pathHit = iota
+	pathCoalesced
+	pathAmplified
+	pathComputed
+	pathFused
+)
+
+// newMetrics registers s's catalog rows, histograms and store gauges.
+func newMetrics(s *Service) *metrics {
+	reg := obs.NewRegistry()
+	m := &metrics{reg: reg}
+	for i := range catalog {
+		r := &catalog[i]
+		typ := "counter"
+		if r.gauge {
+			typ = "gauge"
+		}
+		reg.Func(r.family, r.help, typ, r.key, r.value, func() int64 { return r.read(s) })
+	}
+
+	durBuckets := obs.DurationBuckets()
+	for p, path := range reqPaths {
+		m.reqDur[p] = reg.LabeledHistogram(mRequestDur, "Server-side request latency by serve path (successes only).",
+			"path", path, durBuckets, 1e-9)
+	}
+	for st := obs.Stage(0); st < obs.NumStages; st++ {
+		m.stageDur[st] = reg.LabeledHistogram("evencycle_stage_duration_seconds", "Wall-clock time spent in each request stage.",
+			"stage", st.String(), durBuckets, 1e-9)
+	}
+	m.engineRounds = reg.Histogram(mEngineRounds, "CONGEST rounds per completed engine session.", obs.RoundBuckets(), 1)
+	m.engineWall = reg.Histogram("evencycle_engine_session_seconds", "Wall-clock duration per completed engine session.", durBuckets, 1e-9)
+	m.gateWait = reg.Histogram(mGateWait, "Admission-gate queue wait per granted slot.", durBuckets, 1e-9)
+	m.batchFill = reg.Histogram("evencycle_batch_fill_size", "Fill size of executed miss-path batches.", obs.SizeBuckets(1024), 1)
+
+	m.storeFsync = reg.Histogram("evencycle_store_fsync_seconds", "Journal fsync latency on the corpus append path.", durBuckets, 1e-9)
+	m.storeAppendBytes = reg.Histogram("evencycle_store_append_bytes", "Framed size of journaled corpus records.", obs.SizeBuckets(16<<20), 1)
+	m.storeCompact = reg.Histogram("evencycle_store_compact_seconds", "Corpus snapshot compaction duration.", durBuckets, 1e-9)
+
+	// Store families read 0 without a store, so the exposition's family
+	// set does not depend on configuration.
+	persist := func(f func(store.Stats) int64) func() int64 {
+		return func() int64 {
+			if s.cfg.Persist == nil {
+				return 0
+			}
+			return f(s.cfg.Persist.Stats())
+		}
+	}
+	reg.Func("evencycle_store_wal_bytes", "Corpus journal size on disk.", "gauge", "", "",
+		persist(func(st store.Stats) int64 { return st.WALBytes }))
+	reg.Func("evencycle_store_graphs", "Durable corpus graphs resident.", "gauge", "", "",
+		persist(func(st store.Stats) int64 { return int64(st.Graphs) }))
+	reg.Func("evencycle_store_appends_total", "Corpus mutations journaled by this process.", "counter", "", "",
+		persist(func(st store.Stats) int64 { return st.Appended }))
+	reg.Func("evencycle_store_compactions_total", "Corpus snapshot compactions taken by this process.", "counter", "", "",
+		persist(func(st store.Stats) int64 { return st.Compactions }))
+	return m
 }
 
 // noteStage records one stage duration into the request's trace (when

@@ -46,7 +46,7 @@ func TestStatsCoherenceHammer(t *testing.T) {
 				}
 				st := svc.Stats()
 				exits := st.Hits + st.Coalesced + st.Amplified + st.Computed + st.Errors
-				reasons := st.Rejected + st.Shed + st.DeadlineExceeded + st.Cancelled
+				reasons := st.Rejected + st.Shed + st.DeadlineExceeded + st.Cancelled + st.Panics
 				snapMu.Lock()
 				snapshots++
 				if st.Requests < exits && snapErr == nil {
@@ -224,6 +224,90 @@ func TestObservedMetricsEndToEnd(t *testing.T) {
 	}
 	if gw == nil || gw.Count != float64(st.EngineSessions) {
 		t.Fatalf("%s count = %+v, want %d acquisitions", mGateWait, gw, st.EngineSessions)
+	}
+}
+
+// TestCatalogScrapeMatchesStats checks every catalog row's /metrics
+// series against the Stats field it fills, on a quiesced armed service
+// after a workload that moves hits, computes, amplification, validation
+// errors, a mutation and a warm start.
+func TestCatalogScrapeMatchesStats(t *testing.T) {
+	svc := New(Config{Slots: 2, Observe: true, BatchSize: 1})
+	parent, closing := openPathGraph(64, 0, 1, 2, 3)
+	if err := svc.CreateCorpus("g", parent); err != nil {
+		t.Fatal(err)
+	}
+	free := graph.HighGirth(200, 300, 6, graph.NewRand(4))
+	det := &Request{Graph: parent, Algo: AlgoDet, K: 2}
+	even := &Request{Graph: free, Algo: AlgoEven, K: 2, Seed: 1, Iterations: 2}
+	for _, r := range []*Request{det, even, det, even} {
+		if _, _, err := svc.Do(context.Background(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	more := &Request{Graph: free, Algo: AlgoEven, K: 2, Seed: 1, Iterations: 4}
+	if _, src, err := svc.Do(context.Background(), more); err != nil || src != SourceAmplified {
+		t.Fatalf("larger budget: src=%v err=%v, want amplified", src, err)
+	}
+	if _, _, err := svc.Do(context.Background(), &Request{Graph: free, Algo: AlgoEven, K: 2}); err == nil {
+		t.Fatal("zero-iteration request served")
+	}
+	if _, err := svc.AddCorpusEdges("g", [][2]graph.NodeID{closing}); err != nil {
+		t.Fatal(err)
+	}
+	child, _ := svc.NamedGraph("g")
+	if _, src, err := svc.Do(context.Background(), &Request{Graph: child, Algo: AlgoDet, K: 2}); err != nil || src != SourceCache {
+		t.Fatalf("warmed child: src=%v err=%v, want cache", src, err)
+	}
+
+	st := svc.Stats()
+	if st.Hits != 3 || st.Computed != 2 || st.Amplified != 1 || st.Errors != 1 || st.Mutations != 1 ||
+		st.WarmStarts != 1 || st.WarmHits != 1 || st.CacheEntries != 3 || st.MeanSessionMS <= 0 {
+		t.Fatalf("workload did not move the counters it names: %+v", st)
+	}
+	var buf bytes.Buffer
+	if err := svc.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := func(key, value string) map[string]string {
+		if key == "" {
+			return nil
+		}
+		return map[string]string{key: value}
+	}
+	// A few series by name, so a row whose label and field are crossed
+	// with another row's shows.
+	for _, want := range []struct {
+		family, key, value string
+		n                  float64
+	}{
+		{mRequests, "", "", 7}, {mServed, "path", "hit", 3}, {mServed, "path", "computed", 2},
+		{mServed, "path", "amplified", 1}, {"evencycle_errors_total", "", "", 1},
+		{"evencycle_engine_sessions_total", "mode", "solo", 3},
+		{"evencycle_corpus_mutations_total", "kind", "applied", 1},
+		{"evencycle_warm_total", "event", "start", 1}, {"evencycle_warm_total", "event", "hit", 1},
+		{"evencycle_cache_entries", "", "", 3},
+	} {
+		if v, ok := exp.Value(want.family, labels(want.key, want.value)); !ok || v != want.n {
+			t.Errorf("%s{%s=%s} = %v (ok=%v), want %v", want.family, want.key, want.value, v, ok, want.n)
+		}
+	}
+	for i := range catalog {
+		r := &catalog[i]
+		v, ok := exp.Value(r.family, labels(r.key, r.value))
+		if !ok {
+			t.Fatalf("%s{%s=%s} not exposed", r.family, r.key, r.value)
+		}
+		// Storing the scraped value into the snapshot must change nothing.
+		scraped := st
+		r.store(&scraped, int64(v))
+		if scraped != st {
+			t.Errorf("%s{%s=%s} = %v disagrees with stats %+v", r.family, r.key, r.value, v, st)
+		}
 	}
 }
 

@@ -203,7 +203,8 @@ type Stats struct {
 	// them to failure domains. Rejected is the queue-full (ErrOverloaded)
 	// subset and Shed the deadline-aware admission rejections; Deadline-
 	// Exceeded and Cancelled are requests that died after admission; and
-	// Panics counts contained detector/batch-leader crashes (ErrInternal).
+	// Panics counts the requests a contained detector/batch-leader crash
+	// failed (ErrInternal).
 	Errors           int64 `json:"errors"`
 	Rejected         int64 `json:"rejected"`
 	Shed             int64 `json:"shed"`
@@ -275,8 +276,9 @@ type Service struct {
 
 	batcher *sched.Batcher[compatKey, *fuseItem, fuseOut]
 
-	// metrics holds every counter (registry-backed; see metrics.go) —
-	// the fields promote, so s.requests.Add(1) reads as before.
+	// metrics holds every counter and histogram (see metrics.go); its
+	// fields promote, so a counter bump reads
+	// atomic.AddInt64(&s.live.Requests, 1).
 	*metrics
 	// observe mirrors Config.Observe: true arms the latency/stage
 	// timers on the request path.
@@ -338,10 +340,10 @@ func New(cfg Config) *Service {
 		cache:    newLRU(cfg.CacheEntries),
 		inflight: make(map[cacheKey]*call),
 		corpus:   make(map[string]*graph.Graph),
-		metrics:  newMetrics(),
 		observe:  cfg.Observe,
 		rt:       congest.Runtime{Workers: cfg.Workers, Shards: cfg.Shards},
 	}
+	s.metrics = newMetrics(s)
 	if cfg.Persist != nil {
 		// Preload the recovered durable corpus: every graph acknowledged
 		// before the last shutdown or crash is servable before the first
@@ -362,63 +364,14 @@ func New(cfg Config) *Service {
 			Weight:    func(it *fuseItem) int { return it.req.Graph.NumNodes() },
 			MaxWeight: congest.MaxNodes / 16,
 			Exec: func(ck compatKey, items []*fuseItem) ([]fuseOut, error) {
-				s.batchesFormed.Add(1)
+				atomic.AddInt64(&s.live.BatchesFormed, 1)
 				s.batchSizeSum.Add(int64(len(items)))
-				s.maxBatchSize.Max(int64(len(items)))
+				raise(&s.live.MaxBatchSize, int64(len(items)))
 				return s.execBatch(context.Background(), ck, items)
 			},
 		}
 	}
 	s.jobs.init()
-
-	// State gauges and derived totals are registered unconditionally so
-	// the exposition's family set does not depend on configuration;
-	// families whose source is absent (no store, no batcher) read 0.
-	s.reg.GaugeFunc("evencycle_gate_in_use", "Admission slots currently held.",
-		func() int64 { return int64(s.gate.InUse()) })
-	s.reg.GaugeFunc("evencycle_gate_waiting", "Requests queued for an admission slot.",
-		func() int64 { return int64(s.gate.Waiting()) })
-	s.reg.GaugeFunc("evencycle_cache_entries", "Verdict-cache entries resident.", func() int64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return int64(s.cache.len())
-	})
-	s.reg.GaugeFunc("evencycle_mean_session_ns",
-		"EWMA of engine-session wall time feeding the admission estimate (nanoseconds).",
-		s.meanSessionNs.Load)
-	s.reg.CounterFunc("evencycle_batches_skipped_total",
-		"Fused batches skipped because every waiter abandoned them.", func() int64 {
-			if s.batcher == nil {
-				return 0
-			}
-			return s.batcher.Skipped()
-		})
-	s.reg.GaugeFunc("evencycle_store_wal_bytes", "Corpus journal size on disk.", func() int64 {
-		if cfg.Persist == nil {
-			return 0
-		}
-		return cfg.Persist.Stats().WALBytes
-	})
-	s.reg.GaugeFunc("evencycle_store_graphs", "Durable corpus graphs resident.", func() int64 {
-		if cfg.Persist == nil {
-			return 0
-		}
-		return int64(cfg.Persist.Stats().Graphs)
-	})
-	s.reg.CounterFunc("evencycle_store_appends_total",
-		"Corpus mutations journaled by this process.", func() int64 {
-			if cfg.Persist == nil {
-				return 0
-			}
-			return cfg.Persist.Stats().Appended
-		})
-	s.reg.CounterFunc("evencycle_store_compactions_total",
-		"Corpus snapshot compactions taken by this process.", func() int64 {
-			if cfg.Persist == nil {
-				return 0
-			}
-			return cfg.Persist.Stats().Compactions
-		})
 
 	if cfg.Observe {
 		// Arm the per-layer hooks. Each is one histogram observation —
@@ -575,7 +528,7 @@ func (s *Service) Do(ctx context.Context, req *Request) (*Response, Source, erro
 // DoInfo is Do with serve-path metadata (batch size) for callers that
 // surface it, like the HTTP server's X-Evencycle-Batch header.
 func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, error) {
-	s.requests.Add(1)
+	atomic.AddInt64(&s.live.Requests, 1)
 	// Work on a copy: validate normalizes the algo name, and mutating the
 	// caller's Request would make sharing one Request across goroutines a
 	// data race.
@@ -590,7 +543,7 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 		t0 = time.Now()
 	}
 	if err := validate(req); err != nil {
-		s.errors.Add(1)
+		atomic.AddInt64(&s.live.Errors, 1)
 		return nil, Info{}, err
 	}
 	if timed {
@@ -607,12 +560,12 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 			resp := ent.resp
 			warmed := ent.warmed
 			s.mu.Unlock()
-			s.hits.Add(1)
+			atomic.AddInt64(&s.live.Hits, 1)
 			if warmed {
-				s.warmHits.Add(1)
+				atomic.AddInt64(&s.live.WarmHits, 1)
 			}
 			if s.observe {
-				s.durHit.ObserveDuration(time.Since(t0))
+				s.reqDur[pathHit].ObserveDuration(time.Since(t0))
 			}
 			return resp, Info{Source: SourceCache}, nil
 		}
@@ -630,9 +583,9 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 				return nil, Info{}, err
 			}
 			if c.err == nil && (covered || c.resp.Found) {
-				s.coalesced.Add(1)
+				atomic.AddInt64(&s.live.Coalesced, 1)
 				if s.observe {
-					s.durCoalesced.ObserveDuration(time.Since(t0))
+					s.reqDur[pathCoalesced].ObserveDuration(time.Since(t0))
 				}
 				return c.resp, Info{Source: SourceCoalesced}, nil
 			}
@@ -670,16 +623,19 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 			s.countError(err)
 			return nil, Info{}, err
 		}
-		source := SourceComputed
+		source, path := SourceComputed, pathComputed
 		if amplified {
-			source = SourceAmplified
-			s.amplified.Add(1)
+			source, path = SourceAmplified, pathAmplified
+			atomic.AddInt64(&s.live.Amplified, 1)
 		} else {
-			s.computed.Add(1)
+			atomic.AddInt64(&s.live.Computed, 1)
 		}
 		s.finish(key, c, resp, nil)
 		if s.observe {
-			s.durFor(source, batch).ObserveDuration(time.Since(t0))
+			if batch > 1 {
+				path = pathFused
+			}
+			s.reqDur[path].ObserveDuration(time.Since(t0))
 		}
 		return resp, Info{Source: source, Batch: batch}, nil
 	}
@@ -774,67 +730,19 @@ func (s *Service) Config() Config {
 	return s.cfg
 }
 
-// Stats snapshots the service counters.
-//
-// The snapshot is coherent by read order, not by a global lock: every
-// request increments Requests at entry and exactly one partition
-// counter (a serve path, or Errors) at exit. Reading the exit counters
-// BEFORE the entry counter therefore guarantees
-//
-//	Requests ≥ Hits + Coalesced + Amplified + Computed + Errors
-//
-// in every snapshot, however many requests are mid-flight — a reader
-// can never observe an exit that lacks its entry. The same ordering
-// nests the error taxonomy (reason counters before Errors, which each
-// failed request increments first). Reorder these reads and the
-// invariant — which hammer tests and operators' dashboards rely on —
-// silently breaks under load.
+// Stats snapshots the service counters: every catalog row (see
+// metrics.go) in catalog order, which makes the snapshot coherent
+// without a lock, then the two derived fields and the lineage edge.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	entries := s.cache.len()
-	s.mu.Unlock()
-	rejected, shed := s.rejected.Value(), s.shed.Value()
-	deadline, cancelled := s.deadlineExceeded.Value(), s.cancelled.Value()
-	hits, coalesced := s.hits.Value(), s.coalesced.Value()
-	amplified, computed := s.amplified.Value(), s.computed.Value()
-	errs := s.errors.Value()
-	requests := s.requests.Value()
-	solo, fused := s.soloSessions.Value(), s.fusedSessions.Value()
-	batches := s.batchesFormed.Value()
-	st := Stats{
-		Requests:         requests,
-		Hits:             hits,
-		Coalesced:        coalesced,
-		Amplified:        amplified,
-		Computed:         computed,
-		Errors:           errs,
-		Rejected:         rejected,
-		Shed:             shed,
-		DeadlineExceeded: deadline,
-		Cancelled:        cancelled,
-		Panics:           s.panics.Value(),
-		MeanSessionMS:    float64(s.meanSessionNs.Load()) / 1e6,
-		EngineSessions:   solo + fused,
-		FusedSessions:    fused,
-		SoloSessions:     solo,
-		FusedRequests:    s.fusedRequests.Value(),
-		BatchesFormed:    batches,
-		MaxBatchSize:     s.maxBatchSize.Value(),
-		CacheEntries:     entries,
-		InFlight:         s.gate.InUse(),
-		Queued:           s.gate.Waiting(),
+	var st Stats
+	for i := range catalog {
+		r := &catalog[i]
+		r.store(&st, r.read(s))
 	}
-	if batches > 0 {
-		st.MeanBatchSize = float64(s.batchSizeSum.Value()) / float64(batches)
+	st.EngineSessions = st.SoloSessions + st.FusedSessions
+	if st.BatchesFormed > 0 {
+		st.MeanBatchSize = float64(s.batchSizeSum.Load()) / float64(st.BatchesFormed)
 	}
-	if s.batcher != nil {
-		st.BatchesSkipped = s.batcher.Skipped()
-	}
-	st.Mutations = s.mutations.Value()
-	st.NoopMutations = s.noopMutations.Value()
-	st.WarmStarts = s.warmStarts.Value()
-	st.WarmHits = s.warmHits.Value()
-	st.Fallbacks = s.warmFallbacks.Value()
 	s.lineageMu.Lock()
 	if !s.lastChild.IsZero() {
 		st.LastMutationParent = s.lastParent.String()
