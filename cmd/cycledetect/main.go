@@ -42,6 +42,7 @@ import (
 	"os"
 
 	"repro/internal/baseline"
+	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/sched"
 
@@ -370,7 +371,7 @@ func run() error {
 		}
 		out.verifyWitness(g, *jsonMode)
 	case "kball":
-		res, err := baseline.DetectKBall(g, *k, *seed, 0)
+		res, err := baseline.DetectKBall(g, *k, *seed, congest.Runtime{})
 		if err != nil {
 			return err
 		}

@@ -169,22 +169,14 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 		})
 	})
 
-	// DetectKBall exposes only the worker knob; shard counts follow the
-	// worker count through the engine default.
 	t.Run("baseline-kball", func(t *testing.T) {
-		base := ""
-		for i, w := range []int{1, 2, 8} {
-			res, err := baseline.DetectKBall(g, 2, 19, w)
+		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
+			res, err := baseline.DetectKBall(g, 2, 19, rt)
 			if err != nil {
-				t.Fatal(err)
+				return "", err
 			}
-			fp := fmt.Sprintf("%+v", res)
-			if i == 0 {
-				base = fp
-			} else if fp != base {
-				t.Fatalf("kball diverges at workers=%d", w)
-			}
-		}
+			return fmt.Sprintf("%+v", res), nil
+		})
 	})
 
 	// The deterministic broadcast detector must be invariant not only

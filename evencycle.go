@@ -110,12 +110,6 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 // GOMAXPROCS).
 func WithWorkers(w int) Option { return func(c *config) { c.Workers = w } }
 
-// WithShards overrides the receiver-shard count of the simulator's
-// parallel delivery phase (default: one shard per worker). Transcripts —
-// and therefore results — are bit-identical for every value; the knob
-// exists for tuning (see congest.Engine.Shards).
-func WithShards(s int) Option { return func(c *config) { c.Shards = s } }
-
 // WithThreshold overrides the congestion threshold τ: the per-node
 // identifier cap of the classical detectors (Instruction 19 of
 // Algorithm 1; the faithful Θ(n^{1-1/k}) value when unset) and of
@@ -342,7 +336,7 @@ func DetectOddQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
 // (chord-dense instances, mostly k ≥ 3). The detector draws no
 // randomness: the result is a pure function of the graph — WithSeed,
 // WithParallel and WithIterations have no effect, while
-// WithWorkers/WithShards tune the simulator (bit-identical results) and
+// WithWorkers tunes the simulator (bit-identical results) and
 // WithThreshold overrides τ.
 func DetectDeterministic(g *Graph, k int, opts ...Option) (*Result, error) {
 	c := buildConfig(opts)

@@ -38,6 +38,8 @@ func TestIntegrationDeterminism(t *testing.T) {
 }
 
 // Parallel execution must not change results (transcript determinism).
+// The parallel run forces every round onto the parallel engine paths:
+// at the default cutover this instance's rounds would stay serial.
 func TestIntegrationWorkerInvariance(t *testing.T) {
 	host := RandomGraph(2000, 4000, 7)
 	g, _, err := WithPlantedCycle(host, 4, 8)
@@ -48,7 +50,8 @@ func TestIntegrationWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Detect(g, 2, WithSeed(3), WithWorkers(8), WithIterations(6))
+	forceParallel := func(c *config) { c.ParallelThreshold = 1 }
+	par, err := Detect(g, 2, WithSeed(3), WithWorkers(8), forceParallel, WithIterations(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func TestKBallDetects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DetectKBall(g, 3, 1, 0)
+	res, err := DetectKBall(g, 3, 1, congest.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestKBallDetects(t *testing.T) {
 	}
 
 	free := graph.HighGirth(80, 100, 6, rng)
-	res, err = DetectKBall(free, 3, 1, 0)
+	res, err = DetectKBall(free, 3, 1, congest.Runtime{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestKBallDetects(t *testing.T) {
 func TestKBallRoundsGrowOnHubs(t *testing.T) {
 	rounds := func(n int) int {
 		// Star: the hub's n edges must transit every leaf's relay queue.
-		res, err := DetectKBall(graph.Star(n), 3, 1, 0)
+		res, err := DetectKBall(graph.Star(n), 3, 1, congest.Runtime{})
 		if err != nil {
 			t.Fatal(err)
 		}

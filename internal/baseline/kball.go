@@ -122,14 +122,15 @@ func (p *kballProto) ball(u graph.NodeID) map[uint64]int32 {
 //
 // Round complexity: the pipelined flood costs Θ(max_v |E(ball_{k-1}(v))|)
 // rounds — Θ(n) on bounded-degree graphs, matching the deterministic Õ(n)
-// row of Table 1.
-func DetectKBall(g *graph.Graph, k int, seed uint64, workers int) (*KBallResult, error) {
+// row of Table 1. rt sets the simulator's parallelism; the result is
+// bit-identical for every setting.
+func DetectKBall(g *graph.Graph, k int, seed uint64, rt congest.Runtime) (*KBallResult, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("baseline: k-ball detection needs k ≥ 2")
 	}
 	net := congest.NewNetwork(g, seed)
 	eng := congest.NewEngine(net)
-	eng.Workers = workers
+	eng.Runtime = rt
 	proto := &kballProto{ttl0: int32(k - 1)}
 	rep, err := eng.Run(proto)
 	if err != nil {

@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -13,7 +14,7 @@ func BenchmarkKBall(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := DetectKBall(g, 3, 7, 0)
+		res, err := DetectKBall(g, 3, 7, congest.Runtime{})
 		if err != nil {
 			b.Fatal(err)
 		}

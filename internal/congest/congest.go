@@ -99,11 +99,16 @@ type Runtime struct {
 	// phase; 0 derives it from Workers. The knob exists for tuning and so
 	// the determinism tests can pin shard-count invariance explicitly.
 	Shards int
-	// ParallelThreshold is the minimum batch size (due handlers for the
-	// execution phase, staged messages for the delivery phase) below
-	// which a round runs serially even when Workers allows parallelism;
-	// rounds smaller than this are dominated by goroutine hand-off, not
-	// work. 0 means the default of 256.
+	// ParallelThreshold is the round volume below which a phase runs
+	// serially even when Workers allows parallelism. The handler phase
+	// counts its due handlers plus the messages delivered into their
+	// inboxes; the delivery phase counts the staged messages. Lighter
+	// rounds are dominated by goroutine hand-off, not work. 0 means the
+	// default of 24576, picked from a pingpong sweep on a 2-vCPU host:
+	// parallel rounds lose at 4096-node 16384-message rounds and win at
+	// complete bipartite 128×128 (32768 messages), so the paper's
+	// detectors, a few thousand messages a round, run serially. Tests
+	// set 1 to force both parallel paths onto every round.
 	ParallelThreshold int
 }
 

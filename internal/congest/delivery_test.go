@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -151,6 +152,45 @@ func TestBroadcastEnforcesBandwidth(t *testing.T) {
 		_, err := NewEngine(net).Run(doubleSendBroadcast{node: node})
 		if err == nil || !strings.Contains(err.Error(), "bandwidth") {
 			t.Fatalf("node %d: want bandwidth violation from Send+Broadcast on one edge, got %v", node, err)
+		}
+	}
+}
+
+// cutoverProbe is pingpong counting the handler calls that run in a
+// parallel round (rt.serialRound false).
+type cutoverProbe struct {
+	pingpong
+	parallel atomic.Int64
+}
+
+func (p *cutoverProbe) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
+	if !rt.serialRound {
+		p.parallel.Add(1)
+	}
+	p.pingpong.HandleRound(rt, u, r, inbox)
+}
+
+// TestParallelCutoverCountsMessages pins the default serial/parallel
+// cutover to round volume, not due-node count: a sparse network with
+// 2048 due nodes but 8192 messages a round stays serial, while complete
+// bipartite 128×128 (256 due nodes, 32768 messages) goes parallel.
+func TestParallelCutoverCountsMessages(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		parallel bool
+	}{
+		{"gnm-2048x4096", graph.Gnm(2048, 4096, graph.NewRand(3)), false},
+		{"bipartite-128x128", graph.CompleteBipartite(128, 128), true},
+	} {
+		e := NewEngine(NewNetwork(tc.g, 1))
+		e.Workers = 8
+		h := &cutoverProbe{pingpong: pingpong{rounds: 4}}
+		if _, err := e.Run(h); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := h.parallel.Load(); (got > 0) != tc.parallel {
+			t.Errorf("%s: %d handler calls ran in parallel rounds, want parallel=%v", tc.name, got, tc.parallel)
 		}
 	}
 }

@@ -42,8 +42,11 @@
 // back-to-back sessions allocate ~nothing. Transcripts (inbox contents and
 // order, reports, rejections) are bit-identical for every Workers, Shards
 // and ParallelThreshold setting; per-receiver inbox order is always
-// ascending sender. Explicit session tags (RunSession) keep the per-node
-// randomness streams — derived from (network seed, node, tag) — independent
+// ascending sender. ParallelThreshold is counted in messages: a round's
+// handler phase goes to the worker pool only when its due handlers plus
+// their inbox messages reach it, its delivery phase only when its staged
+// messages do (default 24576; see Runtime). Explicit session tags
+// (RunSession) keep the per-node randomness streams — derived from (network seed, node, tag) — independent
 // of scheduling, which is what makes concurrent trials reproducible.
 // TestEngineMatchesMapReference pins the engine against a map-based
 // reference implementation, and the root delivery-determinism suite pins

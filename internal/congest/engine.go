@@ -643,6 +643,7 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 		s.due = s.due[:0]
 		earliest := int32(-1)
 		maxInbox := rep.MaxInbox
+		inbound := 0
 		for si, sw := range s.summary {
 			for sw != 0 {
 				sb := bits.TrailingZeros64(sw)
@@ -654,9 +655,9 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 					u := NodeID(wi<<6 | b)
 					wk := s.wake[u]
 					if c := s.inCur[u]; c.stamp == s.stamp {
-						if load := int(c.pos - c.beg); load > maxInbox {
-							maxInbox = load
-						}
+						load := int(c.pos - c.beg)
+						inbound += load
+						maxInbox = max(maxInbox, load)
 						s.due = append(s.due, u)
 						if wk >= 0 && int(wk) <= round {
 							s.wake[u] = -1
@@ -693,7 +694,7 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 		}
 
 		// Execute handlers (possibly in parallel).
-		serialHandlers := e.runHandlers(s, h, round, workers)
+		serialHandlers := e.runHandlers(s, h, round, workers, len(s.due)+inbound)
 		if s.violation != nil {
 			return nil, s.violation
 		}
@@ -757,7 +758,9 @@ func canonicalRejections(rejs []Rejection) []Rejection {
 // cursor is not contended per node.
 const handlerGrain = 16
 
-const defaultParallelThreshold = 256
+// defaultParallelThreshold is Runtime.ParallelThreshold's default; the
+// Runtime doc gives its unit and the sweep behind the value.
+const defaultParallelThreshold = 24576
 
 func (e *Engine) parallelThreshold() int {
 	if e.ParallelThreshold > 0 {
@@ -767,13 +770,14 @@ func (e *Engine) parallelThreshold() int {
 }
 
 // runHandlers invokes the handler for every due node, in parallel when
-// the batch is large enough to amortize goroutine overhead, and reports
-// whether it ran serially (on the session goroutine). Parallel execution
-// steals handlerGrain-sized batches off the shared due cursor, so uneven
+// the round's volume (due handlers plus the messages in their inboxes)
+// reaches the parallel threshold, and reports whether it ran serially
+// (on the session goroutine). Parallel execution steals
+// handlerGrain-sized batches off the shared due cursor, so uneven
 // handler costs rebalance instead of idling statically chunked workers.
-func (e *Engine) runHandlers(s *Session, h Handler, round int, workers int) bool {
+func (e *Engine) runHandlers(s *Session, h Handler, round, workers, volume int) bool {
 	due := s.due
-	if workers <= 1 || len(due) < e.parallelThreshold() {
+	if workers <= 1 || volume < e.parallelThreshold() {
 		s.serialRound = true
 		s.senders = s.senders[:0]
 		s.serialHandlers(h, due, round)

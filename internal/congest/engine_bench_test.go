@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -67,9 +66,10 @@ func BenchmarkSessionRoundLoopSparse(b *testing.B) {
 // a complete bipartite network (uniform high degree, 32k messages per
 // round) and a random-regular network (large n, moderate degree). The
 // msgs/sec metric is the direct before/after number for the scatter
-// path; the Workers sub-benchmarks compare the serial path against the
-// work-stealing + sharded-scatter path (thresholds forced to 1 so every
-// round takes the parallel path).
+// path. The sub-benchmarks compare the serial path (workers=1), the
+// work-stealing + sharded-scatter path forced onto every round
+// (workers=4, threshold 1) and the default cutover (workers=4-default),
+// which should track the faster of the two.
 func BenchmarkDeliveryDense(b *testing.B) {
 	nets := []struct {
 		name string
@@ -87,13 +87,17 @@ func BenchmarkDeliveryDense(b *testing.B) {
 	}
 	const rounds = 8
 	for _, net := range nets {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", net.name, workers), func(b *testing.B) {
+		for _, cfg := range []struct {
+			name               string
+			workers, threshold int
+		}{
+			{"workers=1", 1, 0},
+			{"workers=4", 4, 1},
+			{"workers=4-default", 4, 0},
+		} {
+			b.Run(net.name+"/"+cfg.name, func(b *testing.B) {
 				e := NewEngine(NewNetwork(net.g, 1))
-				e.Workers = workers
-				if workers > 1 {
-					e.ParallelThreshold = 1
-				}
+				e.Workers, e.ParallelThreshold = cfg.workers, cfg.threshold
 				h := &pingpong{rounds: rounds}
 				var msgs int64
 				b.ReportAllocs()

@@ -13,7 +13,9 @@ import (
 // full Result — verdict, witness, round/message/bit ledger, congestion,
 // iteration count — is identical whether the coloring iterations run
 // sequentially or many-at-a-time, and identical across engine worker
-// counts.
+// counts. Multi-worker runs force every round onto the parallel engine
+// paths (ParallelThreshold 1); at the default cutover this instance's
+// rounds are too light to leave the serial path.
 func TestDetectorDeterministicAcrossParallel(t *testing.T) {
 	rng := graph.NewRand(5)
 	g, _, err := graph.PlantedHeavy(600, 4, 60, 1.4, rng)
@@ -26,7 +28,7 @@ func TestDetectorDeterministicAcrossParallel(t *testing.T) {
 			MaxIterations: 24,
 			KeepGoing:     keepGoing,
 			Parallel:      parallel,
-			Runtime:       congest.Runtime{Workers: workers},
+			Runtime:       congest.Runtime{Workers: workers, ParallelThreshold: 1},
 		})
 		if err != nil {
 			t.Fatal(err)
