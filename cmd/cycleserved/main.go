@@ -458,12 +458,21 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// decodeBody reads the request body (at most 64 MiB) as exactly one JSON
+// value into v — unknown keys and anything after the value but
+// whitespace are errors — and answers 400 itself when it cannot. Every
+// handler that reads a body goes through it.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := service.DecodeStrict(http.MaxBytesReader(w, r.Body, 64<<20), v); err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding request: %v", err)})
+		return false
+	}
+	return true
+}
+
 func (srv *server) decodeRequest(w http.ResponseWriter, r *http.Request) (*service.Request, bool) {
 	var wire service.WireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding request: %v", err)})
+	if !decodeBody(w, r, &wire) {
 		return nil, false
 	}
 	req, err := srv.svc.Resolve(&wire, srv.defaultIterations)
@@ -672,10 +681,7 @@ func checkRemoteSpec(spec string) error {
 func (srv *server) handleCorpusCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var body wireCorpusCreate
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding request: %v", err)})
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	var g *graph.Graph
@@ -717,10 +723,7 @@ type wireCorpusEdges struct {
 func (srv *server) handleCorpusAddEdges(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var body wireCorpusEdges
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding request: %v", err)})
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	if len(body.Edges) == 0 {

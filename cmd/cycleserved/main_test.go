@@ -216,3 +216,48 @@ func TestFlagSeededCorpusIsDurablyMutable(t *testing.T) {
 		t.Fatal("deleted flag graph was not re-seeded on the next boot")
 	}
 }
+
+// TestBodyTrailingData pins that every body-reading endpoint takes
+// exactly one JSON value: trailing junk or a second object is a 400 —
+// and a rejected corpus mutation is neither applied nor acknowledged —
+// while trailing whitespace is accepted.
+func TestBodyTrailingData(t *testing.T) {
+	srv, _ := newTestServer(t, "")
+	h := srv.routes()
+	if rr := do(t, h, "POST", "/v1/corpus/ring", `{"graph":{"n":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}}`); rr.Code != 201 {
+		t.Fatalf("setup create → %d", rr.Code)
+	}
+	const (
+		detect = `{"algo":"det","k":2,"graph":{"n":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}}`
+		create = `{"graph":{"n":3,"edges":[[0,1],[1,2]]}}`
+		edges  = `{"edges":[[0,2]]}`
+	)
+	for _, c := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"detect-second-object", "/v1/detect", detect + ` {"algo":"even"} junk`, 400},
+		{"detect-junk", "/v1/detect", detect + `xyz`, 400},
+		{"jobs-second-object", "/v1/jobs", detect + `{}`, 400},
+		{"create-junk", "/v1/corpus/a", create + `xyz`, 400},
+		{"create-second-object", "/v1/corpus/b", create + create, 400},
+		{"edges-brackets", "/v1/corpus/ring/edges", edges + `]]]`, 400},
+		{"edges-second-object", "/v1/corpus/ring/edges", edges + ` {"edges":[[1,3]]}`, 400},
+		{"detect-whitespace", "/v1/detect", detect + " \n\t\r ", 200},
+		{"jobs-whitespace", "/v1/jobs", detect + "\n", 202},
+		{"create-whitespace", "/v1/corpus/c", create + "\n", 201},
+		{"edges-whitespace", "/v1/corpus/ring/edges", edges + "  \n", 200},
+	} {
+		if rr := do(t, h, "POST", c.path, c.body); rr.Code != c.want {
+			t.Errorf("%s: POST %s → %d, want %d (body: %s)", c.name, c.path, rr.Code, c.want, rr.Body)
+		}
+	}
+	// Only the well-formed creates and the one well-formed edge batch
+	// took effect.
+	if _, ok := srv.svc.NamedGraph("a"); ok {
+		t.Error("create with trailing junk registered a graph")
+	}
+	if g, _ := srv.svc.NamedGraph("ring"); g.NumEdges() != 5 {
+		t.Errorf("ring has %d edges, want 5: a rejected edge batch was applied", g.NumEdges())
+	}
+}

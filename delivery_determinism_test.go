@@ -21,8 +21,14 @@ import (
 	"repro/internal/quantum"
 )
 
+// deliveryArena is shared by every detector and instance of this file,
+// so its retained sessions and detector state are re-laid across
+// networks of every size the suite runs.
+var deliveryArena = congest.NewArena(2)
+
 // engineCfgs spans serial, parallel-defaults, and forced-parallel with a
-// shard count different from the worker count.
+// shard count different from the worker count, each fresh or on state an
+// arena retained from earlier runs.
 var engineCfgs = []struct {
 	name string
 	rt   congest.Runtime
@@ -30,6 +36,8 @@ var engineCfgs = []struct {
 	{"serial", congest.Runtime{Workers: 1}},
 	{"w2", congest.Runtime{Workers: 2, ParallelThreshold: 1}},
 	{"w8s3", congest.Runtime{Workers: 8, Shards: 3, ParallelThreshold: 1}},
+	{"serial-arena", congest.Runtime{Workers: 1, Arena: deliveryArena}},
+	{"w8s3-arena", congest.Runtime{Workers: 8, Shards: 3, ParallelThreshold: 1, Arena: deliveryArena}},
 }
 
 func fingerprintInvariant(t *testing.T, run func(rt congest.Runtime) (string, error)) {

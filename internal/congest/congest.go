@@ -87,10 +87,11 @@ type Rejection struct {
 	Witness []graph.NodeID
 }
 
-// Runtime is the engine's parallelism: Engine embeds it, and so does
-// every detector's options struct, which hands it to its engines as one
-// value. Transcripts — and therefore every report and result — are
-// bit-identical for every setting; the knobs trade only wall-clock time.
+// Runtime is the engine's parallelism and state reuse: Engine embeds it,
+// and so does every detector's options struct, which hands it to its
+// engines as one value. Transcripts — and therefore every report and
+// result — are bit-identical for every setting; the knobs trade only
+// wall-clock time and allocation.
 type Runtime struct {
 	// Workers is the size of the goroutine pool mapping node handlers onto
 	// rounds; 0 means GOMAXPROCS.
@@ -110,6 +111,12 @@ type Runtime struct {
 	// detectors, a few thousand messages a round, run serially. Tests
 	// set 1 to force both parallel paths onto every round.
 	ParallelThreshold int
+	// Arena, when set, supplies every session (and, through the detector
+	// layers, their per-call state) from state retained across runs and
+	// takes it back afterwards; nil allocates per engine, as before. A
+	// retained session is re-laid onto the new network, so reuse changes
+	// no transcript.
+	Arena *Arena
 }
 
 // Costs is the CONGEST cost record of a detection run, the quantities

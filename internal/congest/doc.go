@@ -39,7 +39,8 @@
 // Pooling and determinism contract: an Engine is safe for concurrent
 // RunSession calls — all mutable per-run state lives in pooled Session
 // objects whose buffers are stamp-guarded or dirty-list-cleared, so
-// back-to-back sessions allocate ~nothing. Transcripts (inbox contents and
+// back-to-back sessions allocate ~nothing; an Arena (Runtime.Arena)
+// carries sessions across engines, re-laid onto each network. Transcripts (inbox contents and
 // order, reports, rejections) are bit-identical for every Workers, Shards
 // and ParallelThreshold setting; per-receiver inbox order is always
 // ascending sender. ParallelThreshold is counted in messages: a round's

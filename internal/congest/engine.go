@@ -17,7 +17,9 @@ import (
 // state lives in pooled Session objects, so an Engine is safe for
 // concurrent Run calls; configure the exported fields before the first Run
 // and leave them fixed while runs are in flight. Back-to-back sessions on
-// the same engine reuse session buffers and allocate almost nothing.
+// the same engine reuse session buffers and allocate almost nothing; with
+// Runtime.Arena set, sessions come from and go back to the arena, so
+// they outlive the engine and serve the next one too.
 type Engine struct {
 	net *Network
 	// MaxRounds aborts runaway protocols; 0 means the default cap.
@@ -139,7 +141,7 @@ func (e *Engine) Run(h Handler) (*Report, error) {
 // of the last round with activity, plus one; idle gaps before a scheduled
 // wake-up are not simulated but do elapse (and are therefore counted).
 func (e *Engine) RunSession(h Handler, sess uint64) (rep *Report, err error) {
-	s := e.sessions.Get().(*Session)
+	s := e.takeSession()
 	// Panic containment: handler panics are recovered inside the round
 	// loop and surface as ordinary errors, but if anything escapes run
 	// (an engine bug, a panic mid-cleanup), convert it to an error and
@@ -156,11 +158,38 @@ func (e *Engine) RunSession(h Handler, sess uint64) (rep *Report, err error) {
 	}
 	rep, err = s.run(h, sess)
 	s.cleanup()
-	e.sessions.Put(s)
+	e.putSession(s)
 	if e.Observe != nil && err == nil {
 		e.Observe(rep.Rounds, time.Since(start))
 	}
 	return rep, err
+}
+
+// takeSession returns a session laid out for e's network: from the
+// engine's own pool, or with an arena, a retained session re-laid onto
+// the network (a fresh one when none has the capacity).
+func (e *Engine) takeSession() *Session {
+	if e.Arena == nil {
+		return e.sessions.Get().(*Session)
+	}
+	n := e.net.NumNodes()
+	if s := Take[Session](e.Arena, n, int(e.adjOff[n])); s != nil {
+		s.relay(e)
+		return s
+	}
+	return e.newSession()
+}
+
+// putSession hands a cleaned-up session back to where takeSession found
+// it. A session offered to the arena drops its engine and network, so
+// retention keeps no graph alive.
+func (e *Engine) putSession(s *Session) {
+	if e.Arena == nil {
+		e.sessions.Put(s)
+		return
+	}
+	s.eng, s.net = nil, nil
+	Keep(e.Arena, s, cap(s.wake), cap(s.lastSent), s.retainedBytes())
 }
 
 // Session holds all mutable state of one engine session. Sessions are
@@ -267,6 +296,10 @@ type Session struct {
 	senders     []NodeID
 	serialRound bool
 
+	// layout is the adjOff the CSR regions (outTo) are laid out for; a
+	// session re-laid onto the same layout skips the per-node rebuild.
+	layout []int32
+
 	// lastSent[adjOff[u]+slot] = round stamp at which adjacency slot
 	// `slot` of u last carried a message (bandwidth enforcement). The
 	// monotone stamp makes per-session clearing unnecessary.
@@ -332,9 +365,55 @@ func (e *Engine) newSession() *Session {
 		s.outTo[u] = s.outToBuf[e.adjOff[u]:e.adjOff[u]:e.adjOff[u+1]]
 		s.rands[u] = *rand.New(&s.pcgs[u])
 	}
+	s.layout = e.adjOff
 	s.handlerFn = s.handlerWorker
 	s.scatterFn = s.scatterWorker
 	return s
+}
+
+// relay lays a retained session onto e's network, whose node and
+// directed-edge counts fit the session's capacity. Only the slice
+// lengths and the CSR regions of outTo change: between runs every
+// bitmap word is zero and every wake cell -1 across the whole capacity
+// (cleanup restores what a run touched, and cells past a shorter length
+// are left as they were), and the monotone stamps make every stale
+// inbox, bandwidth and rng cell miss.
+func (s *Session) relay(e *Engine) {
+	s.eng, s.net = e, e.net
+	if len(s.layout) == len(e.adjOff) && &s.layout[0] == &e.adjOff[0] {
+		return
+	}
+	n := e.net.NumNodes()
+	m := e.adjOff[n]
+	s.pool = s.pool[:(n+63)/64]
+	s.summary = s.summary[:(n+4095)/4096]
+	s.wake = s.wake[:n]
+	s.outTo = s.outTo[:n]
+	s.outPay = s.outPay[:m]
+	s.outToBuf = s.outToBuf[:m]
+	s.inboxBuf = s.inboxBuf[:m]
+	s.inCur = s.inCur[:n]
+	s.lastSent = s.lastSent[:m]
+	s.pcgs = s.pcgs[:n]
+	s.rands = s.rands[:n]
+	s.rngGen = s.rngGen[:n]
+	for u := 0; u < n; u++ {
+		s.outTo[u] = s.outToBuf[e.adjOff[u]:e.adjOff[u]:e.adjOff[u+1]]
+	}
+	s.layout = e.adjOff
+	// The shard bounds partition the old node range.
+	s.shards = 0
+}
+
+// Per-node and per-directed-edge bytes of a session's buffers (see
+// newSession), what an Arena charges for retaining one.
+const (
+	sessionNodeBytes = 100
+	sessionEdgeBytes = 44
+)
+
+func (s *Session) retainedBytes() int64 {
+	return int64(cap(s.wake))*sessionNodeBytes + int64(cap(s.lastSent))*sessionEdgeBytes
 }
 
 // N returns the number of nodes in the network (global knowledge).

@@ -91,7 +91,8 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 	// run as independent trials on the shared scheduler. One invocation
 	// pool serves every pair (the vertex count never changes).
 	runner := sched.TrialRunner{Workers: opt.Parallel}
-	pool := NewColorBFSPool(n)
+	pool := NewColorBFSPool(opt.Arena, n)
+	defer pool.Close()
 	for ell := 2; ell <= k && !res.Found; ell++ {
 		L := 2 * ell
 		calls := []struct {

@@ -94,8 +94,9 @@ type ColorBFS struct {
 	// shared slab (queueSlabCap entries per node, covering seeds and small
 	// forwarder sets without a first-touch allocation per node); queues
 	// that outgrow the slab segment get individual backing from append.
-	queue    [][]uint64
-	queueIdx []int32
+	queue     [][]uint64
+	queueIdx  []int32
+	queueSlab []uint64
 
 	// over mirrors "any entry of ascOver/descOver is set" so Overflowed is
 	// O(1) instead of a 2n-wide scan per invocation. It is an atomic only
@@ -155,7 +156,7 @@ func NewColorBFS(n int, spec ColorBFSSpec) (*ColorBFS, error) {
 		return nil, err
 	}
 	b := newColorBFS(n)
-	b.reset(spec)
+	b.reset(n, spec)
 	return b, nil
 }
 
@@ -175,37 +176,62 @@ func newColorBFS(n int) *ColorBFS {
 		queue:    make([][]uint64, n),
 		queueIdx: make([]int32, n),
 	}
-	slab := make([]uint64, n*queueSlabCap)
+	b.queueSlab = make([]uint64, n*queueSlabCap)
 	for v := range b.queue {
-		b.queue[v] = slab[v*queueSlabCap : v*queueSlabCap : (v+1)*queueSlabCap]
+		b.queue[v] = b.slabQueue(v)
 	}
 	return b
 }
 
-// reset prepares a (possibly reused) instance for a fresh invocation. The
-// identifier sets are emptied by a generation bump (O(1)); the remaining
-// per-node arrays are cleared in place, retaining their capacity.
-func (b *ColorBFS) reset(spec ColorBFSSpec) {
+// slabQueue is node v's empty forwarding queue in the shared slab.
+func (b *ColorBFS) slabQueue(v int) []uint64 {
+	return b.queueSlab[v*queueSlabCap : v*queueSlabCap : (v+1)*queueSlabCap]
+}
+
+// trim drops what the last invocation did not need — identifier tables
+// and queues more than twice their sets' sizes — so a retained instance
+// follows the last graph, not the union of every graph it served.
+func (b *ColorBFS) trim() {
+	b.asc.Trim()
+	b.desc.Trim()
+	if b.skip != nil {
+		b.skip.Trim()
+	}
+	queues := b.queue[:cap(b.queue)]
+	for v, q := range queues {
+		if cap(q) > 2*max(len(q), queueSlabCap) {
+			queues[v] = b.slabQueue(v)
+		}
+	}
+}
+
+// reset prepares a (possibly reused) instance for a fresh invocation on
+// n ≤ capacity vertices. The identifier sets are emptied by a generation
+// bump (O(1)); the remaining per-node arrays are re-sliced to n, keeping
+// their capacity, and cleared in place (a run reads no cell past n, and
+// detection buffers are cleared wherever the last run left them).
+func (b *ColorBFS) reset(n int, spec ColorBFSSpec) {
 	b.spec = spec
 	b.m = spec.L / 2
 	b.tmax = max(b.m, spec.L-b.m)
-	b.asc.Reset(b.n)
-	b.desc.Reset(b.n)
-	// The skip store exists only once an instance has run in merged mode
-	// (every skip code path is gated on DetectSkip or a Skip detection).
-	if spec.DetectSkip && b.skip == nil {
-		b.skip = idset.New(b.n)
-	} else if b.skip != nil {
-		b.skip.Reset(b.n)
-	}
-	clear(b.ascOver)
-	clear(b.descOver)
 	if b.detCount.Load() != 0 {
+		// At the recording run's length, before a shrink hides buffers
+		// that a later grow would bring back.
 		for v := range b.detAt {
 			b.detAt[v] = b.detAt[v][:0]
 		}
 		b.detCount.Store(0)
 	}
+	if n != b.n {
+		b.n = n
+		b.ascOver = b.ascOver[:n]
+		b.descOver = b.descOver[:n]
+		b.detAt = b.detAt[:n]
+		b.queue = b.queue[:n]
+		b.queueIdx = b.queueIdx[:n]
+	}
+	clear(b.ascOver)
+	clear(b.descOver)
 	b.detections = b.detections[:0]
 	for v := range b.queue {
 		// Truncate only non-empty queues: reads are cheaper than
@@ -215,23 +241,57 @@ func (b *ColorBFS) reset(spec ColorBFSSpec) {
 		}
 	}
 	clear(b.queueIdx)
+	b.asc.Reset(n)
+	b.desc.Reset(n)
+	// The skip store exists only once an instance has run in merged mode
+	// (every skip code path is gated on DetectSkip or a Skip detection).
+	if spec.DetectSkip && b.skip == nil {
+		b.skip = idset.New(n)
+	} else if b.skip != nil {
+		b.skip.Reset(n)
+	}
 	b.over.Store(false)
 }
 
+// retainedBytes is the instance's size as an Arena charges it: the
+// identifier stores, the per-node arrays across their capacity, and the
+// queue and detection buffers grown past the slab.
+func (b *ColorBFS) retainedBytes() int64 {
+	const perNode = 2 + 24 + 24 + 4 + queueSlabCap*8 // over flags, detAt and queue headers, queueIdx, slab
+	bytes := b.asc.Bytes() + b.desc.Bytes() + int64(cap(b.ascOver))*perNode
+	if b.skip != nil {
+		bytes += b.skip.Bytes()
+	}
+	for _, q := range b.queue[:cap(b.queue)] {
+		if cap(q) > queueSlabCap {
+			bytes += int64(cap(q)) * 8
+		}
+	}
+	for _, d := range b.detAt[:cap(b.detAt)] {
+		bytes += int64(cap(d)) * 16
+	}
+	return bytes + int64(cap(b.bucketColor))*5
+}
+
 // ColorBFSPool hands out reusable ColorBFS instances for a fixed vertex
-// count. Acquire/Release are safe for concurrent use (the trial scheduler
-// runs many invocations in flight on one engine); a released instance must
-// no longer be read — in particular its Detections and parent pointers —
-// because the next Acquire recycles its buffers.
+// count, for the duration of one detection. Acquire/Release are safe for
+// concurrent use (the trial scheduler runs many invocations in flight on
+// one engine); a released instance must no longer be read — in
+// particular its Detections and parent pointers — because the next
+// Acquire recycles its buffers.
 type ColorBFSPool struct {
-	n    int
-	mu   sync.Mutex
-	free []*ColorBFS
+	n     int
+	arena *congest.Arena
+	mu    sync.Mutex
+	free  []*ColorBFS
 }
 
 // NewColorBFSPool returns a pool of invocations for graphs on n vertices.
-func NewColorBFSPool(n int) *ColorBFSPool {
-	return &ColorBFSPool{n: n}
+// With an arena, instances come from the arena's retained ones when one
+// has the capacity, and Close hands them back; a nil arena allocates
+// them for this pool alone.
+func NewColorBFSPool(arena *congest.Arena, n int) *ColorBFSPool {
+	return &ColorBFSPool{n: n, arena: arena}
 }
 
 // Acquire returns a reset instance for the spec, reusing a released one
@@ -248,10 +308,33 @@ func (p *ColorBFSPool) Acquire(spec ColorBFSSpec) (*ColorBFS, error) {
 	}
 	p.mu.Unlock()
 	if b == nil {
-		b = newColorBFS(p.n)
+		if b = congest.Take[ColorBFS](p.arena, p.n, 0); b == nil {
+			b = newColorBFS(p.n)
+		}
 	}
-	b.reset(spec)
+	b.reset(p.n, spec)
 	return b, nil
+}
+
+// Close hands the released instances to the pool's arena (a nil arena
+// drops them). Instances still acquired — a detection retained for
+// witness notification — stay with their holder. The pool must not be
+// used afterwards.
+func (p *ColorBFSPool) Close() {
+	if p.arena == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, b := range p.free {
+		// Drop the references to this detection's arrays, so retention
+		// keeps no per-call state alive.
+		b.spec, b.bucketSrc = ColorBFSSpec{}, nil
+		b.trim()
+		congest.Keep(p.arena, b, cap(b.ascOver), 0, b.retainedBytes())
+		p.free[i] = nil
+	}
+	p.free = nil
 }
 
 // Release returns an instance to the pool. Callers that retain a detecting

@@ -26,7 +26,7 @@ func TestColorBFSPooledSteadyStateAllocs(t *testing.T) {
 	colors := perfectColoring(n, cyc)
 	all := allTrue(n)
 	eng := congest.NewEngine(congest.NewNetwork(g, 9))
-	pool := NewColorBFSPool(n)
+	pool := NewColorBFSPool(nil, n)
 	for _, mode := range []struct {
 		name      string
 		pipelined bool

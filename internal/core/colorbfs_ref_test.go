@@ -503,7 +503,7 @@ func TestColorBFSMatchesMapReference(t *testing.T) {
 		}
 
 		if pool == nil || pool.n != n {
-			pool = NewColorBFSPool(n)
+			pool = NewColorBFSPool(nil, n)
 		}
 		got, err := pool.Acquire(spec)
 		if err != nil {

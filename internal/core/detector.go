@@ -290,7 +290,8 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 	// fold aggregates the deterministic prefix, so the result is the same
 	// for every Parallel. Invocations are pooled: every trial reuses the
 	// identifier-set tables of earlier ones.
-	pool := NewColorBFSPool(total)
+	pool := NewColorBFSPool(opt.Arena, total)
+	defer pool.Close()
 	trial := func(it int) ([]iterOutcome, error) {
 		outs := make([]iterOutcome, len(comps))
 		// A fresh coloring array per trial: pooled invocations cache their

@@ -135,7 +135,8 @@ func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
 		witnesses [][]graph.NodeID
 	}
 	seen := make(map[string]struct{})
-	pool := NewColorBFSPool(n)
+	pool := NewColorBFSPool(opt.Arena, n)
+	defer pool.Close()
 	trial := func(it int) (*listOutcome, error) {
 		colors := IterationColors(n, L, opt.Seed, it)
 		out := &listOutcome{}

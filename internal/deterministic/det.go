@@ -125,16 +125,72 @@ type detProto struct {
 
 var _ congest.Handler = (*detProto)(nil)
 
-func newDetProto(n, k, tau int) *detProto {
-	return &detProto{
-		k:     uint64(k),
-		tau:   idset.CapLen(tau),
-		first: idset.New(n),
-		over:  make([]bool, n),
-		queue: make([][]uint64, n),
-		qIdx:  make([]int32, n),
-		detAt: make([][]candidate, n),
+// takeDetProto returns a protocol for n nodes: the arena's retained one
+// when one has the capacity (nil arena: a fresh one), reset for (k, τ).
+func takeDetProto(arena *congest.Arena, n, k, tau int) *detProto {
+	p := congest.Take[detProto](arena, n, 0)
+	if p == nil {
+		p = &detProto{
+			first: idset.New(n),
+			over:  make([]bool, n),
+			queue: make([][]uint64, n),
+			qIdx:  make([]int32, n),
+			detAt: make([][]candidate, n),
+		}
 	}
+	p.reset(n, k, tau)
+	return p
+}
+
+// reset prepares a (possibly retained) protocol for a run on n ≤
+// capacity nodes: per-node state is re-sliced to n and cleared (a run
+// reads no cell past n, and candidate buffers are cleared wherever the
+// last run left them); queues and walk-key tables keep their capacity.
+func (p *detProto) reset(n, k, tau int) {
+	p.k, p.tau, p.tauAt = uint64(k), idset.CapLen(tau), nil
+	if p.detCount.Load() != 0 {
+		// At the recording run's length, before a shrink hides buffers
+		// that a later grow would bring back.
+		for v := range p.detAt {
+			p.detAt[v] = p.detAt[v][:0]
+		}
+		p.detCount.Store(0)
+	}
+	p.over, p.queue, p.qIdx, p.detAt = p.over[:n], p.queue[:n], p.qIdx[:n], p.detAt[:n]
+	clear(p.over)
+	for v, q := range p.queue {
+		if len(q) > 0 {
+			p.queue[v] = q[:0]
+		}
+	}
+	clear(p.qIdx)
+	p.first.Reset(n)
+}
+
+// keep offers the protocol to the arena once its run has been read.
+func (p *detProto) keep(arena *congest.Arena) {
+	if arena == nil {
+		return
+	}
+	p.tauAt = nil
+	c := cap(p.over)
+	// Trim what this run did not need, so the retained state follows the
+	// last graph, not the union of every graph it served.
+	p.first.Trim()
+	queues := p.queue[:c]
+	for v, q := range queues {
+		if cap(q) > 2*max(len(q), 4) {
+			queues[v] = nil
+		}
+	}
+	bytes := p.first.Bytes() + int64(c)*(1+24+4+24)
+	for _, q := range queues {
+		bytes += int64(cap(q)) * 8
+	}
+	for _, d := range p.detAt[:c] {
+		bytes += int64(cap(d)) * 12
+	}
+	congest.Keep(arena, p, c, 0, bytes)
 }
 
 func (p *detProto) Init(rt *congest.Session) {

@@ -54,7 +54,7 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 	// One τ for the whole union (always so for a batch of one) needs no
 	// per-node table. The union lays graph i's nodes out right after
 	// graph i-1's (see congest.NewFusedEngine).
-	proto := newDetProto(eng.Network().NumNodes(), k, tau(gs[0]))
+	proto := takeDetProto(opt.Arena, eng.Network().NumNodes(), k, tau(gs[0]))
 	if !uniform {
 		proto.tauAt = make([]int32, 0, eng.Network().NumNodes())
 		for _, g := range gs {
@@ -114,5 +114,6 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 		}
 		results[i] = res
 	}
+	proto.keep(opt.Arena)
 	return results, nil
 }

@@ -22,11 +22,15 @@ type slot struct {
 
 const minTableSize = 4 // power of two
 
+// slotBytes is the size of a slot.
+const slotBytes = 16
+
 // Store is a per-node family of identifier sets. The zero value is not
 // usable; call New.
 type Store struct {
 	gen    uint32
 	tables [][]slot // per-node open-addressing tables
+	slab   []slot   // the minimum-size tables, minTableSize per node
 	// meta[v] packs node v's generation (high 32 bits) and live count
 	// (low 32): one load answers both "is the set current?" and "how
 	// big is it?", which the insert and length paths ask together.
@@ -39,6 +43,10 @@ type Store struct {
 	// generation, not per insert. MaxLen is then O(1) instead of an
 	// n-wide scan per query.
 	maxLen atomic.Uint64
+	// grown is the bytes of the tables grown past the minimum size (the
+	// slab holds the rest); Bytes reports it. Atomic because inserts for
+	// distinct nodes may race.
+	grown atomic.Int64
 }
 
 func (s *Store) lenOf(v NodeID) int32 {
@@ -58,7 +66,10 @@ func New(n int) *Store {
 
 // Reset empties every set (O(1) via the generation stamp) and re-sizes the
 // store to n nodes. Table capacity acquired by previous generations is
-// retained, which is what makes pooled reuse allocation-free.
+// retained, for any n up to the largest the store has held, which is what
+// makes pooled reuse allocation-free: past the current length, tables and
+// meta entries keep stale generations, so they read as empty once a
+// Reset brings them back into range.
 //
 // Every node starts with a minimum-size table carved out of one shared
 // slab: n separate first-touch allocations become one, and the common
@@ -67,14 +78,54 @@ func New(n int) *Store {
 // backing from grow.
 func (s *Store) Reset(n int) {
 	s.gen++
-	if n != len(s.meta) {
-		s.tables = make([][]slot, n)
-		s.meta = make([]uint64, n)
-		slab := make([]slot, n*minTableSize)
-		for v := range s.tables {
-			s.tables[v] = slab[v*minTableSize : (v+1)*minTableSize : (v+1)*minTableSize]
+	if n <= cap(s.meta) {
+		s.tables = s.tables[:n]
+		s.meta = s.meta[:n]
+		return
+	}
+	s.tables = make([][]slot, n)
+	s.meta = make([]uint64, n)
+	s.grown.Store(0)
+	s.slab = make([]slot, n*minTableSize)
+	for v := range s.tables {
+		s.tables[v] = s.slabTable(v)
+	}
+}
+
+// slabTable is node v's minimum-size table in the slab.
+func (s *Store) slabTable(v int) []slot {
+	return s.slab[v*minTableSize : (v+1)*minTableSize : (v+1)*minTableSize]
+}
+
+// Trim empties every set and returns each table more than twice the
+// size its node's set needed to the minimum slab table, across the whole
+// capacity, so a retained store follows the last generation's needs
+// instead of the maximum over every generation it served.
+func (s *Store) Trim() {
+	tables, meta := s.tables[:cap(s.tables)], s.meta[:cap(s.meta)]
+	for v, tbl := range tables {
+		if len(tbl) <= minTableSize {
+			continue
+		}
+		need := minTableSize
+		if m := meta[v]; uint32(m>>32) == s.gen {
+			for int(uint32(m))*4 >= need*3 {
+				need *= 2
+			}
+		}
+		if len(tbl) > 2*need {
+			tables[v] = s.slabTable(v)
+			s.grown.Add(-int64(len(tbl)) * slotBytes)
 		}
 	}
+	s.gen++
+}
+
+// Bytes returns the store's retained size: its per-node tables and meta
+// across the whole capacity, plus the tables grown past the minimum.
+func (s *Store) Bytes() int64 {
+	const perNode = 8 + 24 + minTableSize*slotBytes // meta, table header, slab share
+	return int64(cap(s.meta))*perNode + s.grown.Load()
 }
 
 // NumNodes returns the number of per-node sets.
@@ -230,6 +281,11 @@ func (s *Store) grow(v NodeID) []slot {
 		size *= 2
 	}
 	tbl := make([]slot, size)
+	grown := size
+	if len(old) > minTableSize {
+		grown -= len(old) // the table it replaces had grown too
+	}
+	s.grown.Add(int64(grown) * slotBytes)
 	mask := uint64(size - 1)
 	for oi := range old {
 		sl := &old[oi]

@@ -173,3 +173,43 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state Reset+fill allocates %v allocs/run, want 0", avg)
 	}
 }
+
+// TestTrimFollowsLastGeneration pins Trim: it empties every set, keeps a
+// grown table its set still needs, and returns a table more than twice
+// its set's need to the slab — Bytes falls back with it — after which
+// the store works as before.
+func TestTrimFollowsLastGeneration(t *testing.T) {
+	s := New(4)
+	base := s.Bytes()
+	for id := uint64(0); id < 100; id++ {
+		s.Insert(1, id, 0)
+	}
+	grown := s.Bytes()
+	if grown <= base {
+		t.Fatalf("Bytes = %d after growth, want above the base %d", grown, base)
+	}
+	s.Trim()
+	if s.Len(1) != 0 || s.MaxLen() != 0 {
+		t.Fatalf("Len=%d MaxLen=%d after Trim, want empty sets", s.Len(1), s.MaxLen())
+	}
+	if got := s.Bytes(); got != grown {
+		t.Fatalf("Bytes = %d after trimming a needed table, want %d", got, grown)
+	}
+	s.Reset(4)
+	for id := uint64(0); id < 10; id++ {
+		s.Insert(1, id, 0)
+	}
+	s.Trim()
+	if got := s.Bytes(); got != base {
+		t.Fatalf("Bytes = %d after trimming an oversized table, want the base %d", got, base)
+	}
+	s.Reset(4)
+	for id := uint64(0); id < 50; id++ {
+		if !s.Insert(1, id, int32(id)) {
+			t.Fatalf("insert %d after Trim failed", id)
+		}
+	}
+	if v, ok := s.Get(1, 49); !ok || v != 49 || s.Len(1) != 50 {
+		t.Fatalf("Get after Trim = (%d, %v), Len %d", v, ok, s.Len(1))
+	}
+}

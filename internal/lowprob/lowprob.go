@@ -171,7 +171,8 @@ func DetectOdd(g *graph.Graph, k int, opt OddOptions) (*OddResult, error) {
 		witness  []graph.NodeID
 		detector graph.NodeID
 	}
-	pool := core.NewColorBFSPool(n)
+	pool := core.NewColorBFSPool(opt.Arena, n)
+	defer pool.Close()
 	trial := func(it int) (*oddOutcome, error) {
 		colors := core.IterationColors(n, L, sched.Tag(opt.Seed, 0x27d4eb2f), it)
 		bfs, err := pool.Acquire(core.ColorBFSSpec{

@@ -2,8 +2,11 @@ package lowprob
 
 import (
 	"math"
+	"reflect"
+	"runtime/debug"
 	"testing"
 
+	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -182,5 +185,37 @@ func TestBoundedSuccessProbSane(t *testing.T) {
 	}
 	if math.IsNaN(p) {
 		t.Fatal("NaN probability")
+	}
+}
+
+// TestArenaOddMatchesFresh pins the odd detector on color-BFS
+// invocations that an arena retained from a larger Algorithm 1 run: the
+// re-laid instances yield a fresh run's result.
+func TestArenaOddMatchesFresh(t *testing.T) {
+	// No collection may reclaim the retained state this test re-lays.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g, _, err := graph.PlantedLight(300, 5, 1.5, graph.NewRand(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := OddOptions{MaxIterations: 30, Seed: 3, SeedProb: 1, KeepGoing: true}
+	want, err := DetectOdd(g, 2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, _, err := graph.PlantedLight(550, 4, 1.5, graph.NewRand(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Arena = congest.NewArena(1)
+	if _, err := core.DetectEvenCycle(big, 2, core.Options{Seed: 1, MaxIterations: 2, Runtime: opt.Runtime}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DetectOdd(g, 2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("arena run differs from a fresh one:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -128,6 +128,9 @@ var catalog = [...]stat{
 	{family: "evencycle_gate_waiting", help: "Requests queued for an admission slot.", gauge: true,
 		state: func(s *Service) int64 { return int64(s.gate.Waiting()) },
 		fill:  func(st *Stats, v int64) { st.Queued = int(v) }},
+	{family: "evencycle_arena_bytes", help: "Detector state retained between misses (bytes).", gauge: true,
+		state: func(s *Service) int64 { return s.rt.Arena.Bytes() },
+		fill:  func(st *Stats, v int64) { st.ArenaBytes = v }},
 }
 
 // read returns the row's current value in s.

@@ -257,6 +257,9 @@ type Stats struct {
 	CacheEntries int `json:"cache_entries"`
 	InFlight     int `json:"in_flight"`
 	Queued       int `json:"queued"`
+	// ArenaBytes is the detector state the service retains between
+	// misses (see congest.Arena), at most congest.ArenaMaxBytes.
+	ArenaBytes int64 `json:"arena_bytes"`
 }
 
 // Service is a concurrent, caching detection server. Create with New;
@@ -283,7 +286,9 @@ type Service struct {
 	// observe mirrors Config.Observe: true arms the latency/stage
 	// timers on the request path.
 	observe bool
-	// rt is Config.Workers/Shards as the Runtime every detector run gets.
+	// rt is Config.Workers/Shards and the service's arena, as the Runtime
+	// every detector run gets. The arena retains at most Slots sets of
+	// detector state, one per admitted computation.
 	rt congest.Runtime
 	// engineObs is handed to every detector run as Options.Observe when
 	// armed (nil when disarmed — the engine then skips its clock reads).
@@ -341,7 +346,7 @@ func New(cfg Config) *Service {
 		inflight: make(map[cacheKey]*call),
 		corpus:   make(map[string]*graph.Graph),
 		observe:  cfg.Observe,
-		rt:       congest.Runtime{Workers: cfg.Workers, Shards: cfg.Shards},
+		rt:       congest.Runtime{Workers: cfg.Workers, Shards: cfg.Shards, Arena: congest.NewArena(cfg.Slots)},
 	}
 	s.metrics = newMetrics(s)
 	if cfg.Persist != nil {

@@ -9,6 +9,8 @@ import (
 )
 
 // WireGraph is the inline edge-list form of a graph on the HTTP API.
+// Its UnmarshalJSON (wiregraph.go) parses the canonical form without
+// reflection and leaves every other input to encoding/json.
 type WireGraph struct {
 	N     int               `json:"n"`
 	Edges [][2]graph.NodeID `json:"edges"`

@@ -85,7 +85,7 @@ func TestStatsWireJSONGolden(t *testing.T) {
 		Fallbacks: 17, LastMutationParent: "p", LastMutationChild: "c", MeanSessionMS: 18.5,
 		EngineSessions: 19, FusedSessions: 20, SoloSessions: 21, FusedRequests: 22,
 		BatchesFormed: 23, MeanBatchSize: 24.5, MaxBatchSize: 25,
-		CacheEntries: 26, InFlight: 27, Queued: 28,
+		CacheEntries: 26, InFlight: 27, Queued: 28, ArenaBytes: 29,
 	}
 	body, err := json.Marshal(&st)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestStatsWireJSONGolden(t *testing.T) {
 		`"fallbacks":17,"last_mutation_parent":"p","last_mutation_child":"c","mean_session_ms":18.5,` +
 		`"engine_sessions":19,"fused_sessions":20,"solo_sessions":21,"fused_requests":22,` +
 		`"batches_formed":23,"mean_batch_size":24.5,"max_batch_size":25,` +
-		`"cache_entries":26,"in_flight":27,"queued":28}`
+		`"cache_entries":26,"in_flight":27,"queued":28,"arena_bytes":29}`
 	if string(body) != want {
 		t.Fatalf("stats body\n got %s\nwant %s", body, want)
 	}
