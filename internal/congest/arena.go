@@ -16,9 +16,10 @@ import (
 //
 // Retention is bounded three ways. The arena holds at most Slots values
 // of each type (a service admits Slots detections at once, so that is
-// one set per running detection; a new value displaces the oldest) and
-// at most ArenaMaxBytes in all, past which a value is dropped rather
-// than retained. And it holds values only weakly: retained state is not
+// one set per running detection; a new value displaces the oldest), no
+// value larger than ArenaMaxValueBytes, and at most ArenaMaxBytes in
+// all; a value past either byte bound is dropped rather than retained.
+// And it holds values only weakly: retained state is not
 // live heap, so it never raises the garbage collector's goal — a
 // collection reclaims whatever no detection has taken back since, and
 // the next detection allocates afresh. Take lends a value only to a
@@ -34,11 +35,24 @@ type Arena struct {
 
 // ArenaMaxBytes caps the bytes an Arena retains: past it, state is
 // dropped, not pooled. It covers a few sets of the few-thousand-node
-// networks and fused batches misses run on; the state of a cold run on a
-// much larger graph is dropped, since the run it would serve is rare and
-// holding it live through that run's collections costs more heap than
-// allocating it again.
+// networks and fused batches misses run on, and bounds the sum on a
+// service with many Slots; the state of a cold run on a much larger
+// graph is past ArenaMaxValueBytes and never retained.
 const ArenaMaxBytes = 8 << 20
+
+// ArenaMaxValueBytes caps the size of one retained value; a larger one
+// is dropped. Two costs of retention grow with a value's size. A
+// retained value is reused only when no collection has run since it was
+// kept, so whether the next detection reuses it or allocates afresh is
+// up to the collector's timing, and the heap's peak moves with it from
+// one run of the same requests to the next (the 4.5 MiB session of a
+// 20000-node network put cycleserved's peak RSS anywhere from 33 to 44
+// MiB). And a reused value is whole from the start of its run, where a
+// fresh one grows during it, so a collection that lands mid-run marks
+// more live heap (reusing the 1 MiB walk-key protocols of 2000-node
+// graphs raised peak RSS by an eighth). The cap keeps the sessions and
+// color-BFS invocations of networks up to a few thousand nodes.
+const ArenaMaxValueBytes = 512 << 10
 
 // kind[T] keys the arena's list of retained *T.
 type kind[T any] struct{}
@@ -143,7 +157,7 @@ func Keep[T any](a *Arena, v *T, nodes, edges int, bytes int64) {
 	if full {
 		after -= l.items[0].bytes
 	}
-	if after > ArenaMaxBytes {
+	if bytes > ArenaMaxValueBytes || after > ArenaMaxBytes {
 		return
 	}
 	if full {

@@ -83,8 +83,9 @@ func TestArenaRelaidSessionSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	big := graph.Gnm(4096, 16384, graph.NewRand(3))
-	g := graph.Gnm(2048, 8192, graph.NewRand(7))
+	// The larger network's session stays under ArenaMaxValueBytes.
+	big := graph.Gnm(1024, 4096, graph.NewRand(3))
+	g := graph.Gnm(512, 2048, graph.NewRand(7))
 	for _, armed := range []bool{false, true} {
 		arena := NewArena(1)
 		eb := NewEngine(NewNetwork(big, 1))
@@ -119,7 +120,7 @@ func TestArenaRelaidSessionSteadyStateAllocs(t *testing.T) {
 
 // TestArenaBounds pins the retention rules: a full type drops its
 // oldest value, Take hands out the smallest value whose capacity covers
-// the need by at most a factor of two, and the byte cap drops a value
+// the need by at most a factor of two, and either byte cap drops a value
 // rather than retaining it.
 func TestArenaBounds(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -157,6 +158,10 @@ func TestArenaBounds(t *testing.T) {
 	if got := a.Bytes(); got != 10 {
 		t.Fatalf("Bytes = %d after a keep past the cap, want 10 (dropped)", got)
 	}
+	Keep(a, &kindA{"big"}, 1<<20, 0, ArenaMaxValueBytes+1)
+	if got := a.Bytes(); got != 10 {
+		t.Fatalf("Bytes = %d after a keep past the value cap, want 10 (dropped)", got)
+	}
 	runtime.KeepAlive(oldest)
 	runtime.KeepAlive(other)
 	var nilArena *Arena
@@ -172,9 +177,9 @@ func TestArenaBounds(t *testing.T) {
 func TestArenaHoldsWeakly(t *testing.T) {
 	type state struct{ buf []byte }
 	a := NewArena(4)
-	Keep(a, &state{buf: make([]byte, 1<<20)}, 1, 0, 1<<20)
-	if got := a.Bytes(); got != 1<<20 {
-		t.Fatalf("Bytes = %d before a collection, want %d", got, 1<<20)
+	Keep(a, &state{buf: make([]byte, ArenaMaxValueBytes)}, 1, 0, ArenaMaxValueBytes)
+	if got := a.Bytes(); got != ArenaMaxValueBytes {
+		t.Fatalf("Bytes = %d before a collection, want %d", got, ArenaMaxValueBytes)
 	}
 	runtime.GC()
 	if v := Take[state](a, 0, 0); v != nil {

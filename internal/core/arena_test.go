@@ -104,12 +104,13 @@ func allocatedBytes(f func()) uint64 {
 // same-n DetectEvenCycle through an arena allocates under 10% of the
 // first call's bytes, because sessions, color-BFS invocations and their
 // identifier stores come back from the arena instead of being rebuilt.
+// At n=1000 each of them is under congest.ArenaMaxValueBytes.
 func TestArenaSecondDetectionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	g := arenaGraph(t, 2000, 9)
+	g := arenaGraph(t, 1000, 9)
 	opt := Options{MaxIterations: 4, Runtime: congest.Runtime{Arena: congest.NewArena(1)}}
 	run := func(seed uint64) func() {
 		return func() {
