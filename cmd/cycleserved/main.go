@@ -39,7 +39,7 @@
 //	DELETE /v1/corpus/{name}      remove the graph → 200; 404 if unknown.
 //	GET  /v1/stats      → request/hit/coalesce/amplify/engine-session counters,
 //	                    plus the failure-domain counters (shed, deadline_exceeded,
-//	                    cancelled, panics, batches_skipped, mean_session_ms).
+//	                    cancelled, panics, mean_session_ms).
 //	GET  /v1/store      → durable-store counters (graphs, last_seq, wal_bytes,
 //	                    appended, compactions, recovered, torn_tail); 404
 //	                    when the server runs without -data-dir.
@@ -52,8 +52,9 @@
 //	                    "draining":true and 503 during shutdown.
 //
 // A request body with "trace":true opts into per-stage timing: the
-// response body gains a trace_ns object (validate, queue_wait,
-// batch_linger, engine, cache_install — nanoseconds) and matching
+// response body gains a trace_ns object (nanoseconds in validate;
+// queue_wait, or batch_linger for a miss taken into another miss's
+// batch; engine; cache_install) and matching
 // X-Evencycle-Stage-* headers. Untraced responses are byte-identical to
 // an unobserved server's. -log-requests (sampled by -log-sample N)
 // logs one key=value completion line per detection; -debug-addr opens
@@ -146,12 +147,12 @@ func main() {
 func run() error {
 	addr := flag.String("addr", ":8972", "listen address")
 	slots := flag.Int("slots", 0, "concurrent detections (worker pool size; 0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 1024, "admission queue bound; deeper requests are rejected (negative = unbounded)")
+	queue := flag.Int("queue", 1024, "admission queue bound, counting every queued miss (fusable ones too); deeper requests are rejected (negative = unbounded)")
 	cache := flag.Int("cache", 1024, "verdict cache capacity (entries)")
 	parallel := flag.Int("parallel", 1, "trial parallelism of bounded/odd requests (0 = GOMAXPROCS); even/det run on one fused session")
 	workers := flag.Int("workers", 0, "engine goroutine pool per session (0 = GOMAXPROCS)")
 	iterations := flag.Int("iterations", 32, "default trial budget for randomized requests that omit one")
-	batch := flag.Int("batch", 0, "fused miss-path batch size: compatible concurrent misses share one engine session (0 = default 8, 1 = disable)")
+	batch := flag.Int("batch", 0, "fused miss-path batch size: a miss granted a slot takes compatible queued misses into one engine session (0 = default 8, 1 = disable)")
 	corpusSeed := flag.Uint64("corpus-seed", 1, "seed for randomized corpus generators")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for requests that omit deadline_ms (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", 0, "cap on client-supplied deadlines (0 = uncapped)")

@@ -247,7 +247,7 @@ func S2(cfg Config) (*Table, error) {
 			}
 		}
 	}
-	tab.AddNote("batched service: BatchSize 8, default linger; solo reference: BatchSize 1. " +
+	tab.AddNote("batched service: BatchSize 8, misses fuse when a slot's grant takes compatible misses queued at the gate; solo reference: BatchSize 1. " +
 		"Randomized responses match across paths because the service derives each request's run seed " +
 		"from (seed, fingerprint) identically on both, and the fused engine reproduces each component's solo transcript")
 	tab.AddNote("how many sessions fuse is scheduling-dependent and deliberately not tabled; " +

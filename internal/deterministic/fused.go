@@ -105,7 +105,7 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 			for j := range cycle {
 				cycle[j] -= lo
 			}
-			if graph.IsSimpleCycle(g, cycle, 2*k) != nil {
+			if !graph.IsCycle(g, cycle, 2*k) {
 				continue
 			}
 			res.Found, res.Witness, res.FoundLen = true, cycle, 2*k

@@ -6,31 +6,73 @@ import (
 
 // IsSimpleCycle reports whether verts is a simple cycle of length
 // wantLen in g: exactly wantLen distinct vertices, consecutive vertices
-// adjacent, and the last adjacent to the first.
+// adjacent, and the last adjacent to the first. The error says what is
+// wrong; IsCycle answers the same question without building one.
 func IsSimpleCycle(g *Graph, verts []NodeID, wantLen int) error {
-	if len(verts) != wantLen {
+	switch f := checkCycle(g, verts, wantLen); f.kind {
+	case faultLen:
 		return fmt.Errorf("cycle has %d vertices, want %d", len(verts), wantLen)
+	case faultShort:
+		return fmt.Errorf("cycle length %d < 3", wantLen)
+	case faultRange:
+		return fmt.Errorf("vertex %d out of range", f.u)
+	case faultRepeat:
+		return fmt.Errorf("vertex %d repeated", f.u)
+	case faultEdge:
+		return fmt.Errorf("missing edge {%d,%d}", f.u, f.v)
+	}
+	return nil
+}
+
+// IsCycle is IsSimpleCycle as a predicate. It allocates nothing for
+// cycles of up to 8 vertices, so detectors screen candidate witnesses
+// with it.
+func IsCycle(g *Graph, verts []NodeID, wantLen int) bool {
+	return checkCycle(g, verts, wantLen).kind == faultNone
+}
+
+// cycleFault is the first reason checkCycle found that verts is not a
+// simple cycle, with the vertices it concerns.
+type cycleFault struct {
+	kind int
+	u, v NodeID
+}
+
+const (
+	faultNone = iota
+	faultLen
+	faultShort
+	faultRange
+	faultRepeat
+	faultEdge
+)
+
+// checkCycle is the one simple-cycle check behind IsSimpleCycle and
+// IsCycle.
+func checkCycle(g *Graph, verts []NodeID, wantLen int) cycleFault {
+	if len(verts) != wantLen {
+		return cycleFault{kind: faultLen}
 	}
 	if wantLen < 3 {
-		return fmt.Errorf("cycle length %d < 3", wantLen)
+		return cycleFault{kind: faultShort}
 	}
 	seen := make(map[NodeID]struct{}, wantLen)
 	for _, v := range verts {
 		if int(v) < 0 || int(v) >= g.NumNodes() {
-			return fmt.Errorf("vertex %d out of range", v)
+			return cycleFault{kind: faultRange, u: v}
 		}
 		if _, dup := seen[v]; dup {
-			return fmt.Errorf("vertex %d repeated", v)
+			return cycleFault{kind: faultRepeat, u: v}
 		}
 		seen[v] = struct{}{}
 	}
 	for i := range verts {
 		u, v := verts[i], verts[(i+1)%wantLen]
 		if !g.HasEdge(u, v) {
-			return fmt.Errorf("missing edge {%d,%d}", u, v)
+			return cycleFault{kind: faultEdge, u: u, v: v}
 		}
 	}
-	return nil
+	return cycleFault{}
 }
 
 // FindCycleLen searches for a simple cycle of exactly length L and returns

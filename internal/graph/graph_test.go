@@ -419,3 +419,37 @@ func TestIsSimpleCycleRotations(t *testing.T) {
 		t.Fatal("broken 6-cycle accepted")
 	}
 }
+
+// TestIsCycleMatchesIsSimpleCycle pins that the predicate and the error
+// form give one answer, with each fault's error text, and that screening
+// a rejected short candidate allocates nothing.
+func TestIsCycleMatchesIsSimpleCycle(t *testing.T) {
+	g := Cycle(7)
+	for _, c := range []struct {
+		verts   []NodeID
+		wantLen int
+		err     string
+	}{
+		{[]NodeID{0, 1, 2, 3, 4, 5, 6}, 7, ""},
+		{[]NodeID{0, 1, 2}, 4, "cycle has 3 vertices, want 4"},
+		{[]NodeID{0, 1}, 2, "cycle length 2 < 3"},
+		{[]NodeID{0, 1, 9}, 3, "vertex 9 out of range"},
+		{[]NodeID{0, 1, 0}, 3, "vertex 0 repeated"},
+		{[]NodeID{0, 1, 2, 3, 4, 5}, 6, "missing edge {5,0}"},
+	} {
+		got := ""
+		if err := IsSimpleCycle(g, c.verts, c.wantLen); err != nil {
+			got = err.Error()
+		}
+		if got != c.err {
+			t.Errorf("IsSimpleCycle(%v, %d) = %q, want %q", c.verts, c.wantLen, got, c.err)
+		}
+		if ok := IsCycle(g, c.verts, c.wantLen); ok != (c.err == "") {
+			t.Errorf("IsCycle(%v, %d) = %v, want %v", c.verts, c.wantLen, ok, c.err == "")
+		}
+	}
+	bad := []NodeID{0, 2, 4, 6, 1, 3}
+	if n := testing.AllocsPerRun(100, func() { IsCycle(g, bad, 6) }); n != 0 {
+		t.Errorf("IsCycle on a rejected candidate allocates %v times, want 0", n)
+	}
+}

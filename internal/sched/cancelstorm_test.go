@@ -2,7 +2,6 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -154,167 +153,5 @@ func TestGateSurvivorFIFOUnderCancellation(t *testing.T) {
 	}
 	if len(order) != n/2 {
 		t.Fatalf("%d survivors granted, want %d", len(order), n/2)
-	}
-}
-
-// TestBatcherAllAbandonedSkipsExec pins the drop-dead path: when every
-// waiter of a pending batch cancels before the linger expires, Exec is
-// never invoked and the skip is counted.
-func TestBatcherAllAbandonedSkipsExec(t *testing.T) {
-	var execs atomic.Int64
-	b := &Batcher[string, int, int]{
-		MaxBatch: 8,
-		Linger:   200 * time.Millisecond,
-		Exec: func(key string, items []int) ([]int, error) {
-			execs.Add(1)
-			return items, nil
-		},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := b.Do(ctx, "k", i); !errors.Is(err, context.Canceled) {
-				t.Errorf("Do: err = %v, want context.Canceled", err)
-			}
-		}()
-	}
-	// Wait for all three to join the pending batch, then abandon them
-	// all before the linger timer fires.
-	for b.mu.Lock(); b.pending["k"] == nil || len(b.pending["k"].items) < 3; {
-		b.mu.Unlock()
-		time.Sleep(time.Millisecond)
-		b.mu.Lock()
-	}
-	b.mu.Unlock()
-	cancel()
-	wg.Wait()
-	// The abandonment increments race the timer only through Batcher.mu;
-	// once all waiters returned, the eventual dispatch must skip.
-	deadline := time.Now().Add(2 * time.Second)
-	for b.Skipped() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("batch never skipped (execs=%d)", execs.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := execs.Load(); n != 0 {
-		t.Fatalf("Exec ran %d times for a fully-abandoned batch", n)
-	}
-}
-
-// TestBatcherPartialAbandonStillComputesAll pins the cache-seeding
-// contract: one surviving waiter keeps the whole batch alive, and Exec
-// sees every item including the abandoned ones.
-func TestBatcherPartialAbandonStillComputesAll(t *testing.T) {
-	var sawItems atomic.Int64
-	b := &Batcher[string, int, int]{
-		MaxBatch: 4,
-		Linger:   200 * time.Millisecond,
-		Exec: func(key string, items []int) ([]int, error) {
-			sawItems.Store(int64(len(items)))
-			out := make([]int, len(items))
-			for i, it := range items {
-				out[i] = it * 10
-			}
-			return out, nil
-		},
-	}
-	quitCtx, quit := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.Do(quitCtx, "k", i) // these two abandon
-		}()
-	}
-	// The survivor joins the same batch BEFORE the others abandon, so
-	// the eventual dispatch provably has a live waiter.
-	type result struct {
-		got, size int
-		err       error
-	}
-	survived := make(chan result, 1)
-	go func() {
-		got, size, err := b.Do(context.Background(), "k", 7)
-		survived <- result{got, size, err}
-	}()
-	for b.mu.Lock(); b.pending["k"] == nil || len(b.pending["k"].items) < 3; {
-		b.mu.Unlock()
-		time.Sleep(time.Millisecond)
-		b.mu.Lock()
-	}
-	b.mu.Unlock()
-	quit()
-	wg.Wait()
-
-	r := <-survived
-	got, size, err := r.got, r.size, r.err
-	if err != nil {
-		t.Fatalf("surviving Do: %v", err)
-	}
-	if got != 70 {
-		t.Fatalf("survivor result = %d, want 70", got)
-	}
-	if size != 3 || sawItems.Load() != 3 {
-		t.Fatalf("batch size = %d (exec saw %d), want 3 — abandoned items must still compute", size, sawItems.Load())
-	}
-	if b.Skipped() != 0 {
-		t.Fatal("batch with a survivor was skipped")
-	}
-}
-
-// TestBatcherExecPanicWakesWaiters pins panic containment: a panicking
-// Exec surfaces as PanicError to every waiter instead of hanging them on
-// the done channel forever (or killing the timer goroutine).
-func TestBatcherExecPanicWakesWaiters(t *testing.T) {
-	b := &Batcher[string, int, int]{
-		MaxBatch: 2,
-		Linger:   10 * time.Millisecond,
-		Exec: func(key string, items []int) ([]int, error) {
-			panic("kaboom")
-		},
-	}
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, _, err := b.Do(context.Background(), "k", i)
-			errs <- err
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-errs:
-			var pe PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("err = %v, want PanicError", err)
-			}
-			if pe.Value != "kaboom" {
-				t.Fatalf("PanicError.Value = %v, want kaboom", pe.Value)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("waiter hung after Exec panic")
-		}
-	}
-}
-
-// TestBatcherTimerDispatchPanicContained arms a single-waiter batch so
-// the linger timer goroutine runs the panicking dispatch: the panic must
-// not escape (it would crash the process) and the waiter must wake.
-func TestBatcherTimerDispatchPanicContained(t *testing.T) {
-	b := &Batcher[string, int, int]{
-		MaxBatch: 8, // never fills; the timer dispatches
-		Linger:   5 * time.Millisecond,
-		Exec: func(key string, items []int) ([]int, error) {
-			panic("timer kaboom")
-		},
-	}
-	_, _, err := b.Do(context.Background(), "k", 1)
-	var pe PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want PanicError", err)
 	}
 }

@@ -28,5 +28,7 @@
 // context-aware admission semaphore that bounds how many computations run
 // at once (the detection service admits every request through one before
 // spending engine work, so bursts queue in arrival order instead of
-// oversubscribing the host).
+// oversubscribing the host). Its queue is also where the service's fused
+// batches form: a waiter granted a slot takes the queued waiters that share
+// its key with it (Join).
 package sched

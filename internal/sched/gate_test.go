@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,5 +123,211 @@ func waitUntil(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// joinResult is what one Join returned.
+type joinResult struct {
+	riders []any
+	taken  bool
+	err    error
+}
+
+// joinAsync starts a Join and waits until it has queued, so a test's
+// arrival order is the order of its joinAsync calls.
+func joinAsync(t *testing.T, g *Gate, ctx context.Context, key any, weight int, val any) <-chan joinResult {
+	t.Helper()
+	queued := g.Waiting()
+	out := make(chan joinResult, 1)
+	go func() {
+		riders, taken, err := g.Join(ctx, key, weight, val)
+		out <- joinResult{riders, taken, err}
+	}()
+	waitUntil(t, func() bool { return g.Waiting() == queued+1 })
+	return out
+}
+
+// TestGateBatchTakesSameKeyFIFO pins the batching rule: a grant takes
+// the queued waiters with its own key, in FIFO order, up to MaxBatch and
+// skipping any that would exceed MaxWeight, and every waiter it does not
+// take keeps its place in the queue.
+func TestGateBatchTakesSameKeyFIFO(t *testing.T) {
+	g := NewGate(1)
+	g.MaxBatch, g.MaxWeight = 3, 10
+	if err := g.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	lead := joinAsync(t, g, bg, "a", 1, "lead")
+	other := joinAsync(t, g, bg, "b", 1, "other")
+	r1 := joinAsync(t, g, bg, "a", 1, "r1")
+	heavy := joinAsync(t, g, bg, "a", 9, "heavy") // 1+1+9 > 10: skipped
+	r2 := joinAsync(t, g, bg, "a", 1, "r2")       // fills MaxBatch
+	r3 := joinAsync(t, g, bg, "a", 1, "r3")
+	plain := make(chan error, 1)
+	go func() { plain <- g.Acquire(bg) }()
+	waitUntil(t, func() bool { return g.Waiting() == 7 })
+
+	g.Release()
+	got := <-lead
+	if got.err != nil || got.taken || !reflect.DeepEqual(got.riders, []any{"r1", "r2"}) {
+		t.Fatalf("lead = %+v, want leader of [r1 r2]", got)
+	}
+	for _, r := range []<-chan joinResult{r1, r2} {
+		if res := <-r; res.err != nil || !res.taken || res.riders != nil {
+			t.Fatalf("rider = %+v, want taken", res)
+		}
+	}
+	if n := g.Waiting(); n != 4 {
+		t.Fatalf("Waiting = %d after the grant, want 4 (other, heavy, r3, plain)", n)
+	}
+
+	// The rest is granted in arrival order: other alone (no other "b"),
+	// then heavy, which now takes r3, then the plain Acquire.
+	g.Release()
+	if res := <-other; res.err != nil || res.taken || len(res.riders) != 0 {
+		t.Fatalf("other = %+v, want leader of nothing", res)
+	}
+	g.Release()
+	if res := <-heavy; res.err != nil || res.taken || !reflect.DeepEqual(res.riders, []any{"r3"}) {
+		t.Fatalf("heavy = %+v, want leader of [r3]", res)
+	}
+	if res := <-r3; !res.taken {
+		t.Fatalf("r3 = %+v, want taken", res)
+	}
+	g.Release()
+	if err := <-plain; err != nil {
+		t.Fatal(err)
+	}
+	g.Release()
+	if g.InUse() != 0 || g.Waiting() != 0 {
+		t.Fatalf("gate not drained: inUse=%d waiting=%d", g.InUse(), g.Waiting())
+	}
+}
+
+// TestGateBatchOffAndNilKey pins the two ways a grant takes nobody: a
+// gate with MaxBatch ≤ 1, and a waiter with a nil key (Acquire).
+func TestGateBatchOffAndNilKey(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		maxBatch int
+		key      any
+	}{
+		{"max-batch-1", 1, "a"},
+		{"nil-key", 8, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := NewGate(1)
+			g.MaxBatch = c.maxBatch
+			if err := g.Acquire(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			first := joinAsync(t, g, context.Background(), c.key, 1, 1)
+			second := joinAsync(t, g, context.Background(), c.key, 1, 2)
+			for _, r := range []<-chan joinResult{first, second} {
+				g.Release()
+				if res := <-r; res.err != nil || res.taken || len(res.riders) != 0 {
+					t.Fatalf("join = %+v, want a leader of nothing", res)
+				}
+			}
+			g.Release()
+		})
+	}
+}
+
+// TestGateBatchCancelBeforeTaken pins that a waiter whose context ends
+// while it queues leaves without a slot and is taken by no batch.
+func TestGateBatchCancelBeforeTaken(t *testing.T) {
+	g := NewGate(1)
+	g.MaxBatch = 8
+	if err := g.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	lead := joinAsync(t, g, context.Background(), "a", 1, "lead")
+	ctx, cancel := context.WithCancel(context.Background())
+	quitter := joinAsync(t, g, ctx, "a", 1, "quitter")
+	cancel()
+	if res := <-quitter; res.err != context.Canceled || res.taken {
+		t.Fatalf("quitter = %+v, want context.Canceled", res)
+	}
+	waitUntil(t, func() bool { return g.Waiting() == 1 })
+	g.Release()
+	if res := <-lead; res.err != nil || len(res.riders) != 0 {
+		t.Fatalf("lead = %+v, want leader of nothing", res)
+	}
+	g.Release()
+	if g.InUse() != 0 || g.Waiting() != 0 {
+		t.Fatalf("gate not drained: inUse=%d waiting=%d", g.InUse(), g.Waiting())
+	}
+}
+
+// TestGateBatchStorm races batching joins under a few keys against
+// cancellations and checks the books: every joiner is exactly one of
+// leader, rider of exactly one leader, or canceled; no batch exceeds
+// MaxBatch or mixes keys; no slot is leaked.
+func TestGateBatchStorm(t *testing.T) {
+	const slots, joiners, keys = 2, 300, 3
+	g := NewGate(slots)
+	g.MaxBatch = 4
+	type item struct{ id, key int }
+	ctx, cancel := context.WithCancel(context.Background())
+	var (
+		mu       sync.Mutex
+		leaders  int
+		riders   = map[int]int{} // item id → times taken
+		taken    atomic.Int64
+		canceled atomic.Int64
+		wg       sync.WaitGroup
+	)
+	for i := 0; i < joiners; i++ {
+		wg.Add(1)
+		go func(it item) {
+			defer wg.Done()
+			jctx := context.Background()
+			if it.id%3 == 0 {
+				jctx = ctx
+			}
+			rs, wasTaken, err := g.Join(jctx, it.key, 1, it)
+			switch {
+			case err != nil:
+				canceled.Add(1)
+			case wasTaken:
+				taken.Add(1)
+			default:
+				if 1+len(rs) > g.MaxBatch {
+					t.Errorf("batch of %d exceeds MaxBatch", 1+len(rs))
+				}
+				mu.Lock()
+				leaders++
+				for _, r := range rs {
+					if r.(item).key != it.key {
+						t.Errorf("leader key %d took rider key %d", it.key, r.(item).key)
+					}
+					riders[r.(item).id]++
+				}
+				mu.Unlock()
+				time.Sleep(50 * time.Microsecond)
+				g.Release()
+			}
+		}(item{i, i % keys})
+		if i == joiners/2 {
+			cancel()
+		}
+	}
+	wg.Wait()
+	cancel()
+	for id, n := range riders {
+		if n != 1 {
+			t.Errorf("item %d taken %d times", id, n)
+		}
+	}
+	if int64(len(riders)) != taken.Load() {
+		t.Errorf("%d items taken by leaders, %d joiners returned taken", len(riders), taken.Load())
+	}
+	if got := int64(leaders) + taken.Load() + canceled.Load(); got != joiners {
+		t.Errorf("accounted for %d joiners, want %d", got, joiners)
+	}
+	if g.InUse() != 0 || g.Waiting() != 0 {
+		t.Fatalf("gate not drained: inUse=%d waiting=%d", g.InUse(), g.Waiting())
 	}
 }

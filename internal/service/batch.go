@@ -16,26 +16,23 @@ import (
 )
 
 // The miss executor. Every cache miss is computed by execBatch as part of
-// a batch: misses that arrive while another miss is active and whose
-// parameters are compatible (same algo / k / threshold / ε / schedule —
-// everything but the graph, seed and budget) are collected by a
-// sched.Batcher and run as ONE fused engine session on the disjoint
+// a batch, formed where misses already wait: at the admission gate. A
+// fusable miss queues at sched.Gate under its compatibility key (same
+// algo / k / threshold / ε / schedule — everything but the graph, seed
+// and budget), and whichever miss is granted a slot takes every queued
+// miss with its key along into ONE fused engine session on the disjoint
 // union of their graphs (core.DetectEvenCycleFused /
-// deterministic.DetectMulti); every other miss, including one that finds
-// the service idle, is a batch of one. The fused run is transcript-equivalent per
-// component to a solo run, so each component's verdict is cached under
-// its own fingerprint exactly as if it had been computed alone: a batch
-// of B misses seeds B cache entries for the price of one session.
-
-// batchLinger is how long an under-full batch waits for joiners before
-// dispatching. Only a miss that arrives while another miss is active
-// enters a batch, so a lone miss never pays it.
-const batchLinger = 2 * time.Millisecond
+// deterministic.DetectMulti). A miss that finds a slot free runs at once
+// as a batch of one; so does every miss that cannot fuse. The fused run
+// is transcript-equivalent per component to a solo run, so each
+// component's verdict is cached under its own fingerprint exactly as if
+// it had been computed alone: a batch of B misses seeds B cache entries
+// for the price of one session.
 
 // fusable reports whether the algo has a fused execution path. The
 // bounded-length and odd detectors have none — their internal structure
 // (length pairs, repetition schedule) has no fused variant — so their
-// misses always run as direct batches of one.
+// misses always run as batches of one.
 func fusable(a Algo) bool { return a == AlgoEven || a == AlgoDet }
 
 // compatKey is the batch compatibility key: requests agreeing on it may
@@ -75,10 +72,14 @@ type fuseItem struct {
 	// nor stamps its stages. warmChild installs it, with the warm mark,
 	// unless a request has claimed or cached the key meanwhile.
 	warm bool
-	// enqueued is when the item entered the batcher, set only on timed
+	// enqueued is when the item joined the gate, set only on timed
 	// requests (observed service or per-request trace); the executor
-	// measures the linger stage against it. Zero when untimed or direct.
+	// measures the item's wait against it. Zero when untimed.
 	enqueued time.Time
+	// done closes when a rider's leader has published out and batch.
+	done  chan struct{}
+	out   fuseOut
+	batch int
 }
 
 // fuseOut is one item's outcome. Item-level errors ride here rather than
@@ -124,44 +125,89 @@ func trialPlan(it *fuseItem) (seed uint64, iterations int) {
 	return seed, iterations
 }
 
-// execBatch is the one miss executor. dispatch calls it directly, with
-// the request's context, for a batch of one; the batcher calls it with a
-// detached context for a fused batch. It holds ONE admission slot for
-// the whole batch (B requests, one session's worth of pool pressure),
-// acquired under ctx.
+// miss computes one miss-path item and returns its outcome and the size
+// of the batch it ran in. The item joins the admission gate; a fusable
+// item (batching on, no test hook, not warm work) joins under its
+// compatibility key and node count, so it either leads a batch — the
+// queued items its grant took ride along — or rides another miss's. A
+// rider whose ctx ends after it was taken returns ctx's error; its
+// leader still computes and caches its verdict.
 //
-// ctx also arms the engine's cooperative CancelFlag, polled at round
-// boundaries: an abandoned or timed-out direct request stops mid-session
-// with congest.ErrCanceled (classified by the caller) instead of running
-// to quiescence. A batcher batch runs under a context with a nil Done
-// channel, which arms nothing: a batch that formed always runs to
-// completion, even if every waiter has gone away, because its verdicts
-// are cached.
-func (s *Service) execBatch(ctx context.Context, ck compatKey, items []*fuseItem) (outs []fuseOut, err error) {
-	// The batch is timed when the service observes or any rider opted
-	// into a trace; every timed rider then gets the shared stage
-	// durations (queue wait, engine, cache install) stamped into its
-	// trace, plus the linger it individually accrued in the batcher.
-	timed := s.observe
-	for _, it := range items {
-		timed = timed || it.req.Trace != nil
+// A batch of one runs under the leader's ctx, which arms the engine's
+// cooperative CancelFlag, polled at round boundaries: an abandoned or
+// timed-out lone miss stops mid-session with congest.ErrCanceled
+// (classified by the caller) instead of running to quiescence. A fused
+// batch computes for several requests, so it runs detached, to
+// completion, and caches every verdict.
+func (s *Service) miss(ctx context.Context, it *fuseItem) (fuseOut, int, error) {
+	ck := compatFor(it.req)
+	var key any
+	if s.cfg.BatchSize > 1 && fusable(ck.algo) && s.computeHook == nil && !it.warm {
+		key = ck
+		it.done = make(chan struct{})
 	}
-	var tq time.Time
-	if timed {
-		tq = time.Now()
+	if !it.warm && (s.observe || it.req.Trace != nil) {
+		it.enqueued = time.Now()
 	}
-	if err := s.gate.Acquire(ctx); err != nil {
-		return nil, err
+	riders, taken, err := s.gate.Join(ctx, key, it.req.Graph.NumNodes(), it)
+	if err != nil {
+		return fuseOut{}, 0, err
+	}
+	if taken {
+		select {
+		case <-it.done:
+			return it.out, it.batch, nil
+		case <-ctx.Done():
+			return fuseOut{}, 0, ctx.Err()
+		}
 	}
 	defer s.gate.Release()
+	items := make([]*fuseItem, 1+len(riders))
+	items[0] = it
+	for i, r := range riders {
+		items[i+1] = r.(*fuseItem)
+	}
+	if key != nil {
+		B := int64(len(items))
+		atomic.AddInt64(&s.live.BatchesFormed, 1)
+		s.batchSizeSum.Add(B)
+		raise(&s.live.MaxBatchSize, B)
+		if s.observe {
+			s.batchFill.Observe(B)
+		}
+	}
+	if len(items) > 1 {
+		ctx = context.Background()
+	}
+	outs, err := s.execBatch(ctx, ck, items)
+	for i, r := range items[1:] {
+		if err != nil {
+			r.out = fuseOut{err: err}
+		} else {
+			r.out = outs[i+1]
+		}
+		r.batch = len(items)
+		close(r.done)
+	}
+	if err != nil {
+		return fuseOut{}, 0, err
+	}
+	return outs[0], len(items), nil
+}
+
+// execBatch computes a batch whose admission slot the caller holds: one
+// engine session for all its items, one session's worth of pool
+// pressure. ctx arms the engine's CancelFlag; a context with a nil Done
+// channel arms nothing.
+func (s *Service) execBatch(ctx context.Context, ck compatKey, items []*fuseItem) (outs []fuseOut, err error) {
 	start := time.Now()
 	// The panic fence: a detector or batch-leader crash (real or
 	// injected) fails the whole batch with ErrInternal instead of
 	// unwinding with in-flight keys still registered — which would hang
-	// every coalesced follower forever. Each request it fails counts in
-	// panics (countError); warm work fails no request. The deferred
-	// Release above still runs, and since the cache install below was
-	// never reached, no poisoned entry exists.
+	// every coalesced follower and every rider forever. Each request it
+	// fails counts in panics (countError); warm work fails no request.
+	// The caller's deferred Release still runs, and since the cache
+	// install below was never reached, no poisoned entry exists.
 	defer func() {
 		if r := recover(); r != nil {
 			outs, err = nil, fmt.Errorf("%w: detector panicked: %v", ErrInternal, r)
@@ -181,7 +227,13 @@ func (s *Service) execBatch(ctx context.Context, ck compatKey, items []*fuseItem
 	engineDur := time.Since(start)
 
 	// Cache every successful request verdict under its own fingerprint —
-	// here, not in Do, so verdicts of waiters that gave up are kept too.
+	// here, not in Do, so verdicts of riders that gave up are kept too.
+	// The batch is timed when any item is (enqueued is set exactly on
+	// the timed ones).
+	timed := false
+	for _, it := range items {
+		timed = timed || !it.enqueued.IsZero()
+	}
 	var tInstall time.Time
 	if timed {
 		tInstall = time.Now()
@@ -200,22 +252,24 @@ func (s *Service) execBatch(ctx context.Context, ck compatKey, items []*fuseItem
 	if ran {
 		s.noteSessionDuration(engineDur)
 	}
-	if timed {
-		// noteStage tolerates a nil trace (histogram-only) on an armed
-		// service; an untraced rider of a disarmed service is skipped, and
-		// so is warm work, which no request spent.
-		install := time.Since(tInstall)
-		for _, it := range items {
-			if it.warm || !s.observe && it.req.Trace == nil {
-				continue
-			}
-			if !it.enqueued.IsZero() {
-				s.noteStage(it.req.Trace, obs.StageBatchLinger, tq.Sub(it.enqueued))
-			}
-			s.noteStage(it.req.Trace, obs.StageQueueWait, start.Sub(tq))
-			s.noteStage(it.req.Trace, obs.StageEngine, engineDur)
-			s.noteStage(it.req.Trace, obs.StageCacheInstall, install)
+	if !timed {
+		return outs, nil
+	}
+	// Every timed item gets its own wait — queue_wait for the leader,
+	// batch_linger for a rider taken from the queue — and the shared
+	// engine and cache-install times.
+	install := time.Since(tInstall)
+	for i, it := range items {
+		if it.enqueued.IsZero() {
+			continue
 		}
+		wait := obs.StageQueueWait
+		if i > 0 {
+			wait = obs.StageBatchLinger
+		}
+		s.noteStage(it.req.Trace, wait, start.Sub(it.enqueued))
+		s.noteStage(it.req.Trace, obs.StageEngine, engineDur)
+		s.noteStage(it.req.Trace, obs.StageCacheInstall, install)
 	}
 	return outs, nil
 }

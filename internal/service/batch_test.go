@@ -59,14 +59,32 @@ func doAll(t *testing.T, s *Service, reqs []*Request) ([]*Response, []Info) {
 	return resps, infos
 }
 
-// holdBusy makes s behave as though a miss were active, so every fusable
-// miss that arrives until the returned release is called rides the
-// batcher instead of taking the idle direct path. Fusion tests use it to
-// keep their concurrent requests fusing however the scheduler orders
-// them.
-func holdBusy(s *Service) (release func()) {
-	s.activeMisses.Add(1)
-	return func() { s.activeMisses.Add(-1) }
+// fuseAll is doAll with every admission slot held until each request
+// has either queued at the gate or been served from cache. The first
+// grant then takes every queued miss that shares its compatibility key
+// into one batch (up to BatchSize), however the scheduler orders the
+// requests' goroutines.
+func fuseAll(t *testing.T, s *Service, reqs []*Request) ([]*Response, []Info) {
+	t.Helper()
+	hits := s.Stats().Hits
+	for i := 0; i < s.gate.Slots(); i++ {
+		if err := s.gate.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var resps []*Response
+	var infos []Info
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resps, infos = doAll(t, s, reqs)
+	}()
+	waitUntil(t, func() bool { return int64(s.gate.Waiting())+s.Stats().Hits-hits == int64(len(reqs)) })
+	for i := 0; i < s.gate.Slots(); i++ {
+		s.gate.Release()
+	}
+	<-done
+	return resps, infos
 }
 
 // TestBatchedDetFusesAndSeedsCache pins the tentpole counters on the
@@ -85,12 +103,9 @@ func TestBatchedDetFusesAndSeedsCache(t *testing.T) {
 		return reqs
 	}
 	batched := New(Config{BatchSize: B})
-	batched.batcher.Linger = 2 * time.Second
 	solo := New(Config{BatchSize: 1})
 
-	release := holdBusy(batched)
-	bresps, infos := doAll(t, batched, mkReqs())
-	release()
+	bresps, infos := fuseAll(t, batched, mkReqs())
 	sresps, _ := doAll(t, solo, mkReqs())
 
 	for i := range gs {
@@ -153,12 +168,9 @@ func TestBatchedEvenMatchesSoloService(t *testing.T) {
 		return reqs
 	}
 	batched := New(Config{BatchSize: B})
-	batched.batcher.Linger = 200 * time.Millisecond
 	solo := New(Config{BatchSize: 1})
 
-	release := holdBusy(batched)
-	bresps, binfos := doAll(t, batched, mkReqs(3))
-	release()
+	bresps, binfos := fuseAll(t, batched, mkReqs(3))
 	sresps, _ := doAll(t, solo, mkReqs(3))
 	for i := range gs {
 		if binfos[i].Batch != B {
@@ -177,9 +189,7 @@ func TestBatchedEvenMatchesSoloService(t *testing.T) {
 
 	// Amplification through the fused path: raise the budget; not-found
 	// entries run only the missing trials, identically on both services.
-	release = holdBusy(batched)
-	bresps2, binfos2 := doAll(t, batched, mkReqs(7))
-	release()
+	bresps2, binfos2 := fuseAll(t, batched, mkReqs(7))
 	sresps2, sinfos2 := doAll(t, solo, mkReqs(7))
 	for i := range gs {
 		if !reflect.DeepEqual(bresps2[i], sresps2[i]) {
@@ -193,37 +203,58 @@ func TestBatchedEvenMatchesSoloService(t *testing.T) {
 	}
 }
 
-// TestBatchedWaiterCancelStillCaches pins the abandoned-waiter contract:
-// a caller whose context dies while its batch lingers gets ctx.Err(),
-// but the batch still computes and caches its verdict once a live
-// batchmate dispatches it. The abandoned key is never requested again
-// before the check, so its cached entry can only be the batch's.
+// TestBatchedWaiterCancelStillCaches pins the abandoned-rider contract:
+// a rider whose context dies after a grant took it gets ctx.Err(), but
+// its batch still computes and caches its verdict. The abandoned key is
+// never requested again before the check, so its cached entry can only
+// be the batch's. Stalled rounds keep the batch running while the rider
+// gives up.
 func TestBatchedWaiterCancelStillCaches(t *testing.T) {
-	gs := batchCorpus(t, 2, 2, 5)
-	s := New(Config{BatchSize: 2})
-	s.batcher.Linger = time.Hour
-	release := holdBusy(s)
-	defer release()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	abandoned := &Request{Graph: gs[0], Algo: AlgoDet, K: 2}
-	if _, _, err := s.DoInfo(ctx, abandoned); err == nil {
-		t.Fatal("expected context error from canceled waiter")
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	if err := faultpoint.Set("round-stall:every=1:delay=5ms"); err != nil {
+		t.Fatal(err)
 	}
-	// The live batchmate fills the batch, which runs both items.
+	gs := batchCorpus(t, 2, 2, 5)
+	s := New(Config{Slots: 1, BatchSize: 2})
+	if err := s.gate.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		info Info
+		err  error
+	}
+	do := func(ctx context.Context, g *graph.Graph) <-chan result {
+		out := make(chan result, 1)
+		queued := s.gate.Waiting()
+		go func() {
+			_, info, err := s.DoInfo(ctx, &Request{Graph: g, Algo: AlgoDet, K: 2})
+			out <- result{info, err}
+		}()
+		waitUntil(t, func() bool { return s.gate.Waiting() == queued+1 })
+		return out
+	}
+	live := do(context.Background(), gs[0])
+	ctx, cancel := context.WithCancel(context.Background())
+	abandoned := do(ctx, gs[1])
+	s.gate.Release() // the live miss is granted and takes the other
+	if n := s.gate.Waiting(); n != 0 {
+		t.Fatalf("%d misses still queued after the grant, want 0", n)
+	}
+	cancel()
+	if r := <-abandoned; !errors.Is(r.err, ErrCancelled) {
+		t.Fatalf("abandoned rider: err = %v, want ErrCancelled", r.err)
+	}
+	if r := <-live; r.err != nil || r.info.Batch != 2 {
+		t.Fatalf("live leader: batch = %d, err = %v, want a batch of 2", r.info.Batch, r.err)
+	}
+	faultpoint.Reset()
 	_, info, err := s.DoInfo(context.Background(), &Request{Graph: gs[1], Algo: AlgoDet, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Batch != 2 {
-		t.Fatalf("live batchmate ran in a batch of %d, want 2", info.Batch)
-	}
-	_, info, err = s.DoInfo(context.Background(), abandoned)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if info.Source != SourceCache {
-		t.Fatalf("source = %s, want cache: the abandoned item's verdict was not cached", info.Source)
+		t.Fatalf("source = %s, want cache: the abandoned rider's verdict was not cached", info.Source)
 	}
 }
 
@@ -232,17 +263,14 @@ func TestBatchedWaiterCancelStillCaches(t *testing.T) {
 func TestBatchIncompatibleRequestsDoNotFuse(t *testing.T) {
 	gs := batchCorpus(t, 2, 2, 13)
 	s := New(Config{BatchSize: 2})
-	s.batcher.Linger = 20 * time.Millisecond
 	reqs := []*Request{
 		{Graph: gs[0], Algo: AlgoDet, K: 2},
 		{Graph: gs[1], Algo: AlgoDet, K: 3},
 	}
-	release := holdBusy(s)
-	doAll(t, s, reqs)
-	release()
+	fuseAll(t, s, reqs)
 	st := s.Stats()
 	if st.BatchesFormed != 2 {
-		t.Errorf("batches formed = %d, want 2 (both misses rode the batcher)", st.BatchesFormed)
+		t.Errorf("batches formed = %d, want 2 (both misses queued as fusable)", st.BatchesFormed)
 	}
 	if st.FusedSessions != 0 {
 		t.Errorf("fused sessions = %d, want 0 (incompatible k)", st.FusedSessions)
@@ -252,70 +280,48 @@ func TestBatchIncompatibleRequestsDoNotFuse(t *testing.T) {
 	}
 }
 
-// TestBatchUnfusableAlgoKeepsSoloPath pins that the bounded and odd
-// detectors bypass the batcher entirely.
+// TestBatchUnfusableAlgoKeepsSoloPath pins that bounded and odd misses
+// never batch: even queued together under equal parameters, each runs
+// alone under its own grant.
 func TestBatchUnfusableAlgoKeepsSoloPath(t *testing.T) {
 	gs := batchCorpus(t, 2, 2, 21)
 	s := New(Config{BatchSize: 8})
-	s.batcher.Linger = time.Second
 	reqs := []*Request{
 		{Graph: gs[0], Algo: AlgoOdd, K: 2, Seed: 1, Iterations: 2},
+		{Graph: gs[1], Algo: AlgoOdd, K: 2, Seed: 1, Iterations: 2},
 		{Graph: gs[1], Algo: AlgoBounded, K: 3, Seed: 2, Iterations: 2},
 	}
-	start := time.Now()
-	doAll(t, s, reqs)
-	if elapsed := time.Since(start); elapsed > 900*time.Millisecond {
-		t.Errorf("unfusable requests appear to have waited on the linger timer (%v)", elapsed)
+	_, infos := fuseAll(t, s, reqs)
+	for i, info := range infos {
+		if info.Batch != 1 {
+			t.Errorf("request %d ran in a batch of %d, want 1", i, info.Batch)
+		}
 	}
 	st := s.Stats()
-	if st.BatchesFormed != 0 || st.SoloSessions != 2 {
-		t.Errorf("batches=%d solo=%d, want 0/2", st.BatchesFormed, st.SoloSessions)
+	if st.BatchesFormed != 0 || st.SoloSessions != 3 {
+		t.Errorf("batches=%d solo=%d, want 0/3", st.BatchesFormed, st.SoloSessions)
 	}
 }
 
-// doPrompt runs one request and fails the test if it has not returned
-// within 10 s: a lone miss that lingers in the batcher would otherwise
-// block for the whole hour-long linger these tests configure.
-func doPrompt(t *testing.T, s *Service, req *Request) Info {
-	t.Helper()
-	type result struct {
-		info Info
-		err  error
-	}
-	done := make(chan result, 1)
-	go func() {
-		_, info, err := s.DoInfo(context.Background(), req)
-		done <- result{info, err}
-	}()
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		return r.info
-	case <-time.After(10 * time.Second):
-		t.Fatal("lone miss on an idle service waited on the batch linger")
-		return Info{}
-	}
-}
-
-// TestIdleMissSkipsLinger pins the routing rule's fast path: a fusable
-// miss that finds no other miss active runs at once as a direct batch of
-// one, never entering the batcher — no formed batch, no linger stage.
+// TestIdleMissSkipsLinger pins the idle fast path: a fusable miss that
+// finds a slot free runs at once as a batch of one — it waits for no
+// batchmates, so it stamps no batch-linger stage.
 func TestIdleMissSkipsLinger(t *testing.T) {
 	g := graph.Gnm(40, 80, graph.NewRand(3))
 	for _, algo := range fusableAlgos {
 		t.Run(string(algo), func(t *testing.T) {
 			s := New(Config{})
-			s.batcher.Linger = time.Hour
 			tr := &obs.Trace{}
-			info := doPrompt(t, s, &Request{Graph: g, Algo: algo, K: 2, Seed: 1, Iterations: 3, Trace: tr})
+			_, info, err := s.DoInfo(context.Background(), &Request{Graph: g, Algo: algo, K: 2, Seed: 1, Iterations: 3, Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if info.Source != SourceComputed || info.Batch != 1 {
 				t.Errorf("source=%s batch=%d, want computed/1", info.Source, info.Batch)
 			}
 			st := s.Stats()
-			if st.SoloSessions != 1 || st.BatchesFormed != 0 {
-				t.Errorf("solo=%d batches=%d, want 1/0", st.SoloSessions, st.BatchesFormed)
+			if st.SoloSessions != 1 || st.BatchesFormed != 1 || st.MaxBatchSize != 1 {
+				t.Errorf("solo=%d batches=%d max=%d, want 1/1/1", st.SoloSessions, st.BatchesFormed, st.MaxBatchSize)
 			}
 			if ns := tr.Ns(obs.StageBatchLinger); ns != 0 {
 				t.Errorf("idle miss stamped a %dns batch-linger stage", ns)
@@ -327,48 +333,54 @@ func TestIdleMissSkipsLinger(t *testing.T) {
 	}
 }
 
-// TestBusyMissRidesBatcher pins the other side of the rule: misses that
-// arrive while another miss is active go through the batcher and fuse.
-// The first miss is held active by keeping the only admission slot.
-func TestBusyMissRidesBatcher(t *testing.T) {
+// TestBusyMissesFuseAtGate pins batching on a busy service: misses that
+// queue while the only slot is held are taken by the first grant, in
+// arrival order, up to BatchSize; the rest keep their place and run next.
+func TestBusyMissesFuseAtGate(t *testing.T) {
 	gs := batchCorpus(t, 2, 3, 17)
 	s := New(Config{Slots: 1, BatchSize: 2})
-	s.batcher.Linger = time.Hour
 	if err := s.gate.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	infos := make([]Info, len(gs))
+	trs := make([]*obs.Trace, len(gs))
 	var wg sync.WaitGroup
-	start := func(i int) {
+	for i := range gs {
+		trs[i] = &obs.Trace{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, info, err := s.DoInfo(context.Background(), &Request{Graph: gs[i], Algo: AlgoEven, K: 2, Seed: 5, Iterations: 3})
+			_, info, err := s.DoInfo(context.Background(), &Request{Graph: gs[i], Algo: AlgoEven, K: 2, Seed: 5, Iterations: 3, Trace: trs[i]})
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 			}
 			infos[i] = info
 		}()
+		waitUntil(t, func() bool { return s.gate.Waiting() == i+1 })
 	}
-	start(0)
-	waitUntil(t, func() bool { return s.gate.Waiting() == 1 }) // the idle miss waits for the slot
-	start(1)
-	start(2)
-	waitUntil(t, func() bool { return s.gate.Waiting() == 2 }) // the fused batch of the other two
 	s.gate.Release()
 	wg.Wait()
 
-	if infos[0].Batch != 1 || infos[1].Batch != 2 || infos[2].Batch != 2 {
-		t.Errorf("batch sizes %d/%d/%d, want 1/2/2", infos[0].Batch, infos[1].Batch, infos[2].Batch)
+	if infos[0].Batch != 2 || infos[1].Batch != 2 || infos[2].Batch != 1 {
+		t.Errorf("batch sizes %d/%d/%d, want 2/2/1", infos[0].Batch, infos[1].Batch, infos[2].Batch)
+	}
+	// Each miss stamps its wait once: the leaders as queue_wait, the
+	// rider as batch_linger.
+	for i, tr := range trs {
+		queued, lingered := tr.Ns(obs.StageQueueWait) != 0, tr.Ns(obs.StageBatchLinger) != 0
+		if rider := i == 1; queued == rider || lingered != rider {
+			t.Errorf("request %d: queue_wait=%dns batch_linger=%dns, want only the %s stage", i,
+				tr.Ns(obs.StageQueueWait), tr.Ns(obs.StageBatchLinger), map[bool]string{true: "linger", false: "queue"}[rider])
+		}
 	}
 	st := s.Stats()
-	if st.BatchesFormed != 1 || st.SoloSessions != 1 || st.FusedSessions != 1 {
-		t.Errorf("batches=%d solo=%d fused=%d, want 1/1/1", st.BatchesFormed, st.SoloSessions, st.FusedSessions)
+	if st.BatchesFormed != 2 || st.SoloSessions != 1 || st.FusedSessions != 1 {
+		t.Errorf("batches=%d solo=%d fused=%d, want 2/1/1", st.BatchesFormed, st.SoloSessions, st.FusedSessions)
 	}
 }
 
-// TestIdleMissCancelsMidSession pins that a lone miss keeps the direct
-// path's cooperative cancellation: its request context reaches the
+// TestIdleMissCancelsMidSession pins that a batch of one keeps
+// cooperative cancellation: its request context reaches the
 // engine, so an abandoned request stops mid-session with the cancelled
 // class and caches nothing, instead of running to completion.
 func TestIdleMissCancelsMidSession(t *testing.T) {
@@ -378,7 +390,6 @@ func TestIdleMissCancelsMidSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{Slots: 1})
-	s.batcher.Linger = time.Hour
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
@@ -397,5 +408,38 @@ func TestIdleMissCancelsMidSession(t *testing.T) {
 	}
 	if st := s.Stats(); st.Cancelled != 1 || st.SoloSessions != 0 || st.CacheEntries != 0 {
 		t.Fatalf("cancelled=%d solo=%d cache=%d, want 1/0/0", st.Cancelled, st.SoloSessions, st.CacheEntries)
+	}
+}
+
+// TestQueueBoundCountsFusableMisses pins that the admission queue bound
+// counts requests: fusable misses queued for a batch count toward
+// MaxQueue like any other, so with the only slot held and MaxQueue
+// compatible misses queued, the next miss is rejected.
+func TestQueueBoundCountsFusableMisses(t *testing.T) {
+	const maxQueue = 3
+	gs := batchCorpus(t, 2, maxQueue+1, 31)
+	s := New(Config{Slots: 1, MaxQueue: maxQueue})
+	if err := s.gate.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < maxQueue; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := s.Do(context.Background(), &Request{Graph: gs[i], Algo: AlgoDet, K: 2}); err != nil {
+				t.Errorf("queued miss %d: %v", i, err)
+			}
+		}()
+	}
+	waitUntil(t, func() bool { return s.gate.Waiting() == maxQueue })
+	_, _, err := s.Do(context.Background(), &Request{Graph: gs[maxQueue], Algo: AlgoDet, K: 2})
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("err = %v, want ErrOverloaded", err)
+	}
+	s.gate.Release()
+	wg.Wait()
+	if st := s.Stats(); st.Rejected != 1 || st.FusedRequests != maxQueue {
+		t.Fatalf("rejected=%d fusedRequests=%d, want 1/%d", st.Rejected, st.FusedRequests, maxQueue)
 	}
 }

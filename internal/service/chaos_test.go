@@ -50,7 +50,6 @@ func TestChaosReplayByteIdentity(t *testing.T) {
 
 	reference := make([]string, len(reqs))
 	ref := New(Config{Slots: 2, BatchSize: 4})
-	ref.batcher.Linger = time.Millisecond
 	for i, r := range reqs {
 		resp, _, err := ref.Do(context.Background(), r)
 		if err != nil {
@@ -72,7 +71,6 @@ func TestChaosReplayByteIdentity(t *testing.T) {
 	}
 
 	chaos := New(Config{Slots: 2, BatchSize: 4})
-	chaos.batcher.Linger = time.Millisecond
 	type outcome struct {
 		body string
 		err  error

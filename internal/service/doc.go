@@ -25,13 +25,13 @@
 // amplify/engine-session counters the load harness and the S1 experiment
 // assert on.
 //
-// Every cache miss is computed by one executor as a batch (batch.go).
-// Compatible even and det misses that overlap in time are fused into
-// one engine session on the disjoint union of their graphs; a miss that
-// finds no other miss active has nothing to fuse with and runs at once
-// as a batch of one, under its own context. Only misses that arrive
-// while another miss is active wait in the sched.Batcher, for at most
-// the fixed 2ms batch linger, so an idle service never pays it.
+// Every cache miss is computed by one executor as a batch (batch.go),
+// and batches form where misses already wait: at the admission gate. A
+// miss granted a slot takes the compatible even or det misses queued
+// behind it, and they run as one engine session on the disjoint union
+// of their graphs. A miss that finds a slot free runs at once as a
+// batch of one, under its own context; no miss waits for batchmates
+// that have not queued.
 //
 // The package also provides an async job registry (Submit/Job) used by
 // cmd/cycleserved's /v1/jobs API, and a named-graph corpus registry so
@@ -49,8 +49,9 @@
 // earliest-wins from Request.Deadline, Config.DefaultDeadline, and
 // Config.MaxDeadline; admission sheds against an EWMA of recent session
 // durations; panics are fenced in the one miss executor (every batch
-// size), at the batcher's dispatch, and in the job goroutine, and each
-// request a fenced panic fails counts in Stats.Panics. DrainJobs
+// size; its leader wakes every rider with the error) and in the job
+// goroutine, and each request a fenced panic fails counts in
+// Stats.Panics. DrainJobs
 // supports graceful shutdown, and internal/faultpoint drives the chaos
 // tests that pin all of this (see docs/ARCHITECTURE.md, "Failure
 // domains & request lifecycle").

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/congest"
-	"repro/internal/sched"
 )
 
 // The error taxonomy every failed request resolves to. Each sentinel is
@@ -29,12 +28,12 @@ var (
 )
 
 // classifyErr folds the raw errors of the compute stack (engine
-// cancellation, context errors, contained batch panics) into the
-// taxonomy above. Errors already in the taxonomy, and domain errors like
-// validation failures or ErrUnknownCorpus, pass through unchanged. ctx
-// disambiguates cancellation from deadline expiry: a tripped engine
-// CancelFlag looks the same either way, so the request context says
-// which one tripped it.
+// cancellation, context errors) into the taxonomy above. Errors already
+// in the taxonomy (a contained panic is already ErrInternal), and domain
+// errors like validation failures or ErrUnknownCorpus, pass through
+// unchanged. ctx disambiguates cancellation from deadline expiry: a
+// tripped engine CancelFlag looks the same either way, so the request
+// context says which one tripped it.
 func classifyErr(ctx context.Context, err error) error {
 	if err == nil {
 		return nil
@@ -42,10 +41,6 @@ func classifyErr(ctx context.Context, err error) error {
 	if errors.Is(err, ErrShed) || errors.Is(err, ErrDeadline) ||
 		errors.Is(err, ErrCancelled) || errors.Is(err, ErrInternal) {
 		return err
-	}
-	var pe sched.PanicError
-	if errors.As(err, &pe) {
-		return fmt.Errorf("%w: batch execution panicked: %v", ErrInternal, pe.Value)
 	}
 	if errors.Is(err, congest.ErrCanceled) || errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) {

@@ -209,27 +209,50 @@ func TestDetectorPanicIsolated(t *testing.T) {
 }
 
 // TestBatchLeaderPanicIsolated pins the 503 domain on the fused path: a
-// crash while the batch leader holds the admission slot wakes the waiter
-// with ErrInternal, releases the slot, and poisons nothing.
+// crash while the batch leader holds the admission slot wakes the leader
+// and every rider it took with ErrInternal, releases the slot, and
+// poisons nothing.
 func TestBatchLeaderPanicIsolated(t *testing.T) {
 	faultpoint.Reset()
 	defer faultpoint.Reset()
 	if err := faultpoint.Set("batch-leader-crash:every=1:limit=1"); err != nil {
 		t.Fatal(err)
 	}
+	const B = 3
 	svc := New(Config{Slots: 2, BatchSize: 4})
-	svc.batcher.Linger = time.Millisecond
-	g := graph.Gnm(60, 120, graph.NewRand(5))
-	req := &Request{Graph: g, Algo: AlgoDet, K: 2}
-	_, _, err := svc.Do(context.Background(), req)
-	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("err = %v, want ErrInternal", err)
+	reqs := make([]*Request, B)
+	for i := range reqs {
+		reqs[i] = &Request{Graph: graph.Gnm(60, 120, graph.NewRand(uint64(5+i))), Algo: AlgoDet, K: 2}
 	}
-	if st := svc.Stats(); st.Panics != 1 || st.InFlight != 0 || st.Queued != 0 {
-		t.Fatalf("stats = %+v, want Panics=1 InFlight=0 Queued=0", st)
+	for i := 0; i < svc.gate.Slots(); i++ {
+		if err := svc.gate.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make([]error, B)
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = svc.Do(context.Background(), req)
+		}()
+	}
+	waitUntil(t, func() bool { return svc.gate.Waiting() == B })
+	for i := 0; i < svc.gate.Slots(); i++ {
+		svc.gate.Release()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrInternal) {
+			t.Errorf("request %d: err = %v, want ErrInternal", i, err)
+		}
+	}
+	if st := svc.Stats(); st.Panics != B || st.InFlight != 0 || st.Queued != 0 || st.MaxBatchSize != B {
+		t.Fatalf("stats = %+v, want Panics=%d InFlight=0 Queued=0 MaxBatchSize=%d", st, B, B)
 	}
 	// limit=1: the next batch runs clean on the same service.
-	if _, src, err := svc.Do(context.Background(), req); err != nil || src != SourceComputed {
+	if _, src, err := svc.Do(context.Background(), reqs[0]); err != nil || src != SourceComputed {
 		t.Fatalf("post-crash request: source=%q err=%v", src, err)
 	}
 }

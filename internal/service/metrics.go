@@ -94,14 +94,6 @@ var catalog = [...]stat{
 	{family: "evencycle_errors_total", help: "Failed requests (every error exit of Do).", field: func(st *Stats) *int64 { return &st.Errors }},
 	{family: mRequests, help: "Detection requests entered (every Do call).", field: func(st *Stats) *int64 { return &st.Requests }},
 
-	{family: "evencycle_batches_skipped_total", help: "Fused batches skipped because every waiter abandoned them.",
-		state: func(s *Service) int64 {
-			if s.batcher == nil {
-				return 0
-			}
-			return s.batcher.Skipped()
-		},
-		fill: func(st *Stats, v int64) { st.BatchesSkipped = v }},
 	{family: "evencycle_corpus_mutations_total", help: mutHelp, key: "kind", value: "applied", field: func(st *Stats) *int64 { return &st.Mutations }},
 	{family: "evencycle_corpus_mutations_total", help: mutHelp, key: "kind", value: "noop", field: func(st *Stats) *int64 { return &st.NoopMutations }},
 	{family: "evencycle_warm_total", help: warmHelp, key: "event", value: "start", field: func(st *Stats) *int64 { return &st.WarmStarts }},

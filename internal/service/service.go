@@ -87,7 +87,7 @@ type Request struct {
 	// engine session cooperatively and surfaces as ErrDeadline.
 	Deadline time.Duration
 	// Trace, when non-nil, accumulates per-stage wall-clock time for
-	// THIS request (validate → queue wait → batch linger → engine →
+	// THIS request (validate → queue wait or batch linger → engine →
 	// cache install) regardless of Config.Observe — tracing is a
 	// per-request opt-in. The Response body is untouched; callers
 	// surface the trace themselves (the HTTP server's opt-in `trace`
@@ -134,8 +134,9 @@ type Config struct {
 	// pool bound); 0 means GOMAXPROCS.
 	Slots int
 	// MaxQueue bounds the admission queue: requests that would queue
-	// deeper are rejected with ErrOverloaded. 0 means 1024; negative
-	// means unbounded.
+	// deeper are rejected with ErrOverloaded. Every queued miss counts,
+	// including a fusable one that a grant may yet take into its batch.
+	// 0 means 1024; negative means unbounded.
 	MaxQueue int
 	// CacheEntries is the LRU verdict-cache capacity; 0 means 1024.
 	CacheEntries int
@@ -150,12 +151,12 @@ type Config struct {
 	// congest.Engine); 0 keeps the engine defaults.
 	Workers int
 	Shards  int
-	// BatchSize caps the fused miss-path batch: up to this many
-	// compatible cache misses share one engine session on the disjoint
-	// union of their graphs. 0 means 8; ≤ 1 disables batching: every miss
-	// runs at once as a batch of one under its own admission slot. With
-	// batching on, a miss that finds no other miss active also runs at
-	// once as a batch of one: there is nothing to fuse it with.
+	// BatchSize caps the fused miss-path batch: a miss granted an
+	// admission slot takes up to BatchSize-1 compatible misses queued
+	// behind it, and they share one engine session on the disjoint union
+	// of their graphs (of at most congest.MaxNodes/16 nodes). 0 means 8;
+	// ≤ 1 disables batching: every miss runs as a batch of one under its
+	// own slot. Either way a miss that finds a slot free runs at once.
 	BatchSize int
 	// DefaultDeadline bounds requests that state no deadline of their
 	// own; 0 leaves them unbounded. MaxDeadline caps every request's
@@ -211,9 +212,6 @@ type Stats struct {
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
 	Cancelled        int64 `json:"cancelled"`
 	Panics           int64 `json:"panics"`
-	// BatchesSkipped counts fused batches whose every waiter abandoned
-	// them before dispatch: their engine run was skipped entirely.
-	BatchesSkipped int64 `json:"batches_skipped"`
 	// Mutations counts corpus mutations that changed a graph;
 	// NoopMutations the all-duplicate batches that changed nothing (and
 	// journaled nothing). WarmStarts counts cached parent verdicts carried
@@ -239,15 +237,14 @@ type Stats struct {
 	EngineSessions int64 `json:"engine_sessions"`
 	// SoloSessions and FusedSessions split EngineSessions into batches
 	// of one and larger batches; FusedRequests counts the requests those
-	// fused sessions served. A miss that arrived with no other miss
-	// active counts as a solo session.
+	// fused sessions served. A miss that found a slot free, or queued
+	// alone under its key, counts as a solo session.
 	FusedSessions int64 `json:"fused_sessions"`
 	SoloSessions  int64 `json:"solo_sessions"`
 	FusedRequests int64 `json:"fused_requests"`
-	// BatchesFormed counts miss-path batches dispatched through the
-	// batcher (any size); MeanBatchSize and MaxBatchSize describe their
-	// size distribution. Misses that arrived with no other miss active
-	// never enter the batcher and never count here.
+	// BatchesFormed counts the batches fusable misses ran in (any size,
+	// batching on); MeanBatchSize and MaxBatchSize describe their size
+	// distribution. Unfusable misses and warm work never count here.
 	BatchesFormed int64   `json:"batches_formed"`
 	MeanBatchSize float64 `json:"mean_batch_size"`
 	MaxBatchSize  int64   `json:"max_batch_size"`
@@ -277,8 +274,6 @@ type Service struct {
 
 	jobs jobRegistry
 
-	batcher *sched.Batcher[compatKey, *fuseItem, fuseOut]
-
 	// metrics holds every counter and histogram (see metrics.go); its
 	// fields promote, so a counter bump reads
 	// atomic.AddInt64(&s.live.Requests, 1).
@@ -302,11 +297,6 @@ type Service struct {
 	// meanSessionNs is an EWMA (α = 1/8) of engine-session wall time,
 	// feeding the admission check's queue-wait estimate.
 	meanSessionNs atomic.Int64
-
-	// activeMisses counts miss leaders inside dispatch, of any algo. A
-	// fusable miss that finds it at zero has nothing to fuse with and
-	// skips the batcher's linger.
-	activeMisses atomic.Int64
 
 	// computeHook, when set, replaces the detector dispatch — tests use it
 	// to block and count computations deterministically. Never set in
@@ -359,23 +349,11 @@ func New(cfg Config) *Service {
 			}
 		}
 	}
-	if cfg.BatchSize > 1 {
-		s.batcher = &sched.Batcher[compatKey, *fuseItem, fuseOut]{
-			MaxBatch: cfg.BatchSize,
-			Linger:   batchLinger,
-			// Bound the fused union well below the wire format's node cap
-			// (and below sizes where one giant component would serialize the
-			// whole batch behind itself).
-			Weight:    func(it *fuseItem) int { return it.req.Graph.NumNodes() },
-			MaxWeight: congest.MaxNodes / 16,
-			Exec: func(ck compatKey, items []*fuseItem) ([]fuseOut, error) {
-				atomic.AddInt64(&s.live.BatchesFormed, 1)
-				s.batchSizeSum.Add(int64(len(items)))
-				raise(&s.live.MaxBatchSize, int64(len(items)))
-				return s.execBatch(context.Background(), ck, items)
-			},
-		}
-	}
+	s.gate.MaxBatch = cfg.BatchSize
+	// Bound the fused union well below the wire format's node cap (and
+	// below sizes where one giant component would serialize the whole
+	// batch behind itself).
+	s.gate.MaxWeight = congest.MaxNodes / 16
 	s.jobs.init()
 
 	if cfg.Observe {
@@ -384,9 +362,6 @@ func New(cfg Config) *Service {
 		// so the zero-value Config costs only the nil checks the hooks'
 		// owners already perform.
 		s.gate.Observe = func(w time.Duration) { s.gateWait.ObserveDuration(w) }
-		if s.batcher != nil {
-			s.batcher.Observe = func(size int) { s.batchFill.Observe(int64(size)) }
-		}
 		s.engineObs = func(rounds int, wall time.Duration) {
 			s.engineRounds.Observe(int64(rounds))
 			s.engineWall.ObserveDuration(wall)
@@ -521,10 +496,9 @@ type Info struct {
 // possibly fused with concurrent compatible misses (see Config.BatchSize).
 // The returned Source says which path served it. ctx cancellation is
 // honored while queued for admission, while waiting on another request's
-// computation, and inside a miss computed as a direct batch of one (as
-// every miss that finds no other miss active is); a fused batch that has
-// started always runs to completion (its results
-// are cached for everyone).
+// computation or batch, and inside a miss computed as a batch of one (as
+// every miss that finds a slot free is); a fused batch that has started
+// always runs to completion (its results are cached for everyone).
 func (s *Service) Do(ctx context.Context, req *Request) (*Response, Source, error) {
 	resp, info, err := s.DoInfo(ctx, req)
 	return resp, info.Source, err
@@ -621,7 +595,10 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 			return nil, Info{}, admit
 		}
 
-		resp, amplified, batch, err := s.dispatch(ctx, req, fp, key, prior)
+		out, batch, err := s.miss(ctx, &fuseItem{req: req, fp: fp, key: key, prior: prior})
+		if err == nil {
+			err = out.err
+		}
 		if err != nil {
 			err = classifyErr(ctx, err)
 			s.finish(key, c, nil, err)
@@ -629,48 +606,21 @@ func (s *Service) DoInfo(ctx context.Context, req *Request) (*Response, Info, er
 			return nil, Info{}, err
 		}
 		source, path := SourceComputed, pathComputed
-		if amplified {
+		if out.amplified {
 			source, path = SourceAmplified, pathAmplified
 			atomic.AddInt64(&s.live.Amplified, 1)
 		} else {
 			atomic.AddInt64(&s.live.Computed, 1)
 		}
-		s.finish(key, c, resp, nil)
+		s.finish(key, c, out.resp, nil)
 		if s.observe {
 			if batch > 1 {
 				path = pathFused
 			}
 			s.reqDur[path].ObserveDuration(time.Since(t0))
 		}
-		return resp, Info{Source: source, Batch: batch}, nil
+		return out.resp, Info{Source: source, Batch: batch}, nil
 	}
-}
-
-// dispatch runs the leader's computation: through the batcher when the
-// request is fusable, batching is on and another miss is active to fuse
-// with, otherwise at once as a batch of one under the request's context.
-// It returns the batch size the work ran in.
-func (s *Service) dispatch(ctx context.Context, req *Request, fp graph.Fingerprint, key cacheKey, prior *entry) (*Response, bool, int, error) {
-	item := &fuseItem{req: req, fp: fp, key: key, prior: prior}
-	lone := s.activeMisses.Add(1) == 1
-	defer s.activeMisses.Add(-1)
-	if lone || s.batcher == nil || !fusable(req.Algo) || s.computeHook != nil {
-		outs, err := s.execBatch(ctx, compatFor(req), []*fuseItem{item})
-		if err != nil {
-			return nil, false, 0, err
-		}
-		return outs[0].resp, outs[0].amplified, 1, outs[0].err
-	}
-	if s.observe || req.Trace != nil {
-		item.enqueued = time.Now()
-	}
-	out, batch, err := s.batcher.Do(ctx, compatFor(req), item)
-	if err != nil {
-		// ctx expired while waiting for the batch (the batch itself still
-		// computes and caches the item), or the batcher misbehaved.
-		return nil, false, 0, err
-	}
-	return out.resp, out.amplified, batch, out.err
 }
 
 // finish publishes the call result and clears the in-flight slot.

@@ -106,16 +106,15 @@ func (s *Service) warmChild(parent, child *graph.Graph, added [][2]graph.NodeID)
 // warmFullRun is the localization fallback: an ordinary full deterministic
 // detection on the child graph, run as a batch of one — so warm work
 // takes a normal admission slot and cannot oversubscribe the pool past
-// Config.Slots. The item is marked warm, so the executor leaves the
-// install to warmChild's guarded put.
+// Config.Slots. The item is marked warm, so the executor neither batches
+// it nor installs it, leaving the install to warmChild's guarded put.
 func (s *Service) warmFullRun(child *graph.Graph, key cacheKey) (*Response, error) {
 	req := &Request{Graph: child, Algo: AlgoDet, K: key.k, Threshold: key.threshold}
-	it := &fuseItem{req: req, fp: key.fp, key: key, warm: true}
-	outs, err := s.execBatch(context.Background(), compatFor(req), []*fuseItem{it})
+	out, _, err := s.miss(context.Background(), &fuseItem{req: req, fp: key.fp, key: key, warm: true})
 	if err != nil {
 		return nil, err
 	}
-	return outs[0].resp, outs[0].err
+	return out.resp, out.err
 }
 
 // rekeyResponse clones a cached response under a new fingerprint. The

@@ -81,7 +81,7 @@ func TestStatsWireJSONGolden(t *testing.T) {
 	st := Stats{
 		Requests: 1, Hits: 2, Coalesced: 3, Amplified: 4, Computed: 5,
 		Errors: 6, Rejected: 7, Shed: 8, DeadlineExceeded: 9, Cancelled: 10, Panics: 11,
-		BatchesSkipped: 12, Mutations: 13, NoopMutations: 14, WarmStarts: 15, WarmHits: 16,
+		Mutations: 13, NoopMutations: 14, WarmStarts: 15, WarmHits: 16,
 		Fallbacks: 17, LastMutationParent: "p", LastMutationChild: "c", MeanSessionMS: 18.5,
 		EngineSessions: 19, FusedSessions: 20, SoloSessions: 21, FusedRequests: 22,
 		BatchesFormed: 23, MeanBatchSize: 24.5, MaxBatchSize: 25,
@@ -93,7 +93,7 @@ func TestStatsWireJSONGolden(t *testing.T) {
 	}
 	const want = `{"requests":1,"hits":2,"coalesced":3,"amplified":4,"computed":5,` +
 		`"errors":6,"rejected":7,"shed":8,"deadline_exceeded":9,"cancelled":10,"panics":11,` +
-		`"batches_skipped":12,"mutations":13,"noop_mutations":14,"warm_starts":15,"warm_hits":16,` +
+		`"mutations":13,"noop_mutations":14,"warm_starts":15,"warm_hits":16,` +
 		`"fallbacks":17,"last_mutation_parent":"p","last_mutation_child":"c","mean_session_ms":18.5,` +
 		`"engine_sessions":19,"fused_sessions":20,"solo_sessions":21,"fused_requests":22,` +
 		`"batches_formed":23,"mean_batch_size":24.5,"max_batch_size":25,` +
