@@ -331,3 +331,124 @@ func TestGateBatchStorm(t *testing.T) {
 		t.Fatalf("gate not drained: inUse=%d waiting=%d", g.InUse(), g.Waiting())
 	}
 }
+
+// The three TestBatcher* tests below keep the names of the tests of the
+// deleted sched.Batcher; they pin the same three rules, now kept by a
+// Gate grant.
+
+// TestBatcherFusesConcurrentSubmitters pins that concurrent joins under
+// one key, queued behind a busy slot, land in one batch: one grant leads
+// and takes every other joiner exactly once.
+func TestBatcherFusesConcurrentSubmitters(t *testing.T) {
+	const n = 4
+	g := NewGate(1)
+	g.MaxBatch = n
+	if err := g.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	results := make([]joinResult, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			riders, taken, err := g.Join(context.Background(), "k", 1, i)
+			results[i] = joinResult{riders, taken, err}
+		}(i)
+	}
+	waitUntil(t, func() bool { return g.Waiting() == n })
+	g.Release()
+	wg.Wait()
+	leaders, seen := 0, map[int]int{}
+	for i, r := range results {
+		switch {
+		case r.err != nil:
+			t.Fatalf("join %d: %v", i, r.err)
+		case r.taken:
+			if r.riders != nil {
+				t.Errorf("rider %d got riders %v", i, r.riders)
+			}
+		default:
+			leaders++
+			seen[i]++
+			for _, v := range r.riders {
+				seen[v.(int)]++
+			}
+		}
+	}
+	if leaders != 1 {
+		t.Fatalf("%d leaders, want 1 batch of %d", leaders, n)
+	}
+	for i := 0; i < n; i++ {
+		if seen[i] != 1 {
+			t.Errorf("joiner %d is in the batch %d times, want 1", i, seen[i])
+		}
+	}
+	g.Release()
+	if g.InUse() != 0 || g.Waiting() != 0 {
+		t.Fatalf("gate not drained: inUse=%d waiting=%d", g.InUse(), g.Waiting())
+	}
+}
+
+// TestBatcherKeysDoNotMix pins that different keys never share a batch:
+// with joiners of two keys interleaved in the queue, each grant takes
+// only the joiners of its own key.
+func TestBatcherKeysDoNotMix(t *testing.T) {
+	g := NewGate(1)
+	g.MaxBatch = 4
+	if err := g.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	a1 := joinAsync(t, g, bg, "a", 1, "a1")
+	b1 := joinAsync(t, g, bg, "b", 1, "b1")
+	a2 := joinAsync(t, g, bg, "a", 1, "a2")
+	b2 := joinAsync(t, g, bg, "b", 1, "b2")
+	for _, c := range []struct {
+		lead, rider <-chan joinResult
+		want        []any
+	}{
+		{a1, a2, []any{"a2"}},
+		{b1, b2, []any{"b2"}},
+	} {
+		g.Release()
+		if res := <-c.lead; res.err != nil || res.taken || !reflect.DeepEqual(res.riders, c.want) {
+			t.Fatalf("leader = %+v, want leader of %v", res, c.want)
+		}
+		if res := <-c.rider; res.err != nil || !res.taken {
+			t.Fatalf("rider = %+v, want taken", res)
+		}
+	}
+	g.Release()
+	if g.InUse() != 0 || g.Waiting() != 0 {
+		t.Fatalf("gate not drained: inUse=%d waiting=%d", g.InUse(), g.Waiting())
+	}
+}
+
+// TestBatcherMaxWeight pins the weight bound: joiners whose summed
+// weight would exceed MaxWeight are not taken together, and each runs
+// as a batch of its own, in arrival order.
+func TestBatcherMaxWeight(t *testing.T) {
+	g := NewGate(1)
+	g.MaxBatch, g.MaxWeight = 8, 100
+	if err := g.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var joins []<-chan joinResult
+	for i := 0; i < 3; i++ {
+		joins = append(joins, joinAsync(t, g, context.Background(), "k", 60, i))
+	}
+	for i, j := range joins {
+		g.Release()
+		if res := <-j; res.err != nil || res.taken || len(res.riders) != 0 {
+			t.Fatalf("join %d = %+v, want a leader of nothing (60+60 > 100)", i, res)
+		}
+		if want := len(joins) - 1 - i; g.Waiting() != want {
+			t.Fatalf("Waiting = %d after grant %d, want %d", g.Waiting(), i, want)
+		}
+	}
+	g.Release()
+	if g.InUse() != 0 || g.Waiting() != 0 {
+		t.Fatalf("gate not drained: inUse=%d waiting=%d", g.InUse(), g.Waiting())
+	}
+}
