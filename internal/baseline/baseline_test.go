@@ -157,25 +157,6 @@ func TestLocalThresholdTrapLowersDetection(t *testing.T) {
 	}
 }
 
-func TestNaiveDetectCongestionBlowup(t *testing.T) {
-	rng := graph.NewRand(3)
-	// Hub instances are where congestion explodes without a threshold.
-	g, _, err := graph.PlantedHeavy(300, 4, 200, 1.2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NaiveDetect(g, 2, 60, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxCongestion < 15 {
-		t.Fatalf("naive congestion %d suspiciously low around a degree-200 hub", res.MaxCongestion)
-	}
-	if !res.Found {
-		t.Fatalf("naive color coding missed planted C_4 in %d iterations", res.Iterations)
-	}
-}
-
 func TestKBallLearnsExactBall(t *testing.T) {
 	rng := graph.NewRand(4)
 	g := graph.Gnm(40, 80, rng)
@@ -307,20 +288,5 @@ func TestQuantumBeatsVanApeldoornDeVos(t *testing.T) {
 		if ours >= theirs {
 			t.Fatalf("k=%d: ours %v not better than [33] %v", k, ours, theirs)
 		}
-	}
-}
-
-func TestDetectEdenShape(t *testing.T) {
-	rng := graph.NewRand(6)
-	g, _, err := graph.PlantedLight(64, 6, 1.5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := DetectEdenShape(g, 3, core.Options{Seed: 1, MaxIterations: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BudgetRounds <= 0 || res.Exponent <= 0 {
-		t.Fatalf("budget not computed: %+v", res)
 	}
 }

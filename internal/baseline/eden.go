@@ -3,10 +3,6 @@ package baseline
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/congest"
-	"repro/internal/core"
-	"repro/internal/graph"
 )
 
 // EdenExponent returns the round-complexity exponent of Eden et al.
@@ -31,35 +27,6 @@ func EdenBudgetRounds(n, k int) (float64, error) {
 		return 0, err
 	}
 	return math.Pow(float64(n), exp) * math.Log(float64(n)+2), nil
-}
-
-// EdenShapeResult pairs a functional detection outcome with the [DISC'19]
-// analytic budget for the same (n, k), for crossover plots (experiment
-// E2). The detection core reuses the repository's color-BFS machinery —
-// re-implementing all of [DISC'19] is out of scope (see the substitution
-// matrix in docs/ARCHITECTURE.md); the row's *curve* is its budget.
-type EdenShapeResult struct {
-	congest.Verdict
-	BudgetRounds float64
-	Exponent     float64
-}
-
-// DetectEdenShape runs the functional core and attaches the Eden et al.
-// budget.
-func DetectEdenShape(g *graph.Graph, k int, opt core.Options) (*EdenShapeResult, error) {
-	exp, err := EdenExponent(k)
-	if err != nil {
-		return nil, err
-	}
-	budget, err := EdenBudgetRounds(g.NumNodes(), k)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.DetectEvenCycle(g, k, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &EdenShapeResult{Verdict: res.Verdict, BudgetRounds: budget, Exponent: exp}, nil
 }
 
 // VanApeldoornDeVosExponent is the quantum F_{2k} exponent of [PODC'22]:

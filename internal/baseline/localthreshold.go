@@ -154,54 +154,3 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 	}
 	return res, nil
 }
-
-// NaiveDetect runs unthresholded colored BFS (threshold = n, every node a
-// seed) — classical color coding with no congestion control. Its round
-// count blows up with the identifier load; it is the negative control for
-// the threshold experiments.
-func NaiveDetect(g *graph.Graph, k int, iterations int, seed uint64) (*LocalThresholdResult, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("baseline: naive detection needs k ≥ 2")
-	}
-	n := g.NumNodes()
-	net := congest.NewNetwork(g, seed)
-	eng := congest.NewEngine(net)
-	all := make([]bool, n)
-	for v := range all {
-		all[v] = true
-	}
-	colors := make([]int8, n)
-	rng := graph.NewRand(seed ^ 0x0a11)
-	L := 2 * k
-	res := &LocalThresholdResult{}
-	for it := 0; it < iterations; it++ {
-		res.Iterations = it + 1
-		for v := range colors {
-			colors[v] = int8(rng.IntN(L))
-		}
-		bfs, err := core.NewColorBFS(n, core.ColorBFSSpec{
-			L: L, Color: colors, InH: all, InX: all,
-			Threshold: n + 1, SeedProb: 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep, err := bfs.Run(eng)
-		if err != nil {
-			return nil, err
-		}
-		res.Merge(bfs.Costs(rep))
-		if ds := bfs.Detections(); len(ds) > 0 && !res.Found {
-			witness, err := bfs.Witness(ds[0])
-			if err != nil {
-				return nil, err
-			}
-			if err := graph.IsSimpleCycle(g, witness, L); err != nil {
-				return nil, err
-			}
-			res.Found, res.Witness, res.FoundLen = true, witness, L
-			break
-		}
-	}
-	return res, nil
-}

@@ -51,7 +51,7 @@ func TestCancelPreTrippedStopsBeforeFirstRound(t *testing.T) {
 func TestCancelStopsInFlightRun(t *testing.T) {
 	net := NewNetwork(graph.Path(2), 1)
 	eng := NewEngine(net)
-	eng.MaxRounds = 100_000_000 // effectively unbounded; cancel must end the run
+	eng.maxRounds = 100_000_000 // effectively unbounded; cancel must end the run
 	flag := &CancelFlag{}
 	eng.Cancel = flag
 	h := &spinner{notify: make(chan struct{})}
@@ -77,24 +77,22 @@ func TestCancelStopsInFlightRun(t *testing.T) {
 
 // TestUntrippedFlagIsTranscriptInvisible pins the "cancellation is free
 // unless tripped" contract: a run with an armed-but-untripped CancelFlag
-// produces a Report identical to a run with no flag at all.
+// produces the Report and handler-side transcript of a run with no flag
+// at all.
 func TestUntrippedFlagIsTranscriptInvisible(t *testing.T) {
-	g := graph.Path(64)
-	run := func(flag *CancelFlag) *Report {
-		net := NewNetwork(g, 1)
-		eng := NewEngine(net)
-		eng.Timeline = true
+	g := graph.Gnm(400, 1200, graph.NewRand(2))
+	run := func(flag *CancelFlag) (*Report, *transcriptProbe) {
+		eng := NewEngine(NewNetwork(g, 1))
 		eng.Cancel = flag
-		rep, err := eng.Run(&floodHandler{})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return rep
+		return runProbe(t, eng, 3)
 	}
-	bare := run(nil)
-	flagged := run(&CancelFlag{})
+	bare, bareH := run(nil)
+	flagged, flaggedH := run(&CancelFlag{})
 	if !reflect.DeepEqual(bare, flagged) {
 		t.Fatalf("reports diverge:\nno flag:   %+v\nwith flag: %+v", bare, flagged)
+	}
+	if !sameProbe(bareH, flaggedH) {
+		t.Fatal("handler-side transcripts diverge")
 	}
 }
 

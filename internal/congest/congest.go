@@ -80,13 +80,6 @@ type Handler interface {
 	HandleRound(rt *Session, u NodeID, r int, inbox []Message)
 }
 
-// Rejection records a node's reject output together with the witness cycle
-// it can reconstruct (possibly nil when the protocol offers none).
-type Rejection struct {
-	Node    NodeID
-	Witness []graph.NodeID
-}
-
 // Runtime is the engine's parallelism and state reuse: Engine embeds it,
 // and so does every detector's options struct, which hands it to its
 // engines as one value. Transcripts — and therefore every report and
@@ -96,10 +89,6 @@ type Runtime struct {
 	// Workers is the size of the goroutine pool mapping node handlers onto
 	// rounds; 0 means GOMAXPROCS.
 	Workers int
-	// Shards overrides the receiver-shard count of the parallel delivery
-	// phase; 0 derives it from Workers. The knob exists for tuning and so
-	// the determinism tests can pin shard-count invariance explicitly.
-	Shards int
 	// ParallelThreshold is the round volume below which a phase runs
 	// serially even when Workers allows parallelism. The handler phase
 	// counts its due handlers plus the messages delivered into their
@@ -183,16 +172,6 @@ type Report struct {
 	// kind byte plus up to two identifiers/counters, i.e.
 	// 8 + 2·⌈log₂ n⌉ bits in the O(log n)-bit regime of the model.
 	Bits int64
-	// MaxInbox is the maximum number of messages received by a single node
-	// in a single round (a congestion measure).
-	MaxInbox int
-	// Rejections lists all reject outputs, in canonical order (by node,
-	// then witness) so the report is identical for every worker count.
-	Rejections []Rejection
-	// Halted reports whether a handler requested a global stop.
-	Halted bool
-	// Timeline holds per-round statistics when Engine.Timeline is set.
-	Timeline []RoundStat
 	// PerComp splits Rounds and Messages by component when the engine has a
 	// component map (Engine.SetComponents); nil otherwise. Per-component
 	// Bits are deliberately not tracked here: the model charges
@@ -237,7 +216,7 @@ func (r *Report) Comp(c int) CompStats {
 }
 
 // Costs returns the report's rounds, messages and bits as a cost record
-// (congestion is the caller's protocol-level measure, not MaxInbox).
+// (congestion is the caller's protocol-level measure).
 func (r *Report) Costs() Costs {
 	return Costs{Rounds: r.Rounds, Messages: r.Messages, Bits: r.Bits}
 }
@@ -248,11 +227,6 @@ func (t *Report) Accumulate(r *Report) {
 	t.Rounds += r.Rounds
 	t.Messages += r.Messages
 	t.Bits += r.Bits
-	if r.MaxInbox > t.MaxInbox {
-		t.MaxInbox = r.MaxInbox
-	}
-	t.Rejections = append(t.Rejections, r.Rejections...)
-	t.Halted = t.Halted || r.Halted
 	if r.PerComp != nil {
 		if t.PerComp == nil {
 			t.PerComp = make([]CompStats, len(r.PerComp))
@@ -293,9 +267,6 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 
 // NumNodes returns the network size (global knowledge, as in the paper).
 func (n *Network) NumNodes() int { return n.g.NumNodes() }
-
-// Seed returns the master seed.
-func (n *Network) Seed() uint64 { return n.seed }
 
 // NewNetworkSeedBases wraps a graph as a CONGEST network whose node
 // randomness streams derive from an explicit per-node seed base instead

@@ -10,36 +10,39 @@ import (
 	"repro/internal/graph"
 )
 
-// TestDeliveryInvariantAcrossWorkersAndShards pins the tentpole contract
+// TestDeliveryInvariantAcrossWorkersAndShards pins the central contract
 // of the sharded delivery pipeline at the engine level: the transcript
-// probe's full Report and handler state are bit-identical for every
-// (Workers, Shards, ParallelThreshold) combination, including thresholds
-// that force the parallel handler and scatter paths onto tiny rounds.
+// probe's Report and its per-node transcript fingerprints are
+// bit-identical for every (Workers, ParallelThreshold) combination,
+// including thresholds that force the parallel handler and scatter paths
+// onto tiny rounds. The shard count is one per worker, at least 64 nodes
+// each: on 2500 nodes every worker count gets as many shards, on 300
+// nodes 8 workers get 4.
 func TestDeliveryInvariantAcrossWorkersAndShards(t *testing.T) {
-	g := graph.Gnm(2500, 7500, graph.NewRand(21))
-	run := func(workers, shards, threshold int) (*Report, *transcriptProbe) {
-		e := NewEngine(NewNetwork(g, 77))
-		e.Workers = workers
-		e.Shards = shards
-		e.ParallelThreshold = threshold
-		e.Timeline = true
-		return runProbe(t, e, 5)
-	}
-	baseRep, baseH := run(1, 0, 0)
-	for _, cfg := range []struct{ workers, shards, threshold int }{
-		{1, 4, 1}, // shard state configured but serial (workers=1)
-		{2, 1, 1},
-		{2, 2, 1},
-		{8, 3, 1},
-		{8, 8, 1},
-		{8, 0, 0}, // defaults: shards derived from workers
+	for _, g := range []*graph.Graph{
+		graph.Gnm(2500, 7500, graph.NewRand(21)),
+		graph.Gnm(300, 900, graph.NewRand(22)),
 	} {
-		rep, h := run(cfg.workers, cfg.shards, cfg.threshold)
-		if !reflect.DeepEqual(baseRep, rep) {
-			t.Fatalf("Report diverges at %+v:\nbase: %+v\ngot:  %+v", cfg, baseRep, rep)
+		run := func(workers, threshold int) (*Report, *transcriptProbe) {
+			e := NewEngine(NewNetwork(g, 77))
+			e.Workers = workers
+			e.ParallelThreshold = threshold
+			return runProbe(t, e, 5)
 		}
-		if !reflect.DeepEqual(baseH.heard, h.heard) || !reflect.DeepEqual(baseH.draws, h.draws) {
-			t.Fatalf("handler state diverges at %+v", cfg)
+		baseRep, baseH := run(1, 0)
+		for _, cfg := range []struct{ workers, threshold int }{
+			{1, 1}, // forced threshold, but serial (one worker)
+			{2, 1},
+			{8, 1},
+			{8, 0}, // default threshold
+		} {
+			rep, h := run(cfg.workers, cfg.threshold)
+			if !reflect.DeepEqual(baseRep, rep) {
+				t.Fatalf("n=%d %+v: Report diverges:\nbase: %+v\ngot:  %+v", g.NumNodes(), cfg, baseRep, rep)
+			}
+			if !sameProbe(baseH, h) {
+				t.Fatalf("n=%d %+v: handler-side transcript diverges", g.NumNodes(), cfg)
+			}
 		}
 	}
 }
@@ -57,16 +60,15 @@ func TestDeliverySteadyStateAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g := graph.Gnm(2048, 8192, graph.NewRand(7))
 	for _, cfg := range []struct {
-		name                       string
-		workers, shards, threshold int
+		name               string
+		workers, threshold int
 	}{
-		{"serial", 1, 0, 0},
-		{"parallel", 4, 4, 1},
+		{"serial", 1, 0},
+		{"parallel", 4, 1},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := NewEngine(NewNetwork(g, 1))
 			e.Workers = cfg.workers
-			e.Shards = cfg.shards
 			e.ParallelThreshold = cfg.threshold
 			h := &pingpong{rounds: 8}
 			run := func() {
@@ -81,34 +83,6 @@ func TestDeliverySteadyStateAllocs(t *testing.T) {
 				t.Fatalf("allocs/run = %v, want 1 (the escaping Report; delivery must contribute 0)", avg)
 			}
 		})
-	}
-}
-
-// TestTimelineSteadyStateAllocs pins the Timeline satellite: collection
-// costs one presized buffer per run, independent of the round count.
-func TestTimelineSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation changes allocation counts")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	g := graph.Cycle(64)
-	e := NewEngine(NewNetwork(g, 3))
-	e.Timeline = true
-	h := &pingpong{rounds: 200} // many rounds: growth would show up
-	run := func() {
-		rep, err := e.Run(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Timeline) < 200 {
-			t.Fatalf("timeline too short: %d", len(rep.Timeline))
-		}
-	}
-	for i := 0; i < 3; i++ {
-		run() // teach the pooled session its round count
-	}
-	if avg := testing.AllocsPerRun(20, run); avg > 2 {
-		t.Fatalf("allocs/run = %v, want ≤ 2 (Report + presized Timeline)", avg)
 	}
 }
 

@@ -40,16 +40,19 @@
 // RunSession calls — all mutable per-run state lives in pooled Session
 // objects whose buffers are stamp-guarded or dirty-list-cleared, so
 // back-to-back sessions allocate ~nothing; an Arena (Runtime.Arena)
-// carries sessions across engines, re-laid onto each network. Transcripts (inbox contents and
-// order, reports, rejections) are bit-identical for every Workers, Shards
-// and ParallelThreshold setting; per-receiver inbox order is always
-// ascending sender. ParallelThreshold is counted in messages: a round's
-// handler phase goes to the worker pool only when its due handlers plus
-// their inbox messages reach it, its delivery phase only when its staged
-// messages do (default 24576; see Runtime). Explicit session tags
-// (RunSession) keep the per-node randomness streams — derived from (network seed, node, tag) — independent
-// of scheduling, which is what makes concurrent trials reproducible.
-// TestEngineMatchesMapReference pins the engine against a map-based
-// reference implementation, and the root delivery-determinism suite pins
-// every detector's transcript across engine configurations under -race.
+// carries sessions across engines, re-laid onto each network.
+// Transcripts (inbox contents and order, reports) are bit-identical for
+// every Workers and ParallelThreshold setting (the parallel delivery
+// phase splits receivers into one shard per worker, at least 64 nodes
+// each); per-receiver inbox order is always ascending sender.
+// ParallelThreshold is counted in messages: a round's handler phase goes
+// to the worker pool only when its due handlers plus their inbox
+// messages reach it, its delivery phase only when its staged messages do
+// (default 24576; see Runtime). Explicit session tags (RunSession) keep
+// the per-node randomness streams — derived from (network seed, node,
+// tag) — independent of scheduling, which is what makes concurrent
+// trials reproducible. TestEngineMatchesMapReference pins the engine
+// against a map-based reference implementation, and the root
+// delivery-determinism suite pins every detector's transcript across
+// engine configurations under -race.
 package congest

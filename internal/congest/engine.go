@@ -22,13 +22,11 @@ import (
 // they outlive the engine and serve the next one too.
 type Engine struct {
 	net *Network
-	// MaxRounds aborts runaway protocols; 0 means the default cap.
-	MaxRounds int
+	// maxRounds aborts runaway protocols; 0 means defaultMaxRounds. Only
+	// tests lower it.
+	maxRounds int
 	// Runtime sets the parallelism of the handler and delivery phases.
 	Runtime
-	// StopOnReject halts the session at the end of the first round in
-	// which some node rejected.
-	StopOnReject bool
 	// DropProb injects adversarial message loss: each staged message is
 	// discarded at delivery time with this probability (deterministic
 	// given the network seed). The CONGEST model itself is fault-free;
@@ -37,8 +35,6 @@ type Engine struct {
 	// fabricate one. Lossy sessions always deliver serially (the drop
 	// RNG consumes one draw per staged message in global staging order).
 	DropProb float64
-	// Timeline collects per-round statistics into Report.Timeline.
-	Timeline bool
 	// Cancel, when set, is polled once per executed round (one atomic
 	// load at the round boundary): tripping it makes in-flight and future
 	// runs on this engine return ErrCanceled instead of a report, so an
@@ -71,13 +67,6 @@ type Engine struct {
 
 	session  atomic.Uint64
 	sessions sync.Pool // of *Session
-}
-
-// RoundStat is one entry of a collected timeline.
-type RoundStat struct {
-	Round    int
-	Active   int   // nodes whose handler ran
-	Messages int64 // messages delivered out of this round
 }
 
 // NewEngine returns an engine for the network.
@@ -131,8 +120,8 @@ func (e *Engine) Run(h Handler) (*Report, error) {
 }
 
 // RunSession executes one session of the handler until quiescence (no
-// pending messages and no scheduled wake-ups), a halt request, or the
-// round cap. The session tag seeds the per-node randomness streams
+// pending messages and no scheduled wake-ups), a protocol violation, or
+// the round cap. The session tag seeds the per-node randomness streams
 // (together with the network's master seed); callers that execute many
 // independent sessions concurrently pass explicit tags so the transcript
 // of every session is deterministic regardless of scheduling.
@@ -281,11 +270,6 @@ type Session struct {
 	handlerFn func()
 	scatterFn func()
 
-	// lastExec is the executed-round count of the previous run on this
-	// session, used to presize Report.Timeline so collection does not
-	// allocate per round.
-	lastExec int
-
 	// senders lists the due nodes that actually staged messages this
 	// round, so the delivery passes walk senders instead of the whole due
 	// list. It is maintained by Send/Broadcast only while serialRound is
@@ -320,11 +304,10 @@ type Session struct {
 	compLast []int32
 	compMsgs []int64
 
-	halt atomic.Bool
-
-	mu         sync.Mutex
-	rejections []Rejection
-	violation  error
+	// violation is the session's first failure; fail sets it from any
+	// handler goroutine, and the round loop ends the session on it.
+	mu        sync.Mutex
+	violation error
 }
 
 // inboxCursor is a receiver's delivery state: the region
@@ -418,9 +401,6 @@ func (s *Session) retainedBytes() int64 {
 
 // N returns the number of nodes in the network (global knowledge).
 func (rt *Session) N() int { return rt.net.NumNodes() }
-
-// Round returns the current round number.
-func (rt *Session) Round() int { return rt.round }
 
 // Degree returns the degree of u (node-local knowledge).
 func (rt *Session) Degree(u NodeID) int { return rt.net.g.Degree(u) }
@@ -541,31 +521,12 @@ func (rt *Session) WakeAt(u NodeID, r int) {
 	}
 }
 
-// Reject records that node u outputs reject, with an optional witness
-// cycle. Safe for concurrent use.
-func (rt *Session) Reject(u NodeID, witness []NodeID) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.rejections = append(rt.rejections, Rejection{Node: u, Witness: witness})
-}
-
-// Halt requests a global stop at the end of the current round. Safe for
-// concurrent use.
-func (rt *Session) Halt() { rt.halt.Store(true) }
-
 func (rt *Session) fail(err error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.violation == nil {
 		rt.violation = err
 	}
-	rt.halt.Store(true)
-}
-
-func (rt *Session) rejectedLocked() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return len(rt.rejections) > 0
 }
 
 func (s *Session) setPool(u NodeID) {
@@ -637,14 +598,12 @@ func (s *Session) cleanup() {
 		}
 		s.cand = 0
 	}
-	// A session that ended early (halt, StopOnReject, violation, round cap)
-	// can leave inboxes stamped for the round after its last delivery.
+	// A session that ended early (violation, round cap, cancellation) can
+	// leave inboxes stamped for the round after its last delivery.
 	// Burning one stamp value here guarantees no future round ever matches
 	// a leftover stamp, without clearing the stamp array.
 	s.stamp++
 	s.violation = nil
-	s.rejections = s.rejections[:0]
-	s.halt.Store(false)
 }
 
 // run executes one session. The Session must satisfy the cleanup
@@ -663,7 +622,7 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 		return nil, s.violation
 	}
 
-	maxRounds := e.MaxRounds
+	maxRounds := e.maxRounds
 	if maxRounds <= 0 {
 		maxRounds = defaultMaxRounds
 	}
@@ -673,12 +632,6 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 	}
 
 	rep := &Report{}
-	if e.Timeline {
-		// Presize to the previous run's executed-round count (sessions are
-		// pooled, so back-to-back runs of one protocol estimate exactly):
-		// collection then costs one allocation per run, not one per growth.
-		rep.Timeline = make([]RoundStat, 0, max(s.lastExec, 16))
-	}
 	msgBits := MessageBits(n)
 	var dropRng *rand.Rand
 	if e.DropProb > 0 {
@@ -697,8 +650,7 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 			s.compMsgs[c] = 0
 		}
 	}
-	s.ensureShards(e.deliveryShards(workers, n))
-	exec := 0
+	s.ensureShards(deliveryShards(workers, n))
 
 	cancel := e.Cancel
 	for round := 0; s.cand > 0; round++ {
@@ -721,7 +673,6 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 		// wake-up. The walk costs O(active words), not O(n/64).
 		s.due = s.due[:0]
 		earliest := int32(-1)
-		maxInbox := rep.MaxInbox
 		inbound := 0
 		for si, sw := range s.summary {
 			for sw != 0 {
@@ -734,9 +685,7 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 					u := NodeID(wi<<6 | b)
 					wk := s.wake[u]
 					if c := s.inCur[u]; c.stamp == s.stamp {
-						load := int(c.pos - c.beg)
-						inbound += load
-						maxInbox = max(maxInbox, load)
+						inbound += int(c.pos - c.beg)
 						s.due = append(s.due, u)
 						if wk >= 0 && int(wk) <= round {
 							s.wake[u] = -1
@@ -762,10 +711,8 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 			round = int(earliest) - 1
 			continue
 		}
-		rep.MaxInbox = maxInbox
 		s.round = round
 		rep.Rounds = round + 1
-		exec++
 		if e.numComp > 0 {
 			for _, u := range s.due {
 				s.compLast[e.comp[u]] = int32(round)
@@ -778,57 +725,17 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 			return nil, s.violation
 		}
 
-		delivered := s.deliver(workers, dropRng, serialHandlers)
+		delivered := s.deliver(dropRng, serialHandlers)
 		rep.Messages += delivered
 		rep.Bits += msgBits * delivered
-		if e.Timeline {
-			rep.Timeline = append(rep.Timeline, RoundStat{
-				Round: round, Active: len(s.due), Messages: delivered,
-			})
-		}
-
-		if s.halt.Load() {
-			rep.Halted = true
-			break
-		}
-		if e.StopOnReject && s.rejectedLocked() {
-			break
-		}
 	}
-	s.lastExec = exec
 	if e.numComp > 0 {
 		rep.PerComp = make([]CompStats, e.numComp)
 		for c := range rep.PerComp {
 			rep.PerComp[c] = CompStats{Rounds: int(s.compLast[c]) + 1, Messages: s.compMsgs[c]}
 		}
 	}
-	if len(s.rejections) > 0 {
-		rep.Rejections = canonicalRejections(s.rejections)
-		// The sorted buffer is handed off to the escaping Report (callers
-		// read it after the Session returns to the pool), so the session
-		// must relinquish it rather than reuse it.
-		s.rejections = nil
-	}
 	return rep, nil
-}
-
-// canonicalRejections sorts the rejection list in place into a
-// deterministic order (by node, then witness), erasing the
-// handler-scheduling order in which concurrent Reject calls were
-// appended, and returns it. Sorting in place instead of into a fresh
-// copy saves the per-run copy allocation; the caller transfers ownership
-// of the buffer to the Report.
-func canonicalRejections(rejs []Rejection) []Rejection {
-	slices.SortFunc(rejs, func(a, b Rejection) int {
-		if a.Node != b.Node {
-			return int(a.Node) - int(b.Node)
-		}
-		if len(a.Witness) != len(b.Witness) {
-			return len(a.Witness) - len(b.Witness)
-		}
-		return slices.Compare(a.Witness, b.Witness)
-	})
-	return rejs
 }
 
 // handlerGrain is the work-stealing batch: workers claim this many due
@@ -914,7 +821,7 @@ func (s *Session) guardedInit(h Handler) {
 
 // recoverHandlerPanic is the deferred fence shared by Init, serial
 // rounds and parallel workers. It converts a handler panic into a
-// session failure (first failure wins; halt is requested) so the
+// session failure (first failure wins) so the
 // session unwinds through the normal violation path and stays poolable.
 func (s *Session) recoverHandlerPanic() {
 	if r := recover(); r != nil {
@@ -922,19 +829,12 @@ func (s *Session) recoverHandlerPanic() {
 	}
 }
 
-// deliveryShards picks the receiver-shard count for this run: the
-// engine's override, else one shard per worker, bounded so a shard never
-// covers fewer than 64 nodes (below that the two full-buffer scans per
-// shard cost more than they parallelize).
-func (e *Engine) deliveryShards(workers, n int) int {
-	shards := e.Shards
-	if shards <= 0 {
-		shards = workers
-	}
-	if maxS := n / 64; shards > maxS {
-		shards = max(maxS, 1)
-	}
-	return shards
+// deliveryShards picks the receiver-shard count for this run: one shard
+// per worker, bounded so a shard never covers fewer than 64 nodes (below
+// that the two full-buffer scans per shard cost more than they
+// parallelize).
+func deliveryShards(workers, n int) int {
+	return max(min(workers, n/64), 1)
 }
 
 // ensureShards sizes the shard state for k contiguous node-range shards.
@@ -967,8 +867,8 @@ func (s *Session) ensureShards(k int) {
 // receivers, re-woken due nodes (waiting nodes never left the bitmap).
 // Both paths scatter in ascending-sender order into each receiver's
 // static CSR region, so per-receiver inboxes are identical for every
-// Workers and Shards setting. Returns the delivered count.
-func (s *Session) deliver(workers int, dropRng *rand.Rand, serialHandlers bool) int64 {
+// Workers setting. Returns the delivered count.
+func (s *Session) deliver(dropRng *rand.Rand, serialHandlers bool) int64 {
 	// After a serial handler round the senders list is exact; parallel
 	// rounds walk the whole due list instead, and their wake-ups (which
 	// serial rounds folded into the bitmap directly) are folded in here.
@@ -977,13 +877,13 @@ func (s *Session) deliver(workers int, dropRng *rand.Rand, serialHandlers bool) 
 		senders = s.senders
 	}
 	var delivered int64
-	if workers > 1 && s.shards > 1 && dropRng == nil {
+	if s.shards > 1 && dropRng == nil {
 		staged := 0
 		for _, u := range senders {
 			staged += len(s.outTo[u])
 		}
 		if staged >= s.eng.parallelThreshold() {
-			delivered = s.deliverSharded(senders, workers)
+			delivered = s.deliverSharded(senders)
 		} else {
 			delivered = s.deliverSerial(senders, dropRng)
 		}
@@ -1044,23 +944,20 @@ func (s *Session) deliverSerial(senders []NodeID, dropRng *rand.Rand) int64 {
 }
 
 // deliverSharded is the parallel delivery path: receivers are
-// partitioned into contiguous node-range shards and one worker per shard
-// scans the full staged buffers, scattering only its own shard's
-// messages. Fixed receiver regions mean one parallel pass suffices (no
+// partitioned into contiguous node-range shards (never more than
+// workers; see deliveryShards) and one goroutine per shard scans the
+// full staged buffers, scattering only its own shard's messages. Fixed receiver regions mean one parallel pass suffices (no
 // count/offset phase or barrier between them); every inbox cell has
 // exactly one writer, the random-access traffic splits across workers,
 // and per-receiver order stays ascending-sender (workers walk the
 // sender list in ascending order, one message per directed edge per
 // round) — bit-identical to the serial path.
-func (s *Session) deliverSharded(senders []NodeID, workers int) int64 {
+func (s *Session) deliverSharded(senders []NodeID) int64 {
 	s.sendList = senders
 	shards := s.shards
 	s.shardNext.Store(0)
-	// Workers bounds the engine's parallelism; with more shards than
-	// workers, each worker loops claiming shards off the cursor.
-	w := min(workers, shards)
-	s.wg.Add(w)
-	for i := 0; i < w; i++ {
+	s.wg.Add(shards)
+	for i := 0; i < shards; i++ {
 		go s.scatterFn()
 	}
 	s.wg.Wait()
@@ -1077,17 +974,11 @@ func (s *Session) deliverSharded(senders []NodeID, workers int) int64 {
 	return delivered
 }
 
-// scatterWorker loops claiming unowned shards off the cursor and
-// scattering them, until none remain.
+// scatterWorker claims the next unowned shard off the cursor and
+// scatters it; deliverSharded starts one per shard.
 func (s *Session) scatterWorker() {
 	defer s.wg.Done()
-	for {
-		sh := int(s.shardNext.Add(1)) - 1
-		if sh >= s.shards {
-			return
-		}
-		s.scatterShard(sh)
-	}
+	s.scatterShard(int(s.shardNext.Add(1)) - 1)
 }
 
 func (s *Session) scatterShard(sh int) {

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -175,33 +176,6 @@ func TestPastWakeRejected(t *testing.T) {
 	}
 }
 
-// haltingHandler requests a halt at round 3 while otherwise ping-ponging
-// forever.
-type haltingHandler struct{}
-
-func (haltingHandler) Init(rt *Session) { rt.WakeAt(0, 0) }
-func (haltingHandler) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
-	if r == 3 {
-		rt.Halt()
-		return
-	}
-	rt.Send(u, rt.Neighbors(u)[0], 1, 0, 0)
-}
-
-func TestHaltStopsSession(t *testing.T) {
-	net := NewNetwork(graph.Path(2), 1)
-	rep, err := NewEngine(net).Run(haltingHandler{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !rep.Halted {
-		t.Fatal("Halted not reported")
-	}
-	if rep.Rounds != 4 {
-		t.Fatalf("Rounds = %d, want 4", rep.Rounds)
-	}
-}
-
 // infiniteLoop never stops; the round cap must fire.
 type infiniteLoop struct{}
 
@@ -213,57 +187,10 @@ func (infiniteLoop) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 func TestMaxRoundsCap(t *testing.T) {
 	net := NewNetwork(graph.Path(2), 1)
 	e := NewEngine(net)
-	e.MaxRounds = 50
+	e.maxRounds = 50
 	_, err := e.Run(infiniteLoop{})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("want round-cap error, got %v", err)
-	}
-}
-
-// rejecter rejects immediately with a witness.
-type rejecter struct{}
-
-func (rejecter) Init(rt *Session) { rt.WakeAt(3, 0) }
-func (rejecter) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
-	rt.Reject(u, []NodeID{1, 2, 3})
-}
-
-func TestRejectionRecorded(t *testing.T) {
-	net := NewNetwork(graph.Path(5), 1)
-	rep, err := NewEngine(net).Run(rejecter{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(rep.Rejections) != 1 || rep.Rejections[0].Node != 3 {
-		t.Fatalf("Rejections = %+v", rep.Rejections)
-	}
-	if len(rep.Rejections[0].Witness) != 3 {
-		t.Fatalf("witness = %v", rep.Rejections[0].Witness)
-	}
-}
-
-// stopOnRejectHandler floods forever but rejects at round 2.
-type stopOnRejectHandler struct{}
-
-func (stopOnRejectHandler) Init(rt *Session) { rt.WakeAt(0, 0) }
-func (stopOnRejectHandler) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
-	if r == 2 && u == 0 {
-		rt.Reject(u, nil)
-	}
-	rt.Send(u, rt.Neighbors(u)[0], 1, 0, 0)
-}
-
-func TestStopOnReject(t *testing.T) {
-	net := NewNetwork(graph.Path(2), 1)
-	e := NewEngine(net)
-	e.StopOnReject = true
-	e.MaxRounds = 1000
-	rep, err := e.Run(stopOnRejectHandler{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if rep.Rounds != 3 {
-		t.Fatalf("Rounds = %d, want 3", rep.Rounds)
 	}
 }
 
@@ -340,15 +267,17 @@ func TestSessionStreamsDiffer(t *testing.T) {
 }
 
 func TestReportAccumulate(t *testing.T) {
-	a := &Report{Rounds: 3, Messages: 10, MaxInbox: 2}
-	b := &Report{Rounds: 4, Messages: 5, MaxInbox: 7,
-		Rejections: []Rejection{{Node: 1}}, Halted: true}
+	a := &Report{Rounds: 3, Messages: 10, Bits: 100}
+	b := &Report{Rounds: 4, Messages: 5, Bits: 50,
+		PerComp: []CompStats{{Rounds: 4, Messages: 2}, {Rounds: 1, Messages: 3}}}
 	a.Accumulate(b)
-	if a.Rounds != 7 || a.Messages != 15 || a.MaxInbox != 7 {
+	a.Accumulate(b)
+	if a.Rounds != 11 || a.Messages != 20 || a.Bits != 200 {
 		t.Fatalf("Accumulate: %+v", a)
 	}
-	if len(a.Rejections) != 1 || !a.Halted {
-		t.Fatalf("Accumulate: %+v", a)
+	want := []CompStats{{Rounds: 8, Messages: 4}, {Rounds: 2, Messages: 6}}
+	if !reflect.DeepEqual(a.PerComp, want) {
+		t.Fatalf("Accumulate PerComp = %+v, want %+v", a.PerComp, want)
 	}
 }
 

@@ -45,28 +45,3 @@ func TestDropProbDeterministic(t *testing.T) {
 		t.Fatalf("lossy runs differ: %d vs %d", a, b)
 	}
 }
-
-func TestTimelineCollection(t *testing.T) {
-	g := graph.Path(8)
-	net := NewNetwork(g, 2)
-	e := NewEngine(net)
-	e.Timeline = true
-	h := &floodHandler{}
-	rep, err := e.Run(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Timeline) == 0 {
-		t.Fatal("no timeline collected")
-	}
-	var total int64
-	for i, st := range rep.Timeline {
-		if st.Active == 0 {
-			t.Fatalf("timeline entry %d has no active nodes", i)
-		}
-		total += st.Messages
-	}
-	if total != rep.Messages {
-		t.Fatalf("timeline messages %d != report messages %d", total, rep.Messages)
-	}
-}

@@ -152,7 +152,7 @@ func TestFusedEngineBatchOfOne(t *testing.T) {
 }
 
 // TestFusedAccountingScheduleInvariant pins that the per-component split
-// is identical under serial and parallel execution (workers, shards,
+// is identical under serial and parallel execution (workers and
 // forced-parallel thresholds).
 func TestFusedAccountingScheduleInvariant(t *testing.T) {
 	gs, seeds := fuseTestGraphs(7)
@@ -161,19 +161,19 @@ func TestFusedAccountingScheduleInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []struct{ workers, shards, thresh int }{
-		{1, 0, 0}, {4, 2, 1}, {8, 8, 1}, {2, 1, 1},
+	for _, cfg := range []struct{ workers, thresh int }{
+		{1, 0}, {4, 1}, {8, 1}, {2, 1},
 	} {
 		eng := NewFusedEngine(gs, seeds)
-		eng.Workers, eng.Shards, eng.ParallelThreshold = cfg.workers, cfg.shards, cfg.thresh
+		eng.Workers, eng.ParallelThreshold = cfg.workers, cfg.thresh
 		rep, err := eng.Run(&drawFlood{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for c := range ref.PerComp {
 			if rep.PerComp[c] != ref.PerComp[c] {
-				t.Fatalf("workers=%d shards=%d thresh=%d: component %d stats %+v, want %+v",
-					cfg.workers, cfg.shards, cfg.thresh, c, rep.PerComp[c], ref.PerComp[c])
+				t.Fatalf("workers=%d thresh=%d: component %d stats %+v, want %+v",
+					cfg.workers, cfg.thresh, c, rep.PerComp[c], ref.PerComp[c])
 			}
 		}
 	}

@@ -8,9 +8,10 @@ package congest
 // "ascending sender" order by explicit sorting — an independent
 // derivation of the ordering the engine gets for free from its scan
 // order. The equivalence test below drives randomized chaos protocols on
-// both implementations, across worker and shard counts, and requires
-// every observable — Report counters, rejections, per-node inbox
-// fingerprints, randomness draws — to match exactly.
+// both implementations, across worker counts (and so delivery shard
+// counts), and requires every observable — Report counters, per-node
+// fingerprints of every (round, inbox) and randomness draw — to match
+// exactly.
 
 import (
 	"fmt"
@@ -27,15 +28,12 @@ import (
 // reference runtime, so one protocol implementation can drive both.
 type probeRuntime interface {
 	N() int
-	Round() int
 	Degree(u NodeID) int
 	Neighbors(u NodeID) []NodeID
 	Rand(u NodeID) *rand.Rand
 	Send(u, v NodeID, kind uint8, a, b uint64)
 	Broadcast(u NodeID, kind uint8, a, b uint64)
 	WakeAt(u NodeID, r int)
-	Reject(u NodeID, witness []NodeID)
-	Halt()
 }
 
 var _ probeRuntime = (*Session)(nil)
@@ -68,16 +66,12 @@ type refRuntime struct {
 	staged map[NodeID][]Message
 	sentOn map[[2]NodeID]bool
 
-	rejections []Rejection
-	halted     bool
-	violation  error
+	violation error
 }
 
 func (rt *refRuntime) N() int                      { return rt.net.NumNodes() }
-func (rt *refRuntime) Round() int                  { return rt.round }
 func (rt *refRuntime) Degree(u NodeID) int         { return rt.net.Graph().Degree(u) }
 func (rt *refRuntime) Neighbors(u NodeID) []NodeID { return rt.net.Graph().Neighbors(u) }
-func (rt *refRuntime) Halt()                       { rt.halted = true }
 
 func (rt *refRuntime) Rand(u NodeID) *rand.Rand {
 	if r, ok := rt.rands[u]; ok {
@@ -98,15 +92,10 @@ func (rt *refRuntime) WakeAt(u NodeID, r int) {
 	}
 }
 
-func (rt *refRuntime) Reject(u NodeID, witness []NodeID) {
-	rt.rejections = append(rt.rejections, Rejection{Node: u, Witness: witness})
-}
-
 func (rt *refRuntime) fail(err error) {
 	if rt.violation == nil {
 		rt.violation = err
 	}
-	rt.halted = true
 }
 
 func (rt *refRuntime) Send(u, v NodeID, kind uint8, a, b uint64) {
@@ -137,7 +126,7 @@ func (rt *refRuntime) Broadcast(u NodeID, kind uint8, a, b uint64) {
 }
 
 // runRef executes a probeHandler session on the map-based reference.
-func runRef(net *Network, h probeHandler, sess uint64, maxRounds int, timeline bool) (*Report, error) {
+func runRef(net *Network, h probeHandler, sess uint64, maxRounds int) (*Report, error) {
 	rt := &refRuntime{
 		net:    net,
 		sess:   sess,
@@ -188,11 +177,6 @@ func runRef(net *Network, h probeHandler, sess uint64, maxRounds int, timeline b
 		rep.Rounds = round + 1
 		var delivered int64
 		for _, v := range due {
-			if len(inbox[v]) > rep.MaxInbox {
-				rep.MaxInbox = len(inbox[v])
-			}
-		}
-		for _, v := range due {
 			h.ProbeRound(rt, v, round, inbox[v])
 			if rt.violation != nil {
 				return nil, rt.violation
@@ -211,26 +195,17 @@ func runRef(net *Network, h probeHandler, sess uint64, maxRounds int, timeline b
 		rt.sentOn = map[[2]NodeID]bool{}
 		rep.Messages += delivered
 		rep.Bits += msgBits * delivered
-		if timeline {
-			rep.Timeline = append(rep.Timeline, RoundStat{Round: round, Active: len(due), Messages: delivered})
-		}
-		if rt.halted {
-			rep.Halted = true
-			break
-		}
-	}
-	if len(rt.rejections) > 0 {
-		rep.Rejections = canonicalRejections(rt.rejections)
 	}
 	return rep, nil
 }
 
 // chaosProbe is a randomized protocol that exercises every delivery
-// feature: per-node randomness decides between unicast bursts and full
-// broadcasts, future wake-ups, rejections and halts, and every node
-// folds its full observation sequence (round, sender, kind, payloads,
-// in inbox order) into a fingerprint, so any divergence in content or
-// per-receiver order between two executions changes fp.
+// feature: per-node randomness decides between unicast bursts, full
+// broadcasts and future wake-ups, and every node folds its full
+// observation sequence (each round it ran in, then sender, kind and
+// payloads in inbox order, and its rarer random draws) into a
+// fingerprint, so any divergence in scheduling, content or per-receiver
+// order between two executions changes fp.
 type chaosProbe struct {
 	rounds int
 	fp     []uint64
@@ -252,14 +227,21 @@ func mix(h, x uint64) uint64 {
 	return h
 }
 
-func (p *chaosProbe) ProbeRound(rt probeRuntime, u NodeID, r int, inbox []Message) {
+// foldInbox folds one handler call (its round, then every message in
+// inbox order) into a node's transcript fingerprint h.
+func foldInbox(h uint64, r int, inbox []Message) uint64 {
+	h = mix(h, uint64(r))
 	for _, m := range inbox {
-		p.fp[u] = mix(p.fp[u], uint64(r))
-		p.fp[u] = mix(p.fp[u], uint64(m.From()))
-		p.fp[u] = mix(p.fp[u], uint64(m.Kind()))
-		p.fp[u] = mix(p.fp[u], m.A())
-		p.fp[u] = mix(p.fp[u], m.B())
+		h = mix(h, uint64(m.From()))
+		h = mix(h, uint64(m.Kind()))
+		h = mix(h, m.A())
+		h = mix(h, m.B())
 	}
+	return h
+}
+
+func (p *chaosProbe) ProbeRound(rt probeRuntime, u NodeID, r int, inbox []Message) {
+	p.fp[u] = foldInbox(p.fp[u], r, inbox)
 	if r >= p.rounds {
 		return
 	}
@@ -278,30 +260,28 @@ func (p *chaosProbe) ProbeRound(rt probeRuntime, u NodeID, r int, inbox []Messag
 		rt.WakeAt(u, r+1+rng.IntN(3))
 	case 4:
 		rt.Broadcast(u, 9, p.fp[u], uint64(r))
-		if rng.IntN(16) == 0 {
-			rt.Reject(u, []NodeID{u})
-		}
+		p.fp[u] = mix(p.fp[u], uint64(rng.IntN(16)))
 	case 5:
-		if rng.IntN(64) == 0 {
-			rt.Halt()
-		}
+		p.fp[u] = mix(p.fp[u], uint64(rng.IntN(64)))
 		rt.WakeAt(u, r+1)
 	}
 }
 
 // TestEngineMatchesMapReference drives the production engine — across
-// worker counts, shard counts, and forced-parallel thresholds — and the
-// map-based reference side by side on randomized instances, requiring
-// identical Reports and per-node observation fingerprints.
+// worker counts and forced-parallel thresholds — and the map-based
+// reference side by side on randomized instances, requiring identical
+// Reports and per-node observation fingerprints. The networks have
+// 30–429 nodes, so 8 workers split delivery into fewer shards (one per
+// 64 nodes, at least one) than workers, and 2 workers into as many.
 func TestEngineMatchesMapReference(t *testing.T) {
 	type engCfg struct {
-		workers, shards, threshold int
+		workers, threshold int
 	}
 	cfgs := []engCfg{
 		{workers: 1},
 		{workers: 2, threshold: 1},
-		{workers: 8, shards: 3, threshold: 1},
-		{workers: 8, shards: 1, threshold: 4},
+		{workers: 8, threshold: 1},
+		{workers: 8, threshold: 4},
 	}
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 0xabc))
@@ -309,10 +289,9 @@ func TestEngineMatchesMapReference(t *testing.T) {
 		g := graph.Gnm(n, n+rng.IntN(3*n), graph.NewRand(uint64(trial)*13+1))
 		net := NewNetwork(g, uint64(trial)*7+3)
 		sess := uint64(trial) * 1000
-		timeline := trial%2 == 0
 
 		want := &chaosProbe{rounds: 8 + rng.IntN(10)}
-		wantRep, err := runRef(net, want, sess, 100_000, timeline)
+		wantRep, err := runRef(net, want, sess, 100_000)
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
@@ -320,9 +299,7 @@ func TestEngineMatchesMapReference(t *testing.T) {
 		for _, cfg := range cfgs {
 			e := NewEngine(net)
 			e.Workers = cfg.workers
-			e.Shards = cfg.shards
 			e.ParallelThreshold = cfg.threshold
-			e.Timeline = timeline
 			got := &chaosProbe{rounds: want.rounds}
 			gotRep, err := e.RunSession(engineProbe{got}, sess)
 			if err != nil {
@@ -347,11 +324,10 @@ func TestEngineMatchesReferenceOnReusedSessions(t *testing.T) {
 	net := NewNetwork(g, 11)
 	e := NewEngine(net)
 	e.Workers = 4
-	e.Shards = 2
 	e.ParallelThreshold = 1
 	for sess := uint64(0); sess < 8; sess++ {
 		want := &chaosProbe{rounds: 12}
-		wantRep, err := runRef(net, want, sess, 100_000, false)
+		wantRep, err := runRef(net, want, sess, 100_000)
 		if err != nil {
 			t.Fatalf("sess %d: reference: %v", sess, err)
 		}

@@ -10,19 +10,22 @@ import (
 	"repro/internal/graph"
 )
 
-// transcriptProbe is a deterministic protocol that exercises every part of
-// a Report: it floods a token, draws per-node randomness, rejects at a
-// deterministic subset of nodes with witnesses, and re-wakes itself, so
-// any scheduling leak shows up as a Report difference.
+// transcriptProbe is a deterministic protocol that floods a token and
+// draws per-node randomness. Every node folds each of its handler calls
+// (the round, then every inbox message in order) into fp, so any
+// scheduling leak (a node run in another round, a message reordered,
+// dropped or altered) shows up as a handler-state difference.
 type transcriptProbe struct {
 	heard []int32
 	draws []uint64
+	fp    []uint64
 }
 
 func (p *transcriptProbe) Init(rt *Session) {
 	n := rt.N()
 	p.heard = make([]int32, n)
 	p.draws = make([]uint64, n)
+	p.fp = make([]uint64, n)
 	for i := range p.heard {
 		p.heard[i] = -1
 	}
@@ -31,6 +34,7 @@ func (p *transcriptProbe) Init(rt *Session) {
 }
 
 func (p *transcriptProbe) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
+	p.fp[u] = foldInbox(p.fp[u], r, inbox)
 	if p.draws[u] == 0 {
 		p.draws[u] = rt.Rand(u).Uint64() | 1
 	}
@@ -39,9 +43,6 @@ func (p *transcriptProbe) HandleRound(rt *Session, u NodeID, r int, inbox []Mess
 	}
 	if p.heard[u] < 0 {
 		p.heard[u] = int32(r)
-		if u%17 == 0 {
-			rt.Reject(u, []NodeID{u, NodeID((u + 1) % NodeID(rt.N()))})
-		}
 	}
 	// The random draw travels in A (the full payload word); B is capped
 	// at the ⌈log₂ n⌉-bit model word and carries the sender ID.
@@ -60,43 +61,52 @@ func runProbe(t *testing.T, e *Engine, sess uint64) (*Report, *transcriptProbe) 
 	return rep, h
 }
 
+// sameProbe reports whether two probe runs saw the same transcript: the
+// per-node fingerprints of every (round, inbox) and the handler state.
+func sameProbe(a, b *transcriptProbe) bool {
+	return reflect.DeepEqual(a.fp, b.fp) && reflect.DeepEqual(a.heard, b.heard) &&
+		reflect.DeepEqual(a.draws, b.draws)
+}
+
 // TestTranscriptDeterminismAcrossWorkers pins the determinism contract of
 // the engine: for a fixed network seed and session tag, the full Report
-// (rounds, messages, bits, congestion, rejections with witnesses,
-// timeline) and all handler-visible state are identical whether handlers
-// run on one worker or on GOMAXPROCS workers.
+// (rounds, messages, bits) and every node's handler-side transcript are
+// identical whether handlers run on one worker, two, or at least eight,
+// the parallel paths forced onto every round.
 func TestTranscriptDeterminismAcrossWorkers(t *testing.T) {
 	g := graph.Gnm(3000, 9000, graph.NewRand(11))
 	run := func(workers int) (*Report, *transcriptProbe) {
 		e := NewEngine(NewNetwork(g, 42))
 		e.Workers = workers
-		e.Timeline = true
+		e.ParallelThreshold = 1
 		return runProbe(t, e, 7)
 	}
 	rep1, h1 := run(1)
-	repN, hN := run(max(runtime.GOMAXPROCS(0), 8))
-	if !reflect.DeepEqual(rep1, repN) {
-		t.Fatalf("Reports differ across worker counts:\n1 worker: %+v\nN workers: %+v", rep1, repN)
+	for _, w := range []int{2, max(runtime.GOMAXPROCS(0), 8)} {
+		repN, hN := run(w)
+		if !reflect.DeepEqual(rep1, repN) {
+			t.Fatalf("Reports differ at %d workers:\n1 worker: %+v\n%d workers: %+v", w, rep1, w, repN)
+		}
+		if !sameProbe(h1, hN) {
+			t.Fatalf("handler-side transcript differs at %d workers", w)
+		}
 	}
-	if !reflect.DeepEqual(h1.heard, hN.heard) || !reflect.DeepEqual(h1.draws, hN.draws) {
-		t.Fatal("handler state differs across worker counts")
-	}
-	if len(rep1.Rejections) == 0 {
-		t.Fatal("probe produced no rejections; test lost its teeth")
+	if rep1.Rounds < 2 || rep1.Messages == 0 {
+		t.Fatalf("probe ran %d rounds, %d messages; test lost its teeth", rep1.Rounds, rep1.Messages)
 	}
 }
 
 // TestRepeatedSessionsOnReusedEngineIdentical pins that pooled session
 // reuse leaks no state: the same protocol under the same session tag
 // yields byte-identical Reports run after run on one engine, including
-// after an aborted (halted and capped) session in between.
+// after aborted (round-capped and failed) sessions in between.
 func TestRepeatedSessionsOnReusedEngineIdentical(t *testing.T) {
 	g := graph.Gnm(500, 1500, graph.NewRand(3))
 	e := NewEngine(NewNetwork(g, 9))
 	first, h1 := runProbe(t, e, 21)
 
 	// Dirty the pooled session state: a capped runaway session...
-	e.MaxRounds = 10
+	e.maxRounds = 10
 	if _, err := e.RunSession(infiniteLoop{}, 22); err == nil {
 		t.Fatal("expected round-cap error")
 	}
@@ -104,14 +114,14 @@ func TestRepeatedSessionsOnReusedEngineIdentical(t *testing.T) {
 	if _, err := e.RunSession(bandwidthViolator{}, 23); err == nil {
 		t.Fatal("expected bandwidth violation")
 	}
-	e.MaxRounds = 0
+	e.maxRounds = 0
 
 	again, h2 := runProbe(t, e, 21)
 	if !reflect.DeepEqual(first, again) {
 		t.Fatalf("Reports differ across reused sessions:\nfirst: %+v\nagain: %+v", first, again)
 	}
-	if !reflect.DeepEqual(h1.draws, h2.draws) {
-		t.Fatal("randomness streams differ for identical session tags")
+	if !sameProbe(h1, h2) {
+		t.Fatal("handler-side transcripts differ for identical session tags")
 	}
 }
 

@@ -120,8 +120,8 @@ type ColorBFS struct {
 
 // validateSpec checks a spec against a graph on n vertices.
 func validateSpec(n int, spec ColorBFSSpec) error {
-	if spec.L < 3 {
-		return fmt.Errorf("core: cycle length %d < 3", spec.L)
+	if spec.L < 3 || spec.L > MaxCycleLen {
+		return fmt.Errorf("core: cycle length %d outside [3, %d]", spec.L, MaxCycleLen)
 	}
 	if len(spec.Color) != n || len(spec.InH) != n || len(spec.InX) != n {
 		return fmt.Errorf("core: spec arrays must have length %d", n)

@@ -50,6 +50,38 @@ func TestParamsValidation(t *testing.T) {
 	if _, err := NewParams(100, 2, 1); err == nil {
 		t.Error("eps=1 accepted")
 	}
+	if _, err := NewParams(100, 2, math.NaN()); err == nil {
+		t.Error("eps=NaN accepted")
+	}
+	if _, err := NewParams(100, 64, 0.3); err == nil {
+		t.Error("k=64 accepted: cycle length 128 exceeds the int8 colors")
+	}
+	if _, err := NewColorBFS(4, ColorBFSSpec{
+		L: 129, Color: make([]int8, 4), InH: make([]bool, 4), InX: make([]bool, 4),
+		Threshold: 1, SeedProb: 1,
+	}); err == nil {
+		t.Error("color-BFS with L=129 accepted")
+	}
+}
+
+// TestParamsTauSaturates pins that τ = k·2^k·n·p, past 2^63 for large
+// k, saturates at math.MaxInt instead of wrapping to a negative
+// threshold.
+func TestParamsTauSaturates(t *testing.T) {
+	p, err := NewParams(60, 60, 1.0/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Tau != math.MaxInt {
+		t.Fatalf("Tau = %d at k=60, want math.MaxInt", p.Tau)
+	}
+	p.ApplyP(1)
+	if p.Tau != math.MaxInt {
+		t.Fatalf("Tau = %d after ApplyP(1) at k=60, want math.MaxInt", p.Tau)
+	}
+	if p, err = NewParams(60, 63, 1.0/3); err != nil || p.Tau != math.MaxInt {
+		t.Fatalf("k=63 (the largest): Tau = %d, err %v", p.Tau, err)
+	}
 }
 
 func TestParamsCapsProbability(t *testing.T) {

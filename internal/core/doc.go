@@ -20,7 +20,7 @@
 // sched.Tag (per-iteration coloring streams, per-session engine tags), and
 // detections are recorded into per-node lock-free buffers that are merged
 // and canonically sorted after each session — so every verdict, witness
-// and cost counter is bit-identical for any Workers/Shards/Parallel
-// setting. One-sidedness is enforced mechanically: every detection's
+// and cost counter is bit-identical for any Workers, ParallelThreshold
+// and Parallel setting. One-sidedness is enforced mechanically: every detection's
 // witness is re-verified against the input graph before it is reported.
 package core

@@ -53,8 +53,8 @@ func TestDetectEvenCycleFusedMatchesSolo(t *testing.T) {
 		items := fusedEvenCorpus(t, k, 8, uint64(1000+k))
 		for _, opt := range []Options{
 			{},
-			{Runtime: congest.Runtime{Workers: 4, Shards: 2, ParallelThreshold: 1}},
-			{Runtime: congest.Runtime{Workers: 8, Shards: 8, ParallelThreshold: 1}},
+			{Runtime: congest.Runtime{Workers: 4, ParallelThreshold: 1}},
+			{Runtime: congest.Runtime{Workers: 8, ParallelThreshold: 1}},
 			{Pipelined: true},
 		} {
 			fused, err := DetectEvenCycleFused(items, k, opt)

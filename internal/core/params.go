@@ -31,15 +31,22 @@ type Params struct {
 	FaithfulIterations float64
 }
 
+// MaxCycleLen is the longest target cycle a color-BFS searches for:
+// colors are int8 values in [0, L), so L ≤ 127.
+const MaxCycleLen = math.MaxInt8
+
 // NewParams derives the paper's parameters.
 func NewParams(n, k int, eps float64) (Params, error) {
 	if k < 2 {
 		return Params{}, fmt.Errorf("core: k = %d < 2 (C_{2k} detection needs k ≥ 2)", k)
 	}
+	if 2*k > MaxCycleLen {
+		return Params{}, fmt.Errorf("core: k = %d: cycle length %d exceeds %d, the int8 color range", k, 2*k, MaxCycleLen)
+	}
 	if n < 2 {
 		return Params{}, fmt.Errorf("core: n = %d too small", n)
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) { // NaN-safe
 		return Params{}, fmt.Errorf("core: ε = %v outside (0,1)", eps)
 	}
 	epsHat := math.Log(3 / eps)
@@ -62,7 +69,7 @@ func NewParams(n, k int, eps float64) (Params, error) {
 		Eps:                eps,
 		EpsHat:             epsHat,
 		P:                  p,
-		Tau:                int(math.Ceil(tau)),
+		Tau:                ceilSat(tau),
 		Iterations:         int(math.Ceil(iter)),
 		LightMax:           int(math.Floor(nRoot)),
 		FaithfulIterations: faithfulK,
@@ -76,10 +83,20 @@ func (p *Params) ApplyP(prob float64) {
 		prob = 1
 	}
 	p.P = prob
-	p.Tau = int(math.Ceil(float64(p.K) * math.Pow(2, float64(p.K)) * float64(p.N) * prob))
+	p.Tau = ceilSat(float64(p.K) * math.Pow(2, float64(p.K)) * float64(p.N) * prob)
 	if p.Tau < 1 {
 		p.Tau = 1
 	}
+}
+
+// ceilSat is ⌈x⌉ saturated at math.MaxInt: τ = k·2^k·n·p passes 2^63
+// from k ≈ 52 on, where a plain conversion wraps to a negative
+// threshold.
+func ceilSat(x float64) int {
+	if x >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(math.Ceil(x))
 }
 
 // BudgetRounds returns the a-priori round budget K·3·k·τ of Algorithm 1

@@ -121,6 +121,9 @@ type detProto struct {
 
 	detAt    [][]candidate
 	detCount atomic.Int64
+
+	// walk is witness's 2k-slot scratch buffer.
+	walk []graph.NodeID
 }
 
 var _ congest.Handler = (*detProto)(nil)
@@ -190,6 +193,7 @@ func (p *detProto) keep(arena *congest.Arena) {
 	for _, d := range p.detAt[:c] {
 		bytes += int64(cap(d)) * 12
 	}
+	bytes += int64(cap(p.walk)) * 4
 	congest.Keep(arena, p, c, 0, bytes)
 }
 
@@ -293,51 +297,49 @@ func (p *detProto) candidates() []candidate {
 }
 
 // witness reconstructs the closed walk of a candidate from the recorded
-// parent pointers: the first chain t → … → s via the first-parent store,
-// and the second chain starting at the second parent. The result has
-// length 2k but may repeat vertices (walks are not paths); the caller
-// verifies simplicity and discards the candidate otherwise.
+// parent pointers, in the same source-to-detector-and-back order as
+// core.ColorBFS.Witness: s, v_1, …, v_{k-1}, t, w2, u_{k-2}, …, u_1,
+// where the v chain comes from t and the u chain from the second parent
+// w2 via the first-parent store. The walk may repeat vertices (walks are
+// not paths); the caller verifies simplicity and discards the candidate
+// otherwise. The result is the protocol's 2k-slot scratch buffer, valid
+// until the next call: the caller copies the witness it accepts.
 func (p *detProto) witness(c candidate) ([]graph.NodeID, error) {
 	k := int(p.k)
-	src := uint64(c.Src)
-	chain := func(start graph.NodeID, fromLen int) ([]graph.NodeID, error) {
-		out := make([]graph.NodeID, 0, fromLen)
-		cur := start
-		for h := fromLen; h >= 1; h-- {
-			parent, ok := p.first.Get(cur, walkKey(src, uint64(h)))
-			if !ok {
-				return nil, fmt.Errorf("deterministic: parent missing at node %d (length %d)", cur, h)
-			}
-			cur = graph.NodeID(parent)
-			out = append(out, cur)
-		}
-		if cur != c.Src {
-			return nil, fmt.Errorf("deterministic: walk ended at %d, want source %d", cur, c.Src)
-		}
-		return out, nil
+	if cap(p.walk) < 2*k {
+		p.walk = make([]graph.NodeID, 2*k)
 	}
-	first, err := chain(c.Node, k) // [v_{k-1}, …, v_1, s]
-	if err != nil {
+	w := p.walk[:2*k]
+	w[0], w[k], w[k+1] = c.Src, c.Node, c.Second
+	if err := p.chain(w[1:k], c.Node, c.Src); err != nil {
 		return nil, err
 	}
-	w2 := c.Second
-	rest, err := chain(w2, k-1) // [u_{k-2}, …, u_1, s]
-	if err != nil {
+	slices.Reverse(w[1:k]) // the chain runs v_{k-1}, …, v_1
+	if err := p.chain(w[k+2:], c.Second, c.Src); err != nil {
 		return nil, err
 	}
-	// Assemble s, v_1, …, v_{k-1}, t, w2, u_{k-2}, …, u_1 — the same
-	// source-to-detector-and-back ordering as core.ColorBFS.Witness.
-	cycle := make([]graph.NodeID, 0, 2*k)
-	cycle = append(cycle, c.Src)
-	for i := len(first) - 2; i >= 0; i-- {
-		cycle = append(cycle, first[i])
+	return w, nil
+}
+
+// chain follows src's first-parent pointers back from start, a node at
+// walk length len(dst)+1, writing the nodes at lengths len(dst), …, 1
+// into dst in that order, and checks that the walk ends at src.
+func (p *detProto) chain(dst []graph.NodeID, start, src graph.NodeID) error {
+	cur := start
+	for h := len(dst) + 1; h >= 1; h-- {
+		parent, ok := p.first.Get(cur, walkKey(uint64(src), uint64(h)))
+		if !ok {
+			return fmt.Errorf("deterministic: parent missing at node %d (length %d)", cur, h)
+		}
+		cur = graph.NodeID(parent)
+		if h > 1 {
+			dst[len(dst)+1-h] = cur
+		}
 	}
-	cycle = append(cycle, c.Node, w2)
-	cycle = append(cycle, rest[:len(rest)-1]...)
-	if len(cycle) != 2*k {
-		return nil, fmt.Errorf("deterministic: witness has %d vertices, want %d", len(cycle), 2*k)
+	if cur != src {
+		return fmt.Errorf("deterministic: walk ended at %d, want source %d", cur, src)
 	}
-	return cycle, nil
+	return nil
 }
 
 // Detect runs the deterministic broadcast-CONGEST detector: one pipelined

@@ -165,7 +165,7 @@ func TestTranscriptInvariance(t *testing.T) {
 	cfgs := []Options{
 		{Seed: 1, Runtime: congest.Runtime{Workers: 1}},
 		{Seed: 1, Runtime: congest.Runtime{Workers: 4, ParallelThreshold: 1}},
-		{Seed: 1, Runtime: congest.Runtime{Workers: 8, Shards: 3, ParallelThreshold: 1}},
+		{Seed: 1, Runtime: congest.Runtime{Workers: 8, ParallelThreshold: 1}},
 		{Seed: 99999, Runtime: congest.Runtime{Workers: 2, ParallelThreshold: 1}},
 		{Seed: 424242, Runtime: congest.Runtime{Workers: 1}},
 	}

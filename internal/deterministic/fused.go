@@ -2,6 +2,7 @@ package deterministic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
@@ -108,7 +109,7 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 			if !graph.IsCycle(g, cycle, 2*k) {
 				continue
 			}
-			res.Found, res.Witness, res.FoundLen = true, cycle, 2*k
+			res.Found, res.Witness, res.FoundLen = true, slices.Clone(cycle), 2*k
 			res.Detector = c.Node - lo
 			break
 		}

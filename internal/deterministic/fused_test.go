@@ -43,8 +43,8 @@ func TestDetectMultiMatchesSolo(t *testing.T) {
 		gs := fusedCorpus(t, k, 9, uint64(100+k))
 		for _, cfg := range []Options{
 			{},
-			{Runtime: congest.Runtime{Workers: 4, Shards: 2, ParallelThreshold: 1}},
-			{Runtime: congest.Runtime{Workers: 8, Shards: 8, ParallelThreshold: 1}},
+			{Runtime: congest.Runtime{Workers: 4, ParallelThreshold: 1}},
+			{Runtime: congest.Runtime{Workers: 8, ParallelThreshold: 1}},
 		} {
 			fused, err := DetectMulti(gs, k, cfg)
 			if err != nil {

@@ -238,7 +238,7 @@ func TestMatchesMapReference(t *testing.T) {
 			}
 			for _, opt := range []Options{
 				{Threshold: tc.tau, Runtime: congest.Runtime{Workers: 1}},
-				{Threshold: tc.tau, Runtime: congest.Runtime{Workers: 4, Shards: 2, ParallelThreshold: 1}},
+				{Threshold: tc.tau, Runtime: congest.Runtime{Workers: 4, ParallelThreshold: 1}},
 			} {
 				got, err := Detect(tc.g, tc.k, opt)
 				if err != nil {

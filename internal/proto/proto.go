@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/congest"
-	"repro/internal/graph"
 )
 
 // Message kinds used by this package.
@@ -12,8 +11,6 @@ const (
 	kindJoin  uint8 = 1 // BFS tree: invitation carrying depth
 	kindChild uint8 = 2 // BFS tree: child → parent registration
 	kindUp    uint8 = 3 // convergecast: aggregated value toward the root
-	kindDown  uint8 = 4 // broadcast: value away from the root
-	kindTag   uint8 = 5 // leader election: (tag, id) flooding
 )
 
 // BFSTree builds a breadth-first spanning tree rooted at Root and counts
@@ -152,103 +149,6 @@ func (c *ConvergecastOr) HandleRound(rt *congest.Session, u congest.NodeID, r in
 	rt.Send(u, c.Tree.Parent[u], kindUp, bit, 0)
 }
 
-// Broadcast pushes a value from the root of a previously built BFS tree to
-// every node; after the run, Got[u] holds the value for every tree node.
-type Broadcast struct {
-	Tree  *BFSTree
-	Value uint64
-
-	Got      []uint64
-	Received []bool
-}
-
-var _ congest.Handler = (*Broadcast)(nil)
-
-// Init wakes the root.
-func (b *Broadcast) Init(rt *congest.Session) {
-	n := rt.N()
-	b.Got = make([]uint64, n)
-	b.Received = make([]bool, n)
-	rt.WakeAt(b.Tree.Root, 0)
-}
-
-// HandleRound implements congest.Handler.
-func (b *Broadcast) HandleRound(rt *congest.Session, u congest.NodeID, r int, inbox []congest.Message) {
-	if b.Received[u] {
-		return
-	}
-	if u == b.Tree.Root {
-		b.Received[u] = true
-		b.Got[u] = b.Value
-	} else {
-		for _, m := range inbox {
-			if m.Kind() == kindDown && m.From() == b.Tree.Parent[u] {
-				b.Received[u] = true
-				b.Got[u] = m.A()
-			}
-		}
-		if !b.Received[u] {
-			return
-		}
-	}
-	if b.Tree.Children[u] == 0 {
-		return
-	}
-	rt.Broadcast(u, kindDown, b.Got[u], 0)
-}
-
-// LeaderElect elects, within each connected component, the node with the
-// lexicographically smallest (tag, ID) pair, where tags are drawn from each
-// node's random stream. With random tags the leader is a uniformly random
-// node, which is how Algorithm 1-style "pick a node u.a.r." steps are
-// realized distributively. After the run, Leader[u] is the elected node as
-// known to u.
-type LeaderElect struct {
-	Leader []congest.NodeID
-
-	bestTag []uint64
-	started []bool
-}
-
-var _ congest.Handler = (*LeaderElect)(nil)
-
-// Init wakes every node.
-func (l *LeaderElect) Init(rt *congest.Session) {
-	n := rt.N()
-	l.Leader = make([]congest.NodeID, n)
-	l.bestTag = make([]uint64, n)
-	l.started = make([]bool, n)
-	for u := 0; u < n; u++ {
-		rt.WakeAt(congest.NodeID(u), 0)
-	}
-}
-
-// HandleRound implements congest.Handler.
-func (l *LeaderElect) HandleRound(rt *congest.Session, u congest.NodeID, r int, inbox []congest.Message) {
-	improved := false
-	if !l.started[u] {
-		l.started[u] = true
-		l.bestTag[u] = rt.Rand(u).Uint64()
-		l.Leader[u] = u
-		improved = true
-	}
-	for _, m := range inbox {
-		if m.Kind() != kindTag {
-			continue
-		}
-		tag, id := m.A(), congest.NodeID(m.B())
-		if tag < l.bestTag[u] || (tag == l.bestTag[u] && id < l.Leader[u]) {
-			l.bestTag[u] = tag
-			l.Leader[u] = id
-			improved = true
-		}
-	}
-	if !improved {
-		return
-	}
-	rt.Broadcast(u, kindTag, l.bestTag[u], uint64(l.Leader[u]))
-}
-
 // BuildTree is a convenience wrapper running BFSTree on its own session and
 // returning it with the session report.
 func BuildTree(e *congest.Engine, root congest.NodeID) (*BFSTree, *congest.Report, error) {
@@ -258,30 +158,4 @@ func BuildTree(e *congest.Engine, root congest.NodeID) (*BFSTree, *congest.Repor
 		return nil, nil, fmt.Errorf("proto: BFS tree: %w", err)
 	}
 	return t, rep, nil
-}
-
-// EstimateDiameter measures the eccentricity of root and of the farthest
-// node from it (a 2-approximation of the diameter) using two BFS-tree
-// sessions, and returns it with the total rounds spent.
-func EstimateDiameter(e *congest.Engine, root congest.NodeID) (int, *congest.Report, error) {
-	total := &congest.Report{}
-	t1, rep1, err := BuildTree(e, root)
-	if err != nil {
-		return 0, nil, err
-	}
-	total.Accumulate(rep1)
-	far := root
-	best := int32(-1)
-	for u, d := range t1.Depth {
-		if d > best {
-			best = d
-			far = graph.NodeID(u)
-		}
-	}
-	t2, rep2, err := BuildTree(e, far)
-	if err != nil {
-		return 0, nil, err
-	}
-	total.Accumulate(rep2)
-	return t2.MaxDepth(), total, nil
 }

@@ -123,89 +123,3 @@ func TestConvergecastOrDeep(t *testing.T) {
 		t.Fatalf("convergecast on P_50 took %d rounds, want ≈ depth 49", rep.Rounds)
 	}
 }
-
-func TestBroadcast(t *testing.T) {
-	rng := graph.NewRand(4)
-	g := graph.Gnm(150, 400, rng)
-	net := congest.NewNetwork(g, 4)
-	e := congest.NewEngine(net)
-	tree, _, err := BuildTree(e, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &Broadcast{Tree: tree, Value: 0xdeadbeef}
-	if _, err := e.Run(b); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if tree.Depth[v] < 0 {
-			continue // unreachable from root
-		}
-		if !b.Received[v] || b.Got[v] != 0xdeadbeef {
-			t.Fatalf("node %d did not receive the broadcast", v)
-		}
-	}
-}
-
-func TestLeaderElectAgreement(t *testing.T) {
-	rng := graph.NewRand(5)
-	g := graph.Gnm(200, 600, rng)
-	net := congest.NewNetwork(g, 5)
-	e := congest.NewEngine(net)
-	l := &LeaderElect{}
-	rep, err := e.Run(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, _ := g.ConnectedComponents()
-	perComp := make(map[int32]congest.NodeID)
-	for v := 0; v < g.NumNodes(); v++ {
-		c := comp[v]
-		if first, ok := perComp[c]; !ok {
-			perComp[c] = l.Leader[v]
-		} else if first != l.Leader[v] {
-			t.Fatalf("component %d disagrees on leader: %d vs %d", c, first, l.Leader[v])
-		}
-	}
-	// Leaders must belong to their own component.
-	for v := 0; v < g.NumNodes(); v++ {
-		if comp[l.Leader[v]] != comp[v] {
-			t.Fatalf("node %d elected leader %d from another component", v, l.Leader[v])
-		}
-	}
-	if rep.Rounds == 0 {
-		t.Fatal("no rounds executed")
-	}
-}
-
-func TestLeaderElectIsRandomized(t *testing.T) {
-	g := graph.Cycle(64)
-	leaders := make(map[congest.NodeID]bool)
-	for seed := uint64(0); seed < 12; seed++ {
-		net := congest.NewNetwork(g, seed)
-		l := &LeaderElect{}
-		if _, err := congest.NewEngine(net).Run(l); err != nil {
-			t.Fatal(err)
-		}
-		leaders[l.Leader[0]] = true
-	}
-	if len(leaders) < 3 {
-		t.Fatalf("12 seeds elected only %d distinct leaders; tags not random?", len(leaders))
-	}
-}
-
-func TestEstimateDiameter(t *testing.T) {
-	g := graph.Path(40)
-	net := congest.NewNetwork(g, 6)
-	e := congest.NewEngine(net)
-	d, rep, err := EstimateDiameter(e, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 39 {
-		t.Fatalf("diameter estimate = %d, want 39", d)
-	}
-	if rep.Rounds == 0 {
-		t.Fatal("no rounds accounted")
-	}
-}

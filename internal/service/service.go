@@ -147,10 +147,9 @@ type Config struct {
 	// session at any batch size and ignore it; responses are identical
 	// either way.
 	Parallel int
-	// Workers and Shards configure each engine session (see
-	// congest.Engine); 0 keeps the engine defaults.
+	// Workers sizes each engine session's worker pool (see
+	// congest.Runtime); 0 keeps the engine default.
 	Workers int
-	Shards  int
 	// BatchSize caps the fused miss-path batch: a miss granted an
 	// admission slot takes up to BatchSize-1 compatible misses queued
 	// behind it, and they share one engine session on the disjoint union
@@ -281,7 +280,7 @@ type Service struct {
 	// observe mirrors Config.Observe: true arms the latency/stage
 	// timers on the request path.
 	observe bool
-	// rt is Config.Workers/Shards and the service's arena, as the Runtime
+	// rt is Config.Workers and the service's arena, as the Runtime
 	// every detector run gets. The arena retains at most Slots sets of
 	// detector state, one per admitted computation.
 	rt congest.Runtime
@@ -336,7 +335,7 @@ func New(cfg Config) *Service {
 		inflight: make(map[cacheKey]*call),
 		corpus:   make(map[string]*graph.Graph),
 		observe:  cfg.Observe,
-		rt:       congest.Runtime{Workers: cfg.Workers, Shards: cfg.Shards, Arena: congest.NewArena(cfg.Slots)},
+		rt:       congest.Runtime{Workers: cfg.Workers, Arena: congest.NewArena(cfg.Slots)},
 	}
 	s.metrics = newMetrics(s)
 	if cfg.Persist != nil {
@@ -397,6 +396,15 @@ func validate(req *Request) error {
 	if req.K < minK {
 		return fmt.Errorf("service: algo %s needs k ≥ %d, got %d", req.Algo, minK, req.K)
 	}
+	// Colors are int8, so a target cycle is at most 127 long; det's
+	// walk-length field (deterministic.MaxK = 63) allows the same k.
+	target := 2 * req.K
+	if req.Algo == AlgoOdd {
+		target++
+	}
+	if target > core.MaxCycleLen {
+		return fmt.Errorf("service: algo %s with k = %d targets cycles longer than %d", req.Algo, req.K, core.MaxCycleLen)
+	}
 	if req.Algo.randomized() && req.Iterations < 1 {
 		return fmt.Errorf("service: algo %s requires an explicit trial budget (iterations ≥ 1), got %d",
 			req.Algo, req.Iterations)
@@ -404,7 +412,7 @@ func validate(req *Request) error {
 	if req.Threshold < 0 {
 		return fmt.Errorf("service: negative threshold %d", req.Threshold)
 	}
-	if req.Eps != 0 && (req.Eps <= 0 || req.Eps >= 1) {
+	if req.Eps != 0 && !(req.Eps > 0 && req.Eps < 1) { // NaN-safe
 		return fmt.Errorf("service: ε = %v outside (0,1)", req.Eps)
 	}
 	if req.Deadline < 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -193,7 +194,7 @@ func TestAmplification(t *testing.T) {
 func TestDeterministicResponsesByteIdentical(t *testing.T) {
 	planted := plantedGraph(t, 250, 4, 12)
 	var want []byte
-	for _, cfg := range []Config{{Slots: 1}, {Slots: 4, Parallel: 2}, {Slots: 2, Workers: 2, Shards: 3}} {
+	for _, cfg := range []Config{{Slots: 1}, {Slots: 4, Parallel: 2}, {Slots: 2, Workers: 2}} {
 		svc := New(cfg)
 		for rep := 0; rep < 3; rep++ {
 			// The seed must not matter for det mode: vary it per repeat.
@@ -393,6 +394,47 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Errors != int64(len(cases)) || st.EngineSessions != 0 {
 		t.Fatalf("errors=%d engineSessions=%d, want %d/0", st.Errors, st.EngineSessions, len(cases))
+	}
+}
+
+// TestOutOfRangeParamsFailBeforeAdmission pins that a NaN ε (which the
+// Go facade can carry, unlike JSON) and a k whose target cycle overflows
+// the int8 color range fail validation: no engine session runs and no
+// in-flight entry is left behind (a NaN key would never be deleted).
+func TestOutOfRangeParamsFailBeforeAdmission(t *testing.T) {
+	svc := New(Config{})
+	g := graph.Gnm(60, 120, graph.NewRand(1))
+	cases := []struct {
+		name string
+		req  *Request
+		want string
+	}{
+		{"even-nan-eps", &Request{Graph: g, Algo: AlgoEven, K: 2, Iterations: 1, Eps: math.NaN()}, "outside (0,1)"},
+		{"bounded-nan-eps", &Request{Graph: g, Algo: AlgoBounded, K: 2, Iterations: 1, Eps: math.NaN()}, "outside (0,1)"},
+		{"even-k64", &Request{Graph: g, Algo: AlgoEven, K: 64, Iterations: 1}, "longer than 127"},
+		{"even-k64-threshold", &Request{Graph: g, Algo: AlgoEven, K: 64, Iterations: 1, Threshold: 5}, "longer than 127"},
+		{"bounded-k64", &Request{Graph: g, Algo: AlgoBounded, K: 64, Iterations: 1}, "longer than 127"},
+		{"odd-k64", &Request{Graph: g, Algo: AlgoOdd, K: 64, Iterations: 1}, "longer than 127"},
+		{"det-k64", &Request{Graph: g, Algo: AlgoDet, K: 64}, "longer than 127"},
+	}
+	for _, tc := range cases {
+		_, _, err := svc.Do(context.Background(), tc.req)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+	if st := svc.Stats(); st.Errors != int64(len(cases)) || st.EngineSessions != 0 {
+		t.Fatalf("errors=%d engineSessions=%d, want %d/0", st.Errors, st.EngineSessions, len(cases))
+	}
+	svc.mu.Lock()
+	inflight := len(svc.inflight)
+	svc.mu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("%d in-flight entries left behind, want 0", inflight)
+	}
+	// The largest k still passes validation and runs.
+	if _, _, err := svc.Do(context.Background(), &Request{Graph: g, Algo: AlgoEven, K: 63, Iterations: 1, Threshold: 4}); err != nil {
+		t.Fatalf("k=63: %v", err)
 	}
 }
 

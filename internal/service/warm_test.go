@@ -311,3 +311,71 @@ func TestWarmStartNoCachedParent(t *testing.T) {
 		t.Fatalf("engine sessions = %d, want 0 (no cached parent, no warm work)", st.EngineSessions)
 	}
 }
+
+// TestWarmStartWithThresholdIsSound is the floor under the warm-start
+// item for requests that set a threshold: over random Gnm parents, det
+// with τ ∈ 1..6 and k ∈ {2,3}, and 1–3 added edges per mutation, every
+// warmed Found carries a simple 2k-cycle of the child graph its
+// fingerprint names, and no warmed NotFound meets a Found from a fresh
+// service. It asserts no equality: a carried or localized Found can
+// still meet a cold NotFound (overflow differs between the runs).
+func TestWarmStartWithThresholdIsSound(t *testing.T) {
+	cold := New(Config{Slots: 1})
+	const cases = 400
+	warmed, found := 0, 0
+	for seed := uint64(0); seed < cases; seed++ {
+		rng := graph.NewRand(seed)
+		n := 12 + rng.IntN(60)
+		parent := graph.Gnm(n, n+rng.IntN(n), rng)
+		k, tau := 2+rng.IntN(2), 1+rng.IntN(6)
+		var added [][2]graph.NodeID
+		for len(added) < 1+int(seed%3) {
+			u, v := graph.NodeID(rng.IntN(n)), graph.NodeID(rng.IntN(n))
+			if u != v && !parent.HasEdge(u, v) {
+				added = append(added, [2]graph.NodeID{u, v})
+			}
+		}
+		s := New(Config{Slots: 1, BatchSize: 1})
+		if err := s.CreateCorpus("g", parent); err != nil {
+			t.Fatal(err)
+		}
+		req := Request{Graph: parent, Algo: AlgoDet, K: k, Threshold: tau}
+		if _, _, err := s.Do(context.Background(), &req); err != nil {
+			t.Fatalf("seed %d: parent: %v", seed, err)
+		}
+		mut, err := s.AddCorpusEdges("g", added)
+		if err != nil {
+			t.Fatalf("seed %d: mutation: %v", seed, err)
+		}
+		if mut.WarmStarts == 0 {
+			continue
+		}
+		warmed++
+		req.Graph = mut.Graph
+		got, src, err := s.Do(context.Background(), &req)
+		if err != nil || src != SourceCache {
+			t.Fatalf("seed %d: warmed child served from %s (err %v), want the cache", seed, src, err)
+		}
+		if got.Fingerprint != mut.Child.String() || mut.Child != mut.Graph.Fingerprint() {
+			t.Fatalf("seed %d: warm entry names %s, child is %s", seed, got.Fingerprint, mut.Graph.Fingerprint())
+		}
+		if got.Found {
+			found++
+			if err := graph.IsSimpleCycle(mut.Graph, got.Witness, 2*k); err != nil {
+				t.Fatalf("seed %d (n=%d k=%d τ=%d): warmed witness invalid in the child: %v", seed, n, k, tau, err)
+			}
+			continue
+		}
+		fresh, _, err := cold.Do(context.Background(), &req)
+		if err != nil {
+			t.Fatalf("seed %d: cold child: %v", seed, err)
+		}
+		if fresh.Found {
+			t.Fatalf("seed %d (n=%d k=%d τ=%d, added %v): warmed NotFound, fresh service Found", seed, n, k, tau, added)
+		}
+	}
+	t.Logf("%d of %d mutations warmed a verdict, %d of them Found", warmed, cases, found)
+	if warmed < cases/2 || found == 0 || found == warmed {
+		t.Fatalf("%d warmed, %d Found: the table lost its teeth", warmed, found)
+	}
+}
