@@ -103,7 +103,7 @@ func BenchmarkEngineFlood(b *testing.B) {
 	}
 }
 
-func buildTree(net *congest.Network) (*treeProbe, *congest.Report, error) {
+func buildTree(net *congest.Network) (*treeProbe, congest.Report, error) {
 	t := &treeProbe{}
 	rep, err := congest.NewEngine(net).Run(t)
 	return t, rep, err
@@ -238,24 +238,42 @@ func BenchmarkDetectEvenCycleObserved(b *testing.B) {
 }
 
 // BenchmarkDetectDeterministic measures the deterministic broadcast
-// detector end to end on the same pinned instance as
-// BenchmarkDetectEvenCycle's n=2000/k=2 scenario (one seedless broadcast
-// session: all-source walk relay + witness reconstruction).
+// detector end to end (one seedless broadcast session: all-source walk
+// relay + witness reconstruction), every op on cold state: on the same
+// pinned instance as BenchmarkDetectEvenCycle's n=2000/k=2 scenario, and
+// at k=2 on the 20000-node C4-free graph of the mutate-durable
+// benchmark workload, whose walk-key tables and relay queues dominate
+// the run.
 func BenchmarkDetectDeterministic(b *testing.B) {
-	g, err := detectScenarios[0].graph()
+	planted, err := detectScenarios[0].graph()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := deterministic.Detect(g, 2, deterministic.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Found {
-			b.Fatal("planted cycle missed by the deterministic detector")
-		}
+	for _, c := range []struct {
+		name  string
+		g     func() (*graph.Graph, error)
+		found bool
+	}{
+		{"n=2000/k=2", func() (*graph.Graph, error) { return planted, nil }, true},
+		{"highgirth:20000:30000:8/k=2", func() (*graph.Graph, error) { return graph.FromSpec("highgirth:20000:30000:8", 1) }, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g, err := c.g()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := deterministic.Detect(g, 2, deterministic.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Found != c.found {
+					b.Fatalf("found = %v, want %v", res.Found, c.found)
+				}
+			}
+		})
 	}
 }
 

@@ -48,10 +48,11 @@ const ArenaMaxBytes = 8 << 20
 // one run of the same requests to the next (the 4.5 MiB session of a
 // 20000-node network put cycleserved's peak RSS anywhere from 33 to 44
 // MiB). And a reused value is whole from the start of its run, where a
-// fresh one grows during it, so a collection that lands mid-run marks
-// more live heap (reusing the 1 MiB walk-key protocols of 2000-node
-// graphs raised peak RSS by an eighth). The cap keeps the sessions and
-// color-BFS invocations of networks up to a few thousand nodes.
+// fresh color-BFS invocation grows during it, so a collection that
+// lands mid-run marks more live heap (reusing the 1 MiB walk-key
+// protocols of 2000-node graphs raised peak RSS by an eighth while fresh
+// ones still grew). The cap keeps the sessions and color-BFS
+// invocations of networks up to a few thousand nodes.
 const ArenaMaxValueBytes = 512 << 10
 
 // kind[T] keys the arena's list of retained *T.

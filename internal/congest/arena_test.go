@@ -200,7 +200,7 @@ func TestArenaConcurrentEngines(t *testing.T) {
 		graph.Gnm(400, 1200, graph.NewRand(2)),
 		graph.Gnm(550, 1650, graph.NewRand(3)),
 	}
-	want := make([]*Report, len(gs))
+	want := make([]Report, len(gs))
 	for i, g := range gs {
 		want[i], _ = runProbe(t, NewEngine(NewNetwork(g, 42)), 7)
 	}

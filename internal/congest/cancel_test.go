@@ -38,7 +38,7 @@ func TestCancelPreTrippedStopsBeforeFirstRound(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if rep != nil {
+	if !reflect.DeepEqual(rep, Report{}) {
 		t.Fatalf("got report %+v from a canceled run", rep)
 	}
 	select {
@@ -81,7 +81,7 @@ func TestCancelStopsInFlightRun(t *testing.T) {
 // at all.
 func TestUntrippedFlagIsTranscriptInvisible(t *testing.T) {
 	g := graph.Gnm(400, 1200, graph.NewRand(2))
-	run := func(flag *CancelFlag) (*Report, *transcriptProbe) {
+	run := func(flag *CancelFlag) (Report, *transcriptProbe) {
 		eng := NewEngine(NewNetwork(g, 1))
 		eng.Cancel = flag
 		return runProbe(t, eng, 3)

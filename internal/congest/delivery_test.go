@@ -23,7 +23,7 @@ func TestDeliveryInvariantAcrossWorkersAndShards(t *testing.T) {
 		graph.Gnm(2500, 7500, graph.NewRand(21)),
 		graph.Gnm(300, 900, graph.NewRand(22)),
 	} {
-		run := func(workers, threshold int) (*Report, *transcriptProbe) {
+		run := func(workers, threshold int) (Report, *transcriptProbe) {
 			e := NewEngine(NewNetwork(g, 77))
 			e.Workers = workers
 			e.ParallelThreshold = threshold
@@ -91,7 +91,7 @@ func TestDeliverySteadyStateAllocs(t *testing.T) {
 // a Send on one edge must fail).
 func TestBroadcastMatchesSendLoop(t *testing.T) {
 	g := graph.Gnm(200, 800, graph.NewRand(9))
-	run := func(broadcast bool) (*Report, *floodHandler) {
+	run := func(broadcast bool) (Report, *floodHandler) {
 		e := NewEngine(NewNetwork(g, 4))
 		h := &floodHandler{broadcast: broadcast}
 		rep, err := e.Run(h)

@@ -115,7 +115,7 @@ func (e *Engine) ReserveSessions(k uint64) uint64 {
 
 // Run executes one session of the handler under an engine-assigned session
 // tag. See RunSession for the execution contract.
-func (e *Engine) Run(h Handler) (*Report, error) {
+func (e *Engine) Run(h Handler) (Report, error) {
 	return e.RunSession(h, e.ReserveSessions(1))
 }
 
@@ -129,7 +129,7 @@ func (e *Engine) Run(h Handler) (*Report, error) {
 // The returned Report counts rounds in CONGEST time: Rounds is the index
 // of the last round with activity, plus one; idle gaps before a scheduled
 // wake-up are not simulated but do elapse (and are therefore counted).
-func (e *Engine) RunSession(h Handler, sess uint64) (rep *Report, err error) {
+func (e *Engine) RunSession(h Handler, sess uint64) (rep Report, err error) {
 	s := e.takeSession()
 	// Panic containment: handler panics are recovered inside the round
 	// loop and surface as ordinary errors, but if anything escapes run
@@ -138,7 +138,7 @@ func (e *Engine) RunSession(h Handler, sess uint64) (rep *Report, err error) {
 	// would poison a future run. The happy path repools as always.
 	defer func() {
 		if r := recover(); r != nil {
-			rep, err = nil, fmt.Errorf("congest: session panicked: %v", r)
+			rep, err = Report{}, fmt.Errorf("congest: session panicked: %v", r)
 		}
 	}()
 	var start time.Time
@@ -608,7 +608,7 @@ func (s *Session) cleanup() {
 
 // run executes one session. The Session must satisfy the cleanup
 // invariants on entry.
-func (s *Session) run(h Handler, sess uint64) (*Report, error) {
+func (s *Session) run(h Handler, sess uint64) (Report, error) {
 	e := s.eng
 	n := s.net.NumNodes()
 	s.sess = sess
@@ -619,7 +619,7 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 	s.guardedInit(h)
 	s.inInit = false
 	if s.violation != nil {
-		return nil, s.violation
+		return Report{}, s.violation
 	}
 
 	maxRounds := e.maxRounds
@@ -631,12 +631,12 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	rep := &Report{}
+	var rep Report
 	msgBits := MessageBits(n)
 	var dropRng *rand.Rand
 	if e.DropProb > 0 {
 		if e.numComp > 0 {
-			return nil, fmt.Errorf("congest: per-component accounting is incompatible with DropProb (sender-side counts)")
+			return Report{}, fmt.Errorf("congest: per-component accounting is incompatible with DropProb (sender-side counts)")
 		}
 		dropRng = s.net.nodeRand(-1, sess)
 	}
@@ -658,13 +658,13 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 		// load per executed round. An abandoned request's session stops
 		// here instead of running to quiescence.
 		if cancel.Canceled() {
-			return nil, ErrCanceled
+			return Report{}, ErrCanceled
 		}
 		if faultpoint.Enabled() {
 			faultpoint.Sleep(faultpoint.RoundStall)
 		}
 		if round >= maxRounds {
-			return nil, fmt.Errorf("congest: exceeded %d rounds (runaway protocol?)", maxRounds)
+			return Report{}, fmt.Errorf("congest: exceeded %d rounds (runaway protocol?)", maxRounds)
 		}
 		s.stamp++
 
@@ -722,7 +722,7 @@ func (s *Session) run(h Handler, sess uint64) (*Report, error) {
 		// Execute handlers (possibly in parallel).
 		serialHandlers := e.runHandlers(s, h, round, workers, len(s.due)+inbound)
 		if s.violation != nil {
-			return nil, s.violation
+			return Report{}, s.violation
 		}
 
 		delivered := s.deliver(dropRng, serialHandlers)

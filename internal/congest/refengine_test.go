@@ -126,7 +126,7 @@ func (rt *refRuntime) Broadcast(u NodeID, kind uint8, a, b uint64) {
 }
 
 // runRef executes a probeHandler session on the map-based reference.
-func runRef(net *Network, h probeHandler, sess uint64, maxRounds int) (*Report, error) {
+func runRef(net *Network, h probeHandler, sess uint64, maxRounds int) (Report, error) {
 	rt := &refRuntime{
 		net:    net,
 		sess:   sess,
@@ -139,15 +139,15 @@ func runRef(net *Network, h probeHandler, sess uint64, maxRounds int) (*Report, 
 	h.ProbeInit(rt)
 	rt.inInit = false
 	if rt.violation != nil {
-		return nil, rt.violation
+		return Report{}, rt.violation
 	}
 
-	rep := &Report{}
+	var rep Report
 	msgBits := MessageBits(net.NumNodes())
 	inbox := map[NodeID][]Message{}
 	for round := 0; len(inbox) > 0 || len(rt.wake) > 0; round++ {
 		if round >= maxRounds {
-			return nil, fmt.Errorf("ref: exceeded %d rounds", maxRounds)
+			return Report{}, fmt.Errorf("ref: exceeded %d rounds", maxRounds)
 		}
 		// Due nodes: inbox holders plus expired wake-ups, ascending.
 		dueSet := map[NodeID]bool{}
@@ -179,7 +179,7 @@ func runRef(net *Network, h probeHandler, sess uint64, maxRounds int) (*Report, 
 		for _, v := range due {
 			h.ProbeRound(rt, v, round, inbox[v])
 			if rt.violation != nil {
-				return nil, rt.violation
+				return Report{}, rt.violation
 			}
 		}
 		// Deliver: per receiver, ascending sender order — rederived here

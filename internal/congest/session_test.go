@@ -51,7 +51,7 @@ func (p *transcriptProbe) HandleRound(rt *Session, u NodeID, r int, inbox []Mess
 	}
 }
 
-func runProbe(t *testing.T, e *Engine, sess uint64) (*Report, *transcriptProbe) {
+func runProbe(t *testing.T, e *Engine, sess uint64) (Report, *transcriptProbe) {
 	t.Helper()
 	h := &transcriptProbe{}
 	rep, err := e.RunSession(h, sess)
@@ -75,7 +75,7 @@ func sameProbe(a, b *transcriptProbe) bool {
 // the parallel paths forced onto every round.
 func TestTranscriptDeterminismAcrossWorkers(t *testing.T) {
 	g := graph.Gnm(3000, 9000, graph.NewRand(11))
-	run := func(workers int) (*Report, *transcriptProbe) {
+	run := func(workers int) (Report, *transcriptProbe) {
 		e := NewEngine(NewNetwork(g, 42))
 		e.Workers = workers
 		e.ParallelThreshold = 1
@@ -132,13 +132,13 @@ func TestConcurrentRunsOnOneEngine(t *testing.T) {
 	g := graph.Gnm(400, 1200, graph.NewRand(5))
 	e := NewEngine(NewNetwork(g, 77))
 
-	want := make([]*Report, 16)
+	want := make([]Report, 16)
 	for i := range want {
 		want[i], _ = runProbe(t, e, uint64(100+i))
 	}
 
 	var wg sync.WaitGroup
-	got := make([]*Report, len(want))
+	got := make([]Report, len(want))
 	errs := make([]error, len(want))
 	for i := range want {
 		wg.Add(1)

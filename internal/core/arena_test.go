@@ -127,6 +127,34 @@ func TestArenaSecondDetectionAllocs(t *testing.T) {
 	}
 }
 
+// TestArenaWarmMissAllocs pins the warm run of BenchmarkArenaMiss (the
+// same graph and seeds): once an arena holds a run's state, a further
+// n=1000 detection of four colorings allocates at most 40 objects and
+// 12 KB. Engine reports are values, the batch-phase
+// handler lives on its invocation, and the vertex sets, H masks and
+// trial colorings come back from the arena with the invocations.
+func TestArenaWarmMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := arenaGraph(t, 1000, 3)
+	opt := Options{MaxIterations: 4, Runtime: congest.Runtime{Arena: congest.NewArena(1)}}
+	miss := func() {
+		opt.Seed++
+		if _, err := DetectEvenCycle(g, 2, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss()
+	if allocs := testing.AllocsPerRun(5, miss); allocs > 40 {
+		t.Errorf("a warm miss makes %v allocations, want ≤ 40", allocs)
+	}
+	if bytes := allocatedBytes(miss); bytes > 12<<10 {
+		t.Errorf("a warm miss allocates %d bytes, want ≤ %d", bytes, 12<<10)
+	}
+}
+
 // TestArenaColorBFSDetectionsDoNotLeak pins the detection buffers of a
 // retained invocation across a shrink and a grow: a detection recorded
 // at node 902 of a 1000-node run must not resurface when a 500-node run

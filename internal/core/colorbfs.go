@@ -104,6 +104,11 @@ type ColorBFS struct {
 	// the handler path stay on the per-node bool arrays.
 	over atomic.Bool
 
+	// batch and pipe are the handlers of the two schedules, kept here so
+	// a run does not allocate one.
+	batch batchPhase
+	pipe  pipelinedRun
+
 	// Send-phase buckets, cached across invocations: bucketSeeds lists
 	// the color-0 vertices and bucketPhase[p-2] the vertices transmitting
 	// in batch phase p ≥ 2, for the coloring snapshot held in bucketColor
@@ -112,8 +117,7 @@ type ColorBFS struct {
 	// same coloring, different H and X, which initSender rechecks —
 	// bucket the graph once instead of once per call and phase.
 	bucketL     int
-	bucketSrc   []int8 // the Color slice the buckets were built from
-	bucketColor []int8 // private snapshot, compared when bucketSrc moved
+	bucketColor []int8
 	bucketSeeds []graph.NodeID
 	bucketPhase [][]graph.NodeID
 }
@@ -329,7 +333,7 @@ func (p *ColorBFSPool) Close() {
 	for i, b := range p.free {
 		// Drop the references to this detection's arrays, so retention
 		// keeps no per-call state alive.
-		b.spec, b.bucketSrc = ColorBFSSpec{}, nil
+		b.spec = ColorBFSSpec{}
 		b.trim()
 		congest.Keep(p.arena, b, cap(b.ascOver), 0, b.retainedBytes())
 		p.free[i] = nil
@@ -523,7 +527,7 @@ func (b *ColorBFS) Overflowed() bool { return b.over.Load() }
 // Costs is the invocation's cost given its sessions' report rep: rep's
 // rounds, messages and bits plus the congestion watermark and overflow
 // flag. Read it before the invocation is released to its pool.
-func (b *ColorBFS) Costs(rep *congest.Report) congest.Costs {
+func (b *ColorBFS) Costs(rep congest.Report) congest.Costs {
 	c := rep.Costs()
 	c.MaxCongestion, c.Overflowed = b.MaxCongestion(), b.Overflowed()
 	return c
@@ -551,7 +555,7 @@ func (b *ColorBFS) OverflowedRange(lo, hi graph.NodeID) bool {
 // relative to a fixed τ-round phase, it only skips the idle tail).
 // Pipelined mode runs a single session in which identifiers are forwarded
 // as they arrive.
-func (b *ColorBFS) Run(e *congest.Engine) (*congest.Report, error) {
+func (b *ColorBFS) Run(e *congest.Engine) (congest.Report, error) {
 	phases := uint64(1)
 	if !b.spec.Pipelined {
 		phases = uint64(b.tmax)
@@ -564,8 +568,8 @@ func (b *ColorBFS) Run(e *congest.Engine) (*congest.Report, error) {
 // invocations concurrently on one engine pass explicit tags so every
 // invocation's randomness — and therefore its transcript — is independent
 // of scheduling.
-func (b *ColorBFS) RunSessions(e *congest.Engine, base uint64) (*congest.Report, error) {
-	var rep *congest.Report
+func (b *ColorBFS) RunSessions(e *congest.Engine, base uint64) (congest.Report, error) {
+	var rep congest.Report
 	var err error
 	if b.spec.Pipelined {
 		rep, err = b.runPipelined(e, base)
@@ -573,7 +577,7 @@ func (b *ColorBFS) RunSessions(e *congest.Engine, base uint64) (*congest.Report,
 		rep, err = b.runBatch(e, base)
 	}
 	if err != nil {
-		return nil, err
+		return congest.Report{}, err
 	}
 	// Merge the per-node detection buffers and canonicalize their order:
 	// sort by node, then seed, so Detections()[0] — and hence the extracted
@@ -605,16 +609,17 @@ func (b *ColorBFS) RunSessions(e *congest.Engine, base uint64) (*congest.Report,
 	return rep, nil
 }
 
-func (b *ColorBFS) runBatch(e *congest.Engine, base uint64) (*congest.Report, error) {
-	total := &congest.Report{}
-	ph := &batchPhase{bfs: b}
+func (b *ColorBFS) runBatch(e *congest.Engine, base uint64) (congest.Report, error) {
+	var total congest.Report
+	ph := &b.batch
+	ph.bfs = b
 	for phase := 1; phase <= b.tmax; phase++ {
 		ph.phase = phase
 		rep, err := e.RunSession(ph, base+uint64(phase-1))
 		if err != nil {
-			return nil, fmt.Errorf("core: color-BFS phase %d: %w", phase, err)
+			return congest.Report{}, fmt.Errorf("core: color-BFS phase %d: %w", phase, err)
 		}
-		total.Accumulate(rep)
+		total.Accumulate(&rep)
 	}
 	return total, nil
 }
@@ -651,19 +656,15 @@ func (p *batchPhase) Init(rt *congest.Session) {
 
 // ensureBuckets (re)builds the send-phase buckets for the current
 // (L, Color) pair, skipping the walk when the cached buckets already
-// reflect it: first by slice identity (the three calls of one trial
-// share one coloring array — callers must not mutate a Color slice they
-// re-pass to a pooled instance), then by content. Vertices are bucketed
-// in ascending order, so the per-phase iteration order — and with it
-// every seed's randomness draw — matches the full-graph scan it
-// replaces.
+// reflect it, which a comparison of the coloring with the snapshot
+// settles (a trial's coloring buffer is refilled for the next trial, so
+// its identity says nothing). Vertices are bucketed in ascending order,
+// so the per-phase iteration order — and with it every seed's
+// randomness draw — matches the full-graph scan it replaces.
 func (b *ColorBFS) ensureBuckets() {
-	if b.bucketL == b.spec.L && len(b.bucketSrc) == len(b.spec.Color) && len(b.bucketSrc) > 0 &&
-		(&b.bucketSrc[0] == &b.spec.Color[0] || slices.Equal(b.bucketColor, b.spec.Color)) {
-		b.bucketSrc = b.spec.Color
+	if b.bucketL == b.spec.L && len(b.bucketColor) > 0 && slices.Equal(b.bucketColor, b.spec.Color) {
 		return
 	}
-	b.bucketSrc = b.spec.Color
 	b.bucketL = b.spec.L
 	b.bucketColor = append(b.bucketColor[:0], b.spec.Color...)
 	b.bucketSeeds = b.bucketSeeds[:0]
@@ -759,10 +760,11 @@ func (b *ColorBFS) fillQueueSorted(set *idset.Store, v graph.NodeID) {
 // cutoff (a forwarder that exceeds τ stops forwarding; identifiers it
 // already relayed still witness well-colored paths, so one-sided
 // correctness is preserved — this is ablation A1).
-func (b *ColorBFS) runPipelined(e *congest.Engine, base uint64) (*congest.Report, error) {
-	rep, err := e.RunSession(&pipelinedRun{bfs: b}, base)
+func (b *ColorBFS) runPipelined(e *congest.Engine, base uint64) (congest.Report, error) {
+	b.pipe.bfs = b
+	rep, err := e.RunSession(&b.pipe, base)
 	if err != nil {
-		return nil, fmt.Errorf("core: pipelined color-BFS: %w", err)
+		return congest.Report{}, fmt.Errorf("core: pipelined color-BFS: %w", err)
 	}
 	return rep, nil
 }

@@ -195,8 +195,8 @@ func (b *refColorBFS) overflowed() bool {
 	return false
 }
 
-func (b *refColorBFS) run(e *congest.Engine) (*congest.Report, error) {
-	var rep *congest.Report
+func (b *refColorBFS) run(e *congest.Engine) (congest.Report, error) {
+	var rep congest.Report
 	var err error
 	if b.spec.Pipelined {
 		n := e.Network().NumNodes()
@@ -205,19 +205,19 @@ func (b *refColorBFS) run(e *congest.Engine) (*congest.Report, error) {
 		rep, err = e.RunSession(&refPipelinedRun{bfs: b}, e.ReserveSessions(1))
 	} else {
 		base := e.ReserveSessions(uint64(b.tmax))
-		total := &congest.Report{}
+		var total congest.Report
 		for phase := 1; phase <= b.tmax; phase++ {
-			var prep *congest.Report
+			var prep congest.Report
 			prep, err = e.RunSession(&refBatchPhase{bfs: b, phase: phase}, base+uint64(phase-1))
 			if err != nil {
 				break
 			}
-			total.Accumulate(prep)
+			total.Accumulate(&prep)
 		}
 		rep = total
 	}
 	if err != nil {
-		return nil, err
+		return congest.Report{}, err
 	}
 	sort.Slice(b.detections, func(i, j int) bool {
 		di, dj := b.detections[i], b.detections[j]

@@ -30,7 +30,7 @@ func allTrue(n int) []bool {
 	return b
 }
 
-func runColorBFS(t *testing.T, g *graph.Graph, spec ColorBFSSpec) (*ColorBFS, *congest.Report) {
+func runColorBFS(t *testing.T, g *graph.Graph, spec ColorBFSSpec) (*ColorBFS, congest.Report) {
 	t.Helper()
 	bfs, err := NewColorBFS(g.NumNodes(), spec)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"time"
 
 	"repro/internal/congest"
@@ -232,7 +233,9 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 	// parameter is a function of n, so a batch whose graphs share n
 	// (always so for a batch of one) needs no per-node tables; otherwise
 	// per-node p, n^{1/k} and τ give each component its own.
-	sets := &Sets{Params: comps[0].params}
+	sc := takeRunScratch(opt.Arena, total)
+	sets := &sc.sets
+	sets.Params = comps[0].params
 	thr := bfsThreshold(comps[0].params)
 	var thrAt []int32
 	if !uniform {
@@ -268,8 +271,8 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 	if seedProb == 0 {
 		seedProb = 1
 	}
-	all := make([]bool, total)
-	notS := make([]bool, total)
+	sc.all, sc.notS = cleared(sc.all, total), cleared(sc.notS, total)
+	all, notS := sc.all, sc.notS
 	for v := range total {
 		all[v] = true
 		notS[v] = !sets.InS[v]
@@ -294,15 +297,17 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 	defer pool.Close()
 	trial := func(it int) ([]iterOutcome, error) {
 		outs := make([]iterOutcome, len(comps))
-		// A fresh coloring array per trial: pooled invocations cache their
-		// send-phase buckets by the Color slice's identity. Inactive
-		// components keep color 0; their nodes are outside every H.
-		colors := make([]int8, total)
+		// Inactive components get color 0; their nodes are outside every H.
+		colors := sc.coloring(total)
 		for i := range comps {
 			if c := &comps[i]; c.active {
 				iterationColorsInto(colors[c.lo:c.hi], L, c.Seed, it)
+			} else {
+				clear(colors[c.lo:c.hi])
 			}
 		}
+		// A retained invocation keeps reading its coloring.
+		kept := false
 		for ci, call := range calls {
 			bfs, err := pool.Acquire(ColorBFSSpec{
 				L:           L,
@@ -361,6 +366,10 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 			if !retained {
 				pool.Release(bfs)
 			}
+			kept = kept || retained
+		}
+		if !kept {
+			sc.putColoring(colors)
 		}
 		return outs, nil
 	}
@@ -420,7 +429,70 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 		c := &comps[i]
 		c.res.Bits = c.res.Messages * congest.MessageBits(c.params.N)
 	}
+	if !capture {
+		// A captured invocation still reads the sets and masks.
+		sc.keep(opt.Arena)
+	}
 	return comps, eng, nil
+}
+
+// runScratch is the per-node state of an Algorithm 1 run that no
+// color-BFS invocation owns: the vertex sets, the H masks of the
+// selected and heavy calls, and the coloring buffers of finished trials,
+// which later trials refill. An arena retains it across runs, as it
+// retains the invocations.
+type runScratch struct {
+	sets      Sets
+	all, notS []bool
+
+	mu     sync.Mutex // guards colors: trials may run in parallel
+	colors [][]int8
+}
+
+// takeRunScratch returns the arena's retained scratch for n nodes when
+// one has the capacity, else a fresh one.
+func takeRunScratch(arena *congest.Arena, n int) *runScratch {
+	if sc := congest.Take[runScratch](arena, n, 0); sc != nil {
+		return sc
+	}
+	return &runScratch{}
+}
+
+// coloring returns a coloring buffer of n entries with unspecified
+// contents: a finished trial's, or a fresh one.
+func (sc *runScratch) coloring(n int) []int8 {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for len(sc.colors) > 0 {
+		last := len(sc.colors) - 1
+		c := sc.colors[last]
+		sc.colors = sc.colors[:last]
+		if cap(c) >= n {
+			return c[:n]
+		}
+	}
+	return make([]int8, n)
+}
+
+// putColoring hands back a coloring no invocation reads any more.
+func (sc *runScratch) putColoring(c []int8) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.colors = append(sc.colors, c)
+}
+
+// keep offers the scratch to the arena once the run's results are read.
+func (sc *runScratch) keep(arena *congest.Arena) {
+	if arena == nil {
+		return
+	}
+	sc.sets.PAt, sc.sets.LightMaxAt = nil, nil
+	c := cap(sc.all)
+	bytes := int64(c) * (3 + 4 + 2) // InU/InS/InW, SCount, all/notS
+	for _, col := range sc.colors {
+		bytes += int64(cap(col))
+	}
+	congest.Keep(arena, sc, c, 0, bytes)
 }
 
 func b2i(b bool) int {

@@ -38,13 +38,12 @@ type Sets struct {
 
 var _ congest.Handler = (*Sets)(nil)
 
-// Init implements congest.Handler.
+// Init implements congest.Handler. It clears and reuses the membership
+// arrays a previous run left when they have the capacity.
 func (s *Sets) Init(rt *congest.Session) {
 	n := rt.N()
-	s.InU = make([]bool, n)
-	s.InS = make([]bool, n)
-	s.InW = make([]bool, n)
-	s.SCount = make([]int32, n)
+	s.InU, s.InS, s.InW = cleared(s.InU, n), cleared(s.InS, n), cleared(s.InW, n)
+	s.SCount = cleared(s.SCount, n)
 	for u := 0; u < n; u++ {
 		rt.WakeAt(graph.NodeID(u), 0)
 	}
@@ -91,4 +90,15 @@ func (s *Sets) Finish() {
 			s.SizeW++
 		}
 	}
+}
+
+// cleared returns buf re-sliced to n zero values, or a fresh array when
+// buf lacks the capacity.
+func cleared[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }

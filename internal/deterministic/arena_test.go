@@ -1,6 +1,7 @@
 package deterministic
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/congest"
 	"repro/internal/graph"
+	"repro/internal/idset"
 )
 
 // allocatedBytes returns the bytes f allocates.
@@ -149,5 +151,107 @@ func BenchmarkArenaMiss(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestColdDetectAllocs pins the cold layout: a nil-arena Detect sizes
+// its walk-key tables and relay queues from the graph and carves each
+// family from one slab, so a k=2 detection makes the same small number
+// of allocations on a 2000-node and an 8000-node graph instead of
+// growing every node's state one allocation at a time. The counts may
+// differ by the few allocations sync.Pool makes when a run first
+// touches a processor.
+func TestColdDetectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	var counts []float64
+	for _, n := range []int{2000, 8000} {
+		g := graph.HighGirth(n, 3*n/2, 8, graph.NewRand(uint64(n)))
+		allocs := testing.AllocsPerRun(3, func() {
+			res, err := Detect(g, 2, Options{Runtime: congest.Runtime{Workers: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Found {
+				t.Fatal("a C4 reported on a graph of girth > 8")
+			}
+		})
+		if allocs > 100 {
+			t.Errorf("n=%d: a cold Detect made %v allocations, want ≤ 100", n, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if math.Abs(counts[0]-counts[1]) > 2 {
+		t.Errorf("a cold Detect made %v allocations at n=2000 and %v at n=8000, want the same count", counts[0], counts[1])
+	}
+}
+
+// TestArenaDropsLargeColdProtocol pins that the size a cold protocol
+// reports is what building it allocated, slabs included, so the arena's
+// per-value cap drops a 20000-node k=2 protocol, and retains neither it
+// nor the session (4.5 MiB) it ran on.
+func TestArenaDropsLargeColdProtocol(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation sizes")
+	}
+	g := graph.HighGirth(20000, 30000, 8, graph.NewRand(1))
+	var p *detProto
+	built := allocatedBytes(func() { p = newDetProto(g, 2, int32(DefaultThreshold(g.NumNodes(), 2)), nil) })
+	// Building also allocates the n hints, which the protocol drops.
+	if got := p.retainedBytes(); got*10 < int64(built)*9 || got > int64(built) {
+		t.Fatalf("a cold protocol reports %d bytes, building it allocated %d", got, built)
+	}
+	if p.retainedBytes() <= congest.ArenaMaxValueBytes {
+		t.Fatalf("a 20000-node protocol reports %d bytes, want past %d", p.retainedBytes(), congest.ArenaMaxValueBytes)
+	}
+	arena := congest.NewArena(1)
+	if _, err := Detect(g, 2, Options{Runtime: congest.Runtime{Arena: arena}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := arena.Bytes(); got != 0 {
+		t.Fatalf("the arena retains %d bytes after a 20000-node detection, want none", got)
+	}
+}
+
+// TestColdLayoutFitsSets pins the cold layout's sizes at k = 2: where no
+// node reaches τ, every set ends holding exactly the keys its table was
+// sized for, so no table grows, no relay queue leaves the slab, and the
+// walk-key store is exactly the layout the final set sizes call for —
+// also on graphs dense in C4s, where many walks reach the same source.
+func TestColdLayoutFitsSets(t *testing.T) {
+	blocks := graph.CompleteBipartite(6, 6)
+	for range 40 {
+		blocks = graph.Union(blocks, graph.CompleteBipartite(6, 6))
+	}
+	for name, g := range map[string]*graph.Graph{
+		"highgirth":   graph.HighGirth(3000, 4500, 8, graph.NewRand(3)),
+		"gnm":         graph.Gnm(500, 900, graph.NewRand(4)),
+		"grid":        graph.Grid(20, 20),
+		"hypercube":   graph.Hypercube(7),
+		"K6,6-blocks": blocks,
+	} {
+		n := g.NumNodes()
+		p := takeDetProto(nil, g, 2, DefaultThreshold(n, 2), nil)
+		laid := p.first.Bytes()
+		if _, err := congest.NewEngine(congest.NewNetwork(g, 1)).Run(p); err != nil {
+			t.Fatal(err)
+		}
+		lens := make([]int32, n)
+		for v := range n {
+			if p.over[v] {
+				t.Fatalf("%s: node %d reached τ; the fixture wants every set below it", name, v)
+			}
+			if !p.inSlab(v, p.queue[v]) {
+				t.Errorf("%s: node %d's relay queue (%d keys) outgrew its slab region", name, v, len(p.queue[v]))
+			}
+			lens[v] = int32(p.first.Len(graph.NodeID(v)))
+		}
+		if got := p.first.Bytes(); got != laid {
+			t.Errorf("%s: the walk-key store grew from %d to %d bytes", name, laid, got)
+		}
+		if want := idset.NewSized(lens).Bytes(); laid != want {
+			t.Errorf("%s: the cold layout takes %d bytes, the final set sizes call for %d", name, laid, want)
+		}
 	}
 }

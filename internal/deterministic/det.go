@@ -115,9 +115,15 @@ type detProto struct {
 	// over[v] is set when v's set hit the threshold.
 	over []bool
 
-	// Pending relays, drained one broadcast per round (pipelined).
+	// Pending relays, drained one broadcast per round (pipelined). Every
+	// node's queue starts in its region of one slab, node v's being
+	// qslab[qOff[v]:qOff[v+1]], sized from the graph when the protocol is
+	// built; a queue that outgrows its region moves to an array of its
+	// own, and cap(queue[v]) == qOff[v+1]-qOff[v] tells the two apart.
 	queue [][]uint64
 	qIdx  []int32
+	qslab []uint64
+	qOff  []uint32
 
 	detAt    [][]candidate
 	detCount atomic.Int64
@@ -128,29 +134,94 @@ type detProto struct {
 
 var _ congest.Handler = (*detProto)(nil)
 
-// takeDetProto returns a protocol for n nodes: the arena's retained one
-// when one has the capacity (nil arena: a fresh one), reset for (k, τ).
-func takeDetProto(arena *congest.Arena, n, k, tau int) *detProto {
+// takeDetProto returns a protocol for g, the session's network graph:
+// the arena's retained one when one has the capacity, else a fresh one
+// laid out for g (see newDetProto), reset for (k, τ). tauAt, when
+// non-nil, is the per-node τ of a fused batch.
+func takeDetProto(arena *congest.Arena, g *graph.Graph, k, tau int, tauAt []int32) *detProto {
+	n := g.NumNodes()
 	p := congest.Take[detProto](arena, n, 0)
 	if p == nil {
-		p = &detProto{
-			first: idset.New(n),
-			over:  make([]bool, n),
-			queue: make([][]uint64, n),
-			qIdx:  make([]int32, n),
-			detAt: make([][]candidate, n),
-		}
+		p = newDetProto(g, k, idset.CapLen(tau), tauAt)
 	}
-	p.reset(n, k, tau)
+	p.reset(n, k, tau, tauAt)
 	return p
+}
+
+// newDetProto builds a protocol for g in its final layout, so a cold run
+// grows nothing node by node. Node u's walk-key set holds at most τ keys:
+// its length-1 keys, one per neighbor, and its length-2 keys, one per
+// node s ≠ u two hops away, however many walks reach it (a walk back to
+// its source is dropped). Its table is sized for that many, which bounds
+// the whole set at k = 2, and counting distinct sources rather than
+// walks keeps a graph dense in C4s from sizing tables far past their
+// sets. Its relay queue holds the keys shorter than k: the length-1 keys
+// at k = 2, the same bound as its set at k = 3. Longer walks (k ≥ 3) add
+// keys, and at k ≥ 4 relays, that the sizes leave out; those sets and
+// queues grow as in a retained protocol.
+func newDetProto(g *graph.Graph, k int, tau int32, tauAt []int32) *detProto {
+	n := g.NumNodes()
+	hints := make([]int32, n)
+	qOff := make([]uint32, n+1)
+	seen := make([]int32, n) // seen[s] == u+1: s is counted for u
+	for u := range n {
+		t := int(tau)
+		if tauAt != nil {
+			t = int(tauAt[u])
+		}
+		nbrs := g.Neighbors(graph.NodeID(u))
+		keys := len(nbrs)
+	count:
+		for _, w := range nbrs {
+			for _, s := range g.Neighbors(w) {
+				if keys >= t {
+					break count
+				}
+				if int(s) != u && seen[s] != int32(u+1) {
+					seen[s] = int32(u + 1)
+					keys++
+				}
+			}
+		}
+		hints[u] = int32(min(keys, t))
+		relays := hints[u]
+		if k == 2 {
+			relays = int32(min(len(nbrs), t))
+		}
+		qOff[u+1] = qOff[u] + uint32(relays)
+	}
+	p := &detProto{
+		first: idset.NewSized(hints),
+		over:  make([]bool, n),
+		queue: make([][]uint64, n),
+		qIdx:  make([]int32, n),
+		qslab: make([]uint64, qOff[n]),
+		qOff:  qOff,
+		detAt: make([][]candidate, n),
+	}
+	for v := range p.queue {
+		p.queue[v] = p.homeQueue(v)
+	}
+	return p
+}
+
+// homeQueue is node v's empty relay queue in the slab.
+func (p *detProto) homeQueue(v int) []uint64 {
+	return p.qslab[p.qOff[v]:p.qOff[v]:p.qOff[v+1]]
+}
+
+// inSlab reports whether queue q, node v's, still lives in its slab
+// region: a queue that outgrew it has a larger capacity.
+func (p *detProto) inSlab(v int, q []uint64) bool {
+	return cap(q) == int(p.qOff[v+1]-p.qOff[v])
 }
 
 // reset prepares a (possibly retained) protocol for a run on n ≤
 // capacity nodes: per-node state is re-sliced to n and cleared (a run
 // reads no cell past n, and candidate buffers are cleared wherever the
 // last run left them); queues and walk-key tables keep their capacity.
-func (p *detProto) reset(n, k, tau int) {
-	p.k, p.tau, p.tauAt = uint64(k), idset.CapLen(tau), nil
+func (p *detProto) reset(n, k, tau int, tauAt []int32) {
+	p.k, p.tau, p.tauAt = uint64(k), idset.CapLen(tau), tauAt
 	if p.detCount.Load() != 0 {
 		// At the recording run's length, before a shrink hides buffers
 		// that a later grow would bring back.
@@ -176,25 +247,33 @@ func (p *detProto) keep(arena *congest.Arena) {
 		return
 	}
 	p.tauAt = nil
-	c := cap(p.over)
 	// Trim what this run did not need, so the retained state follows the
-	// last graph, not the union of every graph it served.
+	// last graph, not the union of every graph it served. The slabs stay
+	// whole: their regions are not separate allocations.
 	p.first.Trim()
-	queues := p.queue[:c]
-	for v, q := range queues {
-		if cap(q) > 2*max(len(q), 4) {
-			queues[v] = nil
+	for v, q := range p.queue[:cap(p.queue)] {
+		if !p.inSlab(v, q) && cap(q) > 2*max(len(q), 4) {
+			p.queue[v] = p.homeQueue(v)
 		}
 	}
-	bytes := p.first.Bytes() + int64(c)*(1+24+4+24)
-	for _, q := range queues {
-		bytes += int64(cap(q)) * 8
+	congest.Keep(arena, p, cap(p.over), 0, p.retainedBytes())
+}
+
+// retainedBytes is the protocol's size across its whole capacity: the
+// walk-key store, the per-node arrays, the queue slab and every queue
+// grown out of it, and the candidate and witness buffers.
+func (p *detProto) retainedBytes() int64 {
+	c := cap(p.over)
+	bytes := p.first.Bytes() + int64(c)*(1+24+4+4+24) + int64(cap(p.qslab))*8
+	for v, q := range p.queue[:c] {
+		if !p.inSlab(v, q) {
+			bytes += int64(cap(q)) * 8
+		}
 	}
 	for _, d := range p.detAt[:c] {
 		bytes += int64(cap(d)) * 12
 	}
-	bytes += int64(cap(p.walk)) * 4
-	congest.Keep(arena, p, c, 0, bytes)
+	return bytes + int64(cap(p.walk))*4
 }
 
 func (p *detProto) Init(rt *congest.Session) {

@@ -64,5 +64,17 @@
 //
 // Per-node key sets use internal/idset (key → parent pointer), the same
 // pooled flat-set layer as color-BFS, so the per-round hot path performs
-// no map operations and no allocations.
+// no map operations.
+//
+// # Memory layout
+//
+// A fresh protocol takes its final layout before the first round: node
+// u's walk-key table is sized for min(τ, deg(u) + |N(N(u)) ∖ {u}|) keys —
+// every key of length 1 or 2 that can reach u — and its relay queue for
+// the keys shorter than k among them, each family carved from one slab. At k = 2 these bound every set and queue, so a cold
+// detection makes a constant number of allocations whatever n is
+// (TestColdDetectAllocs), and its rounds allocate nothing. At k ≥ 3
+// longer walks add keys the sizes leave out: those tables grow and
+// those queues reallocate mid-run, as they would in a retained protocol
+// that an arena (congest.Runtime.Arena) re-lays onto another graph.
 package deterministic

@@ -55,16 +55,17 @@ func DetectMulti(gs []*graph.Graph, k int, opt Options) ([]*Result, error) {
 	// One τ for the whole union (always so for a batch of one) needs no
 	// per-node table. The union lays graph i's nodes out right after
 	// graph i-1's (see congest.NewFusedEngine).
-	proto := takeDetProto(opt.Arena, eng.Network().NumNodes(), k, tau(gs[0]))
+	var tauAt []int32
 	if !uniform {
-		proto.tauAt = make([]int32, 0, eng.Network().NumNodes())
+		tauAt = make([]int32, 0, eng.Network().NumNodes())
 		for _, g := range gs {
 			t := idset.CapLen(tau(g))
 			for range g.NumNodes() {
-				proto.tauAt = append(proto.tauAt, t)
+				tauAt = append(tauAt, t)
 			}
 		}
 	}
+	proto := takeDetProto(opt.Arena, eng.Network().Graph(), k, tau(gs[0]), tauAt)
 	rep, err := eng.Run(proto)
 	if err != nil {
 		return nil, fmt.Errorf("deterministic: %w", err)

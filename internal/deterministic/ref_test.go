@@ -226,6 +226,17 @@ func TestMatchesMapReference(t *testing.T) {
 			return g
 		}(), 2, 0},
 	}
+	// The cold layout sizes a table for min(τ, length-≤2 keys): at the
+	// default τ the k = 3 cases above outgrow those sizes, and a small τ
+	// caps every set inside a τ-sized table.
+	for _, tau := range []int{1, 4, 6} {
+		cases = append(cases, struct {
+			name string
+			g    *graph.Graph
+			k    int
+			tau  int
+		}{fmt.Sprintf("planted-c6-tau%d", tau), planted(150, 6, 9), 3, tau})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tau := tc.tau
@@ -251,4 +262,29 @@ func TestMatchesMapReference(t *testing.T) {
 			}
 		})
 	}
+	// A fused batch whose graphs differ in n runs every component under
+	// its own default τ through the per-node table; each component's
+	// Result must match the reference of its graph alone.
+	t.Run("fused-nonuniform-tau", func(t *testing.T) {
+		gs := []*graph.Graph{
+			graph.Gnm(60, 400, graph.NewRand(21)),
+			graph.Gnm(200, 320, graph.NewRand(22)),
+			graph.Grid(9, 9),
+		}
+		for _, k := range []int{2, 3} {
+			got, err := DetectMulti(gs, k, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range gs {
+				want, err := refDetect(g, k, DefaultThreshold(g.NumNodes(), k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprintf("%+v", got[i]) != fmt.Sprintf("%+v", want) {
+					t.Fatalf("k=%d: fused component %d diverges from reference:\nref: %+v\neng: %+v", k, i, want, got[i])
+				}
+			}
+		}
+	})
 }

@@ -12,9 +12,16 @@
 // without touching the tables. Per-node tables are retained across Reset
 // calls, so a Store reused for many invocations on same-sized inputs (the
 // way core.ColorBFSPool reuses ColorBFS instances) reaches a steady state
-// in which insertions allocate nothing. Minimum-size tables are carved
-// from one shared slab, and the congestion watermark is maintained as an
-// O(1) packed atomic rather than an n-wide scan.
+// in which insertions allocate nothing. Every node's first table is
+// carved from one shared slab: New gives each node a minimum-size one,
+// NewSized sizes node v's for a caller's hint of how many entries its set
+// will hold (the deterministic detector derives hints from the graph and
+// τ), so a store whose hints cover its sets never grows. A set that
+// outgrows its slab region moves to a table of its own, which Trim
+// returns to the region once it is more than twice the set's need; Bytes
+// counts the whole slab plus the tables grown out of it. The congestion
+// watermark is maintained as an O(1) packed atomic rather than an n-wide
+// scan.
 //
 // Concurrency contract: distinct nodes' sets may be operated on
 // concurrently (the CONGEST engine runs node handlers in parallel), but a

@@ -26,11 +26,17 @@ const minTableSize = 4 // power of two
 const slotBytes = 16
 
 // Store is a per-node family of identifier sets. The zero value is not
-// usable; call New.
+// usable; call New or NewSized.
 type Store struct {
 	gen    uint32
 	tables [][]slot // per-node open-addressing tables
-	slab   []slot   // the minimum-size tables, minTableSize per node
+	// slab holds every node's home table: node v's is
+	// slab[off[v]:off[v+1]], a power of two of at least minTableSize
+	// slots. A table lives in its slab region until it outgrows it; a
+	// grown table is always larger than its home, so len(tables[v]) ==
+	// homeLen(v) tells the two apart.
+	slab []slot
+	off  []uint32
 	// meta[v] packs node v's generation (high 32 bits) and live count
 	// (low 32): one load answers both "is the set current?" and "how
 	// big is it?", which the insert and length paths ask together.
@@ -43,8 +49,8 @@ type Store struct {
 	// generation, not per insert. MaxLen is then O(1) instead of an
 	// n-wide scan per query.
 	maxLen atomic.Uint64
-	// grown is the bytes of the tables grown past the minimum size (the
-	// slab holds the rest); Bytes reports it. Atomic because inserts for
+	// grown is the bytes of the tables grown out of their slab regions;
+	// Bytes reports it next to the slab. Atomic because inserts for
 	// distinct nodes may race.
 	grown atomic.Int64
 }
@@ -64,18 +70,35 @@ func New(n int) *Store {
 	return s
 }
 
+// NewSized returns a store with one empty set per node, node v's table
+// sized to take hints[v] entries without growing. Every table is carved
+// from one slab, so a store whose hints cover its sets is built in a
+// handful of allocations and never grows; a set that outgrows its hint
+// grows as in any store.
+func NewSized(hints []int32) *Store {
+	s := &Store{}
+	s.gen++
+	s.layout(len(hints), func(v int) int { return tableSize(int(hints[v])) })
+	return s
+}
+
+// tableSize is the smallest table that takes entries inserts without
+// growing: put grows a table only to insert past ¾ load.
+func tableSize(entries int) int {
+	size := minTableSize
+	for (entries-1)*4 >= size*3 {
+		size *= 2
+	}
+	return size
+}
+
 // Reset empties every set (O(1) via the generation stamp) and re-sizes the
 // store to n nodes. Table capacity acquired by previous generations is
 // retained, for any n up to the largest the store has held, which is what
 // makes pooled reuse allocation-free: past the current length, tables and
 // meta entries keep stale generations, so they read as empty once a
-// Reset brings them back into range.
-//
-// Every node starts with a minimum-size table carved out of one shared
-// slab: n separate first-touch allocations become one, and the common
-// small sets (the threshold τ bounds forwarder sets) stay contiguous in
-// memory. Only tables that outgrow the minimum size get individual
-// backing from grow.
+// Reset brings them back into range. A store outgrowing its capacity is
+// laid out afresh with a minimum-size table per node.
 func (s *Store) Reset(n int) {
 	s.gen++
 	if n <= cap(s.meta) {
@@ -83,49 +106,64 @@ func (s *Store) Reset(n int) {
 		s.meta = s.meta[:n]
 		return
 	}
+	s.layout(n, func(int) int { return minTableSize })
+}
+
+// layout gives the store n empty sets, node v's table of size(v) slots,
+// all carved from one slab: n separate first-touch allocations become
+// one, and the sets stay contiguous in memory. Only tables that outgrow
+// their slab region get individual backing from grow.
+func (s *Store) layout(n int, size func(v int) int) {
 	s.tables = make([][]slot, n)
 	s.meta = make([]uint64, n)
+	s.off = make([]uint32, n+1)
+	for v := range n {
+		s.off[v+1] = s.off[v] + uint32(size(v))
+	}
+	s.slab = make([]slot, s.off[n])
 	s.grown.Store(0)
-	s.slab = make([]slot, n*minTableSize)
 	for v := range s.tables {
-		s.tables[v] = s.slabTable(v)
+		s.tables[v] = s.homeTable(v)
 	}
 }
 
-// slabTable is node v's minimum-size table in the slab.
-func (s *Store) slabTable(v int) []slot {
-	return s.slab[v*minTableSize : (v+1)*minTableSize : (v+1)*minTableSize]
+// homeTable is node v's table in the slab.
+func (s *Store) homeTable(v int) []slot {
+	return s.slab[s.off[v]:s.off[v+1]:s.off[v+1]]
 }
 
-// Trim empties every set and returns each table more than twice the
-// size its node's set needed to the minimum slab table, across the whole
+// homeLen is the size of node v's table in the slab.
+func (s *Store) homeLen(v int) int { return int(s.off[v+1] - s.off[v]) }
+
+// Trim empties every set and returns each grown table more than twice
+// the size its node's set needed to its slab region, across the whole
 // capacity, so a retained store follows the last generation's needs
-// instead of the maximum over every generation it served.
+// instead of the maximum over every generation it served. The slab
+// itself stays whole: its regions are not separate allocations.
 func (s *Store) Trim() {
 	tables, meta := s.tables[:cap(s.tables)], s.meta[:cap(s.meta)]
 	for v, tbl := range tables {
-		if len(tbl) <= minTableSize {
+		if len(tbl) == s.homeLen(v) {
 			continue
 		}
 		need := minTableSize
 		if m := meta[v]; uint32(m>>32) == s.gen {
-			for int(uint32(m))*4 >= need*3 {
-				need *= 2
-			}
+			need = tableSize(int(uint32(m)))
 		}
 		if len(tbl) > 2*need {
-			tables[v] = s.slabTable(v)
+			tables[v] = s.homeTable(v)
 			s.grown.Add(-int64(len(tbl)) * slotBytes)
 		}
 	}
 	s.gen++
 }
 
-// Bytes returns the store's retained size: its per-node tables and meta
-// across the whole capacity, plus the tables grown past the minimum.
+// Bytes returns the store's retained size: its per-node table headers,
+// meta and slab offsets across the whole capacity, the slab, and the
+// tables grown out of it.
 func (s *Store) Bytes() int64 {
-	const perNode = 8 + 24 + minTableSize*slotBytes // meta, table header, slab share
-	return int64(cap(s.meta))*perNode + s.grown.Load()
+	const perNode = 8 + 24 + 4 // meta, table header, slab offset
+	return int64(cap(s.meta))*perNode + int64(cap(s.slab))*slotBytes + s.grown.Load()
 }
 
 // NumNodes returns the number of per-node sets.
@@ -230,30 +268,30 @@ func (s *Store) Put(v NodeID, id uint64, val int32) (prev int32, existed bool) {
 func (s *Store) put(v NodeID, id uint64, val int32, overwrite bool) (prev int32, existed, inserted bool) {
 	live := s.lenOf(v)
 	tbl := s.tables[v]
-	// Grow at ¾ load (or allocate the first table) before probing, so the
-	// probe loop below always finds a dead slot.
-	if len(tbl) == 0 || int(live)*4 >= len(tbl)*3 {
-		tbl = s.grow(v)
-	}
 	mask := uint64(len(tbl) - 1)
-	for i := hash(id) & mask; ; i = (i + 1) & mask {
-		sl := &tbl[i]
-		if sl.gen != s.gen {
-			sl.gen = s.gen
-			sl.id = id
-			sl.val = val
-			s.meta[v] = uint64(s.gen)<<32 | uint64(uint32(live+1))
-			s.raiseMax(live + 1)
-			return 0, false, true
-		}
-		if sl.id == id {
-			prev = sl.val
+	i := hash(id) & mask
+	for ; tbl[i].gen == s.gen; i = (i + 1) & mask {
+		if tbl[i].id == id {
+			prev = tbl[i].val
 			if overwrite {
-				sl.val = val
+				tbl[i].val = val
 			}
 			return prev, true, false
 		}
 	}
+	// id is absent. An insert at ¾ load grows the table first, so every
+	// probe finds a dead slot; a duplicate never grows one, so a table
+	// sized for its set's entries holds it whatever arrives twice.
+	if int(live)*4 >= len(tbl)*3 {
+		tbl = s.grow(v)
+		mask = uint64(len(tbl) - 1)
+		for i = hash(id) & mask; tbl[i].gen == s.gen; i = (i + 1) & mask {
+		}
+	}
+	tbl[i] = slot{id: id, gen: s.gen, val: val}
+	s.meta[v] = uint64(s.gen)<<32 | uint64(uint32(live+1))
+	s.raiseMax(live + 1)
+	return 0, false, true
 }
 
 // raiseMax lifts the packed watermark to newLen if it exceeds the
@@ -271,18 +309,13 @@ func (s *Store) raiseMax(newLen int32) {
 	}
 }
 
-// grow doubles node v's table (or installs the retained one / a fresh
-// minimum-size one) and re-inserts the live entries.
+// grow doubles node v's table and re-inserts the live entries.
 func (s *Store) grow(v NodeID) []slot {
 	old := s.tables[v]
-	size := minTableSize
-	live := int(s.lenOf(v))
-	for size <= len(old) || live*4 >= size*3 {
-		size *= 2
-	}
+	size := 2 * len(old)
 	tbl := make([]slot, size)
 	grown := size
-	if len(old) > minTableSize {
+	if len(old) != s.homeLen(int(v)) {
 		grown -= len(old) // the table it replaces had grown too
 	}
 	s.grown.Add(int64(grown) * slotBytes)

@@ -151,11 +151,11 @@ func (c *ConvergecastOr) HandleRound(rt *congest.Session, u congest.NodeID, r in
 
 // BuildTree is a convenience wrapper running BFSTree on its own session and
 // returning it with the session report.
-func BuildTree(e *congest.Engine, root congest.NodeID) (*BFSTree, *congest.Report, error) {
+func BuildTree(e *congest.Engine, root congest.NodeID) (*BFSTree, congest.Report, error) {
 	t := &BFSTree{Root: root}
 	rep, err := e.Run(t)
 	if err != nil {
-		return nil, nil, fmt.Errorf("proto: BFS tree: %w", err)
+		return nil, congest.Report{}, fmt.Errorf("proto: BFS tree: %w", err)
 	}
 	return t, rep, nil
 }
