@@ -228,3 +228,25 @@ func TestArenaConcurrentEngines(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestEngineLaysOutOnGraphOffsets pins that engines read the graph's own
+// CSR row offsets rather than copying them, so a session from one engine
+// is re-laid onto another engine over the same graph without rebuilding
+// its per-node regions.
+func TestEngineLaysOutOnGraphOffsets(t *testing.T) {
+	g := graph.Gnm(64, 160, graph.NewRand(1))
+	e1, e2 := NewEngine(NewNetwork(g, 1)), NewEngine(NewNetwork(g, 2))
+	if &e1.adjOff[0] != &g.Offsets()[0] || &e2.adjOff[0] != &g.Offsets()[0] {
+		t.Fatal("an engine copied the graph's row offsets")
+	}
+	s := e1.newSession()
+	s.outTo[0] = nil // a rebuild would restore it
+	s.relay(e2)
+	if s.outTo[0] != nil {
+		t.Fatal("re-laying onto an engine over the same graph rebuilt the CSR regions")
+	}
+	s.relay(NewEngine(NewNetwork(graph.Gnm(64, 160, graph.NewRand(2)), 1)))
+	if s.outTo[0] == nil {
+		t.Fatal("re-laying onto another graph kept the old CSR regions")
+	}
+}

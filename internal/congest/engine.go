@@ -55,8 +55,8 @@ type Engine struct {
 	Observe func(rounds int, wall time.Duration)
 
 	// adjOff[u] is the base index of u's adjacency slots in the flat
-	// per-edge arrays (CSR layout over the sorted adjacency lists);
-	// adjOff[n] is the total directed-edge count.
+	// per-edge arrays; adjOff[n] is the total directed-edge count. It is
+	// the graph's own CSR row offsets (graph.Graph.Offsets), read-only.
 	adjOff []int32
 
 	// comp/numComp split cost accounting by component when set
@@ -71,12 +71,7 @@ type Engine struct {
 
 // NewEngine returns an engine for the network.
 func NewEngine(net *Network) *Engine {
-	n := net.NumNodes()
-	adjOff := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		adjOff[u+1] = adjOff[u] + int32(net.g.Degree(NodeID(u)))
-	}
-	e := &Engine{net: net, adjOff: adjOff}
+	e := &Engine{net: net, adjOff: net.g.Offsets()}
 	e.sessions.New = func() any { return e.newSession() }
 	return e
 }
@@ -281,7 +276,8 @@ type Session struct {
 	serialRound bool
 
 	// layout is the adjOff the CSR regions (outTo) are laid out for; a
-	// session re-laid onto the same layout skips the per-node rebuild.
+	// session re-laid onto the same layout — any engine over the same
+	// graph value — skips the per-node rebuild.
 	layout []int32
 
 	// lastSent[adjOff[u]+slot] = round stamp at which adjacency slot

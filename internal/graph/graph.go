@@ -38,6 +38,18 @@ func (g *Graph) Degree(v NodeID) int {
 	return int(g.offsets[v+1] - g.offsets[v])
 }
 
+// Offsets returns the CSR row offsets: v's adjacency list occupies
+// slots [Offsets()[v], Offsets()[v+1]) of the concatenated lists, and
+// Offsets()[NumNodes()] is the directed-edge count. The slice aliases
+// internal storage and must not be modified; graphs are immutable, so
+// two graphs share it only when they are the same value.
+func (g *Graph) Offsets() []int32 {
+	if len(g.offsets) == 0 {
+		return []int32{0}
+	}
+	return g.offsets
+}
+
 // Neighbors returns the sorted adjacency list of v. The returned slice
 // aliases internal storage and must not be modified.
 func (g *Graph) Neighbors(v NodeID) []int32 {

@@ -253,6 +253,25 @@ func TestHighGirth(t *testing.T) {
 	}
 }
 
+// TestHighGirthDrawsPinned pins the generator's output on the
+// benchmark's 20000-node spec: its searches may get cheaper, but every
+// rng draw and every accept decision must stay the same.
+func TestHighGirthDrawsPinned(t *testing.T) {
+	for seed, want := range map[uint64]string{
+		300: "ec1fc63fef2395a935f18ff4ab3d5b1f",
+		301: "b9285530058681ac825fa603164e750f",
+		302: "47bd82b0f7040ecbb71173d4c0b027aa",
+	} {
+		g, err := FromSpec("highgirth:20000:30000:8", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Fingerprint().String(); got != want {
+			t.Errorf("seed %d: fingerprint %s, want %s", seed, got, want)
+		}
+	}
+}
+
 func TestProjectivePlaneIncidence(t *testing.T) {
 	for _, q := range []int{2, 3, 5} {
 		g, err := ProjectivePlaneIncidence(q)

@@ -91,18 +91,22 @@ func PlantedHeavy(n, L, hubDeg int, avgDeg float64, rng *rand.Rand) (*Graph, []N
 func HighGirth(n, m, minGirth int, rng *rand.Rand) *Graph {
 	adj := make([][]int32, n)
 	dist := make([]int32, n)
+	for i := range dist {
+		dist[i] = -1
+	}
 	queue := make([]int32, 0, n)
 	edges := make([][2]NodeID, 0, m)
-	// Bounded BFS over the dynamic adjacency structure.
+	// Bounded BFS over the dynamic adjacency structure. The queue keeps
+	// every vertex the search labelled, so the next search resets only
+	// those, not all n.
 	farEnough := func(u, v int32) bool {
-		for i := range dist {
-			dist[i] = -1
+		for _, x := range queue {
+			dist[x] = -1
 		}
 		dist[u] = 0
 		queue = append(queue[:0], u)
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			x := queue[head]
 			if int(dist[x]) >= minGirth-1 {
 				continue
 			}

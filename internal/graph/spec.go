@@ -9,7 +9,7 @@ import (
 )
 
 // SpecHelp documents the generator-spec mini-language accepted by
-// FromSpec, shared by the cycledetect, cycleserved and cycleload commands.
+// FromSpec, shared by the cycledetect and cycleserved commands.
 const SpecHelp = `gnm:N:M          Erdős–Rényi G(N,M)
 planted:N:L:AVG  sparse host (avg degree AVG) + planted C_L
 heavy:N:L:HUB    planted C_L through a degree-HUB hub

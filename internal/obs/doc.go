@@ -17,9 +17,10 @@
 // observe path stays integer-only.
 //
 // ParseExposition is the inverse: a strict parser for the same format,
-// shared by the golden exposition test and cycleload's /metrics
-// scraper, with histogram delta (Sub) and quantile estimation
-// (Quantile) for server-side p50/p99 gating.
+// with Validate for histogram consistency, and CounterSum, Value and
+// MergedHistogram for reading a scrape back. The exposition tests, the
+// cycleserved HTTP replay tests and the benchmark harness's /metrics
+// scrape use it.
 //
 // Trace accumulates wall-clock time per request stage (validate, queue
 // wait, batch linger, engine, cache install). A nil *Trace disables

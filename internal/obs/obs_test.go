@@ -208,52 +208,6 @@ func TestRegistryRace(t *testing.T) {
 	wg.Wait()
 }
 
-func TestHistogramSnapshotDeltaAndQuantile(t *testing.T) {
-	mk := func(obs ...time.Duration) string {
-		r := NewRegistry()
-		h := r.Histogram("d_seconds", "x", DurationBuckets(), 1e-9)
-		for _, d := range obs {
-			h.ObserveDuration(d)
-		}
-		var b strings.Builder
-		if err := r.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	parse := func(text string) *HistogramSnapshot {
-		exp, err := ParseExposition(strings.NewReader(text))
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := exp.MergedHistogram("d_seconds")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-	before := parse(mk(time.Millisecond))
-	after := parse(mk(time.Millisecond, 2*time.Millisecond, 4*time.Millisecond, 40*time.Millisecond))
-	delta, err := after.Sub(before)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	if delta.Count != 3 {
-		t.Fatalf("delta count = %v, want 3", delta.Count)
-	}
-	p50 := delta.Quantile(0.50)
-	if p50 < 0.001 || p50 > 0.005 {
-		t.Errorf("p50 = %v, want within (1ms, 5ms]", p50)
-	}
-	p99 := delta.Quantile(0.99)
-	if p99 < 0.025 || p99 > 0.050 {
-		t.Errorf("p99 = %v, want within (25ms, 50ms]", p99)
-	}
-	if !math.IsNaN((&HistogramSnapshot{}).Quantile(0.5)) {
-		t.Errorf("empty snapshot quantile should be NaN")
-	}
-}
-
 func TestTrace(t *testing.T) {
 	var nilTrace *Trace
 	nilTrace.Add(StageEngine, time.Second) // must not panic

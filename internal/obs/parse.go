@@ -335,7 +335,7 @@ func validateHistogramFamily(fam *ParsedFamily) error {
 }
 
 // HistogramSnapshot is a point-in-time cumulative histogram extracted
-// from an exposition, suitable for delta and quantile arithmetic.
+// from an exposition.
 type HistogramSnapshot struct {
 	Bounds     []float64 // ascending, last is +Inf
 	Cumulative []float64 // cumulative counts aligned with Bounds
@@ -392,73 +392,6 @@ func (e *Exposition) MergedHistogram(name string) (*HistogramSnapshot, error) {
 	}
 	snap.Bounds, snap.Cumulative = bounds, cum
 	return snap, nil
-}
-
-// Sub returns the histogram of observations made between prev and h
-// (h minus prev). Bounds must match; a nil prev is treated as empty.
-func (h *HistogramSnapshot) Sub(prev *HistogramSnapshot) (*HistogramSnapshot, error) {
-	if prev == nil {
-		return h, nil
-	}
-	if len(prev.Bounds) != len(h.Bounds) {
-		return nil, fmt.Errorf("histogram bucket layout changed between scrapes (%d vs %d buckets)", len(prev.Bounds), len(h.Bounds))
-	}
-	out := &HistogramSnapshot{
-		Bounds:     h.Bounds,
-		Cumulative: make([]float64, len(h.Cumulative)),
-		Sum:        h.Sum - prev.Sum,
-		Count:      h.Count - prev.Count,
-	}
-	for i := range h.Cumulative {
-		if h.Bounds[i] != prev.Bounds[i] {
-			return nil, fmt.Errorf("histogram bucket bound changed between scrapes (%v vs %v)", prev.Bounds[i], h.Bounds[i])
-		}
-		out.Cumulative[i] = h.Cumulative[i] - prev.Cumulative[i]
-		if out.Cumulative[i] < 0 {
-			return nil, fmt.Errorf("histogram count went backwards at le=%v", h.Bounds[i])
-		}
-	}
-	return out, nil
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) with linear
-// interpolation inside the containing bucket, mirroring Prometheus's
-// histogram_quantile. Observations in the +Inf bucket clamp to the
-// highest finite bound. Returns NaN for an empty histogram.
-func (h *HistogramSnapshot) Quantile(q float64) float64 {
-	if h == nil || len(h.Bounds) == 0 {
-		return math.NaN()
-	}
-	total := h.Cumulative[len(h.Cumulative)-1]
-	if total <= 0 {
-		return math.NaN()
-	}
-	rank := q * total
-	for i, cum := range h.Cumulative {
-		if cum < rank {
-			continue
-		}
-		upper := h.Bounds[i]
-		if math.IsInf(upper, 1) {
-			// Clamp to the highest finite bound.
-			if i == 0 {
-				return math.NaN()
-			}
-			return h.Bounds[i-1]
-		}
-		lower := 0.0
-		prevCum := 0.0
-		if i > 0 {
-			lower = h.Bounds[i-1]
-			prevCum = h.Cumulative[i-1]
-		}
-		inBucket := cum - prevCum
-		if inBucket <= 0 {
-			return upper
-		}
-		return lower + (upper-lower)*(rank-prevCum)/inBucket
-	}
-	return h.Bounds[len(h.Bounds)-1]
 }
 
 // CounterSum returns the sum of a counter family's samples across all

@@ -37,7 +37,7 @@
 // cmd/cycleserved's /v1/jobs API, and a named-graph corpus registry so
 // requests can reference pre-registered instances instead of shipping
 // edge lists. See docs/ARCHITECTURE.md ("Service layer") for the request
-// lifecycle and cmd/cycleload for the closed-loop load generator.
+// lifecycle and benchmark/ for the HTTP load generator.
 //
 // Failure is typed: every post-validation error wraps one of four
 // sentinels — ErrDeadline (the request's deadline expired), ErrShed

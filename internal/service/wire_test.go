@@ -75,8 +75,8 @@ func TestResponseWireJSONGolden(t *testing.T) {
 
 // TestStatsWireJSONGolden pins the key names and key order of a
 // /v1/stats body, with every field set to a distinct value so a key
-// bound to the wrong field shows too. Dashboards, cycleload and the
-// benchmark decode these keys.
+// bound to the wrong field shows too. Dashboards, the cycleserved replay
+// tests and the benchmark decode these keys.
 func TestStatsWireJSONGolden(t *testing.T) {
 	st := Stats{
 		Requests: 1, Hits: 2, Coalesced: 3, Amplified: 4, Computed: 5,
