@@ -2,9 +2,10 @@ package evencycle
 
 // Documentation gates, run as part of the tier-1 suite (and therefore in
 // CI): every exported symbol of the facade carries a doc comment, every
-// internal package has a doc.go package document, and the documentation
+// internal package has a doc.go package document, the documentation
 // surface (docs/ARCHITECTURE.md, EXPERIMENTS.md) exists and is linked
-// from the README. EXPERIMENTS.md freshness is checked by a separate CI
+// from the README, and the facade and experiment harness stay below the
+// service layer as docs/ARCHITECTURE.md draws it. EXPERIMENTS.md freshness is checked by a separate CI
 // step that regenerates it and diffs.
 
 import (
@@ -13,6 +14,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -64,6 +66,38 @@ func TestFacadeSymbolsDocumented(t *testing.T) {
 	if len(missing) > 0 {
 		t.Fatalf("exported facade symbols without doc comments:\n  %s",
 			strings.Join(missing, "\n  "))
+	}
+}
+
+// TestFacadeAndHarnessBelowServiceLayer fails if a non-test file of the
+// facade or of internal/bench imports the service layer: the facade sits
+// on the detectors, the experiment harness reproduces the paper, and only
+// cmd/cycleserved serves.
+func TestFacadeAndHarnessBelowServiceLayer(t *testing.T) {
+	for _, dir := range []string{".", filepath.Join("internal", "bench")} {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkgs) == 0 {
+			t.Fatalf("no package parsed in %s", dir)
+		}
+		for _, pkg := range pkgs {
+			for name, file := range pkg.Files {
+				for _, imp := range file.Imports {
+					path, err := strconv.Unquote(imp.Path.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if path == "repro/internal/service" || path == "repro/internal/store" {
+						t.Errorf("%s imports %s", name, path)
+					}
+				}
+			}
+		}
 	}
 }
 

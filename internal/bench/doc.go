@@ -2,7 +2,7 @@
 // Table 1 rows and Figure 1 empirically: parameter sweeps over n, log–log
 // slope fitting against the theoretical exponents, and table rendering as
 // aligned text, CSV, or markdown. The registry (All) spans the scaling
-// experiments E1–E10, the ablations A1–A4, and D1, which pits the
+// experiments E1–E10, the ablations A1, A2 and A4, and D1, which pits the
 // deterministic broadcast detector (internal/deterministic) against the
 // randomized Algorithm 1. `cmd/benchtab -quick -md all` regenerates
 // EXPERIMENTS.md from the registry; CI checks the committed file matches.

@@ -58,8 +58,6 @@ func All() []Experiment {
 		{"E9", "density lemma dichotomy statistics (Lemma 4 / Figure 1)", E9},
 		{"E10", "error calibration: one-sidedness and detection rate", E10},
 		{"D1", "deterministic broadcast CONGEST vs randomized C_2k detection", D1},
-		{"S1", "detection service: saved work vs worker count × corpus mix", S1},
-		{"S2", "batched miss path: fused sessions vs solo reference", S2},
 		{"A1", "ablation: batch vs pipelined color-BFS scheduling", A1},
 		{"A2", "ablation: global vs constant local threshold on trap instances", A2},
 		{"A4", "ablation: quantum with vs without diameter reduction", A4},

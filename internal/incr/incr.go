@@ -2,7 +2,6 @@ package incr
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/congest"
 	"repro/internal/deterministic"
@@ -19,11 +18,6 @@ type Options struct {
 	Threshold int
 	// Runtime configures the engine exactly as in deterministic.Options.
 	congest.Runtime
-	// Cancel aborts the localized session at the next round boundary.
-	Cancel *congest.CancelFlag
-	// Observe receives each completed engine session's round count and
-	// wall clock (see congest.Engine.Observe); purely passive.
-	Observe func(rounds int, wall time.Duration)
 }
 
 // Result reports one warm-start recheck.
@@ -119,8 +113,6 @@ func Recheck(g *graph.Graph, added [][2]graph.NodeID, k int, opt Options) (*Resu
 	res, err := deterministic.Detect(sub, k, deterministic.Options{
 		Threshold: tau(n, k, opt),
 		Runtime:   opt.Runtime,
-		Cancel:    opt.Cancel,
-		Observe:   opt.Observe,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("incr: localized detect: %w", err)

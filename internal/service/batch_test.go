@@ -186,6 +186,13 @@ func TestBatchedEvenMatchesSoloService(t *testing.T) {
 			}
 		}
 	}
+	// Fusion merges work and never repeats it: one computation per key,
+	// and no more sessions than the solo service ran.
+	bst, sst := batched.Stats(), solo.Stats()
+	if bst.Computed != B || sst.EngineSessions != B || bst.EngineSessions > sst.EngineSessions {
+		t.Errorf("computed=%d sessions=%d (solo %d), want %d computed and at most %d sessions",
+			bst.Computed, bst.EngineSessions, sst.EngineSessions, B, B)
+	}
 
 	// Amplification through the fused path: raise the budget; not-found
 	// entries run only the missing trials, identically on both services.

@@ -22,8 +22,8 @@
 //
 // The cache-hit path performs no engine-session work: it is a map lookup
 // plus counter updates. Service.Stats exposes the request/hit/coalesce/
-// amplify/engine-session counters the load harness and the S1 experiment
-// assert on.
+// amplify/engine-session counters the service tests and cmd/cycleserved's
+// replay tests assert on.
 //
 // Every cache miss is computed by one executor as a batch (batch.go),
 // and batches form where misses already wait: at the admission gate. A

@@ -189,32 +189,71 @@ func TestAmplification(t *testing.T) {
 }
 
 // TestDeterministicResponsesByteIdentical serializes det-mode responses
-// across repeats, service configurations and seeds, requiring identical
-// bytes — the acceptance bar for the deterministic cache policy.
+// across repeats, service configurations, seeds and racing clients over a
+// mixed planted / C4-free corpus, requiring identical bytes per graph —
+// the acceptance bar for the deterministic cache policy — and one
+// computation per graph however many clients race (single-flight + cache).
 func TestDeterministicResponsesByteIdentical(t *testing.T) {
-	planted := plantedGraph(t, 250, 4, 12)
-	var want []byte
-	for _, cfg := range []Config{{Slots: 1}, {Slots: 4, Parallel: 2}, {Slots: 2, Workers: 2}} {
-		svc := New(cfg)
-		for rep := 0; rep < 3; rep++ {
-			// The seed must not matter for det mode: vary it per repeat.
-			req := &Request{Graph: planted, Algo: AlgoDet, K: 2, Seed: uint64(rep)}
-			resp, _, err := svc.Do(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.Marshal(resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = got
-			} else if string(got) != string(want) {
-				t.Fatalf("det response differs:\n  %s\n  %s", want, got)
-			}
+	corpus := []*graph.Graph{
+		plantedGraph(t, 250, 4, 12),
+		graph.HighGirth(300, 450, 6, graph.NewRand(13)),
+		plantedGraph(t, 300, 4, 14),
+		graph.HighGirth(300, 450, 6, graph.NewRand(15)),
+	}
+	distinct := int64(len(corpus))
+	want := make([][]byte, len(corpus))
+	var mu sync.Mutex
+	for _, tc := range []struct {
+		cfg     Config
+		clients int
+		// fuses: concurrent misses may share a session, so sessions are
+		// only bounded by the computation count, not equal to it.
+		fuses bool
+	}{
+		{Config{Slots: 1}, 1, false},
+		{Config{Slots: 4, Parallel: 2}, 1, false},
+		{Config{Slots: 2, Workers: 2}, 1, false},
+		// Batching off: the session count is exactly one per graph.
+		{Config{Slots: 4, BatchSize: 1}, 8, false},
+		{Config{Slots: 2, BatchSize: 8}, 8, true},
+	} {
+		svc := New(tc.cfg)
+		var wg sync.WaitGroup
+		for c := 0; c < tc.clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for rep := 0; rep < 3; rep++ {
+					for i := range corpus {
+						gi := (c + i) % len(corpus)
+						// The seed must not matter for det mode: vary it per repeat.
+						req := &Request{Graph: corpus[gi], Algo: AlgoDet, K: 2, Seed: uint64(3*c + rep)}
+						resp, _, err := svc.Do(context.Background(), req)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got, err := json.Marshal(resp)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						mu.Lock()
+						if want[gi] == nil {
+							want[gi] = got
+						} else if string(got) != string(want[gi]) {
+							t.Errorf("%+v: graph %d: det response differs:\n  %s\n  %s", tc.cfg, gi, want[gi], got)
+						}
+						mu.Unlock()
+					}
+				}
+			}(c)
 		}
-		if st := svc.Stats(); st.EngineSessions != 1 {
-			t.Fatalf("det repeats ran %d engine sessions, want 1 (seed is not in the det key)", st.EngineSessions)
+		wg.Wait()
+		st := svc.Stats()
+		if st.Computed != distinct || st.EngineSessions > distinct || (!tc.fuses && st.EngineSessions != distinct) {
+			t.Fatalf("%+v, %d clients: computed=%d engineSessions=%d for %d graphs (seed is not in the det key)",
+				tc.cfg, tc.clients, st.Computed, st.EngineSessions, distinct)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestReplayVerifiesParentFingerprint(t *testing.T) {
 // TestLegacyAddEdgesReplay: journals written by earlier builds carry
 // op=2 records with no lineage — they must keep replaying (same
 // copy-on-write construction, byte-equal fingerprints), just without a
-// recovered parent edge.
+// parent fingerprint to verify.
 func TestLegacyAddEdgesReplay(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(20, 3, 2)
@@ -99,9 +99,6 @@ func TestLegacyAddEdgesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkState(t, st, map[string]*graph.Graph{"g": want})
-	if _, ok := st.ParentFingerprint("g"); ok {
-		t.Fatal("legacy op=2 record must not synthesize a parent fingerprint")
-	}
 }
 
 // TestNoopAddEdgesSkipsJournal pins the write-side half of the no-op
@@ -133,62 +130,6 @@ func TestNoopAddEdgesSkipsJournal(t *testing.T) {
 	if after.WALBytes != before.WALBytes || after.Appended != before.Appended {
 		t.Fatalf("no-op AddEdges grew the journal: %d→%d bytes, %d→%d appends",
 			before.WALBytes, after.WALBytes, before.Appended, after.Appended)
-	}
-	if _, ok := st.ParentFingerprint("g"); ok {
-		t.Fatal("no-op AddEdges must not record a lineage edge")
-	}
-}
-
-// TestParentFingerprintLineage follows one lineage edge through append,
-// recovery, delete, and compaction: recovery rebuilds it from the
-// journal, delete drops it, and a compacted store starts with none
-// (snapshots hold values, not history).
-func TestParentFingerprintLineage(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, quietOpts(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent := testGraph(25, 3, 3)
-	if err := st.Create("g", parent); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.ParentFingerprint("g"); ok {
-		t.Fatal("freshly created graph has no mutation lineage yet")
-	}
-	if _, err := st.AddEdges("g", [][2]graph.NodeID{{0, 24}}); err != nil {
-		t.Fatal(err)
-	}
-	if fp, ok := st.ParentFingerprint("g"); !ok || fp != parent.Fingerprint() {
-		t.Fatalf("live lineage = (%s, %v), want parent %s", fp, ok, parent.Fingerprint())
-	}
-	st.Close()
-
-	st2, err := Open(dir, quietOpts(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp, ok := st2.ParentFingerprint("g"); !ok || fp != parent.Fingerprint() {
-		t.Fatalf("recovered lineage = (%s, %v), want parent %s", fp, ok, parent.Fingerprint())
-	}
-	if err := st2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st2.Close()
-
-	st3, err := Open(dir, quietOpts(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st3.Close()
-	if _, ok := st3.ParentFingerprint("g"); ok {
-		t.Fatal("lineage must not survive compaction: the snapshot holds no history")
-	}
-	if err := st3.Delete("g"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st3.ParentFingerprint("g"); ok {
-		t.Fatal("deleted graph still reports lineage")
 	}
 }
 

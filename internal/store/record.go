@@ -26,8 +26,7 @@ const (
 	// pre-mutation (parent) graph. Replay verifies the recovered parent
 	// against it before applying the delta — a recovered mutation chain
 	// that diverges from the acknowledged one is corruption, not a graph
-	// to silently rebuild differently — and the parent→child lineage is
-	// what recovery-time warm state is rebuilt from.
+	// to silently rebuild differently.
 	opAddEdgesFP opKind = 4
 )
 

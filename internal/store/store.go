@@ -123,7 +123,6 @@ type Store struct {
 
 	mu      sync.Mutex
 	graphs  map[string]*graph.Graph
-	parents map[string]graph.Fingerprint // last mutation's parent fp per name
 	seq     uint64
 	wal     *os.File
 	walSize int64
@@ -165,8 +164,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, opts: opts, graphs: graphs, seq: seq,
-		parents: make(map[string]graph.Fingerprint)}
+	st := &Store{dir: dir, opts: opts, graphs: graphs, seq: seq}
 	if err := st.recoverWAL(); err != nil {
 		return nil, err
 	}
@@ -216,12 +214,6 @@ func (st *Store) recoverWAL() error {
 			}
 			if err := applyRecord(st.graphs, rec); err != nil {
 				return fmt.Errorf("%w: journal %s: replaying seq %d: %v", ErrCorrupt, path, rec.seq, err)
-			}
-			switch rec.op {
-			case opAddEdgesFP:
-				st.parents[rec.name] = rec.parent
-			case opDelete:
-				delete(st.parents, rec.name)
 			}
 			st.seq = rec.seq
 			st.recovered++
@@ -400,7 +392,6 @@ func (st *Store) AddEdges(name string, edges [][2]graph.NodeID) (*graph.Graph, e
 		return nil, err
 	}
 	st.graphs[name] = ng
-	st.parents[name] = rec.parent
 	st.maybeCompactLocked()
 	return ng, nil
 }
@@ -421,23 +412,8 @@ func (st *Store) Delete(name string) error {
 		return err
 	}
 	delete(st.graphs, name)
-	delete(st.parents, name)
 	st.maybeCompactLocked()
 	return nil
-}
-
-// ParentFingerprint returns the fingerprint of the graph that name's most
-// recent mutation was applied to — the parent side of the newest
-// parent→child lineage edge — and whether one is known. Lineage spans the
-// journal: it is rebuilt on recovery from opAddEdgesFP records but not
-// preserved across compaction (snapshots hold values, not history), so a
-// recovered process can rebuild warm state for exactly the mutations the
-// journal still holds.
-func (st *Store) ParentFingerprint(name string) (graph.Fingerprint, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	fp, ok := st.parents[name]
-	return fp, ok
 }
 
 func (st *Store) usable() error {
