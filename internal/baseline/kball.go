@@ -2,13 +2,14 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/idset"
 )
 
-const kindEdge uint8 = 20 // an edge announcement (A = packed endpoints, B = TTL)
+const kindEdge uint8 = 20 // an edge announcement (A = arc key, B = TTL)
 
 // KBallResult reports the deterministic full-information detector.
 type KBallResult struct {
@@ -38,24 +39,40 @@ type queuedEdge struct {
 // the best TTL it has seen per edge and re-relays when a later arrival
 // improves it (otherwise far corners of the ball would be missed).
 //
-// The per-node edge → best-TTL sets use the same flat stamp-guarded
+// The per-node edge → best-TTL sets use the same flat generation-guarded
 // representation as the color-BFS identifier sets (internal/idset): the
 // ball sets are the dominant allocation of the deterministic baseline, and
 // unlike Go maps they can be upserted with zero steady-state allocations.
+// An edge {a, b}, a < b, is keyed by its arc index in the graph's CSR
+// layout, off[a] + the rank of b in a's sorted row: below 2m, inside
+// idset's id domain, where the packed endpoints would not be.
 type kballProto struct {
 	ttl0  int32        // initial TTL: k-1 hops of propagation
 	known *idset.Store // per-node edge → best TTL seen
 	queue [][]queuedEdge
 	qIdx  []int
+	// off and rows are the graph's CSR row offsets and sorted rows,
+	// which arc keys index.
+	off  []int32
+	rows [][]graph.NodeID
 }
 
 var _ congest.Handler = (*kballProto)(nil)
 
-func edgeKey(a, b graph.NodeID) uint64 {
+// arcKey is edge {a, b}'s key: its arc index in the lower endpoint's row.
+func (p *kballProto) arcKey(a, b graph.NodeID) uint64 {
 	if a > b {
 		a, b = b, a
 	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
+	rank, _ := slices.BinarySearch(p.rows[a], b)
+	return uint64(p.off[a]) + uint64(rank)
+}
+
+// arcEdge is the edge whose key is arc.
+func (p *kballProto) arcEdge(arc uint64) (a, b graph.NodeID) {
+	i, _ := slices.BinarySearch(p.off, int32(arc)+1)
+	a = graph.NodeID(i - 1)
+	return a, p.rows[a][int32(arc)-p.off[a]]
 }
 
 func (p *kballProto) Init(rt *congest.Session) {
@@ -63,10 +80,16 @@ func (p *kballProto) Init(rt *congest.Session) {
 	p.known = idset.New(n)
 	p.queue = make([][]queuedEdge, n)
 	p.qIdx = make([]int, n)
+	p.off = make([]int32, n+1)
+	p.rows = make([][]graph.NodeID, n)
+	for u := range n {
+		p.rows[u] = rt.Neighbors(graph.NodeID(u))
+		p.off[u+1] = p.off[u] + int32(len(p.rows[u]))
+	}
 	for u := 0; u < n; u++ {
 		v := graph.NodeID(u)
 		for _, w := range rt.Neighbors(v) {
-			key := edgeKey(v, w)
+			key := p.arcKey(v, w)
 			p.known.Put(v, key, p.ttl0)
 			if p.ttl0 > 0 {
 				p.queue[v] = append(p.queue[v], queuedEdge{key: key, ttl: p.ttl0 - 1})
@@ -102,14 +125,23 @@ func (p *kballProto) HandleRound(rt *congest.Session, u graph.NodeID, r int, inb
 	}
 }
 
-// ball returns the learned edge set of node u as a map (tests only).
+// ball returns the learned edge set of node u as a map from edgeKey to
+// TTL (tests only).
 func (p *kballProto) ball(u graph.NodeID) map[uint64]int32 {
 	out := make(map[uint64]int32, p.known.Len(u))
-	for _, key := range p.known.AppendIDs(u, nil) {
-		ttl, _ := p.known.Get(u, key)
-		out[key] = ttl
+	for _, arc := range p.known.AppendIDs(u, nil) {
+		ttl, _ := p.known.Get(u, arc)
+		out[edgeKey(p.arcEdge(arc))] = ttl
 	}
 	return out
+}
+
+// edgeKey packs edge {a, b} as min<<32 | max (tests only).
+func edgeKey(a, b graph.NodeID) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
 // DetectKBall is a deterministic C_{2k} detector in the spirit of

@@ -49,10 +49,13 @@ const ArenaMaxBytes = 8 << 20
 // 20000-node network put cycleserved's peak RSS anywhere from 33 to 44
 // MiB). And a reused value is whole from the start of its run, where a
 // fresh color-BFS invocation grows during it, so a collection that
-// lands mid-run marks more live heap (reusing the 1 MiB walk-key
-// protocols of 2000-node graphs raised peak RSS by an eighth while fresh
-// ones still grew). The cap keeps the sessions and color-BFS
-// invocations of networks up to a few thousand nodes.
+// lands mid-run marks more live heap (reusing walk-key protocols of
+// 2000-node graphs, at 1 MiB each, raised peak RSS by an eighth while
+// fresh ones still grew during their runs). The cap keeps the sessions,
+// color-BFS invocations and walk-key protocols of networks up to a few
+// thousand nodes: a k=3 protocol of a 2000-node planted graph is laid
+// out once at about 350 KB, while a k=2 one of a 20000-node graph
+// (about 4.1 MB, 8-byte walk-key slots included) is dropped.
 const ArenaMaxValueBytes = 512 << 10
 
 // kind[T] keys the arena's list of retained *T.

@@ -285,13 +285,13 @@ type Session struct {
 	// monotone stamp makes per-session clearing unnecessary.
 	lastSent []uint64
 
-	// Per-node deterministic random streams, reseeded lazily (on first use
-	// within a run) from (network seed, node, session tag). rands[u] wraps
-	// &pcgs[u]; both live in flat arrays so creating a session costs two
-	// allocations, not one per node.
-	pcgs   []rand.PCG
-	rands  []rand.Rand
-	rngGen []uint64
+	// rng is the per-node random streams, allocated the first time a
+	// handler draws (see Rand): a protocol that never draws, such as the
+	// deterministic detector, pays nothing for them. Atomic because
+	// handlers for distinct nodes may draw first in parallel; rngMu
+	// makes one of them build it.
+	rng   atomic.Pointer[rngState]
+	rngMu sync.Mutex
 
 	// Per-component accounting (Engine.SetComponents): compLast[c] is the
 	// last round in which a node of component c ran (-1 = never);
@@ -304,6 +304,17 @@ type Session struct {
 	// handler goroutine, and the round loop ends the session on it.
 	mu        sync.Mutex
 	violation error
+}
+
+// rngState is a session's per-node deterministic random streams across
+// its whole capacity, reseeded lazily (on first use within a run) from
+// (network seed, node, session tag): gen[u] is the run that last seeded
+// node u's. rands[u] wraps &pcgs[u]; all three live in flat arrays, so
+// building them costs three allocations, not one per node.
+type rngState struct {
+	pcgs  []rand.PCG
+	rands []rand.Rand
+	gen   []uint64
 }
 
 // inboxCursor is a receiver's delivery state: the region
@@ -333,16 +344,12 @@ func (e *Engine) newSession() *Session {
 		inCur:    make([]inboxCursor, n),
 		senders:  make([]NodeID, 0, n),
 		lastSent: make([]uint64, e.adjOff[n]),
-		pcgs:     make([]rand.PCG, n),
-		rands:    make([]rand.Rand, n),
-		rngGen:   make([]uint64, n),
 	}
 	for i := range s.wake {
 		s.wake[i] = -1
 	}
 	for u := 0; u < n; u++ {
 		s.outTo[u] = s.outToBuf[e.adjOff[u]:e.adjOff[u]:e.adjOff[u+1]]
-		s.rands[u] = *rand.New(&s.pcgs[u])
 	}
 	s.layout = e.adjOff
 	s.handlerFn = s.handlerWorker
@@ -373,9 +380,6 @@ func (s *Session) relay(e *Engine) {
 	s.inboxBuf = s.inboxBuf[:m]
 	s.inCur = s.inCur[:n]
 	s.lastSent = s.lastSent[:m]
-	s.pcgs = s.pcgs[:n]
-	s.rands = s.rands[:n]
-	s.rngGen = s.rngGen[:n]
 	for u := 0; u < n; u++ {
 		s.outTo[u] = s.outToBuf[e.adjOff[u]:e.adjOff[u]:e.adjOff[u+1]]
 	}
@@ -385,14 +389,20 @@ func (s *Session) relay(e *Engine) {
 }
 
 // Per-node and per-directed-edge bytes of a session's buffers (see
-// newSession), what an Arena charges for retaining one.
+// newSession), what an Arena charges for retaining one, and the per-node
+// bytes of its random streams once a handler has drawn.
 const (
-	sessionNodeBytes = 100
+	sessionNodeBytes = 60
 	sessionEdgeBytes = 44
+	rngNodeBytes     = 40
 )
 
 func (s *Session) retainedBytes() int64 {
-	return int64(cap(s.wake))*sessionNodeBytes + int64(cap(s.lastSent))*sessionEdgeBytes
+	bytes := int64(cap(s.wake))*sessionNodeBytes + int64(cap(s.lastSent))*sessionEdgeBytes
+	if s.rng.Load() != nil {
+		bytes += int64(cap(s.wake)) * rngNodeBytes
+	}
+	return bytes
 }
 
 // N returns the number of nodes in the network (global knowledge).
@@ -408,12 +418,35 @@ func (rt *Session) Neighbors(u NodeID) []NodeID { return rt.net.g.Neighbors(u) }
 // Rand returns u's deterministic random stream for this session.
 // Node-local.
 func (rt *Session) Rand(u NodeID) *rand.Rand {
-	if rt.rngGen[u] != rt.runGen {
-		rt.rngGen[u] = rt.runGen
-		seed := rt.net.nodeSeed(u, rt.sess)
-		rt.pcgs[u].Seed(seed, seed^nodeSeedXor)
+	st := rt.rng.Load()
+	if st == nil {
+		st = rt.buildRNG()
 	}
-	return &rt.rands[u]
+	if st.gen[u] != rt.runGen {
+		st.gen[u] = rt.runGen
+		seed := rt.net.nodeSeed(u, rt.sess)
+		st.pcgs[u].Seed(seed, seed^nodeSeedXor)
+	}
+	return &st.rands[u]
+}
+
+// buildRNG allocates the session's random streams across its capacity,
+// once, whichever handler draws first. Every cell's run stamp is 0,
+// which no run (runGen ≥ 1) matches, so each stream is seeded on first
+// use.
+func (s *Session) buildRNG() *rngState {
+	s.rngMu.Lock()
+	defer s.rngMu.Unlock()
+	if st := s.rng.Load(); st != nil {
+		return st
+	}
+	c := cap(s.wake)
+	st := &rngState{pcgs: make([]rand.PCG, c), rands: make([]rand.Rand, c), gen: make([]uint64, c)}
+	for u := range st.rands {
+		st.rands[u] = *rand.New(&st.pcgs[u])
+	}
+	s.rng.Store(st)
+	return st
 }
 
 // Send stages a message from u to its neighbor v for delivery at the start

@@ -133,12 +133,13 @@ func TestArenaCandidatesDoNotLeak(t *testing.T) {
 	}
 }
 
-// BenchmarkArenaMiss is one deterministic miss (n=500, k=3) on fresh
-// state and on state an arena retains from the previous iteration. The
-// protocol of a miss-det-open graph (n=2000) is past
-// congest.ArenaMaxValueBytes, so an arena keeps only its session.
+// BenchmarkArenaMiss is one deterministic k=3 run on a miss-det-open
+// graph (planted:2000:6:1.5) on fresh state and on state an arena
+// retains from the previous iteration. Its protocol (about 350 KB) is
+// under congest.ArenaMaxValueBytes, so an arena keeps it with the
+// session.
 func BenchmarkArenaMiss(b *testing.B) {
-	g := planted(b, 500, 3, 9)
+	g := planted(b, 2000, 3, 9)
 	for _, c := range []struct {
 		name  string
 		arena *congest.Arena
@@ -160,7 +161,9 @@ func BenchmarkArenaMiss(b *testing.B) {
 // of allocations on a 2000-node and an 8000-node graph instead of
 // growing every node's state one allocation at a time. The counts may
 // differ by the few allocations sync.Pool makes when a run first
-// touches a processor.
+// touches a processor. A k=3 detection of a miss-det-open graph
+// (planted:2000:6:1.5), whose length-3 keys the layout counts too, is
+// laid out once as well.
 func TestColdDetectAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -185,12 +188,23 @@ func TestColdDetectAllocs(t *testing.T) {
 	if math.Abs(counts[0]-counts[1]) > 2 {
 		t.Errorf("a cold Detect made %v allocations at n=2000 and %v at n=8000, want the same count", counts[0], counts[1])
 	}
+	g := planted(t, 2000, 3, 1)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Detect(g, 3, Options{Runtime: congest.Runtime{Workers: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Errorf("k=3, planted:2000:6:1.5: a cold Detect made %v allocations, want ≤ 100", allocs)
+	}
 }
 
 // TestArenaDropsLargeColdProtocol pins that the size a cold protocol
 // reports is what building it allocated, slabs included, so the arena's
 // per-value cap drops a 20000-node k=2 protocol, and retains neither it
-// nor the session (4.5 MiB) it ran on.
+// nor the session it ran on. It also bounds that protocol at 5 MB: its
+// 237,276 walk keys take 8-byte slots at up to ⅞ load, next to about
+// 70 bytes of per-node state.
 func TestArenaDropsLargeColdProtocol(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation sizes")
@@ -202,8 +216,8 @@ func TestArenaDropsLargeColdProtocol(t *testing.T) {
 	if got := p.retainedBytes(); got*10 < int64(built)*9 || got > int64(built) {
 		t.Fatalf("a cold protocol reports %d bytes, building it allocated %d", got, built)
 	}
-	if p.retainedBytes() <= congest.ArenaMaxValueBytes {
-		t.Fatalf("a 20000-node protocol reports %d bytes, want past %d", p.retainedBytes(), congest.ArenaMaxValueBytes)
+	if got := p.retainedBytes(); got <= congest.ArenaMaxValueBytes || got > 5e6 {
+		t.Fatalf("a 20000-node protocol reports %d bytes, want past %d and at most 5 MB", got, congest.ArenaMaxValueBytes)
 	}
 	arena := congest.NewArena(1)
 	if _, err := Detect(g, 2, Options{Runtime: congest.Runtime{Arena: arena}}); err != nil {

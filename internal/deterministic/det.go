@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/congest"
@@ -93,9 +93,8 @@ type candidate struct {
 
 // detProto is the broadcast-CONGEST handler. All per-node state is touched
 // only by that node's handler invocation, so the engine may execute
-// handlers in parallel; detections are buffered per node and merged into a
-// canonical order after the session (the same lock-free discipline as
-// core.ColorBFS).
+// handlers in parallel; detections go to one buffer under a lock, and are
+// sorted into a canonical order after the session.
 type detProto struct {
 	k   uint64 // target walk length (half cycle length)
 	tau int32
@@ -125,8 +124,12 @@ type detProto struct {
 	qslab []uint64
 	qOff  []uint32
 
-	detAt    [][]candidate
-	detCount atomic.Int64
+	// dets holds the candidates in arrival order; detMu guards it.
+	// Candidates are rare next to messages, so one lock-guarded buffer
+	// costs less than a per-node one, whose headers alone take 24 bytes
+	// a node and whose first appends allocate node by node.
+	detMu sync.Mutex
+	dets  []candidate
 
 	// walk is witness's 2k-slot scratch buffer.
 	walk []graph.NodeID
@@ -149,46 +152,72 @@ func takeDetProto(arena *congest.Arena, g *graph.Graph, k, tau int, tauAt []int3
 }
 
 // newDetProto builds a protocol for g in its final layout, so a cold run
-// grows nothing node by node. Node u's walk-key set holds at most τ keys:
-// its length-1 keys, one per neighbor, and its length-2 keys, one per
-// node s ≠ u two hops away, however many walks reach it (a walk back to
-// its source is dropped). Its table is sized for that many, which bounds
-// the whole set at k = 2, and counting distinct sources rather than
-// walks keeps a graph dense in C4s from sizing tables far past their
-// sets. Its relay queue holds the keys shorter than k: the length-1 keys
-// at k = 2, the same bound as its set at k = 3. Longer walks (k ≥ 3) add
-// keys, and at k ≥ 4 relays, that the sizes leave out; those sets and
+// grows nothing node by node. Node u's walk-key set holds at most τ keys,
+// one per (source, length): its length-1 keys, one per neighbor; its
+// length-2 keys, one per node s ≠ u two hops away; and, at k ≥ 3, its
+// length-3 keys, one per source s ≠ u in a neighbor w's length-2 set,
+// however many walks reach it (a walk back to its source is dropped).
+// Its table is sized for that many, capped at τ, which bounds the whole
+// set at k ≤ 3, and counting distinct sources rather than walks keeps a
+// graph dense in short cycles from sizing tables far past their sets.
+// Its relay queue holds the keys shorter than k among them. Longer walks
+// (k ≥ 4) add keys and relays that the sizes leave out; those sets and
 // queues grow as in a retained protocol.
 func newDetProto(g *graph.Graph, k int, tau int32, tauAt []int32) *detProto {
 	n := g.NumNodes()
 	hints := make([]int32, n)
 	qOff := make([]uint32, n+1)
-	seen := make([]int32, n) // seen[s] == u+1: s is counted for u
+	// seen2[s] == u+1: s is counted among u's length-2 sources; seen3
+	// likewise for length 3.
+	seen2 := make([]int32, n)
+	var seen3 []int32
+	if k >= 3 {
+		seen3 = make([]int32, n)
+	}
 	for u := range n {
 		t := int(tau)
 		if tauAt != nil {
 			t = int(tauAt[u])
 		}
+		mark := int32(u + 1)
 		nbrs := g.Neighbors(graph.NodeID(u))
-		keys := len(nbrs)
-	count:
+		// keys[h] counts u's length-(h+1) keys, each family stopping
+		// where the total reaches t.
+		keys := [3]int{len(nbrs)}
+	count2:
 		for _, w := range nbrs {
 			for _, s := range g.Neighbors(w) {
-				if keys >= t {
-					break count
+				if keys[0]+keys[1] >= t {
+					break count2
 				}
-				if int(s) != u && seen[s] != int32(u+1) {
-					seen[s] = int32(u + 1)
-					keys++
+				if int(s) != u && seen2[s] != mark {
+					seen2[s] = mark
+					keys[1]++
 				}
 			}
 		}
-		hints[u] = int32(min(keys, t))
-		relays := hints[u]
-		if k == 2 {
-			relays = int32(min(len(nbrs), t))
+		if k >= 3 {
+		count3:
+			for _, w := range nbrs {
+				for _, x := range g.Neighbors(w) {
+					for _, s := range g.Neighbors(x) {
+						if keys[0]+keys[1]+keys[2] >= t {
+							break count3
+						}
+						if int(s) != u && s != w && seen3[s] != mark {
+							seen3[s] = mark
+							keys[2]++
+						}
+					}
+				}
+			}
 		}
-		qOff[u+1] = qOff[u] + uint32(relays)
+		hints[u] = int32(min(keys[0]+keys[1]+keys[2], t))
+		relays := 0
+		for h := range min(k-1, len(keys)) {
+			relays += keys[h]
+		}
+		qOff[u+1] = qOff[u] + uint32(min(relays, t))
 	}
 	p := &detProto{
 		first: idset.NewSized(hints),
@@ -197,7 +226,6 @@ func newDetProto(g *graph.Graph, k int, tau int32, tauAt []int32) *detProto {
 		qIdx:  make([]int32, n),
 		qslab: make([]uint64, qOff[n]),
 		qOff:  qOff,
-		detAt: make([][]candidate, n),
 	}
 	for v := range p.queue {
 		p.queue[v] = p.homeQueue(v)
@@ -218,19 +246,12 @@ func (p *detProto) inSlab(v int, q []uint64) bool {
 
 // reset prepares a (possibly retained) protocol for a run on n ≤
 // capacity nodes: per-node state is re-sliced to n and cleared (a run
-// reads no cell past n, and candidate buffers are cleared wherever the
-// last run left them); queues and walk-key tables keep their capacity.
+// reads no cell past n), and the candidate buffer is emptied; queues,
+// walk-key tables and the candidate buffer keep their capacity.
 func (p *detProto) reset(n, k, tau int, tauAt []int32) {
 	p.k, p.tau, p.tauAt = uint64(k), idset.CapLen(tau), tauAt
-	if p.detCount.Load() != 0 {
-		// At the recording run's length, before a shrink hides buffers
-		// that a later grow would bring back.
-		for v := range p.detAt {
-			p.detAt[v] = p.detAt[v][:0]
-		}
-		p.detCount.Store(0)
-	}
-	p.over, p.queue, p.qIdx, p.detAt = p.over[:n], p.queue[:n], p.qIdx[:n], p.detAt[:n]
+	p.dets = p.dets[:0]
+	p.over, p.queue, p.qIdx = p.over[:n], p.queue[:n], p.qIdx[:n]
 	clear(p.over)
 	for v, q := range p.queue {
 		if len(q) > 0 {
@@ -264,16 +285,13 @@ func (p *detProto) keep(arena *congest.Arena) {
 // grown out of it, and the candidate and witness buffers.
 func (p *detProto) retainedBytes() int64 {
 	c := cap(p.over)
-	bytes := p.first.Bytes() + int64(c)*(1+24+4+4+24) + int64(cap(p.qslab))*8
+	bytes := p.first.Bytes() + int64(c)*(1+24+4+4) + int64(cap(p.qslab))*8
 	for v, q := range p.queue[:c] {
 		if !p.inSlab(v, q) {
 			bytes += int64(cap(q)) * 8
 		}
 	}
-	for _, d := range p.detAt[:c] {
-		bytes += int64(cap(d)) * 12
-	}
-	return bytes + int64(cap(p.walk))*4
+	return bytes + int64(cap(p.dets))*12 + int64(cap(p.walk))*4
 }
 
 func (p *detProto) Init(rt *congest.Session) {
@@ -349,20 +367,17 @@ func (p *detProto) accept(u graph.NodeID, m congest.Message) {
 	if firstParent, _ := p.first.Get(u, key); firstParent == int32(m.From()) {
 		return
 	}
-	p.detAt[u] = append(p.detAt[u], candidate{Node: u, Src: graph.NodeID(src), Second: m.From()})
-	p.detCount.Add(1)
+	p.detMu.Lock()
+	p.dets = append(p.dets, candidate{Node: u, Src: graph.NodeID(src), Second: m.From()})
+	p.detMu.Unlock()
 }
 
-// candidates merges the per-node detection buffers into a canonical order
-// (ascending node, then source), erasing any handler-scheduling order.
+// candidates sorts the detection buffer into a canonical order
+// (ascending node, then source, then second parent: each triple is
+// unique), erasing any handler-scheduling order, and returns it; it is
+// valid until the protocol's next reset.
 func (p *detProto) candidates() []candidate {
-	if p.detCount.Load() == 0 {
-		return nil
-	}
-	var out []candidate
-	for _, buf := range p.detAt {
-		out = append(out, buf...)
-	}
+	out := p.dets
 	slices.SortFunc(out, func(a, b candidate) int {
 		if a.Node != b.Node {
 			return int(a.Node) - int(b.Node)

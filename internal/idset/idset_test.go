@@ -96,17 +96,47 @@ type mapOp struct {
 	val  int32
 }
 
-// randomOps draws count operations on n sets of identifiers below 500;
-// without puts, every write is an insert.
+// randomOps draws count operations on n sets of identifiers below 500
+// and values below 1000, mixed with the domain's edges: id 0, the largest
+// id (idLimit−1), value 0 and the largest value (valLimit−1). Without
+// puts, every write is an insert.
 func randomOps(rng *rand.Rand, n, count int, puts bool) []mapOp {
 	ops := make([]mapOp, count)
 	for i := range ops {
 		ops[i] = mapOp{kind: rng.IntN(3), v: NodeID(rng.IntN(n)), id: uint64(rng.IntN(500)), val: int32(rng.IntN(1000))}
+		switch rng.IntN(40) {
+		case 0:
+			ops[i].id, ops[i].val = 0, 0
+		case 1:
+			ops[i].id = idLimit - 1
+		case 2:
+			ops[i].val = valLimit - 1
+		}
 		if ops[i].kind == 1 && !puts {
 			ops[i].kind = 0
 		}
 	}
 	return ops
+}
+
+// checkEmpty fails unless every set of s reads as empty to every reader,
+// for the identifiers an earlier generation's ops wrote: a table that
+// generation dirtied must not show through before the next write.
+func checkEmpty(t *testing.T, s *Store, prev []mapOp) {
+	t.Helper()
+	for v := range s.NumNodes() {
+		if s.Len(NodeID(v)) != 0 || len(s.AppendIDs(NodeID(v), nil)) != 0 {
+			t.Fatalf("node %d: Len %d, AppendIDs %v after a new generation began", v, s.Len(NodeID(v)), s.AppendIDs(NodeID(v), nil))
+		}
+	}
+	for _, op := range prev {
+		if _, ok := s.Get(op.v, op.id); ok {
+			t.Fatalf("node %d: id %d of an earlier generation is visible", op.v, op.id)
+		}
+	}
+	if s.MaxLen() != 0 {
+		t.Fatalf("MaxLen = %d after a new generation began", s.MaxLen())
+	}
 }
 
 // checkAgainstMap applies ops to s (whose sets must be empty) and to a
@@ -184,11 +214,13 @@ func checkAgainstMap(t *testing.T, s *Store, ops []mapOp, tau int32) []int32 {
 }
 
 // Randomized cross-check against Go maps, including growth well past the
-// initial table size and interleaved generations, on the minimum-size
-// layout and on sized layouts: hints equal to the sets' final sizes,
-// hints a quarter of them (every set outgrows its slab region), and
-// hints capped at τ+1 under inserts capped at τ. Later generations
-// re-use each layout, as a retained store does.
+// initial table size, the id/value domain's edges and interleaved
+// generations, on the minimum-size layout and on sized layouts: hints
+// equal to the sets' final sizes, hints a quarter of them (every set
+// outgrows its slab region), and hints capped at τ+1 under inserts
+// capped at τ. Later generations re-use each layout, as a retained store
+// does, beginning with a Reset or a Trim; every set must read as empty
+// before the new generation's first write clears its table.
 func TestRandomizedAgainstMap(t *testing.T) {
 	const n, tau = 16, 40
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -224,13 +256,23 @@ func TestRandomizedAgainstMap(t *testing.T) {
 			if grew := c.s.Bytes() > base; grew != c.grows {
 				t.Fatalf("Bytes %d → %d: grew %v, want %v", base, c.s.Bytes(), grew, c.grows)
 			}
+			prev := c.ops
 			for g := 1; g < len(gens); g++ {
-				c.s.Reset(n)
+				// Odd generations begin with Trim, which may return
+				// grown tables to regions an earlier generation dirtied.
+				if g%2 == 1 {
+					c.s.Trim()
+				} else {
+					c.s.Reset(n)
+				}
+				checkEmpty(t, c.s, prev)
+				prev = gens[g]
 				if c.tau > 0 {
-					checkAgainstMap(t, c.s, randomOps(rng, n, 20000, false), c.tau)
+					prev = randomOps(rng, n, 20000, false)
+					checkAgainstMap(t, c.s, prev, c.tau)
 					continue
 				}
-				checkAgainstMap(t, c.s, gens[g], 0)
+				checkAgainstMap(t, c.s, prev, 0)
 			}
 		})
 	}
@@ -246,7 +288,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		s.Reset(n)
 		for v := NodeID(0); v < n; v++ {
 			for id := uint64(0); id < perNode; id++ {
-				s.Insert(v, id*2654435761, int32(id))
+				s.Insert(v, id*2654435761%idLimit, int32(id))
 			}
 		}
 	}
@@ -297,16 +339,20 @@ func TestTrimFollowsLastGeneration(t *testing.T) {
 }
 
 // TestSizedLayoutBytes pins Bytes and Trim on a sized layout: the slab
-// holds one table per node sized for its hint, Bytes reports exactly
-// that slab plus the per-node headers, a set filled to its hint grows
-// nothing, a set filled past it adds its grown table, and Trim returns
-// an oversized grown table to its slab region — never freeing the slab
-// regions themselves, which Bytes keeps counting.
+// holds one table per node of the fewest slots that keep its hint at or
+// below ⅞ load (none for a hint of 0), Bytes reports exactly that slab
+// plus the per-node meta entries and offsets, a set filled to its hint
+// grows nothing, a set filled past it adds its grown table and the
+// per-node index of grown tables, and Trim returns an oversized grown
+// table to its slab region and drops the index once no grown table is
+// left — never freeing the slab regions themselves, which Bytes keeps
+// counting.
 func TestSizedLayoutBytes(t *testing.T) {
 	hints := []int32{0, 10, 100, 3}
 	s := NewSized(hints)
-	// Table sizes 4, 16, 256 and 4 slots keep each hint below ¾ load.
-	const perNode, slab = 8 + 24 + 4, (4 + 16 + 256 + 4) * slotBytes
+	// Table sizes 0, 12, 115 and 4 slots keep each hint at or below ⅞
+	// load: 10·8 ≤ 12·7, 100·8 ≤ 115·7, 3·8 ≤ 4·7.
+	const perNode, slab = 8 + 4, (0 + 12 + 115 + 4) * slotBytes
 	base := int64(len(hints)*perNode + slab)
 	if got := s.Bytes(); got != base {
 		t.Fatalf("Bytes = %d on a fresh sized layout, want %d", got, base)
@@ -326,13 +372,14 @@ func TestSizedLayoutBytes(t *testing.T) {
 	}); allocs != 0 || s.Bytes() != base {
 		t.Fatalf("filling every set to its hint made %v allocations and Bytes %d, want none and %d", allocs, s.Bytes(), base)
 	}
+	const index = 4 * 24 // the per-node index of grown tables
 	s.Reset(len(hints))
-	fill(3, 40) // 4 → 64 slots
-	if got, want := s.Bytes(), base+64*slotBytes; got != want {
+	fill(3, 40) // 4 → 64 slots: 40·8 > 32·7
+	if got, want := s.Bytes(), base+index+64*slotBytes; got != want {
 		t.Fatalf("Bytes = %d after node 3 outgrew its region, want %d", got, want)
 	}
 	s.Trim()
-	if got, want := s.Bytes(), base+64*slotBytes; got != want {
+	if got, want := s.Bytes(), base+index+64*slotBytes; got != want {
 		t.Fatalf("Bytes = %d after trimming a needed table, want %d", got, want)
 	}
 	s.Reset(len(hints))
@@ -346,5 +393,73 @@ func TestSizedLayoutBytes(t *testing.T) {
 	fill(3, 3)
 	if got := s.Bytes(); got != base {
 		t.Fatalf("Bytes = %d after refilling the slab regions, want %d", got, base)
+	}
+	// Node 0's region is empty: its first entry grows a minimum table.
+	fill(0, 1)
+	if got, want := s.Bytes(), base+index+minTableSize*slotBytes; got != want || s.Len(0) != 1 {
+		t.Fatalf("Bytes = %d, Len %d after an entry in an empty region, want %d and 1", got, s.Len(0), want)
+	}
+}
+
+// TestDomainIsEnforced pins the id/value domain: the largest id and value
+// round-trip, and an entry outside the domain panics rather than
+// corrupting a slot.
+func TestDomainIsEnforced(t *testing.T) {
+	s := New(1)
+	if !s.Insert(0, idLimit-1, valLimit-1) || !s.Insert(0, 0, 0) {
+		t.Fatal("inserts at the domain's edges failed")
+	}
+	if v, ok := s.Get(0, idLimit-1); !ok || v != valLimit-1 {
+		t.Fatalf("Get(idLimit−1) = (%d, %v), want (%d, true)", v, ok, valLimit-1)
+	}
+	if v, ok := s.Get(0, 0); !ok || v != 0 {
+		t.Fatalf("Get(0) = (%d, %v), want (0, true)", v, ok)
+	}
+	for _, e := range []struct {
+		id  uint64
+		val int32
+	}{{idLimit, 0}, {1, -1}, {1, valLimit}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Put(%d, %d) outside the domain did not panic", e.id, e.val)
+				}
+			}()
+			s.Put(0, e.id, e.val)
+		}()
+	}
+}
+
+// TestConcurrentDistinctNodes runs one goroutine per node, as parallel
+// handlers do: each grows its node's table out of the slab (racing the
+// others to create the index of grown tables) and, after a Reset,
+// clears it on its generation's first write. Run under -race.
+func TestConcurrentDistinctNodes(t *testing.T) {
+	const n, perNode = 8, 200
+	s := New(n)
+	for gen := range 3 {
+		if gen > 0 {
+			s.Reset(n)
+		}
+		done := make(chan struct{})
+		for v := range NodeID(n) {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				for id := range uint64(perNode) {
+					s.Insert(v, id*n+uint64(v)+uint64(gen), int32(id))
+				}
+			}()
+		}
+		for range n {
+			<-done
+		}
+		for v := range NodeID(n) {
+			if s.Len(v) != perNode {
+				t.Fatalf("generation %d: node %d holds %d ids, want %d", gen, v, s.Len(v), perNode)
+			}
+			if val, ok := s.Get(v, (perNode-1)*n+uint64(v)+uint64(gen)); !ok || val != perNode-1 {
+				t.Fatalf("generation %d: node %d lost its last id", gen, v)
+			}
+		}
 	}
 }

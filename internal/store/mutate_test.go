@@ -2,6 +2,8 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -167,4 +169,69 @@ func TestAddEdgesFPCrashRecovery(t *testing.T) {
 	if st2.Stats().Recovered != 4 {
 		t.Fatalf("recovered %d records, want 4", st2.Stats().Recovered)
 	}
+}
+
+// TestSnapshotSizeCounter pins the per-graph edge-byte counter that
+// AddEdges prices snapshots with: the snapshot size it gives equals the
+// size of the snapshot record compaction would write, after random
+// appends (duplicates, self-loops, edges already present and edges that
+// grow the vertex set included), after compaction, and after reopen.
+func TestSnapshotSizeCounter(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, quietOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(st *Store, when string) {
+		t.Helper()
+		for _, name := range st.Names() {
+			g, _ := st.Get(name)
+			want := (&record{op: opCreate, name: name, n: g.NumNodes(), edges: g.Edges()}).size()
+			if got := snapshotSize(name, g, st.edgeBytes[name]); got != want {
+				t.Fatalf("%s: %q prices its snapshot at %d bytes, the record is %d", when, name, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i, name := range []string{"a", "b"} {
+		if err := st.Create(name, testGraph(100, 3, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(st, "after create")
+	for i := range 200 {
+		name := []string{"a", "b"}[i%2]
+		g, _ := st.Get(name)
+		n := g.NumNodes()
+		batch := make([][2]graph.NodeID, 1+rng.Intn(4))
+		for j := range batch {
+			// Mostly endpoints inside the graph, so duplicates and
+			// present edges are common; now and then one past it.
+			u, v := rng.Intn(n), rng.Intn(n+n/20)
+			if j > 0 && rng.Intn(3) == 0 {
+				batch[j] = batch[j-1] // a duplicate within the batch
+				continue
+			}
+			batch[j] = [2]graph.NodeID{graph.NodeID(u), graph.NodeID(v)}
+		}
+		if _, err := st.AddEdges(name, batch); err != nil {
+			t.Fatal(err)
+		}
+		check(st, fmt.Sprintf("after append %d", i))
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(st, "after compaction")
+	if _, err := st.AddEdges("a", [][2]graph.NodeID{{0, 1}, {2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	check(st, "after an append past compaction")
+	st.Close()
+	st2, err := Open(dir, quietOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	check(st2, "after reopen")
 }

@@ -121,15 +121,20 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu      sync.Mutex
-	graphs  map[string]*graph.Graph
-	seq     uint64
-	wal     *os.File
-	walSize int64
-	payload []byte // scratch: encoded record payload
-	scratch []byte // scratch: framed payload (header + payload copy)
-	failed  error  // non-nil once a journal write/fsync failed
-	closed  bool
+	mu     sync.Mutex
+	graphs map[string]*graph.Graph
+	// edgeBytes[name] is the encoded size of graphs[name]'s canonical
+	// edge list, its count excluded: what snapshotSize prices a graph's
+	// snapshot record from, without materializing the list. Set at
+	// create and at recovery, and grown by the edges each append adds.
+	edgeBytes map[string]int
+	seq       uint64
+	wal       *os.File
+	walSize   int64
+	payload   []byte // scratch: encoded record payload
+	scratch   []byte // scratch: framed payload (header + payload copy)
+	failed    error  // non-nil once a journal write/fsync failed
+	closed    bool
 
 	appended    int64
 	compactions int64
@@ -167,6 +172,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	st := &Store{dir: dir, opts: opts, graphs: graphs, seq: seq}
 	if err := st.recoverWAL(); err != nil {
 		return nil, err
+	}
+	st.edgeBytes = make(map[string]int, len(st.graphs))
+	for name, g := range st.graphs {
+		st.edgeBytes[name] = encodedEdgeBytes(g)
 	}
 	return st, nil
 }
@@ -348,6 +357,7 @@ func (st *Store) Create(name string, g *graph.Graph) error {
 		return err
 	}
 	st.graphs[name] = g
+	st.edgeBytes[name] = edgesSize(rec.edges) - uvarintLen(uint64(len(rec.edges)))
 	st.maybeCompactLocked()
 	return nil
 }
@@ -384,14 +394,15 @@ func (st *Store) AddEdges(name string, edges [][2]graph.NodeID) (*graph.Graph, e
 	// what one snapshot record can hold — price the whole graph as
 	// compaction will have to write it, or the acknowledged state would
 	// become un-snapshottable.
-	snap := record{op: opCreate, name: name, n: ng.NumNodes(), edges: ng.Edges()}
-	if s := snap.size(); s > maxRecordPayload {
+	edgeBytes := st.edgeBytes[name] + addedEdgeBytes(g, edges)
+	if s := snapshotSize(name, ng, edgeBytes); s > maxRecordPayload {
 		return nil, fmt.Errorf("%w: %q: graph would encode to a %d-byte snapshot record (cap %d)", ErrTooLarge, name, s, maxRecordPayload)
 	}
 	if err := st.appendLocked(&rec); err != nil {
 		return nil, err
 	}
 	st.graphs[name] = ng
+	st.edgeBytes[name] = edgeBytes
 	st.maybeCompactLocked()
 	return ng, nil
 }
@@ -412,8 +423,55 @@ func (st *Store) Delete(name string) error {
 		return err
 	}
 	delete(st.graphs, name)
+	delete(st.edgeBytes, name)
 	st.maybeCompactLocked()
 	return nil
+}
+
+// snapshotSize is the exact size of g's snapshot record under name,
+// given the encoded size of its edge list (see Store.edgeBytes).
+func snapshotSize(name string, g *graph.Graph, edgeBytes int) int {
+	head := record{op: opCreate, name: name, n: g.NumNodes()}
+	return head.size() - uvarintLen(0) + uvarintLen(uint64(g.NumEdges())) + edgeBytes
+}
+
+// encodedEdgeBytes is the encoded size of g's canonical edge list (the
+// pairs u < v, the order Graph.Edges lists them in), its count excluded.
+func encodedEdgeBytes(g *graph.Graph) int {
+	n := 0
+	for u := range graph.NodeID(g.NumNodes()) {
+		for _, v := range g.Neighbors(u) {
+			if u < v {
+				n += uvarintLen(uint64(u)) + uvarintLen(uint64(v))
+			}
+		}
+	}
+	return n
+}
+
+// addedEdgeBytes is the encoded size of the edges that adding edges to
+// g actually adds: canonical pairs, self-loops and duplicates dropped,
+// and pairs g already holds left out.
+func addedEdgeBytes(g *graph.Graph, edges [][2]graph.NodeID) int {
+	n := graph.NodeID(g.NumNodes())
+	added := make([][2]graph.NodeID, 0, len(edges))
+	for _, e := range edges {
+		u, v := min(e[0], e[1]), max(e[0], e[1])
+		if u != v && (v >= n || !g.HasEdge(u, v)) {
+			added = append(added, [2]graph.NodeID{u, v})
+		}
+	}
+	slices.SortFunc(added, func(a, b [2]graph.NodeID) int {
+		if a[0] != b[0] {
+			return int(a[0] - b[0])
+		}
+		return int(a[1] - b[1])
+	})
+	bytes := 0
+	for _, e := range slices.Compact(added) {
+		bytes += uvarintLen(uint64(e[0])) + uvarintLen(uint64(e[1]))
+	}
+	return bytes
 }
 
 func (st *Store) usable() error {
