@@ -110,6 +110,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -117,6 +118,7 @@ import (
 	"os/signal"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -462,18 +464,60 @@ type apiError struct {
 // decodeBody reads the request body (at most 64 MiB) as exactly one JSON
 // value into v — unknown keys and anything after the value but
 // whitespace are errors — and answers 400 itself when it cannot. Every
-// handler that reads a body goes through it.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := service.DecodeStrict(http.MaxBytesReader(w, r.Body, 64<<20), v); err != nil {
+// handler that reads a body goes through it. graph points at v's inline
+// graph field: such a body is read whole into a recycled buffer and
+// parsed in one pass (service.DecodeGraphBody). A body without one (nil)
+// streams into service.DecodeStrict.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, graph **service.WireGraph) bool {
+	body := http.MaxBytesReader(w, r.Body, 64<<20)
+	var err error
+	if graph == nil {
+		err = service.DecodeStrict(body, v)
+	} else {
+		buf := bodyBufs.Get().(*[]byte)
+		if *buf, err = appendBody((*buf)[:0], body); err == nil {
+			err = service.DecodeGraphBody(*buf, v, graph)
+		}
+		if cap(*buf) <= maxPooledBody {
+			bodyBufs.Put(buf)
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding request: %v", err)})
 		return false
 	}
 	return true
 }
 
+// bodyBufs recycles the buffers decodeBody reads bodies into, so a small
+// body costs no allocation beyond DecodeStrict's own. A buffer an upload
+// grew past maxPooledBody is left to the collector: the pool holds no
+// upload-sized memory. Decoded values share no bytes with the buffer.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+const maxPooledBody = 64 << 10
+
+// appendBody appends all of r to b, growing it as io.ReadAll grows its
+// buffer.
+func appendBody(b []byte, r io.Reader) ([]byte, error) {
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
 func (srv *server) decodeRequest(w http.ResponseWriter, r *http.Request) (*service.Request, bool) {
 	var wire service.WireRequest
-	if !decodeBody(w, r, &wire) {
+	if !decodeBody(w, r, &wire, &wire.Graph) {
 		return nil, false
 	}
 	req, err := srv.svc.Resolve(&wire, srv.defaultIterations)
@@ -682,7 +726,7 @@ func checkRemoteSpec(spec string) error {
 func (srv *server) handleCorpusCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var body wireCorpusCreate
-	if !decodeBody(w, r, &body) {
+	if !decodeBody(w, r, &body, &body.Graph) {
 		return
 	}
 	var g *graph.Graph
@@ -724,7 +768,7 @@ type wireCorpusEdges struct {
 func (srv *server) handleCorpusAddEdges(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var body wireCorpusEdges
-	if !decodeBody(w, r, &body) {
+	if !decodeBody(w, r, &body, nil) {
 		return
 	}
 	if len(body.Edges) == 0 {

@@ -45,17 +45,19 @@ const ArenaMaxBytes = 8 << 20
 // retained value is reused only when no collection has run since it was
 // kept, so whether the next detection reuses it or allocates afresh is
 // up to the collector's timing, and the heap's peak moves with it from
-// one run of the same requests to the next (the 4.5 MiB session of a
-// 20000-node network put cycleserved's peak RSS anywhere from 33 to 44
-// MiB). And a reused value is whole from the start of its run, where a
-// fresh color-BFS invocation grows during it, so a collection that
-// lands mid-run marks more live heap (reusing walk-key protocols of
-// 2000-node graphs, at 1 MiB each, raised peak RSS by an eighth while
-// fresh ones still grew during their runs). The cap keeps the sessions,
-// color-BFS invocations and walk-key protocols of networks up to a few
-// thousand nodes: a k=3 protocol of a 2000-node planted graph is laid
-// out once at about 350 KB, while a k=2 one of a 20000-node graph
-// (about 4.1 MB, 8-byte walk-key slots included) is dropped.
+// one run of the same requests to the next (retaining the session of a
+// 20000-node network, then 4.5 MiB, put cycleserved's peak RSS anywhere
+// from 33 to 44 MiB; staged per node, a broadcast-only one is now about
+// 2.2 MB, still over the cap). And a reused value is whole from the
+// start of its run, where a fresh color-BFS invocation grows during it,
+// so a collection that lands mid-run marks more live heap (reusing
+// walk-key protocols of 2000-node graphs, at 1 MiB each, raised peak
+// RSS by an eighth while fresh ones still grew during their runs). The
+// cap keeps the sessions, color-BFS invocations and walk-key protocols
+// of networks up to a few thousand nodes: a k=3 protocol of a 2000-node
+// planted graph is laid out once at about 350 KB, while a k=2 one of a
+// 20000-node graph (about 4.1 MB, 8-byte walk-key slots included) is
+// dropped.
 const ArenaMaxValueBytes = 512 << 10
 
 // kind[T] keys the arena's list of retained *T.

@@ -15,11 +15,17 @@
 // number n of vertices. Session.Broadcast additionally models the Broadcast
 // CONGEST restriction (one message per round to all neighbors at once);
 // it is transcript-equivalent to a Send loop over the adjacency list.
+// A broadcast is staged once per node and written to each receiver
+// along the graph's CSR row at delivery; the per-edge staging Send
+// needs is built on a session's first Send, so a broadcast-only
+// protocol never pays for it.
 //
 // Simulation contract:
 //
 //   - One Message per directed edge per round, enforced; a second send on
-//     the same edge in the same round aborts the run with an error.
+//     the same edge in the same round aborts the run with an error, and
+//     so does a second Broadcast, or a Send and a Broadcast, by one node
+//     in one round.
 //   - A Message carries a kind byte and two payload words — a constant
 //     number of identifiers/counters, i.e. O(log n) bits (the host packs
 //     all of that into 16 bytes; see Message). Protocols that need to

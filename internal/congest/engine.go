@@ -173,7 +173,7 @@ func (e *Engine) putSession(s *Session) {
 		return
 	}
 	s.eng, s.net = nil, nil
-	Keep(e.Arena, s, cap(s.wake), cap(s.lastSent), s.retainedBytes())
+	Keep(e.Arena, s, cap(s.wake), cap(s.inboxBuf), s.retainedBytes())
 }
 
 // Session holds all mutable state of one engine session. Sessions are
@@ -217,17 +217,21 @@ type Session struct {
 	// Written only by u's own handler; reset via the pool bitmap walk.
 	wake []int32
 
-	// Outgoing messages staged by senders during the current round,
-	// structure-split so the delivery passes touch only what they need:
-	// outTo[u] holds the receivers (the counting pass scans 4 bytes per
-	// message) and outPay[adjOff[u]+i] the packed message of outTo[u][i]
-	// (read only by the scatter pass). Both are written only by u's
-	// handler, into one flat CSR buffer each, sized by degree: the
-	// bandwidth constraint (one message per directed edge per round) caps
-	// len(outTo[u]) at deg(u), so staging never allocates.
-	outTo    [][]NodeID
-	outPay   []Message
-	outToBuf []NodeID
+	// Broadcasts staged during the current round, one message per node:
+	// bcast[u] is u's message, staged iff bcastAt[u] equals the round
+	// stamp. Delivery writes it to every receiver of u's CSR row in the
+	// graph itself, so a broadcast costs no per-edge staging. Written
+	// only by u's handler.
+	bcast   []Message
+	bcastAt []uint64
+
+	// send is the per-edge staging of Send, built the first time a
+	// handler sends (see sendState): a protocol that only broadcasts,
+	// such as color-BFS or the deterministic detector, pays nothing for
+	// it. Atomic because handlers for distinct nodes may send first in
+	// parallel; sendMu makes one of them build it.
+	send   atomic.Pointer[sendState]
+	sendMu sync.Mutex
 
 	// Fixed-offset CSR inboxes. The bandwidth constraint caps a
 	// receiver's per-round inbox at its degree, so node u's inbox region
@@ -275,15 +279,10 @@ type Session struct {
 	senders     []NodeID
 	serialRound bool
 
-	// layout is the adjOff the CSR regions (outTo) are laid out for; a
-	// session re-laid onto the same layout — any engine over the same
-	// graph value — skips the per-node rebuild.
+	// layout is the adjOff the session, and the CSR regions of its Send
+	// state, are laid out for; a session re-laid onto the same layout —
+	// any engine over the same graph value — skips the per-node rebuild.
 	layout []int32
-
-	// lastSent[adjOff[u]+slot] = round stamp at which adjacency slot
-	// `slot` of u last carried a message (bandwidth enforcement). The
-	// monotone stamp makes per-session clearing unnecessary.
-	lastSent []uint64
 
 	// rng is the per-node random streams, allocated the first time a
 	// handler draws (see Rand): a protocol that never draws, such as the
@@ -317,6 +316,36 @@ type rngState struct {
 	gen   []uint64
 }
 
+// sendState is a session's Send staging across its whole capacity,
+// structure-split so the delivery passes touch only what they need:
+// outTo[u] holds the receivers of u's Sends this round and
+// outPay[adjOff[u]+i] the packed message of outTo[u][i]. Both are
+// written only by u's handler, into one flat CSR buffer each, sized by
+// degree: the bandwidth constraint (one message per directed edge per
+// round) caps len(outTo[u]) at deg(u), so staging never allocates.
+// lastSent[adjOff[u]+slot] is the round stamp at which adjacency slot
+// `slot` of u last carried a Send (bandwidth enforcement); the monotone
+// stamp makes per-session clearing unnecessary.
+type sendState struct {
+	outTo    [][]NodeID
+	outPay   []Message
+	outToBuf []NodeID
+	lastSent []uint64
+}
+
+// lay points outTo's CSR regions at adjOff's rows.
+func (st *sendState) lay(adjOff []int32) {
+	n := len(adjOff) - 1
+	m := adjOff[n]
+	st.outTo = st.outTo[:n]
+	st.outPay = st.outPay[:m]
+	st.outToBuf = st.outToBuf[:m]
+	st.lastSent = st.lastSent[:m]
+	for u := 0; u < n; u++ {
+		st.outTo[u] = st.outToBuf[adjOff[u]:adjOff[u]:adjOff[u+1]]
+	}
+}
+
 // inboxCursor is a receiver's delivery state: the region
 // inboxBuf[beg:pos] is u's inbox for the round whose stamp matches
 // (beg is u's static region base adjOff[u], cached here so reading an
@@ -337,19 +366,14 @@ func (e *Engine) newSession() *Session {
 		summary:  make([]uint64, (n+4095)/4096),
 		due:      make([]NodeID, 0, n),
 		wake:     make([]int32, n),
-		outTo:    make([][]NodeID, n),
-		outPay:   make([]Message, e.adjOff[n]),
-		outToBuf: make([]NodeID, e.adjOff[n]),
+		bcast:    make([]Message, n),
+		bcastAt:  make([]uint64, n),
 		inboxBuf: make([]Message, e.adjOff[n]),
 		inCur:    make([]inboxCursor, n),
 		senders:  make([]NodeID, 0, n),
-		lastSent: make([]uint64, e.adjOff[n]),
 	}
 	for i := range s.wake {
 		s.wake[i] = -1
-	}
-	for u := 0; u < n; u++ {
-		s.outTo[u] = s.outToBuf[e.adjOff[u]:e.adjOff[u]:e.adjOff[u+1]]
 	}
 	s.layout = e.adjOff
 	s.handlerFn = s.handlerWorker
@@ -359,11 +383,11 @@ func (e *Engine) newSession() *Session {
 
 // relay lays a retained session onto e's network, whose node and
 // directed-edge counts fit the session's capacity. Only the slice
-// lengths and the CSR regions of outTo change: between runs every
-// bitmap word is zero and every wake cell -1 across the whole capacity
-// (cleanup restores what a run touched, and cells past a shorter length
-// are left as they were), and the monotone stamps make every stale
-// inbox, bandwidth and rng cell miss.
+// lengths and, once built, the Send state's CSR regions change: between
+// runs every bitmap word is zero and every wake cell -1 across the whole
+// capacity (cleanup restores what a run touched, and cells past a
+// shorter length are left as they were), and the monotone stamps make
+// every stale inbox, broadcast, bandwidth and rng cell miss.
 func (s *Session) relay(e *Engine) {
 	s.eng, s.net = e, e.net
 	if len(s.layout) == len(e.adjOff) && &s.layout[0] == &e.adjOff[0] {
@@ -374,14 +398,12 @@ func (s *Session) relay(e *Engine) {
 	s.pool = s.pool[:(n+63)/64]
 	s.summary = s.summary[:(n+4095)/4096]
 	s.wake = s.wake[:n]
-	s.outTo = s.outTo[:n]
-	s.outPay = s.outPay[:m]
-	s.outToBuf = s.outToBuf[:m]
+	s.bcast = s.bcast[:n]
+	s.bcastAt = s.bcastAt[:n]
 	s.inboxBuf = s.inboxBuf[:m]
 	s.inCur = s.inCur[:n]
-	s.lastSent = s.lastSent[:m]
-	for u := 0; u < n; u++ {
-		s.outTo[u] = s.outToBuf[e.adjOff[u]:e.adjOff[u]:e.adjOff[u+1]]
+	if st := s.send.Load(); st != nil {
+		st.lay(e.adjOff)
 	}
 	s.layout = e.adjOff
 	// The shard bounds partition the old node range.
@@ -389,18 +411,25 @@ func (s *Session) relay(e *Engine) {
 }
 
 // Per-node and per-directed-edge bytes of a session's buffers (see
-// newSession), what an Arena charges for retaining one, and the per-node
-// bytes of its random streams once a handler has drawn.
+// newSession), what an Arena charges for retaining one; those its Send
+// state adds once a handler has sent; and the per-node bytes of its
+// random streams once a handler has drawn.
 const (
 	sessionNodeBytes = 60
-	sessionEdgeBytes = 44
+	sessionEdgeBytes = 16
+	sendNodeBytes    = 24
+	sendEdgeBytes    = 28
 	rngNodeBytes     = 40
 )
 
 func (s *Session) retainedBytes() int64 {
-	bytes := int64(cap(s.wake))*sessionNodeBytes + int64(cap(s.lastSent))*sessionEdgeBytes
+	nodes, edges := int64(cap(s.wake)), int64(cap(s.inboxBuf))
+	bytes := nodes*sessionNodeBytes + edges*sessionEdgeBytes
+	if s.send.Load() != nil {
+		bytes += nodes*sendNodeBytes + edges*sendEdgeBytes
+	}
 	if s.rng.Load() != nil {
-		bytes += int64(cap(s.wake)) * rngNodeBytes
+		bytes += nodes * rngNodeBytes
 	}
 	return bytes
 }
@@ -449,6 +478,31 @@ func (s *Session) buildRNG() *rngState {
 	return st
 }
 
+// sendStaging returns the session's Send state, building it across the
+// session's capacity, once, whichever handler sends first. Every
+// lastSent cell is 0, which no round stamp (≥ 1) matches, and every
+// outTo region is empty.
+func (s *Session) sendStaging() *sendState {
+	if st := s.send.Load(); st != nil {
+		return st
+	}
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	if st := s.send.Load(); st != nil {
+		return st
+	}
+	nodes, edges := cap(s.wake), cap(s.inboxBuf)
+	st := &sendState{
+		outTo:    make([][]NodeID, nodes),
+		outPay:   make([]Message, edges),
+		outToBuf: make([]NodeID, edges),
+		lastSent: make([]uint64, edges),
+	}
+	st.lay(s.layout)
+	s.send.Store(st)
+	return st
+}
+
 // Send stages a message from u to its neighbor v for delivery at the start
 // of the next round. It enforces the CONGEST constraints: v must be a
 // neighbor of u, each directed edge carries at most one message per
@@ -469,24 +523,28 @@ func (rt *Session) Send(u, v NodeID, kind uint8, a, b uint64) {
 		rt.fail(protocolErrorf("round %d: node %d sent to non-neighbor %d", rt.round, u, v))
 		return
 	}
+	st := rt.sendStaging()
 	es := rt.eng.adjOff[u] + int32(slot)
-	if rt.lastSent[es] == rt.stamp {
+	// A broadcast this round already used every edge of u.
+	if rt.bcastAt[u] == rt.stamp || st.lastSent[es] == rt.stamp {
 		rt.fail(protocolErrorf("round %d: node %d sent twice on edge to %d (bandwidth violation)", rt.round, u, v))
 		return
 	}
-	rt.lastSent[es] = rt.stamp
-	if rt.serialRound && len(rt.outTo[u]) == 0 {
+	st.lastSent[es] = rt.stamp
+	if rt.serialRound && len(st.outTo[u]) == 0 {
 		rt.senders = append(rt.senders, u)
 	}
-	rt.outPay[rt.eng.adjOff[u]+int32(len(rt.outTo[u]))] = packMessage(u, kind, a, b)
-	rt.outTo[u] = append(rt.outTo[u], v)
+	st.outPay[rt.eng.adjOff[u]+int32(len(st.outTo[u]))] = packMessage(u, kind, a, b)
+	st.outTo[u] = append(st.outTo[u], v)
 }
 
 // Broadcast stages the same message from u to every neighbor, in
 // adjacency order — equivalent to one Send per neighbor (identical
-// transcripts, enforced by the same bandwidth stamps) but without the
-// per-edge neighbor lookup, which is the dominant Send cost of
-// flood-style protocols. Node-local; not callable from Init.
+// transcripts, and any other Send or Broadcast by u in the same round
+// fails as a second message on an edge) but staged once per node, not
+// per edge, and without the per-edge neighbor lookup, which is the
+// dominant Send cost of flood-style protocols. Node-local; not callable
+// from Init.
 func (rt *Session) Broadcast(u NodeID, kind uint8, a, b uint64) {
 	if rt.inInit {
 		rt.fail(protocolErrorf("node %d sent during Init (before round 0)", u))
@@ -496,32 +554,26 @@ func (rt *Session) Broadcast(u NodeID, kind uint8, a, b uint64) {
 		rt.fail(protocolErrorf("round %d: node %d sent payload B=%d exceeding the %d-bit model word", rt.round, u, b, msgFieldBits))
 		return
 	}
-	out := rt.outTo[u]
-	if len(out) > 0 {
-		// A broadcast uses every one of u's edges, so any earlier staging
-		// this round already makes it a bandwidth violation — rejecting it
-		// here (rather than mid-loop) also keeps the payload region below
-		// within u's own CSR segment.
-		rt.fail(protocolErrorf("round %d: node %d broadcast after already sending to %d (bandwidth violation)", rt.round, u, out[0]))
+	// A broadcast uses every one of u's edges, so any earlier staging
+	// this round already makes it a bandwidth violation, named by the
+	// first receiver of that staging.
+	nbrs := rt.net.g.Neighbors(u)
+	if rt.bcastAt[u] == rt.stamp {
+		rt.fail(protocolErrorf("round %d: node %d broadcast after already sending to %d (bandwidth violation)", rt.round, u, nbrs[0]))
 		return
 	}
-	msg := packMessage(u, kind, a, b)
-	base := rt.eng.adjOff[u]
-	nbrs := rt.net.g.Neighbors(u)
-	if rt.serialRound && len(nbrs) > 0 {
+	if st := rt.send.Load(); st != nil && len(st.outTo[u]) > 0 {
+		rt.fail(protocolErrorf("round %d: node %d broadcast after already sending to %d (bandwidth violation)", rt.round, u, st.outTo[u][0]))
+		return
+	}
+	if len(nbrs) == 0 {
+		return
+	}
+	if rt.serialRound {
 		rt.senders = append(rt.senders, u)
 	}
-	// len(out) == 0 means no edge of u carries this round's stamp (every
-	// successful Send/Broadcast appends to out), so there is no conflict
-	// to check — the stamps only need recording so a later Send on any of
-	// these edges fails.
-	pay := rt.outPay[base : base+int32(len(nbrs))]
-	sent := rt.lastSent[base : base+int32(len(nbrs))]
-	for slot := range nbrs {
-		sent[slot] = rt.stamp
-		pay[slot] = msg
-	}
-	rt.outTo[u] = append(out, nbrs...)
+	rt.bcast[u] = packMessage(u, kind, a, b)
+	rt.bcastAt[u] = rt.stamp
 }
 
 func (rt *Session) neighborSlot(u, v NodeID) int {
@@ -601,10 +653,11 @@ func (s *Session) inboxCount(u NodeID) int {
 // pool bitmap, empty out buffers) so the Session can be reused. It walks
 // only the state the finished run actually touched.
 func (s *Session) cleanup() {
+	st := s.send.Load()
 	for _, u := range s.due {
 		s.wake[u] = -1
-		if len(s.outTo[u]) > 0 {
-			s.outTo[u] = s.outTo[u][:0]
+		if st != nil && len(st.outTo[u]) > 0 {
+			st.outTo[u] = st.outTo[u][:0]
 		}
 	}
 	s.due = s.due[:0]
@@ -905,30 +958,36 @@ func (s *Session) deliver(dropRng *rand.Rand, serialHandlers bool) int64 {
 	if serialHandlers {
 		senders = s.senders
 	}
+	st := s.send.Load()
 	var delivered int64
 	if s.shards > 1 && dropRng == nil {
 		staged := 0
 		for _, u := range senders {
-			staged += len(s.outTo[u])
+			to, _, _ := s.staged(st, u)
+			staged += len(to)
 		}
 		if staged >= s.eng.parallelThreshold() {
 			delivered = s.deliverSharded(senders)
 		} else {
-			delivered = s.deliverSerial(senders, dropRng)
+			delivered = s.deliverSerial(st, senders, dropRng)
 		}
 	} else {
-		delivered = s.deliverSerial(senders, dropRng)
+		delivered = s.deliverSerial(st, senders, dropRng)
 	}
 	if s.eng.numComp > 0 {
 		// Sender-side per-component counts: exact because components are
-		// forbidden together with DropProb, so staged == delivered.
+		// forbidden together with DropProb, so staged == delivered. A
+		// broadcaster is charged deg(u).
 		for _, u := range senders {
-			s.compMsgs[s.eng.comp[u]] += int64(len(s.outTo[u]))
+			to, _, _ := s.staged(st, u)
+			s.compMsgs[s.eng.comp[u]] += int64(len(to))
 		}
 	}
-	for _, u := range senders {
-		if len(s.outTo[u]) > 0 {
-			s.outTo[u] = s.outTo[u][:0]
+	if st != nil {
+		for _, u := range senders {
+			if len(st.outTo[u]) > 0 {
+				st.outTo[u] = st.outTo[u][:0]
+			}
 		}
 	}
 	if !serialHandlers {
@@ -941,19 +1000,36 @@ func (s *Session) deliver(dropRng *rand.Rand, serialHandlers bool) int64 {
 	return delivered
 }
 
+// staged returns what u staged this round under Send state st (nil if
+// never built): its receivers in staging order, and their messages,
+// receiver i's being pay[i&mask]. A broadcast's receivers are u's CSR
+// row in the graph and its one message is bcast[u] (mask 0); Sends have
+// one message per receiver (mask -1).
+func (s *Session) staged(st *sendState, u NodeID) (to []NodeID, pay []Message, mask int) {
+	if s.bcastAt[u] == s.stamp {
+		return s.net.g.Neighbors(u), s.bcast[u : u+1], 0
+	}
+	if st == nil {
+		return nil, nil, 0
+	}
+	to = st.outTo[u]
+	base := s.eng.adjOff[u]
+	return to, st.outPay[base : base+int32(len(to))], -1
+}
+
 // deliverSerial is the single-threaded delivery path: one scatter pass
-// over the staged out buffers. Receiver regions are static (adjOff), so
-// there is nothing to count or place; each message is one cursor bump
-// and one 16-byte copy, and the per-message drop draw (when fault
-// injection is on) happens in the same global staging order as always.
-func (s *Session) deliverSerial(senders []NodeID, dropRng *rand.Rand) int64 {
+// over the staged broadcasts and out buffers. Receiver regions are
+// static (adjOff), so there is nothing to count or place; each message
+// is one cursor bump and one 16-byte copy, and the per-message drop draw
+// (when fault injection is on) happens in the same global staging order
+// as always.
+func (s *Session) deliverSerial(st *sendState, senders []NodeID, dropRng *rand.Rand) int64 {
 	nextStamp := s.stamp + 1
 	adjOff := s.eng.adjOff
 	var delivered int64
 	for _, u := range senders {
-		out := s.outTo[u]
-		pay := s.outPay[adjOff[u]:]
-		for i, r := range out {
+		to, pay, mask := s.staged(st, u)
+		for i, r := range to {
 			if dropRng != nil && dropRng.Float64() < s.eng.DropProb {
 				continue
 			}
@@ -964,7 +1040,7 @@ func (s *Session) deliverSerial(senders []NodeID, dropRng *rand.Rand) int64 {
 				c.pos = c.beg
 				s.setPool(r)
 			}
-			s.inboxBuf[c.pos] = pay[i]
+			s.inboxBuf[c.pos] = pay[i&mask]
 			c.pos++
 			delivered++
 		}
@@ -1016,10 +1092,10 @@ func (s *Session) scatterShard(sh int) {
 	adjOff := s.eng.adjOff
 	recv := s.shardRecv[sh][:0]
 	count := int64(0)
+	st := s.send.Load()
 	for _, u := range s.sendList {
-		out := s.outTo[u]
-		pay := s.outPay[adjOff[u]:]
-		for i, r := range out {
+		to, pay, mask := s.staged(st, u)
+		for i, r := range to {
 			if r < lo || r >= hi {
 				continue
 			}
@@ -1030,7 +1106,7 @@ func (s *Session) scatterShard(sh int) {
 				c.pos = c.beg
 				recv = append(recv, r)
 			}
-			s.inboxBuf[c.pos] = pay[i]
+			s.inboxBuf[c.pos] = pay[i&mask]
 			c.pos++
 			count++
 		}

@@ -30,8 +30,10 @@ func (p *pingpong) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 // BenchmarkSessionRoundLoop measures allocs/op and ns/op of back-to-back
 // sessions on one engine — the hot path of every detector's trial loop.
 // Before the pooled-session refactor each run allocated all per-session
-// state (wake/out/lastSent/rngs/inbox arrays plus per-receiver inbox
-// slices); after it, steady-state runs reuse pooled buffers.
+// state (wake, out-buffer, RNG and inbox arrays plus per-receiver inbox
+// slices); after it, steady-state runs reuse pooled buffers. pingpong
+// sends, so the pooled session carries the per-edge Send state, built
+// by the first run.
 func BenchmarkSessionRoundLoop(b *testing.B) {
 	g := graph.Gnm(2048, 8192, graph.NewRand(7))
 	e := NewEngine(NewNetwork(g, 1))

@@ -34,7 +34,7 @@ func TestArenaDetectionMatchesFresh(t *testing.T) {
 	g := arenaGraph(t, 600, 3)
 	for _, opt := range []Options{
 		{Seed: 11, MaxIterations: 6, KeepGoing: true},
-		{Seed: 12, MaxIterations: 6, Parallel: -1},
+		{Seed: 12, MaxIterations: 6, Parallel: 2},
 		{Seed: 13, MaxIterations: 3, Pipelined: true, Threshold: 3},
 	} {
 		var want *Result
@@ -48,7 +48,18 @@ func TestArenaDetectionMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arena := congest.NewArena(2)
+		// The arena retains every invocation a run can hold at once:
+		// sched.Run keeps at most 4 trials per worker in flight, each
+		// holding the invocation it runs and a detecting one kept for the
+		// fold, and the fold keeps one winner. It starts with that many,
+		// each left by a τ = 1 run, so however the parallel trials are
+		// scheduled, g's run takes only invocations that overflowing runs
+		// and the warm-up runs below have dirtied.
+		inFlight := 1
+		if opt.Parallel > 1 {
+			inFlight = 4 * opt.Parallel
+		}
+		arena := dirtyArena(t, 2*inFlight+1)
 		warm := opt
 		warm.Arena = arena
 		// τ = 1 overflows nearly every forwarder: stale overflow flags and
@@ -89,6 +100,53 @@ func TestArenaDetectionMatchesFresh(t *testing.T) {
 			t.Fatalf("%+v: bounded arena run differs from a fresh one:\n got %+v\nwant %+v", opt, gotB, wantB)
 		}
 	}
+}
+
+// dirtyArena returns an arena retaining slots color-BFS invocations, each
+// laid out for a 1000-node graph and left by a τ = 1 run on it, which
+// overflowed forwarders.
+func dirtyArena(t *testing.T, slots int) *congest.Arena {
+	t.Helper()
+	g := arenaGraph(t, 1000, 4)
+	n := g.NumNodes()
+	colors := make([]int8, n)
+	rng := graph.NewRand(1)
+	for v := range colors {
+		colors[v] = int8(rng.IntN(4))
+	}
+	all := make([]bool, n)
+	for v := range all {
+		all[v] = true
+	}
+	arena := congest.NewArena(slots)
+	pool := NewColorBFSPool(arena, n)
+	eng := congest.NewEngine(congest.NewNetwork(g, 1))
+	held := make([]*ColorBFS, slots)
+	for i := range held {
+		b, err := pool.Acquire(ColorBFSSpec{L: 4, Color: colors, InH: all, InX: all, Threshold: 1, SeedProb: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Run(eng); err != nil {
+			t.Fatal(err)
+		}
+		if !b.Overflowed() {
+			t.Fatal("a τ = 1 color-BFS run overflowed no forwarder")
+		}
+		held[i] = b
+	}
+	for _, b := range held {
+		pool.Release(b)
+	}
+	pool.Close()
+	var kept int64
+	for _, b := range held {
+		kept += b.retainedBytes()
+	}
+	if got := arena.Bytes(); got != kept {
+		t.Fatalf("arena retains %d bytes of %d dirtied invocations, want %d", got, slots, kept)
+	}
+	return arena
 }
 
 // allocatedBytes returns the bytes f allocates.

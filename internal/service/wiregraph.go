@@ -30,6 +30,30 @@ func DecodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
+// DecodeGraphBody decodes body into v as DecodeStrict does — the same
+// accepted bodies, decoded values and errors — but reads an inline graph
+// in place, so a large body is scanned once instead of three times
+// (encoding/json finds a value's end, skips the graph member's bytes for
+// its Unmarshaler, and only then hands them to WireGraph.UnmarshalJSON).
+// v is a zero value and graph points at its field tagged "graph". When
+// body is an object with exactly one key that folds to "graph", spelled
+// so, unescaped, and holding a canonical wire graph, that member is
+// parsed straight into *graph and only the other members go through
+// DecodeStrict. Any other body, or one whose other members fail, is
+// decoded whole by DecodeStrict. FuzzDecodeBody (cmd/cycleserved)
+// checks the equivalence on both routes' bodies. Nothing decoded shares
+// bytes with body.
+func DecodeGraphBody(body []byte, v any, graph **WireGraph) error {
+	var wg WireGraph
+	p := wireParser{data: body}
+	if rest, ok := p.cutGraph(&wg); ok && DecodeStrict(bytes.NewReader(rest), v) == nil {
+		g := wg // on the heap only here: a body without a graph allocates none
+		*graph = &g
+		return nil
+	}
+	return DecodeStrict(bytes.NewReader(body), v)
+}
+
 // wireGraphFields is WireGraph without its UnmarshalJSON: the reflective
 // decode the fast path falls back to.
 type wireGraphFields WireGraph
@@ -46,7 +70,9 @@ type wireGraphFields WireGraph
 // only a type error's message names wireGraphFields and the inner field
 // path.
 func (wg *WireGraph) UnmarshalJSON(data []byte) error {
-	if p := (wireParser{data: data}); p.graph(wg) {
+	p := wireParser{data: data}
+	if parsed := *wg; p.graph(&parsed) && p.end() {
+		*wg = parsed
 		return nil
 	}
 	return DecodeStrict(bytes.NewReader(data), (*wireGraphFields)(wg))
@@ -69,6 +95,12 @@ func (p *wireParser) ws() {
 			return
 		}
 	}
+}
+
+// end reports whether only whitespace is left.
+func (p *wireParser) end() bool {
+	p.ws()
+	return p.i == len(p.data)
 }
 
 // byte consumes c after optional whitespace.
@@ -132,7 +164,7 @@ func (p *wireParser) key() (string, bool) {
 	return "", false
 }
 
-// graph parses a whole canonical wire graph into wg, which it touches
+// graph parses a canonical wire graph object into wg, which it touches
 // only on success; fields absent from the input keep their values, as
 // in the reflective decode.
 func (p *wireParser) graph(wg *WireGraph) bool {
@@ -171,10 +203,6 @@ func (p *wireParser) graph(wg *WireGraph) bool {
 				return false
 			}
 		}
-	}
-	p.ws()
-	if p.i != len(p.data) {
-		return false
 	}
 	if seenN {
 		wg.N = int(n)
@@ -216,4 +244,111 @@ func (p *wireParser) edges() ([][2]graph.NodeID, bool) {
 			return nil, false
 		}
 	}
+}
+
+// cutGraph splits a top-level object into its "graph" member, parsed
+// into wg, and the rest of the body: the object with that member and
+// one comma next to it cut out, followed by whatever the body holds
+// after the object. It reports false unless the member exists, its key
+// is the only one that folds to "graph", no key is escaped, and its
+// value is a canonical wire graph. The other members are skipped by
+// their string and bracket structure alone, which finds the end of
+// every valid JSON value; the rest keeps every byte outside the cut, so
+// DecodeStrict of the rest rejects whatever malformed JSON the skip
+// passed over, and so would DecodeStrict of the whole body.
+func (p *wireParser) cutGraph(wg *WireGraph) (rest []byte, ok bool) {
+	if !p.byte('{') || p.byte('}') {
+		return nil, false
+	}
+	from, to := -1, -1 // the cut
+	comma := -1        // the comma before the current member, if any
+	for {
+		p.ws()
+		start := p.i
+		k, ok := p.str()
+		if !ok || bytes.IndexByte(k, '\\') >= 0 || !p.byte(':') {
+			return nil, false
+		}
+		switch {
+		case string(k) == "graph" && from < 0:
+			if !p.graph(wg) {
+				return nil, false
+			}
+			from, to = start, p.i
+			if comma >= 0 {
+				from = comma
+			}
+		case bytes.EqualFold(k, []byte("graph")):
+			return nil, false
+		default:
+			if !p.skip() {
+				return nil, false
+			}
+		}
+		switch {
+		case p.byte('}'):
+			if from < 0 {
+				return nil, false
+			}
+			return append(p.data[:from:from], p.data[to:]...), true
+		case !p.byte(','):
+			return nil, false
+		}
+		comma = p.i - 1
+		if from == start {
+			to = p.i // the first member: cut the comma after it
+		}
+	}
+}
+
+// str parses a string and returns its raw bytes between the quotes.
+func (p *wireParser) str() ([]byte, bool) {
+	if !p.byte('"') {
+		return nil, false
+	}
+	start := p.i
+	for ; p.i < len(p.data); p.i++ {
+		switch p.data[p.i] {
+		case '"':
+			p.i++
+			return p.data[start : p.i-1], true
+		case '\\':
+			p.i++
+		}
+	}
+	return nil, false
+}
+
+// skip passes over one value: a string, an object or array by its
+// brackets, or a scalar up to the next delimiter.
+func (p *wireParser) skip() bool {
+	p.ws()
+	start := p.i
+	depth := 0
+	for p.i < len(p.data) {
+		switch c := p.data[p.i]; c {
+		case '"':
+			if _, ok := p.str(); !ok {
+				return false
+			}
+			if depth == 0 {
+				return true
+			}
+			continue
+		case '{', '[':
+			depth++
+		case '}', ']', ',', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return p.i > start
+			}
+			if c == '}' || c == ']' {
+				if depth--; depth == 0 {
+					p.i++
+					return true
+				}
+			}
+		}
+		p.i++
+	}
+	return false
 }

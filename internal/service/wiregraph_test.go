@@ -116,8 +116,46 @@ func TestWireGraphFastPathTaken(t *testing.T) {
 	}
 }
 
+// TestDecodeGraphBodyCutsGraphMember pins that the bodies clients send
+// take the one-pass path: the graph member, and one comma next to it,
+// is cut out of the body and parsed in place, and only the rest reaches
+// DecodeStrict. A body the cut refuses still decodes, whole.
+func TestDecodeGraphBodyCutsGraphMember(t *testing.T) {
+	const g = `{"n":3,"edges":[[0,1],[1,2],[2,0]]}`
+	want := WireGraph{N: 3, Edges: [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 0}}}
+	for _, tc := range []struct{ body, rest string }{
+		{`{"graph":` + g + `}`, `{}`},
+		{`{"algo":"even","k":2,"graph":` + g + `,"seed":7,"trace":true}`, `{"algo":"even","k":2,"seed":7,"trace":true}`},
+		{`{"graph":` + g + `, "algo":"det"}`, `{ "algo":"det"}`},
+		{`{"algo":"det" , "graph" : ` + g + ` } `, `{"algo":"det"  } `},
+	} {
+		var wg WireGraph
+		p := wireParser{data: []byte(tc.body)}
+		rest, ok := p.cutGraph(&wg)
+		if !ok || string(rest) != tc.rest || !reflect.DeepEqual(wg, want) {
+			t.Fatalf("cutGraph(%s) = %q, %v, %+v; want %q and the graph", tc.body, rest, ok, wg, tc.rest)
+		}
+		var req WireRequest
+		if err := DecodeGraphBody([]byte(tc.body), &req, &req.Graph); err != nil || req.Graph == nil || !reflect.DeepEqual(*req.Graph, want) {
+			t.Fatalf("DecodeGraphBody(%s): %v, graph %+v", tc.body, err, req.Graph)
+		}
+	}
+	for _, body := range []string{
+		`{"Graph":` + g + `}`,
+		`{"graph":` + g + `,"graph":` + g + `}`,
+		`{"graph":{"n":3.0}}`,
+		`{"k":2}`,
+	} {
+		p := wireParser{data: []byte(body)}
+		if _, ok := p.cutGraph(&WireGraph{}); ok {
+			t.Fatalf("cutGraph(%s) took a body the whole decode must read", body)
+		}
+	}
+}
+
 // BenchmarkWireGraphDecode compares the fast path with the reflective
-// decode on a benchmark-sized inline graph.
+// decode on a benchmark-sized inline graph, and the one-pass decode of
+// a request body that carries it with DecodeStrict of that body.
 func BenchmarkWireGraphDecode(b *testing.B) {
 	g, _, err := graph.PlantedLight(1000, 4, 1.5, graph.NewRand(3))
 	if err != nil {
@@ -141,6 +179,25 @@ func BenchmarkWireGraphDecode(b *testing.B) {
 		for b.Loop() {
 			var wg wireGraphFields
 			if err := DecodeStrict(bytes.NewReader(body), &wg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	req := []byte(`{"algo":"det","k":2,"graph":` + string(body) + `}`)
+	b.Run("request/strict", func(b *testing.B) {
+		b.SetBytes(int64(len(req)))
+		for b.Loop() {
+			var wr WireRequest
+			if err := DecodeStrict(bytes.NewReader(req), &wr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("request/one-pass", func(b *testing.B) {
+		b.SetBytes(int64(len(req)))
+		for b.Loop() {
+			var wr WireRequest
+			if err := DecodeGraphBody(req, &wr, &wr.Graph); err != nil {
 				b.Fatal(err)
 			}
 		}
