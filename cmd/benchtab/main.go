@@ -4,13 +4,12 @@
 //
 // Usage:
 //
-//	benchtab [-quick] [-seed N] [-csv|-md] [-out FILE] [-workers W] [-parallel P] [E1,E3,... | all]
+//	benchtab [-quick] [-seed N] [-csv|-md] [-out FILE] [-parallel P] [E1,E3,... | all]
 //	benchtab -quick -md -out EXPERIMENTS.md all
 //
-// -workers sets the per-session goroutine pool of the CONGEST simulator;
 // -parallel sets how many independent detection trials each sweep point
-// runs concurrently on the shared trial scheduler (internal/sched). Both
-// leave every table byte-identical to the sequential run.
+// runs concurrently on the shared trial scheduler (internal/sched); it
+// leaves every table byte-identical to the sequential run.
 //
 // -md renders GitHub-flavored markdown with a generation preamble — the
 // renderer behind the committed EXPERIMENTS.md, which CI regenerates
@@ -45,7 +44,6 @@ func run() error {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	md := flag.Bool("md", false, "emit GitHub-flavored markdown with a generation preamble (EXPERIMENTS.md mode)")
 	out := flag.String("out", "", "output file (default stdout)")
-	workers := flag.Int("workers", 0, "simulator goroutine pool size (0 = GOMAXPROCS)")
 	parallel := flag.Int("parallel", 1,
 		"independent detection trials in flight per sweep point (0 = GOMAXPROCS, 1 = sequential); tables are identical either way")
 	flag.Parse()
@@ -77,10 +75,10 @@ func run() error {
 	if par == 0 {
 		par = -1 // sched.TrialRunner: negative means GOMAXPROCS
 	}
-	cfg := bench.Config{Quick: *quick, Seed: *seed, Workers: *workers, Parallel: par}
+	cfg := bench.Config{Quick: *quick, Seed: *seed, Parallel: par}
 	if *md {
 		// The preamble records how to regenerate the file byte-identically;
-		// tables depend only on (seed, quick), never on workers/parallel.
+		// tables depend only on (seed, quick), never on parallel.
 		mode := "full sweeps"
 		if *quick {
 			mode = "quick sweeps"

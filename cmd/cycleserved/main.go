@@ -152,7 +152,6 @@ func run() error {
 	queue := flag.Int("queue", 1024, "admission queue bound, counting every queued miss (fusable ones too); deeper requests are rejected (negative = unbounded)")
 	cache := flag.Int("cache", 1024, "verdict cache capacity (entries)")
 	parallel := flag.Int("parallel", 1, "trial parallelism of bounded/odd requests (0 = GOMAXPROCS); even/det run on one fused session")
-	workers := flag.Int("workers", 0, "engine goroutine pool per session (0 = GOMAXPROCS)")
 	iterations := flag.Int("iterations", 32, "default trial budget for randomized requests that omit one")
 	batch := flag.Int("batch", 0, "fused miss-path batch size: a miss granted a slot takes compatible queued misses into one engine session (0 = default 8, 1 = disable)")
 	corpusSeed := flag.Uint64("corpus-seed", 1, "seed for randomized corpus generators")
@@ -213,7 +212,6 @@ func run() error {
 		MaxQueue:        *queue,
 		CacheEntries:    *cache,
 		Parallel:        par,
-		Workers:         *workers,
 		BatchSize:       *batch,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,

@@ -62,6 +62,7 @@ func TestCorpusMutationEndpoints(t *testing.T) {
 		{"add-edges-unknown", "POST", "/v1/corpus/ghost/edges", `{"edges":[[0,1]]}`, 404},
 		{"add-edges-empty", "POST", "/v1/corpus/ring/edges", `{"edges":[]}`, 400},
 		{"add-edges-negative", "POST", "/v1/corpus/ring/edges", `{"edges":[[-1,2]]}`, 400},
+		{"add-edges-balloon", "POST", "/v1/corpus/ring/edges", `{"edges":[[0,4194304]]}`, 400},
 		{"detect-on-corpus", "POST", "/v1/detect", `{"algo":"det","k":2,"corpus":"ring"}`, 200},
 		{"detect-unknown-corpus", "POST", "/v1/detect", `{"algo":"det","k":2,"corpus":"ghost"}`, 404},
 		{"delete", "DELETE", "/v1/corpus/gen", ``, 200},

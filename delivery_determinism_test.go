@@ -1,15 +1,15 @@
 package evencycle
 
-// Transcript-invariance pins for the sharded delivery pipeline, at the
-// detector level: every detector of the repository must produce a
-// bit-identical result fingerprint for every (Workers,
-// ParallelThreshold) engine configuration — including thresholds of 1,
-// which force the work-stealing handler pool and the sharded scatter
-// onto every round. CI runs this file under -race, so the parallel
-// paths are exercised with full instrumentation.
+// Transcript pins at the detector level: every detector of the
+// repository must produce the same result fingerprint on fresh engine
+// state and on state an arena retained from earlier runs (re-laid onto
+// networks of other sizes), and that fingerprint must hash to the value
+// pinned below. CI runs this file under -race.
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -26,19 +26,30 @@ import (
 // networks of every size the suite runs.
 var deliveryArena = congest.NewArena(2)
 
-// engineCfgs spans serial and forced-parallel runs at 2 and 8 workers,
-// each fresh or on state an arena retained from earlier runs. Delivery
-// takes one shard per worker and at least 64 nodes per shard, so on the
-// 600-node instances 8 workers get 8 shards and on the 400-node ones 6.
+// engineCfgs runs every detector fresh and on arena-retained state.
 var engineCfgs = []struct {
 	name string
 	rt   congest.Runtime
 }{
-	{"serial", congest.Runtime{Workers: 1}},
-	{"w2", congest.Runtime{Workers: 2, ParallelThreshold: 1}},
-	{"w8", congest.Runtime{Workers: 8, ParallelThreshold: 1}},
-	{"serial-arena", congest.Runtime{Workers: 1, Arena: deliveryArena}},
-	{"w8-arena", congest.Runtime{Workers: 8, ParallelThreshold: 1, Arena: deliveryArena}},
+	{"fresh", congest.Runtime{}},
+	{"arena", congest.Runtime{Arena: deliveryArena}},
+}
+
+// fingerprintPins is the SHA-256 of each subtest's result fingerprint
+// (fmt's %+v of the result). A change that moves one has changed a
+// transcript, a cost or a witness.
+var fingerprintPins = map[string]string{
+	"even-batch":             "a89b10ffac2c62406ae1046d08d735ddf73d1c713990b7d99992fe9d274e0847",
+	"even-pipelined":         "0d5a4f645d0e700ba169005ec92dbcbb36bda4a5bb0bd03eef4c8541c8043d54",
+	"bounded-skip-batch":     "69eb39611c77954a63265a7ae8c71416e8e6118c23e2ca5a9baf5b76aceb498f",
+	"bounded-skip-pipelined": "4ea846a4238844f428532aa8a5b09b3ca14bcfd8e6522123d5dc4c9c968e2119",
+	"listing":                "126a4e52bfaab2ba9122ca488a336f2840a2bd7fd6dc9247057f6038a4b0cf14",
+	"lowprob-even":           "224474bdd90e0fe0369065e79b74011a58125e7f138a49e24f2489254afd8367",
+	"lowprob-odd":            "962ba614b00b2b4d7260fe3d1cb6243cbf493a3955941657ca187f46e5c9c02b",
+	"baseline-threshold":     "3f11998410490236034a2d8482dd0bc1087009922f861c83ef6675a321598fdf",
+	"baseline-kball":         "5838498f35681ca40ab1a62427ed4a007a6ac5ebd3224aeab1afea34718df25f",
+	"deterministic":          "a6a485c63937cdbf969f36ab24483a11a1a19b7570b228ed79920599a86b8ad6",
+	"quantum-even":           "66bedb7ad3e2c0bd225570d0fba6ddfc62ff8ef4cab0e10d1bddf4e6b149c551",
 }
 
 func fingerprintInvariant(t *testing.T, run func(rt congest.Runtime) (string, error)) {
@@ -47,13 +58,17 @@ func fingerprintInvariant(t *testing.T, run func(rt congest.Runtime) (string, er
 	if err != nil {
 		t.Fatalf("%s: %v", engineCfgs[0].name, err)
 	}
+	want := fingerprintPins[t.Name()[strings.LastIndexByte(t.Name(), '/')+1:]]
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(base))); got != want {
+		t.Fatalf("fingerprint hash %s, pinned %s:\n%s", got, want, base)
+	}
 	for _, cfg := range engineCfgs[1:] {
 		got, err := run(cfg.rt)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
 		if got != base {
-			t.Fatalf("transcript fingerprint diverges at %s:\nserial: %s\n%s: %s", cfg.name, base, cfg.name, got)
+			t.Fatalf("transcript fingerprint diverges at %s:\nfresh: %s\n%s: %s", cfg.name, base, cfg.name, got)
 		}
 	}
 }
@@ -189,14 +204,17 @@ func TestDetectorTranscriptsInvariantAcrossDelivery(t *testing.T) {
 	})
 
 	// The deterministic broadcast detector must be invariant not only
-	// across the delivery configurations but across master seeds: it
-	// draws no randomness, so its transcript is a pure function of the
-	// graph. The seed is folded into the sweep to pin exactly that.
+	// across the engine configurations but across master seeds: it draws
+	// no randomness, so its transcript is a pure function of the graph.
+	// The arena run takes another seed to pin exactly that.
 	t.Run("deterministic", func(t *testing.T) {
-		seeds := []uint64{29, 31337}
 		fingerprintInvariant(t, func(rt congest.Runtime) (string, error) {
+			seed := uint64(29)
+			if rt.Arena != nil {
+				seed = 31337
+			}
 			res, err := deterministic.Detect(g, 2, deterministic.Options{
-				Seed: seeds[rt.Workers/8], Runtime: rt,
+				Seed: seed, Runtime: rt,
 			})
 			if err != nil {
 				return "", err

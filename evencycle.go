@@ -83,7 +83,6 @@ func VerifyCycle(g *Graph, verts []NodeID) error {
 type Option func(*config)
 
 type config struct {
-	congest.Runtime
 	eps        float64
 	iterations int
 	seed       uint64
@@ -105,10 +104,6 @@ func WithIterations(k int) Option { return func(c *config) { c.iterations = k } 
 // WithSeed fixes the master random seed (runs are reproducible given the
 // graph and the seed).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
-
-// WithWorkers sets the simulator's goroutine pool size (default
-// GOMAXPROCS).
-func WithWorkers(w int) Option { return func(c *config) { c.Workers = w } }
 
 // WithThreshold overrides the congestion threshold τ: the per-node
 // identifier cap of the classical detectors (Instruction 19 of
@@ -165,7 +160,6 @@ func Detect(g *Graph, k int, opts ...Option) (*Result, error) {
 		MaxIterations: c.iterations,
 		Threshold:     c.threshold,
 		Seed:          c.seed,
-		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		Pipelined:     c.pipelined,
 	})
@@ -184,7 +178,6 @@ func DetectBounded(g *Graph, k int, opts ...Option) (*Result, error) {
 		MaxIterations: c.iterations,
 		Threshold:     c.threshold,
 		Seed:          c.seed,
-		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		Pipelined:     c.pipelined,
 	})
@@ -202,7 +195,6 @@ func DetectOdd(g *Graph, k int, opts ...Option) (*Result, error) {
 	res, err := lowprob.DetectOdd(g, k, lowprob.OddOptions{
 		MaxIterations: c.iterations,
 		Seed:          c.seed,
-		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		SeedProb:      1, // classical mode: every color-0 node participates
 	})
@@ -224,7 +216,6 @@ func ListCycles(g *Graph, k int, opts ...Option) ([][]NodeID, error) {
 		MaxIterations: c.iterations,
 		Threshold:     c.threshold,
 		Seed:          c.seed,
-		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		Pipelined:     c.pipelined,
 	})
@@ -253,7 +244,6 @@ func DetectLocal(g *Graph, k int, opts ...Option) (*LocalDetection, error) {
 		MaxIterations: c.iterations,
 		Threshold:     c.threshold,
 		Seed:          c.seed,
-		Runtime:       c.Runtime,
 		Parallel:      c.parallel,
 		Pipelined:     c.pipelined,
 	})
@@ -297,7 +287,6 @@ func DetectQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
 		MaxSims:           c.maxSims,
 		AttemptIterations: c.iterations,
 		Seed:              c.seed,
-		Runtime:           c.Runtime,
 		Parallel:          c.parallel,
 	})
 	if err != nil {
@@ -315,7 +304,6 @@ func DetectOddQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
 		MaxSims:           c.maxSims,
 		AttemptIterations: c.iterations,
 		Seed:              c.seed,
-		Runtime:           c.Runtime,
 		Parallel:          c.parallel,
 	})
 	if err != nil {
@@ -336,14 +324,12 @@ func DetectOddQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, error) {
 // (chord-dense instances, mostly k ≥ 3). The detector draws no
 // randomness: the result is a pure function of the graph — WithSeed,
 // WithParallel and WithIterations have no effect, while
-// WithWorkers tunes the simulator (bit-identical results) and
 // WithThreshold overrides τ.
 func DetectDeterministic(g *Graph, k int, opts ...Option) (*Result, error) {
 	c := buildConfig(opts)
 	res, err := deterministic.Detect(g, k, deterministic.Options{
 		Threshold: c.threshold,
 		Seed:      c.seed,
-		Runtime:   c.Runtime,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("evencycle: %w", err)
@@ -360,7 +346,6 @@ func DetectBoundedQuantum(g *Graph, k int, opts ...Option) (*QuantumResult, erro
 		MaxSims:           c.maxSims,
 		AttemptIterations: c.iterations,
 		Seed:              c.seed,
-		Runtime:           c.Runtime,
 		Parallel:          c.parallel,
 	})
 	if err != nil {

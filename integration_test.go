@@ -37,29 +37,6 @@ func TestIntegrationDeterminism(t *testing.T) {
 	}
 }
 
-// Parallel execution must not change results (transcript determinism).
-// The parallel run forces every round onto the parallel engine paths:
-// at the default cutover this instance's rounds would stay serial.
-func TestIntegrationWorkerInvariance(t *testing.T) {
-	host := RandomGraph(2000, 4000, 7)
-	g, _, err := WithPlantedCycle(host, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Detect(g, 2, WithSeed(3), WithWorkers(1), WithIterations(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	forceParallel := func(c *config) { c.ParallelThreshold = 1 }
-	par, err := Detect(g, 2, WithSeed(3), WithWorkers(8), forceParallel, WithIterations(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Found != par.Found || seq.Rounds != par.Rounds || seq.Messages != par.Messages {
-		t.Fatalf("workers changed the outcome: %+v vs %+v", seq, par)
-	}
-}
-
 // Agreement with exact search over a batch of random instances: detection
 // implies a cycle exists (always), and existence implies detection at the
 // faithful k=2 parameterization (statistically).

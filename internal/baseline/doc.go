@@ -18,7 +18,6 @@
 // trial scheduler under the same rules as internal/core — per-node state
 // only, randomness derived from (seed, attempt index) via sched.Tag, and
 // the k-ball baseline's per-node edge sets use internal/idset with TTL
-// upserts. Results are bit-identical for every Workers, ParallelThreshold
-// and Parallel setting; reported witnesses are verified against the input
-// graph.
+// upserts. Results are bit-identical for every Parallel setting; reported
+// witnesses are verified against the input graph.
 package baseline

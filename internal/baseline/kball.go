@@ -154,7 +154,7 @@ func edgeKey(a, b graph.NodeID) uint64 {
 //
 // Round complexity: the pipelined flood costs Θ(max_v |E(ball_{k-1}(v))|)
 // rounds — Θ(n) on bounded-degree graphs, matching the deterministic Õ(n)
-// row of Table 1. rt sets the simulator's parallelism; the result is
+// row of Table 1. rt sets the simulator's state reuse; the result is
 // bit-identical for every setting.
 func DetectKBall(g *graph.Graph, k int, seed uint64, rt congest.Runtime) (*KBallResult, error) {
 	if k < 2 {

@@ -19,18 +19,14 @@ import (
 type Config struct {
 	// Quick shrinks sweeps for test/bench contexts; the full sweeps are
 	// what EXPERIMENTS.md records.
-	Quick   bool
-	Seed    uint64
-	Workers int
+	Quick bool
+	Seed  uint64
 	// Parallel is the trial-level parallelism of the sweeps: how many
 	// independent detection runs execute concurrently on the shared
 	// scheduler (0/1 sequential, negative GOMAXPROCS). Tables are
 	// deterministic for a fixed Seed regardless of Parallel.
 	Parallel int
 }
-
-// rt returns the engine runtime configured by the Config.
-func (cfg Config) rt() congest.Runtime { return congest.Runtime{Workers: cfg.Workers} }
 
 // runner returns the trial scheduler configured by the Config.
 func (cfg Config) runner() sched.TrialRunner {
@@ -164,7 +160,6 @@ func E1(cfg Config) (*Table, error) {
 						POverride:     scaledP(n, k),
 						MaxIterations: 1,
 						KeepGoing:     true,
-						Runtime:       cfg.rt(),
 					})
 				},
 				func(it int, res *core.Result) bool {
@@ -233,7 +228,6 @@ func E2(cfg Config) (*Table, error) {
 					POverride:     scaledP(n, k),
 					MaxIterations: 1,
 					KeepGoing:     true,
-					Runtime:       cfg.rt(),
 				})
 			},
 			func(it int, res *core.Result) bool {
@@ -287,7 +281,6 @@ func E3(cfg Config) (*Table, error) {
 				MaxSims:           1,
 				AttemptIterations: 1,
 				EpsFn:             scaledEps(k),
-				Runtime:           cfg.rt(),
 			})
 			if err != nil {
 				return nil, err
@@ -343,7 +336,6 @@ func E4(cfg Config) (*Table, error) {
 					POverride:     scaledP(n, k),
 					SeedProb:      q,
 					MaxIterations: iters,
-					Runtime:       cfg.rt(),
 				})
 			},
 			func(trial int, res *core.Result) bool {
@@ -390,7 +382,7 @@ func E5(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		res, err := quantum.DetectOddCycle(g, k, quantum.Options{
-			Seed: cfg.Seed, MaxSims: 1, AttemptIterations: 1, Runtime: cfg.rt(),
+			Seed: cfg.Seed, MaxSims: 1, AttemptIterations: 1,
 		})
 		if err != nil {
 			return nil, err
@@ -438,7 +430,7 @@ func E6(cfg Config) (*Table, error) {
 		}
 		res, err := quantum.DetectBoundedCycle(g, k, quantum.Options{
 			Seed: cfg.Seed, MaxSims: 1, AttemptIterations: 1,
-			EpsFn: boundedEps, Runtime: cfg.rt(),
+			EpsFn: boundedEps,
 		})
 		if err != nil {
 			return nil, err
@@ -487,7 +479,7 @@ func E7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		res, err := core.DetectEvenCycle(g, 2, core.Options{
-			Seed: cfg.Seed + uint64(trial), MaxIterations: 800, Runtime: cfg.rt(),
+			Seed: cfg.Seed + uint64(trial), MaxIterations: 800,
 		})
 		if err != nil {
 			return nil, err
@@ -515,7 +507,7 @@ func E7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		res, err := core.DetectEvenCycle(g, 2, core.Options{
-			Seed: cfg.Seed + uint64(trial), MaxIterations: 800, Runtime: cfg.rt(),
+			Seed: cfg.Seed + uint64(trial), MaxIterations: 800,
 		})
 		if err != nil {
 			return nil, err
@@ -544,7 +536,7 @@ func E7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		res, err := lowprob.DetectOdd(g, 2, lowprob.OddOptions{
-			Seed: cfg.Seed + uint64(trial), MaxIterations: 30000, SeedProb: 1, Runtime: cfg.rt(),
+			Seed: cfg.Seed + uint64(trial), MaxIterations: 30000, SeedProb: 1,
 		})
 		if err != nil {
 			return nil, err
@@ -714,7 +706,7 @@ func E10(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.DetectEvenCycle(g, 2, core.Options{Seed: cfg.Seed + uint64(trial), Runtime: cfg.rt()})
+		return core.DetectEvenCycle(g, 2, core.Options{Seed: cfg.Seed + uint64(trial)})
 	})
 	if err != nil {
 		return nil, err
@@ -728,7 +720,7 @@ func E10(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.DetectEvenCycle(g, 2, core.Options{Seed: cfg.Seed + uint64(trial), Runtime: cfg.rt()})
+		return core.DetectEvenCycle(g, 2, core.Options{Seed: cfg.Seed + uint64(trial)})
 	})
 	if err != nil {
 		return nil, err
@@ -742,7 +734,7 @@ func E10(cfg Config) (*Table, error) {
 	}
 	falsePos, err := countFound(func(trial int) (*core.Result, error) {
 		return core.DetectEvenCycle(g, 2, core.Options{
-			Seed: cfg.Seed + uint64(trial), MaxIterations: 40, Runtime: cfg.rt(),
+			Seed: cfg.Seed + uint64(trial), MaxIterations: 40,
 		})
 	})
 	if err != nil {
@@ -783,7 +775,7 @@ func D1(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			det, err := deterministic.Detect(g, k, deterministic.Options{Runtime: cfg.rt()})
+			det, err := deterministic.Detect(g, k, deterministic.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -792,7 +784,6 @@ func D1(cfg Config) (*Table, error) {
 				POverride:     scaledP(n, k),
 				MaxIterations: 1,
 				KeepGoing:     true,
-				Runtime:       cfg.rt(),
 			})
 			if err != nil {
 				return nil, err
@@ -842,7 +833,7 @@ func A1(cfg Config) (*Table, error) {
 			}
 			res, err := core.DetectEvenCycle(g, 2, core.Options{
 				Seed: cfg.Seed, POverride: scaledP(n, 2), MaxIterations: iters,
-				KeepGoing: true, Pipelined: pipelined, Runtime: cfg.rt(),
+				KeepGoing: true, Pipelined: pipelined,
 			})
 			if err != nil {
 				return nil, err
@@ -959,7 +950,7 @@ func A4(cfg Config) (*Table, error) {
 			}
 			res, err := quantum.DetectEvenCycle(g, 2, quantum.Options{
 				Seed: cfg.Seed, MaxSims: 1, AttemptIterations: 1,
-				NoDecomposition: noDecomp, EpsFn: scaledEps(2), Runtime: cfg.rt(),
+				NoDecomposition: noDecomp, EpsFn: scaledEps(2),
 			})
 			if err != nil {
 				return nil, err

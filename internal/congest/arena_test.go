@@ -30,10 +30,8 @@ func (staggerProbe) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 
 // TestArenaRelaidSessionTranscriptsMatch pins that a session re-laid
 // from other networks leaks nothing into the next run: probes on a
-// network that a retained session reaches only after larger, smaller and
-// differently sharded ones yield the Reports and handler-side
-// transcripts of a fresh engine, serially and at 4 forced-parallel
-// workers.
+// network that a retained session reaches only after larger and smaller
+// ones yield the Reports and handler-side transcripts of a fresh engine.
 func TestArenaRelaidSessionTranscriptsMatch(t *testing.T) {
 	// No collection may reclaim the retained state this test re-lays.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -44,33 +42,31 @@ func TestArenaRelaidSessionTranscriptsMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantH := runProbe(t, fresh, 7)
-	for _, rt := range []Runtime{{Workers: 1}, {Workers: 4, ParallelThreshold: 1}} {
-		rt.Arena = NewArena(1)
-		for _, prior := range []*graph.Graph{
-			graph.Gnm(380, 1140, graph.NewRand(6)), // the session's capacity, four delivery shards
-			graph.Gnm(190, 600, graph.NewRand(7)),  // half of it, and two shards
-			graph.Gnm(250, 760, graph.NewRand(8)),  // three shards, over a shorter node range than g's four
-		} {
-			e := NewEngine(NewNetwork(prior, 3))
-			e.Runtime = rt
-			runProbe(t, e, 11)
-		}
-		retained := rt.Arena.Bytes()
-		e := NewEngine(NewNetwork(g, 42))
+	rt := Runtime{Arena: NewArena(1)}
+	for _, prior := range []*graph.Graph{
+		graph.Gnm(380, 1140, graph.NewRand(6)), // the session's capacity
+		graph.Gnm(190, 600, graph.NewRand(7)),  // half of it
+		graph.Gnm(250, 760, graph.NewRand(8)),  // a node range shorter than g's
+	} {
+		e := NewEngine(NewNetwork(prior, 3))
 		e.Runtime = rt
-		if got, err := e.RunSession(staggerProbe{}, 8); err != nil || !reflect.DeepEqual(got, wantStagger) {
-			t.Fatalf("%+v: re-laid session's staggered Report differs (%v):\n got %+v\nwant %+v", rt, err, got, wantStagger)
-		}
-		got, gotH := runProbe(t, e, 7)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: re-laid session's Report differs:\n got %+v\nwant %+v", rt, got, want)
-		}
-		if !sameProbe(gotH, wantH) {
-			t.Fatalf("%+v: re-laid session's handler-side transcript differs", rt)
-		}
-		if got := rt.Arena.Bytes(); got != retained || got == 0 {
-			t.Fatalf("%+v: arena holds %d bytes, want the one session of the first network (%d)", rt, got, retained)
-		}
+		runProbe(t, e, 11)
+	}
+	retained := rt.Arena.Bytes()
+	e := NewEngine(NewNetwork(g, 42))
+	e.Runtime = rt
+	if got, err := e.RunSession(staggerProbe{}, 8); err != nil || !reflect.DeepEqual(got, wantStagger) {
+		t.Fatalf("re-laid session's staggered Report differs (%v):\n got %+v\nwant %+v", err, got, wantStagger)
+	}
+	got, gotH := runProbe(t, e, 7)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-laid session's Report differs:\n got %+v\nwant %+v", got, want)
+	}
+	if !sameProbe(gotH, wantH) {
+		t.Fatal("re-laid session's handler-side transcript differs")
+	}
+	if got := rt.Arena.Bytes(); got != retained || got == 0 {
+		t.Fatalf("arena holds %d bytes, want the one session of the first network (%d)", got, retained)
 	}
 }
 

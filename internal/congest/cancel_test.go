@@ -157,20 +157,6 @@ func TestHandlerPanicSerialBecomesError(t *testing.T) {
 	}
 }
 
-func TestHandlerPanicParallelBecomesError(t *testing.T) {
-	net := NewNetwork(graph.Path(256), 1)
-	eng := NewEngine(net)
-	eng.Workers = 4
-	eng.ParallelThreshold = 2 // force the parallel handler path
-	_, err := eng.Run(&panicAtNode{target: 97, all: true})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("err = %v, want handler-panicked error", err)
-	}
-	if _, err := eng.Run(&floodHandler{}); err != nil {
-		t.Fatalf("post-panic Run: %v", err)
-	}
-}
-
 // initPanics panics during Init.
 type initPanics struct{}
 

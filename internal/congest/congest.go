@@ -65,46 +65,30 @@ func (m Message) A() uint64 { return m.w0 }
 func (m Message) B() uint64 { return m.w1 & msgFieldMask }
 
 // Handler is a distributed protocol: per-node state lives inside the
-// implementation, indexed by node ID; the engine guarantees that
-// HandleRound is invoked at most once per node per round and that
-// invocations for distinct nodes never share state unless the handler
-// itself shares it (it must not).
+// implementation, indexed by node ID. The engine invokes HandleRound at
+// most once per node per round, one handler at a time, on the session's
+// goroutine, in ascending node order within a round; a handler touches
+// only its own node's state (the model's locality, which the engine does
+// not check).
 type Handler interface {
-	// Init is called once, sequentially, before round 0. It typically
-	// allocates per-node state and schedules initial wake-ups via
-	// rt.WakeAt.
+	// Init is called once, before round 0. It typically allocates
+	// per-node state and schedules initial wake-ups via rt.WakeAt.
 	Init(rt *Session)
 	// HandleRound is called for node u at round r with the messages
-	// delivered to u at the beginning of r. The inbox slice is only valid
+	// delivered to u at the beginning of r. The inbox slice is valid only
 	// for the duration of the call.
 	HandleRound(rt *Session, u NodeID, r int, inbox []Message)
 }
 
-// Runtime is the engine's parallelism and state reuse: Engine embeds it,
-// and so does every detector's options struct, which hands it to its
-// engines as one value. Transcripts — and therefore every report and
-// result — are bit-identical for every setting; the knobs trade only
-// wall-clock time and allocation.
+// Runtime is the engine's state reuse: Engine embeds it, and so does
+// every detector's options struct, which hands it to its engines as one
+// value.
 type Runtime struct {
-	// Workers is the size of the goroutine pool mapping node handlers onto
-	// rounds; 0 means GOMAXPROCS.
-	Workers int
-	// ParallelThreshold is the round volume below which a phase runs
-	// serially even when Workers allows parallelism. The handler phase
-	// counts its due handlers plus the messages delivered into their
-	// inboxes; the delivery phase counts the staged messages. Lighter
-	// rounds are dominated by goroutine hand-off, not work. 0 means the
-	// default of 24576, picked from a pingpong sweep on a 2-vCPU host:
-	// parallel rounds lose at 4096-node 16384-message rounds and win at
-	// complete bipartite 128×128 (32768 messages), so the paper's
-	// detectors, a few thousand messages a round, run serially. Tests
-	// set 1 to force both parallel paths onto every round.
-	ParallelThreshold int
 	// Arena, when set, supplies every session (and, through the detector
 	// layers, their per-call state) from state retained across runs and
-	// takes it back afterwards; nil allocates per engine, as before. A
-	// retained session is re-laid onto the new network, so reuse changes
-	// no transcript.
+	// takes it back afterwards; nil allocates per engine. A retained
+	// session is re-laid onto the new network, so reuse changes no
+	// transcript.
 	Arena *Arena
 }
 

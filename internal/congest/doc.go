@@ -31,11 +31,13 @@
 //     all of that into 16 bytes; see Message). Protocols that need to
 //     ship a set of identifiers must do so one message per round, which
 //     is exactly how congestion becomes round complexity.
-//   - Handlers for distinct nodes run concurrently (a goroutine worker pool
-//     with a barrier per round maps goroutines onto CONGEST rounds); a
-//     handler may only touch its own node's state, send to neighbors, and
-//     schedule its own future wake-ups, so execution is transcript-
-//     deterministic for a fixed master seed.
+//   - A session runs on the goroutine that called Run: one handler at a
+//     time, in ascending node order within a round, with a round's
+//     messages delivered only after every due handler has run. A handler
+//     may only touch its own node's state, send to neighbors, and
+//     schedule its own future wake-ups, and its inbox is valid only
+//     during the call, so execution is transcript-deterministic for a
+//     fixed master seed.
 //   - Rounds in which no node is active are not simulated (the clock
 //     fast-forwards to the next scheduled wake-up) but they still elapse:
 //     the reported round count is the CONGEST time of the execution, i.e.
@@ -46,19 +48,15 @@
 // RunSession calls — all mutable per-run state lives in pooled Session
 // objects whose buffers are stamp-guarded or dirty-list-cleared, so
 // back-to-back sessions allocate ~nothing; an Arena (Runtime.Arena)
-// carries sessions across engines, re-laid onto each network.
-// Transcripts (inbox contents and order, reports) are bit-identical for
-// every Workers and ParallelThreshold setting (the parallel delivery
-// phase splits receivers into one shard per worker, at least 64 nodes
-// each); per-receiver inbox order is always ascending sender.
-// ParallelThreshold is counted in messages: a round's handler phase goes
-// to the worker pool only when its due handlers plus their inbox
-// messages reach it, its delivery phase only when its staged messages do
-// (default 24576; see Runtime). Explicit session tags (RunSession) keep
-// the per-node randomness streams — derived from (network seed, node,
-// tag) — independent of scheduling, which is what makes concurrent
-// trials reproducible. TestEngineMatchesMapReference pins the engine
-// against a map-based reference implementation, and the root
-// delivery-determinism suite pins every detector's transcript across
-// engine configurations under -race.
+// carries sessions across engines, re-laid onto each network, and
+// changes no transcript (inbox contents and order, reports);
+// per-receiver inbox order is always ascending sender. Host parallelism
+// lives above the engine, in independent sessions: concurrent trials
+// (internal/sched) and concurrent requests. Explicit session tags
+// (RunSession) keep the per-node randomness streams — derived from
+// (network seed, node, tag) — independent of scheduling, which is what
+// makes concurrent trials reproducible. TestEngineMatchesMapReference
+// pins the engine against a map-based reference implementation, and the
+// root delivery-determinism suite pins every detector's transcript with
+// and without an arena.
 package congest

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,9 +12,10 @@ import (
 	"repro/internal/faultpoint"
 )
 
-// Engine executes handler sessions on a network. All mutable per-session
-// state lives in pooled Session objects, so an Engine is safe for
-// concurrent Run calls; configure the exported fields before the first Run
+// Engine executes handler sessions on a network. A session runs every
+// round on the goroutine that called Run. All mutable per-session state
+// lives in pooled Session objects, so an Engine is safe for concurrent
+// Run calls; configure the exported fields before the first Run
 // and leave them fixed while runs are in flight. Back-to-back sessions on
 // the same engine reuse session buffers and allocate almost nothing; with
 // Runtime.Arena set, sessions come from and go back to the arena, so
@@ -25,15 +25,15 @@ type Engine struct {
 	// maxRounds aborts runaway protocols; 0 means defaultMaxRounds. Only
 	// tests lower it.
 	maxRounds int
-	// Runtime sets the parallelism of the handler and delivery phases.
+	// Runtime supplies the arena sessions come from, if any.
 	Runtime
 	// DropProb injects adversarial message loss: each staged message is
 	// discarded at delivery time with this probability (deterministic
 	// given the network seed). The CONGEST model itself is fault-free;
 	// this knob exists to machine-check that one-sidedness is structural —
 	// under any loss rate the detectors may miss cycles but can never
-	// fabricate one. Lossy sessions always deliver serially (the drop
-	// RNG consumes one draw per staged message in global staging order).
+	// fabricate one. The drop RNG consumes one draw per staged message in
+	// global staging order.
 	DropProb float64
 	// Cancel, when set, is polled once per executed round (one atomic
 	// load at the round boundary): tripping it makes in-flight and future
@@ -183,7 +183,8 @@ func (e *Engine) putSession(s *Session) {
 //
 // Handlers receive their Session as a parameter: methods marked
 // "node-local" may be called only from within HandleRound (or Init) and,
-// when called for node u, only by u's handler invocation.
+// when called for node u, only by u's handler invocation. Every handler
+// call runs on the session's goroutine, so no Session field needs a lock.
 type Session struct {
 	eng  *Engine
 	net  *Network
@@ -228,10 +229,8 @@ type Session struct {
 	// send is the per-edge staging of Send, built the first time a
 	// handler sends (see sendState): a protocol that only broadcasts,
 	// such as color-BFS or the deterministic detector, pays nothing for
-	// it. Atomic because handlers for distinct nodes may send first in
-	// parallel; sendMu makes one of them build it.
-	send   atomic.Pointer[sendState]
-	sendMu sync.Mutex
+	// it.
+	send *sendState
 
 	// Fixed-offset CSR inboxes. The bandwidth constraint caps a
 	// receiver's per-round inbox at its degree, so node u's inbox region
@@ -244,40 +243,10 @@ type Session struct {
 	inboxBuf []Message
 	inCur    []inboxCursor
 
-	// Parallel round execution. The handler phase steals work off due via
-	// the atomic parNext cursor; the delivery phase partitions receivers
-	// into contiguous node-range shards (shardBounds[s] ≤ r <
-	// shardBounds[s+1] for shard s), each owned by one worker goroutine
-	// for both delivery passes, so every inbox cell has exactly one
-	// writer and per-receiver message order stays ascending-sender — the
-	// same order the serial path produces. All fields are touched only
-	// between the Add/Wait pairs of one phase.
-	wg          sync.WaitGroup
-	parH        Handler
-	parRound    int
-	parNext     atomic.Int64
-	shards      int
-	shardBounds []int32
-	shardCount  []int64
-	shardRecv   [][]NodeID
-	sendList    []NodeID
-	shardNext   atomic.Int64
-
-	// Prebuilt worker funcvals: `go s.method()` allocates a closure per
-	// spawn, so the round phases launch these once-allocated thunks
-	// instead, keeping parallel rounds allocation-free.
-	handlerFn func()
-	scatterFn func()
-
 	// senders lists the due nodes that actually staged messages this
-	// round, so the delivery passes walk senders instead of the whole due
-	// list. It is maintained by Send/Broadcast only while serialRound is
-	// true (handlers executing on the session goroutine — appending from
-	// parallel handler workers would race); parallel rounds fall back to
-	// walking due. Serial handler execution visits due in ascending
-	// order, so senders is ascending too and delivery order is unchanged.
-	senders     []NodeID
-	serialRound bool
+	// round, so delivery walks senders instead of the whole due list.
+	// Handlers run in ascending node order, so senders is ascending too.
+	senders []NodeID
 
 	// layout is the adjOff the session, and the CSR regions of its Send
 	// state, are laid out for; a session re-laid onto the same layout —
@@ -286,11 +255,8 @@ type Session struct {
 
 	// rng is the per-node random streams, allocated the first time a
 	// handler draws (see Rand): a protocol that never draws, such as the
-	// deterministic detector, pays nothing for them. Atomic because
-	// handlers for distinct nodes may draw first in parallel; rngMu
-	// makes one of them build it.
-	rng   atomic.Pointer[rngState]
-	rngMu sync.Mutex
+	// deterministic detector, pays nothing for them.
+	rng *rngState
 
 	// Per-component accounting (Engine.SetComponents): compLast[c] is the
 	// last round in which a node of component c ran (-1 = never);
@@ -299,9 +265,8 @@ type Session struct {
 	compLast []int32
 	compMsgs []int64
 
-	// violation is the session's first failure; fail sets it from any
-	// handler goroutine, and the round loop ends the session on it.
-	mu        sync.Mutex
+	// violation is the session's first failure; the round loop ends the
+	// session on it.
 	violation error
 }
 
@@ -376,8 +341,6 @@ func (e *Engine) newSession() *Session {
 		s.wake[i] = -1
 	}
 	s.layout = e.adjOff
-	s.handlerFn = s.handlerWorker
-	s.scatterFn = s.scatterWorker
 	return s
 }
 
@@ -402,12 +365,10 @@ func (s *Session) relay(e *Engine) {
 	s.bcastAt = s.bcastAt[:n]
 	s.inboxBuf = s.inboxBuf[:m]
 	s.inCur = s.inCur[:n]
-	if st := s.send.Load(); st != nil {
-		st.lay(e.adjOff)
+	if s.send != nil {
+		s.send.lay(e.adjOff)
 	}
 	s.layout = e.adjOff
-	// The shard bounds partition the old node range.
-	s.shards = 0
 }
 
 // Per-node and per-directed-edge bytes of a session's buffers (see
@@ -425,10 +386,10 @@ const (
 func (s *Session) retainedBytes() int64 {
 	nodes, edges := int64(cap(s.wake)), int64(cap(s.inboxBuf))
 	bytes := nodes*sessionNodeBytes + edges*sessionEdgeBytes
-	if s.send.Load() != nil {
+	if s.send != nil {
 		bytes += nodes*sendNodeBytes + edges*sendEdgeBytes
 	}
-	if s.rng.Load() != nil {
+	if s.rng != nil {
 		bytes += nodes * rngNodeBytes
 	}
 	return bytes
@@ -447,7 +408,7 @@ func (rt *Session) Neighbors(u NodeID) []NodeID { return rt.net.g.Neighbors(u) }
 // Rand returns u's deterministic random stream for this session.
 // Node-local.
 func (rt *Session) Rand(u NodeID) *rand.Rand {
-	st := rt.rng.Load()
+	st := rt.rng
 	if st == nil {
 		st = rt.buildRNG()
 	}
@@ -460,36 +421,25 @@ func (rt *Session) Rand(u NodeID) *rand.Rand {
 }
 
 // buildRNG allocates the session's random streams across its capacity,
-// once, whichever handler draws first. Every cell's run stamp is 0,
-// which no run (runGen ≥ 1) matches, so each stream is seeded on first
-// use.
+// once, when a handler first draws. Every cell's run stamp is 0, which
+// no run (runGen ≥ 1) matches, so each stream is seeded on first use.
 func (s *Session) buildRNG() *rngState {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	if st := s.rng.Load(); st != nil {
-		return st
-	}
 	c := cap(s.wake)
 	st := &rngState{pcgs: make([]rand.PCG, c), rands: make([]rand.Rand, c), gen: make([]uint64, c)}
 	for u := range st.rands {
 		st.rands[u] = *rand.New(&st.pcgs[u])
 	}
-	s.rng.Store(st)
+	s.rng = st
 	return st
 }
 
 // sendStaging returns the session's Send state, building it across the
-// session's capacity, once, whichever handler sends first. Every
-// lastSent cell is 0, which no round stamp (≥ 1) matches, and every
-// outTo region is empty.
+// session's capacity, once, when a handler first sends. Every lastSent
+// cell is 0, which no round stamp (≥ 1) matches, and every outTo region
+// is empty.
 func (s *Session) sendStaging() *sendState {
-	if st := s.send.Load(); st != nil {
-		return st
-	}
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	if st := s.send.Load(); st != nil {
-		return st
+	if s.send != nil {
+		return s.send
 	}
 	nodes, edges := cap(s.wake), cap(s.inboxBuf)
 	st := &sendState{
@@ -499,7 +449,7 @@ func (s *Session) sendStaging() *sendState {
 		lastSent: make([]uint64, edges),
 	}
 	st.lay(s.layout)
-	s.send.Store(st)
+	s.send = st
 	return st
 }
 
@@ -531,7 +481,7 @@ func (rt *Session) Send(u, v NodeID, kind uint8, a, b uint64) {
 		return
 	}
 	st.lastSent[es] = rt.stamp
-	if rt.serialRound && len(st.outTo[u]) == 0 {
+	if len(st.outTo[u]) == 0 {
 		rt.senders = append(rt.senders, u)
 	}
 	st.outPay[rt.eng.adjOff[u]+int32(len(st.outTo[u]))] = packMessage(u, kind, a, b)
@@ -562,16 +512,14 @@ func (rt *Session) Broadcast(u NodeID, kind uint8, a, b uint64) {
 		rt.fail(protocolErrorf("round %d: node %d broadcast after already sending to %d (bandwidth violation)", rt.round, u, nbrs[0]))
 		return
 	}
-	if st := rt.send.Load(); st != nil && len(st.outTo[u]) > 0 {
+	if st := rt.send; st != nil && len(st.outTo[u]) > 0 {
 		rt.fail(protocolErrorf("round %d: node %d broadcast after already sending to %d (bandwidth violation)", rt.round, u, st.outTo[u][0]))
 		return
 	}
 	if len(nbrs) == 0 {
 		return
 	}
-	if rt.serialRound {
-		rt.senders = append(rt.senders, u)
-	}
+	rt.senders = append(rt.senders, u)
 	rt.bcast[u] = packMessage(u, kind, a, b)
 	rt.bcastAt[u] = rt.stamp
 }
@@ -594,17 +542,10 @@ func (rt *Session) WakeAt(u NodeID, r int) {
 	if rt.wake[u] < 0 || int32(r) < rt.wake[u] {
 		rt.wake[u] = int32(r)
 	}
-	if rt.inInit || rt.serialRound {
-		// Init and serial handler rounds run on the session goroutine, so
-		// the shared pool bitmap is safe to touch directly; wake-ups from
-		// parallel handler rounds are folded in at delivery time.
-		rt.setPool(u)
-	}
+	rt.setPool(u)
 }
 
 func (rt *Session) fail(err error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	if rt.violation == nil {
 		rt.violation = err
 	}
@@ -653,7 +594,7 @@ func (s *Session) inboxCount(u NodeID) int {
 // pool bitmap, empty out buffers) so the Session can be reused. It walks
 // only the state the finished run actually touched.
 func (s *Session) cleanup() {
-	st := s.send.Load()
+	st := s.send
 	for _, u := range s.due {
 		s.wake[u] = -1
 		if st != nil && len(st.outTo[u]) > 0 {
@@ -662,7 +603,6 @@ func (s *Session) cleanup() {
 	}
 	s.due = s.due[:0]
 	s.senders = s.senders[:0]
-	s.serialRound = false
 	if s.cand > 0 {
 		for si, sw := range s.summary {
 			for sw != 0 {
@@ -708,10 +648,6 @@ func (s *Session) run(h Handler, sess uint64) (Report, error) {
 	if maxRounds <= 0 {
 		maxRounds = defaultMaxRounds
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	var rep Report
 	msgBits := MessageBits(n)
@@ -732,7 +668,6 @@ func (s *Session) run(h Handler, sess uint64) (Report, error) {
 			s.compMsgs[c] = 0
 		}
 	}
-	s.ensureShards(deliveryShards(workers, n))
 
 	cancel := e.Cancel
 	for round := 0; s.cand > 0; round++ {
@@ -755,7 +690,6 @@ func (s *Session) run(h Handler, sess uint64) (Report, error) {
 		// wake-up. The walk costs O(active words), not O(n/64).
 		s.due = s.due[:0]
 		earliest := int32(-1)
-		inbound := 0
 		for si, sw := range s.summary {
 			for sw != 0 {
 				sb := bits.TrailingZeros64(sw)
@@ -766,8 +700,7 @@ func (s *Session) run(h Handler, sess uint64) (Report, error) {
 					w &^= 1 << b
 					u := NodeID(wi<<6 | b)
 					wk := s.wake[u]
-					if c := s.inCur[u]; c.stamp == s.stamp {
-						inbound += int(c.pos - c.beg)
+					if s.inCur[u].stamp == s.stamp {
 						s.due = append(s.due, u)
 						if wk >= 0 && int(wk) <= round {
 							s.wake[u] = -1
@@ -801,13 +734,12 @@ func (s *Session) run(h Handler, sess uint64) (Report, error) {
 			}
 		}
 
-		// Execute handlers (possibly in parallel).
-		serialHandlers := e.runHandlers(s, h, round, workers, len(s.due)+inbound)
+		s.runHandlers(h, round)
 		if s.violation != nil {
 			return Report{}, s.violation
 		}
 
-		delivered := s.deliver(dropRng, serialHandlers)
+		delivered := s.deliver(dropRng)
 		rep.Messages += delivered
 		rep.Bits += msgBits * delivered
 	}
@@ -820,75 +752,15 @@ func (s *Session) run(h Handler, sess uint64) (Report, error) {
 	return rep, nil
 }
 
-// handlerGrain is the work-stealing batch: workers claim this many due
-// nodes per atomic increment. Small enough that one expensive handler
-// cannot strand a worker behind a prefilled chunk, large enough that the
-// cursor is not contended per node.
-const handlerGrain = 16
-
-// defaultParallelThreshold is Runtime.ParallelThreshold's default; the
-// Runtime doc gives its unit and the sweep behind the value.
-const defaultParallelThreshold = 24576
-
-func (e *Engine) parallelThreshold() int {
-	if e.ParallelThreshold > 0 {
-		return e.ParallelThreshold
-	}
-	return defaultParallelThreshold
-}
-
-// runHandlers invokes the handler for every due node, in parallel when
-// the round's volume (due handlers plus the messages in their inboxes)
-// reaches the parallel threshold, and reports whether it ran serially
-// (on the session goroutine). Parallel execution steals
-// handlerGrain-sized batches off the shared due cursor, so uneven
-// handler costs rebalance instead of idling statically chunked workers.
-func (e *Engine) runHandlers(s *Session, h Handler, round, workers, volume int) bool {
-	due := s.due
-	if workers <= 1 || volume < e.parallelThreshold() {
-		s.serialRound = true
-		s.senders = s.senders[:0]
-		s.serialHandlers(h, due, round)
-		s.serialRound = false
-		return true
-	}
-	if maxW := (len(due) + handlerGrain - 1) / handlerGrain; workers > maxW {
-		workers = maxW
-	}
-	s.parH, s.parRound = h, round
-	s.parNext.Store(0)
-	s.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go s.handlerFn()
-	}
-	s.wg.Wait()
-	s.parH = nil
-	return false
-}
-
-func (s *Session) handlerWorker() {
-	defer s.wg.Done()
+// runHandlers runs the round's due handlers in ascending node order,
+// under the handler recover fence: a panicking handler fails the session
+// (the remaining due nodes are skipped — the session is already doomed)
+// instead of unwinding through RunSession and dropping the pooled
+// session.
+func (s *Session) runHandlers(h Handler, round int) {
 	defer s.recoverHandlerPanic()
-	h, round, due := s.parH, s.parRound, s.due
-	for {
-		lo := int(s.parNext.Add(handlerGrain)) - handlerGrain
-		if lo >= len(due) {
-			return
-		}
-		for _, u := range due[lo:min(lo+handlerGrain, len(due))] {
-			h.HandleRound(s, u, round, s.inboxOf(u))
-		}
-	}
-}
-
-// serialHandlers runs the round's due handlers on the session goroutine,
-// under the same recover fence as parallel workers: a panicking handler
-// fails the session (the remaining due nodes are skipped — the session
-// is already doomed) instead of unwinding through RunSession and
-// dropping the pooled session.
-func (s *Session) serialHandlers(h Handler, due []NodeID, round int) {
-	defer s.recoverHandlerPanic()
-	for _, u := range due {
+	s.senders = s.senders[:0]
+	for _, u := range s.due {
 		h.HandleRound(s, u, round, s.inboxOf(u))
 	}
 }
@@ -901,8 +773,8 @@ func (s *Session) guardedInit(h Handler) {
 	h.Init(s)
 }
 
-// recoverHandlerPanic is the deferred fence shared by Init, serial
-// rounds and parallel workers. It converts a handler panic into a
+// recoverHandlerPanic is the deferred fence shared by Init and the
+// handler rounds. It converts a handler panic into a
 // session failure (first failure wins) so the
 // session unwinds through the normal violation path and stays poolable.
 func (s *Session) recoverHandlerPanic() {
@@ -911,90 +783,44 @@ func (s *Session) recoverHandlerPanic() {
 	}
 }
 
-// deliveryShards picks the receiver-shard count for this run: one shard
-// per worker, bounded so a shard never covers fewer than 64 nodes (below
-// that the two full-buffer scans per shard cost more than they
-// parallelize).
-func deliveryShards(workers, n int) int {
-	return max(min(workers, n/64), 1)
-}
-
-// ensureShards sizes the shard state for k contiguous node-range shards.
-func (s *Session) ensureShards(k int) {
-	if s.shards == k {
-		return
-	}
-	if k <= 1 {
-		// Serial delivery never touches the shard state.
-		s.shards = k
-		return
-	}
-	s.shards = k
-	n := s.net.NumNodes()
-	if cap(s.shardBounds) < k+1 {
-		s.shardBounds = make([]int32, k+1)
-		s.shardCount = make([]int64, k)
-		s.shardRecv = make([][]NodeID, k)
-	}
-	s.shardBounds = s.shardBounds[:k+1]
-	s.shardCount = s.shardCount[:k]
-	s.shardRecv = s.shardRecv[:k]
-	for i := 0; i <= k; i++ {
-		s.shardBounds[i] = int32(i * n / k)
-	}
-}
-
 // deliver moves the round's staged messages into the fixed-offset
-// inboxes of the next round and refreshes the candidate bitmap: message
-// receivers, re-woken due nodes (waiting nodes never left the bitmap).
-// Both paths scatter in ascending-sender order into each receiver's
-// static CSR region, so per-receiver inboxes are identical for every
-// Workers setting. Returns the delivered count.
-func (s *Session) deliver(dropRng *rand.Rand, serialHandlers bool) int64 {
-	// After a serial handler round the senders list is exact; parallel
-	// rounds walk the whole due list instead, and their wake-ups (which
-	// serial rounds folded into the bitmap directly) are folded in here.
-	senders := s.due
-	if serialHandlers {
-		senders = s.senders
-	}
-	st := s.send.Load()
+// inboxes of the next round and adds their receivers to the candidate
+// bitmap (WakeAt adds wake-ups when they are scheduled). Receiver regions
+// are static (adjOff), so there is nothing to count or place: one
+// scatter pass over the senders, in ascending order, leaves every inbox
+// in ascending-sender order at one cursor bump and one 16-byte copy per
+// message, and the per-message drop draw (when fault injection is on)
+// happens in global staging order. Returns the delivered count.
+func (s *Session) deliver(dropRng *rand.Rand) int64 {
+	st := s.send
+	nextStamp := s.stamp + 1
+	adjOff := s.eng.adjOff
 	var delivered int64
-	if s.shards > 1 && dropRng == nil {
-		staged := 0
-		for _, u := range senders {
-			to, _, _ := s.staged(st, u)
-			staged += len(to)
+	for _, u := range s.senders {
+		to, pay, mask := s.staged(st, u)
+		for i, r := range to {
+			if dropRng != nil && dropRng.Float64() < s.eng.DropProb {
+				continue
+			}
+			c := &s.inCur[r]
+			if c.stamp != nextStamp {
+				c.stamp = nextStamp
+				c.beg = adjOff[r]
+				c.pos = c.beg
+				s.setPool(r)
+			}
+			s.inboxBuf[c.pos] = pay[i&mask]
+			c.pos++
+			delivered++
 		}
-		if staged >= s.eng.parallelThreshold() {
-			delivered = s.deliverSharded(senders)
-		} else {
-			delivered = s.deliverSerial(st, senders, dropRng)
-		}
-	} else {
-		delivered = s.deliverSerial(st, senders, dropRng)
-	}
-	if s.eng.numComp > 0 {
-		// Sender-side per-component counts: exact because components are
-		// forbidden together with DropProb, so staged == delivered. A
-		// broadcaster is charged deg(u).
-		for _, u := range senders {
-			to, _, _ := s.staged(st, u)
+		if s.eng.numComp > 0 {
+			// Sender-side per-component counts: exact because components
+			// are forbidden together with DropProb, so staged ==
+			// delivered. A broadcaster is charged deg(u).
 			s.compMsgs[s.eng.comp[u]] += int64(len(to))
 		}
-	}
-	if st != nil {
-		for _, u := range senders {
-			if len(st.outTo[u]) > 0 {
-				st.outTo[u] = st.outTo[u][:0]
-			}
-		}
-	}
-	if !serialHandlers {
-		for _, u := range s.due {
-			if s.wake[u] >= 0 {
-				s.setPool(u)
-			}
+		if st != nil && len(st.outTo[u]) > 0 {
+			st.outTo[u] = st.outTo[u][:0]
 		}
 	}
 	return delivered
@@ -1015,102 +841,4 @@ func (s *Session) staged(st *sendState, u NodeID) (to []NodeID, pay []Message, m
 	to = st.outTo[u]
 	base := s.eng.adjOff[u]
 	return to, st.outPay[base : base+int32(len(to))], -1
-}
-
-// deliverSerial is the single-threaded delivery path: one scatter pass
-// over the staged broadcasts and out buffers. Receiver regions are
-// static (adjOff), so there is nothing to count or place; each message
-// is one cursor bump and one 16-byte copy, and the per-message drop draw
-// (when fault injection is on) happens in the same global staging order
-// as always.
-func (s *Session) deliverSerial(st *sendState, senders []NodeID, dropRng *rand.Rand) int64 {
-	nextStamp := s.stamp + 1
-	adjOff := s.eng.adjOff
-	var delivered int64
-	for _, u := range senders {
-		to, pay, mask := s.staged(st, u)
-		for i, r := range to {
-			if dropRng != nil && dropRng.Float64() < s.eng.DropProb {
-				continue
-			}
-			c := &s.inCur[r]
-			if c.stamp != nextStamp {
-				c.stamp = nextStamp
-				c.beg = adjOff[r]
-				c.pos = c.beg
-				s.setPool(r)
-			}
-			s.inboxBuf[c.pos] = pay[i&mask]
-			c.pos++
-			delivered++
-		}
-	}
-	return delivered
-}
-
-// deliverSharded is the parallel delivery path: receivers are
-// partitioned into contiguous node-range shards (never more than
-// workers; see deliveryShards) and one goroutine per shard scans the
-// full staged buffers, scattering only its own shard's messages. Fixed receiver regions mean one parallel pass suffices (no
-// count/offset phase or barrier between them); every inbox cell has
-// exactly one writer, the random-access traffic splits across workers,
-// and per-receiver order stays ascending-sender (workers walk the
-// sender list in ascending order, one message per directed edge per
-// round) — bit-identical to the serial path.
-func (s *Session) deliverSharded(senders []NodeID) int64 {
-	s.sendList = senders
-	shards := s.shards
-	s.shardNext.Store(0)
-	s.wg.Add(shards)
-	for i := 0; i < shards; i++ {
-		go s.scatterFn()
-	}
-	s.wg.Wait()
-	var delivered int64
-	// The pool bitmap, its summary and the cand counter are shared across
-	// shards, so receivers are folded in serially (O(receivers)).
-	for sh := 0; sh < shards; sh++ {
-		delivered += s.shardCount[sh]
-		for _, r := range s.shardRecv[sh] {
-			s.setPool(r)
-		}
-	}
-	s.sendList = nil
-	return delivered
-}
-
-// scatterWorker claims the next unowned shard off the cursor and
-// scatters it; deliverSharded starts one per shard.
-func (s *Session) scatterWorker() {
-	defer s.wg.Done()
-	s.scatterShard(int(s.shardNext.Add(1)) - 1)
-}
-
-func (s *Session) scatterShard(sh int) {
-	lo, hi := s.shardBounds[sh], s.shardBounds[sh+1]
-	nextStamp := s.stamp + 1
-	adjOff := s.eng.adjOff
-	recv := s.shardRecv[sh][:0]
-	count := int64(0)
-	st := s.send.Load()
-	for _, u := range s.sendList {
-		to, pay, mask := s.staged(st, u)
-		for i, r := range to {
-			if r < lo || r >= hi {
-				continue
-			}
-			c := &s.inCur[r]
-			if c.stamp != nextStamp {
-				c.stamp = nextStamp
-				c.beg = adjOff[r]
-				c.pos = c.beg
-				recv = append(recv, r)
-			}
-			s.inboxBuf[c.pos] = pay[i&mask]
-			c.pos++
-			count++
-		}
-	}
-	s.shardRecv[sh] = recv
-	s.shardCount[sh] = count
 }

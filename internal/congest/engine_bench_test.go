@@ -68,10 +68,7 @@ func BenchmarkSessionRoundLoopSparse(b *testing.B) {
 // a complete bipartite network (uniform high degree, 32k messages per
 // round) and a random-regular network (large n, moderate degree). The
 // msgs/sec metric is the direct before/after number for the scatter
-// path. The sub-benchmarks compare the serial path (workers=1), the
-// work-stealing + sharded-scatter path forced onto every round
-// (workers=4, threshold 1) and the default cutover (workers=4-default),
-// which should track the faster of the two.
+// path.
 func BenchmarkDeliveryDense(b *testing.B) {
 	nets := []struct {
 		name string
@@ -89,29 +86,19 @@ func BenchmarkDeliveryDense(b *testing.B) {
 	}
 	const rounds = 8
 	for _, net := range nets {
-		for _, cfg := range []struct {
-			name               string
-			workers, threshold int
-		}{
-			{"workers=1", 1, 0},
-			{"workers=4", 4, 1},
-			{"workers=4-default", 4, 0},
-		} {
-			b.Run(net.name+"/"+cfg.name, func(b *testing.B) {
-				e := NewEngine(NewNetwork(net.g, 1))
-				e.Workers, e.ParallelThreshold = cfg.workers, cfg.threshold
-				h := &pingpong{rounds: rounds}
-				var msgs int64
-				b.ReportAllocs()
-				for b.Loop() {
-					rep, err := e.Run(h)
-					if err != nil {
-						b.Fatal(err)
-					}
-					msgs += rep.Messages
+		b.Run(net.name, func(b *testing.B) {
+			e := NewEngine(NewNetwork(net.g, 1))
+			h := &pingpong{rounds: rounds}
+			var msgs int64
+			b.ReportAllocs()
+			for b.Loop() {
+				rep, err := e.Run(h)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/sec")
-			})
-		}
+				msgs += rep.Messages
+			}
+			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/sec")
+		})
 	}
 }

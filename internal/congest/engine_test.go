@@ -281,26 +281,6 @@ func TestReportAccumulate(t *testing.T) {
 	}
 }
 
-// parallelStress runs a big flood with many workers to exercise the
-// concurrent path under the race detector.
-func TestParallelFloodStress(t *testing.T) {
-	rng := graph.NewRand(4)
-	g := graph.Gnm(2000, 6000, rng)
-	net := NewNetwork(g, 4)
-	e := NewEngine(net)
-	e.Workers = 8
-	h := &floodHandler{}
-	if _, err := e.Run(h); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	comp, _ := g.ConnectedComponents()
-	for v := 0; v < g.NumNodes(); v++ {
-		if comp[v] == comp[0] && h.heard[v] < 0 {
-			t.Fatalf("node %d in component of 0 never heard the flood", v)
-		}
-	}
-}
-
 func TestBitsAccounting(t *testing.T) {
 	g := graph.Path(6)
 	net := NewNetwork(g, 1)

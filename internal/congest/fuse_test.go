@@ -152,28 +152,28 @@ func TestFusedEngineBatchOfOne(t *testing.T) {
 }
 
 // TestFusedAccountingScheduleInvariant pins that the per-component split
-// is identical under serial and parallel execution (workers and
-// forced-parallel thresholds).
+// does not depend on where the session's state came from: a fresh
+// engine, its pooled session run again, and an arena-retained session
+// re-laid onto another fused engine all report the same stats.
 func TestFusedAccountingScheduleInvariant(t *testing.T) {
 	gs, seeds := fuseTestGraphs(7)
 	base := NewFusedEngine(gs, seeds)
-	ref, err := base.Run(&drawFlood{})
+	ref, err := base.RunSession(&drawFlood{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []struct{ workers, thresh int }{
-		{1, 0}, {4, 1}, {8, 1}, {2, 1},
-	} {
-		eng := NewFusedEngine(gs, seeds)
-		eng.Workers, eng.ParallelThreshold = cfg.workers, cfg.thresh
-		rep, err := eng.Run(&drawFlood{})
+	arena := NewArena(1)
+	for i, eng := range []*Engine{base, NewFusedEngine(gs, seeds), NewFusedEngine(gs, seeds)} {
+		if eng != base {
+			eng.Arena = arena
+		}
+		rep, err := eng.RunSession(&drawFlood{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for c := range ref.PerComp {
 			if rep.PerComp[c] != ref.PerComp[c] {
-				t.Fatalf("workers=%d thresh=%d: component %d stats %+v, want %+v",
-					cfg.workers, cfg.thresh, c, rep.PerComp[c], ref.PerComp[c])
+				t.Fatalf("run %d: component %d stats %+v, want %+v", i, c, rep.PerComp[c], ref.PerComp[c])
 			}
 		}
 	}

@@ -2,14 +2,13 @@ package congest
 
 // A deliberately naive map-based execution of the CONGEST contract, kept
 // as an executable reference for the production delivery pipeline (fixed
-// CSR inbox regions, senders lists, sharded scatter, packed messages).
+// CSR inbox regions, senders lists, per-node broadcasts, packed messages).
 // The reference stores everything in maps and sorted slices, rebuilds
 // its state from scratch every round, and reconstructs the per-receiver
 // "ascending sender" order by explicit sorting — an independent
 // derivation of the ordering the engine gets for free from its scan
 // order. The equivalence test below drives randomized chaos protocols on
-// both implementations, across worker counts (and so delivery shard
-// counts), and requires every observable — Report counters, per-node
+// both implementations and requires every observable — Report counters, per-node
 // fingerprints of every (round, inbox) and randomness draw — to match
 // exactly.
 
@@ -267,22 +266,11 @@ func (p *chaosProbe) ProbeRound(rt probeRuntime, u NodeID, r int, inbox []Messag
 	}
 }
 
-// TestEngineMatchesMapReference drives the production engine — across
-// worker counts and forced-parallel thresholds — and the map-based
-// reference side by side on randomized instances, requiring identical
-// Reports and per-node observation fingerprints. The networks have
-// 30–429 nodes, so 8 workers split delivery into fewer shards (one per
-// 64 nodes, at least one) than workers, and 2 workers into as many.
+// TestEngineMatchesMapReference drives the production engine and the
+// map-based reference side by side on randomized instances of 30–429
+// nodes, requiring identical Reports and per-node observation
+// fingerprints.
 func TestEngineMatchesMapReference(t *testing.T) {
-	type engCfg struct {
-		workers, threshold int
-	}
-	cfgs := []engCfg{
-		{workers: 1},
-		{workers: 2, threshold: 1},
-		{workers: 8, threshold: 1},
-		{workers: 8, threshold: 4},
-	}
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 0xabc))
 		n := 30 + rng.IntN(400)
@@ -296,22 +284,17 @@ func TestEngineMatchesMapReference(t *testing.T) {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
 
-		for _, cfg := range cfgs {
-			e := NewEngine(net)
-			e.Workers = cfg.workers
-			e.ParallelThreshold = cfg.threshold
-			got := &chaosProbe{rounds: want.rounds}
-			gotRep, err := e.RunSession(engineProbe{got}, sess)
-			if err != nil {
-				t.Fatalf("trial %d %+v: engine: %v", trial, cfg, err)
-			}
-			if !reflect.DeepEqual(gotRep, wantRep) {
-				t.Fatalf("trial %d %+v: report diverges from reference:\nengine:    %+v\nreference: %+v",
-					trial, cfg, gotRep, wantRep)
-			}
-			if !reflect.DeepEqual(got.fp, want.fp) {
-				t.Fatalf("trial %d %+v: inbox fingerprints diverge from reference", trial, cfg)
-			}
+		got := &chaosProbe{rounds: want.rounds}
+		gotRep, err := NewEngine(net).RunSession(engineProbe{got}, sess)
+		if err != nil {
+			t.Fatalf("trial %d: engine: %v", trial, err)
+		}
+		if !reflect.DeepEqual(gotRep, wantRep) {
+			t.Fatalf("trial %d: report diverges from reference:\nengine:    %+v\nreference: %+v",
+				trial, gotRep, wantRep)
+		}
+		if !reflect.DeepEqual(got.fp, want.fp) {
+			t.Fatalf("trial %d: inbox fingerprints diverge from reference", trial)
 		}
 	}
 }
@@ -323,8 +306,6 @@ func TestEngineMatchesReferenceOnReusedSessions(t *testing.T) {
 	g := graph.Gnm(300, 900, graph.NewRand(5))
 	net := NewNetwork(g, 11)
 	e := NewEngine(net)
-	e.Workers = 4
-	e.ParallelThreshold = 1
 	for sess := uint64(0); sess < 8; sess++ {
 		want := &chaosProbe{rounds: 12}
 		wantRep, err := runRef(net, want, sess, 100_000)

@@ -2,7 +2,6 @@ package congest
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -56,13 +55,9 @@ func TestSendRulesKeepTheirErrors(t *testing.T) {
 		{"broadcast-after-send", sendLast, broadcast,
 			fmt.Sprintf("congest: round 1: node %d broadcast after already sending to %d (bandwidth violation)", bad, last)},
 	} {
-		for _, rt := range []Runtime{{Workers: 1}, {Workers: 4, ParallelThreshold: 1}} {
-			e := NewEngine(NewNetwork(g, 1))
-			e.Runtime = rt
-			_, err := e.Run(sendRuleViolator{bad: bad, first: tc.first, second: tc.second})
-			if err == nil || err.Error() != tc.want {
-				t.Errorf("%s %+v: err = %v, want %q", tc.name, rt, err, tc.want)
-			}
+		_, err := NewEngine(NewNetwork(g, 1)).Run(sendRuleViolator{bad: bad, first: tc.first, second: tc.second})
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -79,7 +74,7 @@ func TestBroadcastOnlySessionBuildsNoSendState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.cleanup()
-	if s.send.Load() != nil {
+	if s.send != nil {
 		t.Fatal("a broadcast-only session built its Send state")
 	}
 	if got, want := s.retainedBytes(), 60*n+16*m; got != want {
@@ -89,59 +84,11 @@ func TestBroadcastOnlySessionBuildsNoSendState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.cleanup()
-	if s.send.Load() == nil {
+	if s.send == nil {
 		t.Fatal("a session whose handlers sent has no Send state")
 	}
 	if got, want := s.retainedBytes(), 84*n+44*m; got != want {
 		t.Fatalf("retainedBytes after a Send = %d, want 84n+44m = %d", got, want)
-	}
-}
-
-// allSendAtOnce has every node send to each neighbor at round 0, its
-// first staging of the session, and record its round-1 inbox senders.
-type allSendAtOnce struct{ from [][]NodeID }
-
-func (h *allSendAtOnce) Init(rt *Session) {
-	h.from = make([][]NodeID, rt.N())
-	for u := 0; u < rt.N(); u++ {
-		rt.WakeAt(NodeID(u), 0)
-	}
-}
-
-func (h *allSendAtOnce) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
-	for _, msg := range inbox {
-		h.from[u] = append(h.from[u], msg.From())
-	}
-	if r == 0 {
-		for _, v := range rt.Neighbors(u) {
-			rt.Send(u, v, 1, uint64(u), 0)
-		}
-	}
-}
-
-// TestConcurrentFirstSendsShareOneSendState runs fresh sessions whose
-// parallel handlers all make their first Send in the same round: every
-// message must arrive, in ascending-sender order, as if the Send state
-// had been built once before the round (a second build would lose the
-// messages staged into the first). Run it under -race.
-func TestConcurrentFirstSendsShareOneSendState(t *testing.T) {
-	g := graph.Gnm(1000, 4000, graph.NewRand(8))
-	for i := 0; i < 20; i++ {
-		e := NewEngine(NewNetwork(g, uint64(i)))
-		e.Runtime = Runtime{Workers: 8, ParallelThreshold: 1}
-		h := &allSendAtOnce{}
-		rep, err := e.Run(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Messages != int64(2*g.NumEdges()) {
-			t.Fatalf("run %d: delivered %d messages, want %d", i, rep.Messages, 2*g.NumEdges())
-		}
-		for u := range h.from {
-			if want := g.Neighbors(NodeID(u)); !reflect.DeepEqual(h.from[u], want) && len(want) > 0 {
-				t.Fatalf("run %d: node %d heard from %v, want %v", i, u, h.from[u], want)
-			}
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package congest
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -66,34 +65,6 @@ func runProbe(t *testing.T, e *Engine, sess uint64) (Report, *transcriptProbe) {
 func sameProbe(a, b *transcriptProbe) bool {
 	return reflect.DeepEqual(a.fp, b.fp) && reflect.DeepEqual(a.heard, b.heard) &&
 		reflect.DeepEqual(a.draws, b.draws)
-}
-
-// TestTranscriptDeterminismAcrossWorkers pins the determinism contract of
-// the engine: for a fixed network seed and session tag, the full Report
-// (rounds, messages, bits) and every node's handler-side transcript are
-// identical whether handlers run on one worker, two, or at least eight,
-// the parallel paths forced onto every round.
-func TestTranscriptDeterminismAcrossWorkers(t *testing.T) {
-	g := graph.Gnm(3000, 9000, graph.NewRand(11))
-	run := func(workers int) (Report, *transcriptProbe) {
-		e := NewEngine(NewNetwork(g, 42))
-		e.Workers = workers
-		e.ParallelThreshold = 1
-		return runProbe(t, e, 7)
-	}
-	rep1, h1 := run(1)
-	for _, w := range []int{2, max(runtime.GOMAXPROCS(0), 8)} {
-		repN, hN := run(w)
-		if !reflect.DeepEqual(rep1, repN) {
-			t.Fatalf("Reports differ at %d workers:\n1 worker: %+v\n%d workers: %+v", w, rep1, w, repN)
-		}
-		if !sameProbe(h1, hN) {
-			t.Fatalf("handler-side transcript differs at %d workers", w)
-		}
-	}
-	if rep1.Rounds < 2 || rep1.Messages == 0 {
-		t.Fatalf("probe ran %d rounds, %d messages; test lost its teeth", rep1.Rounds, rep1.Messages)
-	}
 }
 
 // TestRepeatedSessionsOnReusedEngineIdentical pins that pooled session

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
@@ -75,17 +74,13 @@ type ColorBFS struct {
 	// Per-node identifier sets, storing id → parent (the neighbor that
 	// first delivered the id), which is the information witness extraction
 	// walks. Each node's set is touched only by that node's handler
-	// invocation, so the engine may run handlers in parallel without locks.
+	// invocation.
 	asc, desc, skip *idset.Store
 	ascOver         []bool
 	descOver        []bool
 
-	// Lock-free detection recording: detAt[v] is appended to only by v's
-	// handler; RunSessions merges the per-node buffers (in ascending node
-	// order) after the engine session ends. detCount short-circuits the
-	// merge scan on the common no-detection path.
-	detAt      [][]Detection
-	detCount   atomic.Int64
+	// detections holds the collisions in arrival order; RunSessions sorts
+	// it into a canonical order after the engine sessions end.
 	detections []Detection
 
 	// Forwarding queues, shared by the batch phases (each node transmits in
@@ -99,10 +94,8 @@ type ColorBFS struct {
 	queueSlab []uint64
 
 	// over mirrors "any entry of ascOver/descOver is set" so Overflowed is
-	// O(1) instead of a 2n-wide scan per invocation. It is an atomic only
-	// because overflow is flagged from concurrent node handlers; reads on
-	// the handler path stay on the per-node bool arrays.
-	over atomic.Bool
+	// O(1) instead of a 2n-wide scan per invocation.
+	over bool
 
 	// batch and pipe are the handlers of the two schedules, kept here so
 	// a run does not allocate one.
@@ -176,7 +169,6 @@ func newColorBFS(n int) *ColorBFS {
 		desc:     idset.New(n),
 		ascOver:  make([]bool, n),
 		descOver: make([]bool, n),
-		detAt:    make([][]Detection, n),
 		queue:    make([][]uint64, n),
 		queueIdx: make([]int32, n),
 	}
@@ -212,25 +204,15 @@ func (b *ColorBFS) trim() {
 // reset prepares a (possibly reused) instance for a fresh invocation on
 // n ≤ capacity vertices. The identifier sets are emptied by a generation
 // bump (O(1)); the remaining per-node arrays are re-sliced to n, keeping
-// their capacity, and cleared in place (a run reads no cell past n, and
-// detection buffers are cleared wherever the last run left them).
+// their capacity, and cleared in place (a run reads no cell past n).
 func (b *ColorBFS) reset(n int, spec ColorBFSSpec) {
 	b.spec = spec
 	b.m = spec.L / 2
 	b.tmax = max(b.m, spec.L-b.m)
-	if b.detCount.Load() != 0 {
-		// At the recording run's length, before a shrink hides buffers
-		// that a later grow would bring back.
-		for v := range b.detAt {
-			b.detAt[v] = b.detAt[v][:0]
-		}
-		b.detCount.Store(0)
-	}
 	if n != b.n {
 		b.n = n
 		b.ascOver = b.ascOver[:n]
 		b.descOver = b.descOver[:n]
-		b.detAt = b.detAt[:n]
 		b.queue = b.queue[:n]
 		b.queueIdx = b.queueIdx[:n]
 	}
@@ -254,14 +236,14 @@ func (b *ColorBFS) reset(n int, spec ColorBFSSpec) {
 	} else if b.skip != nil {
 		b.skip.Reset(n)
 	}
-	b.over.Store(false)
+	b.over = false
 }
 
 // retainedBytes is the instance's size as an Arena charges it: the
 // identifier stores, the per-node arrays across their capacity, and the
 // queue and detection buffers grown past the slab.
 func (b *ColorBFS) retainedBytes() int64 {
-	const perNode = 2 + 24 + 24 + 4 + queueSlabCap*8 // over flags, detAt and queue headers, queueIdx, slab
+	const perNode = 2 + 24 + 4 + queueSlabCap*8 // over flags, queue header, queueIdx, slab
 	bytes := b.asc.Bytes() + b.desc.Bytes() + int64(cap(b.ascOver))*perNode
 	if b.skip != nil {
 		bytes += b.skip.Bytes()
@@ -271,10 +253,7 @@ func (b *ColorBFS) retainedBytes() int64 {
 			bytes += int64(cap(q)) * 8
 		}
 	}
-	for _, d := range b.detAt[:cap(b.detAt)] {
-		bytes += int64(cap(d)) * 16
-	}
-	return bytes + int64(cap(b.bucketColor))*5
+	return bytes + int64(cap(b.detections))*24 + int64(cap(b.bucketColor))*5
 }
 
 // ColorBFSPool hands out reusable ColorBFS instances for a fixed vertex
@@ -434,7 +413,7 @@ func (b *ColorBFS) insertAsc(v graph.NodeID, c int8, id uint64, from graph.NodeI
 	inserted, capped := b.asc.InsertCapped(v, id, from, capLen)
 	if capped {
 		b.ascOver[v] = true
-		b.over.Store(true)
+		b.over = true
 		return
 	}
 	if !inserted {
@@ -463,7 +442,7 @@ func (b *ColorBFS) insertDesc(v graph.NodeID, c int8, id uint64, from graph.Node
 	inserted, capped := b.desc.InsertCapped(v, id, from, capLen)
 	if capped {
 		b.descOver[v] = true
-		b.over.Store(true)
+		b.over = true
 		return
 	}
 	if !inserted {
@@ -487,12 +466,9 @@ func (b *ColorBFS) insertSkip(v graph.NodeID, id uint64, from graph.NodeID) {
 	}
 }
 
-// record stores a detection at its node's buffer. Node v's buffer is only
-// written by v's handler invocation, so no lock is needed; the buffers are
-// merged into a canonical order after the session ends.
+// record appends a detection to the run's buffer.
 func (b *ColorBFS) record(d Detection) {
-	b.detAt[d.Node] = append(b.detAt[d.Node], d)
-	b.detCount.Add(1)
+	b.detections = append(b.detections, d)
 }
 
 // Detections returns the identifier collisions found by the run.
@@ -522,7 +498,7 @@ func (b *ColorBFS) MaxCongestionRange(lo, hi graph.NodeID) int {
 }
 
 // Overflowed reports whether any forwarder discarded its set.
-func (b *ColorBFS) Overflowed() bool { return b.over.Load() }
+func (b *ColorBFS) Overflowed() bool { return b.over }
 
 // Costs is the invocation's cost given its sessions' report rep: rep's
 // rounds, messages and bits plus the congestion watermark and overflow
@@ -579,13 +555,11 @@ func (b *ColorBFS) RunSessions(e *congest.Engine, base uint64) (congest.Report, 
 	if err != nil {
 		return congest.Report{}, err
 	}
-	// Merge the per-node detection buffers and canonicalize their order:
-	// sort by node, then seed, so Detections()[0] — and hence the extracted
-	// witness — is the same for every worker count.
-	if b.detCount.Load() > 0 {
-		for v := range b.detAt {
-			b.detections = append(b.detections, b.detAt[v]...)
-		}
+	// Canonicalize the detections' order: sort by node, then seed, then
+	// Skip, a total order over Detection's fields, so Detections()[0] —
+	// and hence the extracted witness — does not depend on the order the
+	// batch phases found them in.
+	if len(b.detections) > 1 {
 		slices.SortFunc(b.detections, func(di, dj Detection) int {
 			if di.Node != dj.Node {
 				return int(di.Node) - int(dj.Node)

@@ -18,9 +18,8 @@
 //
 // Determinism contract: all randomness derives from the caller's seed via
 // sched.Tag (per-iteration coloring streams, per-session engine tags), and
-// detections are recorded into per-node lock-free buffers that are merged
-// and canonically sorted after each session — so every verdict, witness
-// and cost counter is bit-identical for any Workers, ParallelThreshold
-// and Parallel setting. One-sidedness is enforced mechanically: every detection's
+// each invocation's detections are canonically sorted after its sessions
+// — so every verdict, witness and cost counter is bit-identical for any
+// Parallel setting. One-sidedness is enforced mechanically: every detection's
 // witness is re-verified against the input graph before it is reported.
 package core

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -53,8 +52,6 @@ func TestDetectEvenCycleFusedMatchesSolo(t *testing.T) {
 		items := fusedEvenCorpus(t, k, 8, uint64(1000+k))
 		for _, opt := range []Options{
 			{},
-			{Runtime: congest.Runtime{Workers: 4, ParallelThreshold: 1}},
-			{Runtime: congest.Runtime{Workers: 8, ParallelThreshold: 1}},
 			{Pipelined: true},
 		} {
 			fused, err := DetectEvenCycleFused(items, k, opt)

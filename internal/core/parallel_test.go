@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -12,23 +11,19 @@ import (
 // contract of the trial-scheduler migration: for a fixed master seed the
 // full Result — verdict, witness, round/message/bit ledger, congestion,
 // iteration count — is identical whether the coloring iterations run
-// sequentially or many-at-a-time, and identical across engine worker
-// counts. Multi-worker runs force every round onto the parallel engine
-// paths (ParallelThreshold 1); at the default cutover this instance's
-// rounds are too light to leave the serial path.
+// sequentially or many-at-a-time.
 func TestDetectorDeterministicAcrossParallel(t *testing.T) {
 	rng := graph.NewRand(5)
 	g, _, err := graph.PlantedHeavy(600, 4, 60, 1.4, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(parallel, workers int, keepGoing bool) *Result {
+	run := func(parallel int, keepGoing bool) *Result {
 		res, err := DetectEvenCycle(g, 2, Options{
 			Seed:          99,
 			MaxIterations: 24,
 			KeepGoing:     keepGoing,
 			Parallel:      parallel,
-			Runtime:       congest.Runtime{Workers: workers, ParallelThreshold: 1},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -36,12 +31,11 @@ func TestDetectorDeterministicAcrossParallel(t *testing.T) {
 		return res
 	}
 	for _, keepGoing := range []bool{false, true} {
-		want := run(1, 1, keepGoing)
-		for _, cfg := range [][2]int{{4, 1}, {-1, 1}, {1, 8}, {4, 8}} {
-			got := run(cfg[0], cfg[1], keepGoing)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("keepGoing=%v parallel=%d workers=%d: result diverged\nwant %+v\ngot  %+v",
-					keepGoing, cfg[0], cfg[1], want, got)
+		want := run(1, keepGoing)
+		for _, parallel := range []int{4, -1} {
+			if got := run(parallel, keepGoing); !reflect.DeepEqual(want, got) {
+				t.Fatalf("keepGoing=%v parallel=%d: result diverged\nwant %+v\ngot  %+v",
+					keepGoing, parallel, want, got)
 			}
 		}
 		if keepGoing && !want.Found {
@@ -97,7 +91,6 @@ func benchmarkDetectorTrials(b *testing.B, parallel int) {
 			MaxIterations: 16,
 			KeepGoing:     true,
 			Parallel:      parallel,
-			Runtime:       congest.Runtime{Workers: 1},
 		})
 		if err != nil {
 			b.Fatal(err)

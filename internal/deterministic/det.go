@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/congest"
@@ -41,9 +40,8 @@ type Options struct {
 	// so every Seed yields a bit-identical transcript and Result; the
 	// field exists so tests can pin exactly that.
 	Seed uint64
-	// Runtime configures the engine's parallel handler/delivery phases
-	// (see congest.Runtime); transcripts are bit-identical for every
-	// setting.
+	// Runtime configures the engine (see congest.Runtime); transcripts
+	// are bit-identical for every setting.
 	congest.Runtime
 	// Cancel aborts the broadcast session at the next round boundary when
 	// tripped (see congest.CancelFlag); untripped it changes nothing.
@@ -92,9 +90,8 @@ type candidate struct {
 }
 
 // detProto is the broadcast-CONGEST handler. All per-node state is touched
-// only by that node's handler invocation, so the engine may execute
-// handlers in parallel; detections go to one buffer under a lock, and are
-// sorted into a canonical order after the session.
+// only by that node's handler invocation; detections go to one buffer in
+// arrival order and are sorted into a canonical order after the session.
 type detProto struct {
 	k   uint64 // target walk length (half cycle length)
 	tau int32
@@ -124,12 +121,8 @@ type detProto struct {
 	qslab []uint64
 	qOff  []uint32
 
-	// dets holds the candidates in arrival order; detMu guards it.
-	// Candidates are rare next to messages, so one lock-guarded buffer
-	// costs less than a per-node one, whose headers alone take 24 bytes
-	// a node and whose first appends allocate node by node.
-	detMu sync.Mutex
-	dets  []candidate
+	// dets holds the candidates in arrival order.
+	dets []candidate
 
 	// walk is witness's 2k-slot scratch buffer.
 	walk []graph.NodeID
@@ -367,14 +360,12 @@ func (p *detProto) accept(u graph.NodeID, m congest.Message) {
 	if firstParent, _ := p.first.Get(u, key); firstParent == int32(m.From()) {
 		return
 	}
-	p.detMu.Lock()
 	p.dets = append(p.dets, candidate{Node: u, Src: graph.NodeID(src), Second: m.From()})
-	p.detMu.Unlock()
 }
 
 // candidates sorts the detection buffer into a canonical order
 // (ascending node, then source, then second parent: each triple is
-// unique), erasing any handler-scheduling order, and returns it; it is
+// unique), erasing the arrival order, and returns it; it is
 // valid until the protocol's next reset.
 func (p *detProto) candidates() []candidate {
 	out := p.dets

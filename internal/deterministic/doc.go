@@ -18,7 +18,7 @@
 // addressing). The protocol here uses only congest.Session.Broadcast —
 // never Send — so it exercises exactly that model, and it draws no
 // randomness at all: the transcript is a pure function of the input graph,
-// bit-identical for every engine seed, worker count and shard setting
+// bit-identical for every engine seed and with or without an arena
 // (pinned by TestTranscriptInvariance and the root delivery-determinism
 // suite).
 //

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 )
 
@@ -37,32 +36,26 @@ func fusedCorpus(t *testing.T, k int, count int, seed uint64) []*graph.Graph {
 // TestDetectMultiMatchesSolo pins the fused deterministic path against
 // solo runs: every Result field — verdict, witness (component-local IDs),
 // detector, rounds, messages, bits, congestion, overflow, candidate
-// count, threshold — must be byte-identical, across engine schedules.
+// count, threshold — must be byte-identical.
 func TestDetectMultiMatchesSolo(t *testing.T) {
 	for _, k := range []int{2, 3} {
 		gs := fusedCorpus(t, k, 9, uint64(100+k))
-		for _, cfg := range []Options{
-			{},
-			{Runtime: congest.Runtime{Workers: 4, ParallelThreshold: 1}},
-			{Runtime: congest.Runtime{Workers: 8, ParallelThreshold: 1}},
-		} {
-			fused, err := DetectMulti(gs, k, cfg)
+		fused, err := DetectMulti(gs, k, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range gs {
+			solo, err := Detect(g, k, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, g := range gs {
-				solo, err := Detect(g, k, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(fused[i], solo) {
-					t.Fatalf("k=%d workers=%d component %d:\nfused %+v\nsolo  %+v",
-						k, cfg.Workers, i, fused[i], solo)
-				}
-				if fused[i].Found {
-					if err := graph.IsSimpleCycle(g, fused[i].Witness, 2*k); err != nil {
-						t.Fatalf("k=%d component %d: remapped witness invalid: %v", k, i, err)
-					}
+			if !reflect.DeepEqual(fused[i], solo) {
+				t.Fatalf("k=%d component %d:\nfused %+v\nsolo  %+v",
+					k, i, fused[i], solo)
+			}
+			if fused[i].Found {
+				if err := graph.IsSimpleCycle(g, fused[i].Witness, 2*k); err != nil {
+					t.Fatalf("k=%d component %d: remapped witness invalid: %v", k, i, err)
 				}
 			}
 		}

@@ -247,18 +247,12 @@ func TestMatchesMapReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opt := range []Options{
-				{Threshold: tc.tau, Runtime: congest.Runtime{Workers: 1}},
-				{Threshold: tc.tau, Runtime: congest.Runtime{Workers: 4, ParallelThreshold: 1}},
-			} {
-				got, err := Detect(tc.g, tc.k, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-					t.Fatalf("engine run (workers=%d) diverges from reference:\nref: %+v\neng: %+v",
-						opt.Workers, want, got)
-				}
+			got, err := Detect(tc.g, tc.k, Options{Threshold: tc.tau})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+				t.Fatalf("engine run diverges from reference:\nref: %+v\neng: %+v", want, got)
 			}
 		})
 	}

@@ -44,15 +44,14 @@
 // table that exists only while some set has grown; Trim returns a grown
 // table to its region once it is more than twice the set's need. Bytes
 // counts the meta entries and slab offsets, the whole slab, the grown
-// tables and their index. The congestion watermark is maintained as an
-// O(1) packed atomic rather than an n-wide scan.
+// tables and their index. The congestion watermark is one packed word
+// updated on insert rather than an n-wide scan.
 //
-// Concurrency contract: distinct nodes' sets may be operated on
-// concurrently (the CONGEST engine runs node handlers in parallel), but a
-// single node's set must only be touched by one goroutine at a time, and
-// Reset and Trim require exclusive access to the whole Store. This
-// matches the engine's execution model, where node u's state is only
-// mutated from u's own handler invocation. Iteration order (AppendIDs) is
+// Concurrency contract: a Store is not safe for concurrent use; one
+// goroutine at a time may touch it. This matches the CONGEST engine,
+// which runs a session's handlers one at a time on the session's
+// goroutine, and the detectors, which give every concurrent trial its
+// own stores. Iteration order (AppendIDs) is
 // deterministic for a fixed insertion history, which the detectors rely
 // on for transcript determinism; callers needing a canonical order sort.
 package idset

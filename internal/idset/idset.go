@@ -3,7 +3,6 @@ package idset
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // NodeID mirrors graph.NodeID; the package depends on nothing so the
@@ -58,20 +57,15 @@ type Store struct {
 	// ext holds the tables grown out of their slab regions, indexed by
 	// node and read only where meta carries the grown flag. It exists
 	// only once some table has grown: a store whose sets fit their
-	// regions pays no per-node header. Atomic because inserts for
-	// distinct nodes may race to create it.
-	ext atomic.Pointer[[][]uint64]
+	// regions pays no per-node header.
+	ext [][]uint64
 	// maxLen is the running maximum live count, packed like a meta entry
-	// (generation high, count low) so Reset invalidates it for free. It
-	// is atomic because inserts for distinct nodes may race; the common
-	// insert pays one relaxed load, and a CAS happens only when a set
-	// strictly exceeds the watermark — at most max-congestion times per
-	// generation, not per insert. MaxLen is then O(1) instead of an
-	// n-wide scan per query.
-	maxLen atomic.Uint64
+	// (generation high, count low) so Reset invalidates it for free, and
+	// MaxLen is O(1) instead of an n-wide scan per query.
+	maxLen uint64
 	// grown is the bytes of the tables in ext; Bytes reports it next to
-	// the slab. Atomic because inserts for distinct nodes may race.
-	grown atomic.Int64
+	// the slab.
+	grown int64
 }
 
 func (s *Store) lenOf(v NodeID) int32 {
@@ -85,7 +79,7 @@ func (s *Store) lenOf(v NodeID) int32 {
 // table is node v's table, given its meta entry m.
 func (s *Store) table(v NodeID, m uint64) []uint64 {
 	if m&grownBit != 0 {
-		return (*s.ext.Load())[v]
+		return s.ext[v]
 	}
 	return s.slab[s.off[v]:s.off[v+1]]
 }
@@ -142,8 +136,8 @@ func (s *Store) layout(n int, size func(v int) int) {
 		s.off[v+1] = s.off[v] + uint32(size(v))
 	}
 	s.slab = make([]uint64, s.off[n])
-	s.ext.Store(nil)
-	s.grown.Store(0)
+	s.ext = nil
+	s.grown = 0
 }
 
 // Trim empties every set and returns each grown table more than twice
@@ -153,9 +147,9 @@ func (s *Store) layout(n int, size func(v int) int) {
 // table is left, the per-node index of grown tables goes too. The slab
 // itself stays whole: its regions are not separate allocations.
 func (s *Store) Trim() {
-	if ext := s.ext.Load(); ext != nil {
+	if s.ext != nil {
 		meta := s.meta[:cap(s.meta)]
-		for v, tbl := range *ext {
+		for v, tbl := range s.ext {
 			if tbl == nil {
 				continue
 			}
@@ -168,13 +162,13 @@ func (s *Store) Trim() {
 				// The region holds whatever it held before the table
 				// grew; the bumped generation makes the next write
 				// clear it.
-				(*ext)[v] = nil
+				s.ext[v] = nil
 				meta[v] = m &^ grownBit
-				s.grown.Add(-int64(len(tbl)) * slotBytes)
+				s.grown -= int64(len(tbl)) * slotBytes
 			}
 		}
-		if s.grown.Load() == 0 {
-			s.ext.Store(nil)
+		if s.grown == 0 {
+			s.ext = nil
 		}
 	}
 	s.gen++
@@ -185,11 +179,7 @@ func (s *Store) Trim() {
 // it, and their per-node index while any exists.
 func (s *Store) Bytes() int64 {
 	const perNode = 8 + 4 // meta, slab offset
-	bytes := int64(cap(s.meta))*perNode + int64(cap(s.slab))*slotBytes + s.grown.Load()
-	if ext := s.ext.Load(); ext != nil {
-		bytes += int64(cap(*ext)) * 24
-	}
-	return bytes
+	return int64(cap(s.meta))*perNode + int64(cap(s.slab))*slotBytes + s.grown + int64(cap(s.ext))*24
 }
 
 // NumNodes returns the number of per-node sets.
@@ -217,7 +207,7 @@ func (s *Store) Len(v NodeID) int { return int(s.lenOf(v)) }
 
 // MaxLen returns the largest set size across all nodes.
 func (s *Store) MaxLen() int {
-	m := s.maxLen.Load()
+	m := s.maxLen
 	if uint32(m>>32) != s.gen {
 		return 0
 	}
@@ -344,7 +334,9 @@ func (s *Store) put(v NodeID, id uint64, val int32, overwrite bool) (prev int32,
 	}
 	tbl[i] = want<<valBits | uint64(val)
 	s.meta[v] = m&^countMask | uint64(live+1)
-	s.raiseMax(live + 1)
+	if cur := s.maxLen; uint32(cur>>32) != s.gen || int32(uint32(cur)) <= live {
+		s.maxLen = uint64(s.gen)<<32 | uint64(uint32(live+1))
+	}
 	return 0, false, true
 }
 
@@ -359,42 +351,21 @@ func probeEmpty(tbl []uint64, id uint64) int {
 	return i
 }
 
-// raiseMax lifts the packed watermark to newLen if it exceeds the
-// current generation's maximum.
-func (s *Store) raiseMax(newLen int32) {
-	packed := uint64(s.gen)<<32 | uint64(uint32(newLen))
-	for {
-		cur := s.maxLen.Load()
-		if uint32(cur>>32) == s.gen && int32(uint32(cur)) >= newLen {
-			return
-		}
-		if s.maxLen.CompareAndSwap(cur, packed) {
-			return
-		}
-	}
-}
-
 // grow moves node v's live entries from tbl to a table of its own, twice
 // tbl's size (at least minTableSize), and returns it.
 func (s *Store) grow(v NodeID, tbl []uint64) []uint64 {
-	ext := s.ext.Load()
-	if ext == nil {
-		fresh := make([][]uint64, cap(s.meta))
-		if !s.ext.CompareAndSwap(nil, &fresh) {
-			ext = s.ext.Load()
-		} else {
-			ext = &fresh
-		}
+	if s.ext == nil {
+		s.ext = make([][]uint64, cap(s.meta))
 	}
 	size := max(2*len(tbl), minTableSize)
 	grown := make([]uint64, size)
-	s.grown.Add(int64(size-len((*ext)[v])) * slotBytes)
+	s.grown += int64(size-len(s.ext[v])) * slotBytes
 	for _, sl := range tbl {
 		if sl != 0 {
 			grown[probeEmpty(grown, sl>>valBits-1)] = sl
 		}
 	}
-	(*ext)[v] = grown
+	s.ext[v] = grown
 	return grown
 }
 

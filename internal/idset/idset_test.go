@@ -429,37 +429,3 @@ func TestDomainIsEnforced(t *testing.T) {
 		}()
 	}
 }
-
-// TestConcurrentDistinctNodes runs one goroutine per node, as parallel
-// handlers do: each grows its node's table out of the slab (racing the
-// others to create the index of grown tables) and, after a Reset,
-// clears it on its generation's first write. Run under -race.
-func TestConcurrentDistinctNodes(t *testing.T) {
-	const n, perNode = 8, 200
-	s := New(n)
-	for gen := range 3 {
-		if gen > 0 {
-			s.Reset(n)
-		}
-		done := make(chan struct{})
-		for v := range NodeID(n) {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				for id := range uint64(perNode) {
-					s.Insert(v, id*n+uint64(v)+uint64(gen), int32(id))
-				}
-			}()
-		}
-		for range n {
-			<-done
-		}
-		for v := range NodeID(n) {
-			if s.Len(v) != perNode {
-				t.Fatalf("generation %d: node %d holds %d ids, want %d", gen, v, s.Len(v), perNode)
-			}
-			if val, ok := s.Get(v, (perNode-1)*n+uint64(v)+uint64(gen)); !ok || val != perNode-1 {
-				t.Fatalf("generation %d: node %d lost its last id", gen, v)
-			}
-		}
-	}
-}

@@ -15,6 +15,6 @@
 // invocations and run attempts as independent trials on the shared
 // scheduler, with all randomness (colorings, seed activation) derived
 // from the caller's seed and attempt index — results are bit-identical
-// for every Workers, ParallelThreshold and Parallel setting, and every
-// reported witness is verified against the input graph.
+// for every Parallel setting, and every reported witness is verified
+// against the input graph.
 package lowprob

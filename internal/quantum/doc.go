@@ -25,6 +25,5 @@
 // the shared scheduler with per-attempt seeds derived via sched.Tag, and
 // per-component seeds derive from the decomposition's canonical component
 // order — so the verdict, witness and the whole round ledger are
-// bit-identical for every Workers, ParallelThreshold and Parallel
-// setting.
+// bit-identical for every Parallel setting.
 package quantum

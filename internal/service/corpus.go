@@ -86,13 +86,18 @@ func (s *Service) CreateCorpus(name string, g *graph.Graph) error {
 //
 // A batch whose every edge is already present is a no-op: the identical
 // graph pointer is returned, nothing is journaled, and no warm work
-// runs. ErrUnknownCorpus for an unknown name.
+// runs. ErrUnknownCorpus for an unknown name; a plain error for a batch
+// that grows the vertex set past the inline-upload bound (checkGrowth).
 func (s *Service) AddCorpusEdges(name string, edges [][2]graph.NodeID) (*Mutation, error) {
 	s.corpusMu.Lock()
 	g, ok := s.corpus[name]
 	if !ok {
 		s.corpusMu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownCorpus, name)
+	}
+	if err := checkGrowth(g, edges); err != nil {
+		s.corpusMu.Unlock()
+		return nil, err
 	}
 	var ng *graph.Graph
 	var err error

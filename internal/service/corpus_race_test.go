@@ -174,3 +174,44 @@ func TestCorpusPersistence(t *testing.T) {
 		t.Fatal("failed durable mutation still mutated the in-memory corpus")
 	}
 }
+
+// TestAddCorpusEdgesBoundsGrowth pins the inline-upload bound on corpus
+// mutations: a batch may grow a graph's vertex set to at most 2·|E| +
+// wireIsolatedSlack vertices, |E| counting the graph's edges and the
+// batch's, in memory and through the durable store alike. A rejected
+// batch leaves the corpus, and the journal, as they were.
+func TestAddCorpusEdgesBoundsGrowth(t *testing.T) {
+	triangle := graph.FromEdges(3, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 0}})
+	limit := graph.NodeID(2*(3+1) + wireIsolatedSlack) // one added edge
+	for _, durable := range []bool{false, true} {
+		cfg := Config{Slots: 1, BatchSize: 1}
+		if durable {
+			st, err := store.Open(t.TempDir(), store.Options{CompactThreshold: -1, Logf: func(string, ...any) {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			cfg.Persist = st
+		}
+		s := New(cfg)
+		if err := s.CreateCorpus("tri", triangle); err != nil {
+			t.Fatal(err)
+		}
+		for _, far := range []graph.NodeID{limit, 1 << 22, 1<<27 - 1} {
+			if _, err := s.AddCorpusEdges("tri", [][2]graph.NodeID{{0, far}}); err == nil ||
+				errors.Is(err, ErrInternal) || errors.Is(err, ErrUnknownCorpus) {
+				t.Fatalf("durable=%v: edge [0,%d] on a triangle: err = %v, want a client error", durable, far, err)
+			}
+			if g, _ := s.NamedGraph("tri"); g != triangle {
+				t.Fatalf("durable=%v: a rejected edge [0,%d] replaced the corpus graph", durable, far)
+			}
+		}
+		mut, err := s.AddCorpusEdges("tri", [][2]graph.NodeID{{0, limit - 1}})
+		if err != nil {
+			t.Fatalf("durable=%v: edge at the bound: %v", durable, err)
+		}
+		if n := mut.Graph.NumNodes(); n != int(limit) {
+			t.Fatalf("durable=%v: grown graph has %d vertices, want %d", durable, n, limit)
+		}
+	}
+}

@@ -147,9 +147,6 @@ type Config struct {
 	// session at any batch size and ignore it; responses are identical
 	// either way.
 	Parallel int
-	// Workers sizes each engine session's worker pool (see
-	// congest.Runtime); 0 keeps the engine default.
-	Workers int
 	// BatchSize caps the fused miss-path batch: a miss granted an
 	// admission slot takes up to BatchSize-1 compatible misses queued
 	// behind it, and they share one engine session on the disjoint union
@@ -280,8 +277,8 @@ type Service struct {
 	// observe mirrors Config.Observe: true arms the latency/stage
 	// timers on the request path.
 	observe bool
-	// rt is Config.Workers and the service's arena, as the Runtime
-	// every detector run gets. The arena retains at most Slots sets of
+	// rt holds the service's arena, as the Runtime every detector run
+	// gets. The arena retains at most Slots sets of
 	// detector state, one per admitted computation.
 	rt congest.Runtime
 	// engineObs is handed to every detector run as Options.Observe when
@@ -335,7 +332,7 @@ func New(cfg Config) *Service {
 		inflight: make(map[cacheKey]*call),
 		corpus:   make(map[string]*graph.Graph),
 		observe:  cfg.Observe,
-		rt:       congest.Runtime{Workers: cfg.Workers, Arena: congest.NewArena(cfg.Slots)},
+		rt:       congest.Runtime{Arena: congest.NewArena(cfg.Slots)},
 	}
 	s.metrics = newMetrics(s)
 	if cfg.Persist != nil {

@@ -212,7 +212,6 @@ func TestDeterministicResponsesByteIdentical(t *testing.T) {
 	}{
 		{Config{Slots: 1}, 1, false},
 		{Config{Slots: 4, Parallel: 2}, 1, false},
-		{Config{Slots: 2, Workers: 2}, 1, false},
 		// Batching off: the session count is exactly one per graph.
 		{Config{Slots: 4, BatchSize: 1}, 8, false},
 		{Config{Slots: 2, BatchSize: 8}, 8, true},

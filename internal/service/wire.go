@@ -72,6 +72,24 @@ func (wg *WireGraph) validate() error {
 	return nil
 }
 
+// checkGrowth applies the inline-upload bound to edges added to g: an
+// added endpoint may grow the vertex set only up to 2·|E| +
+// wireIsolatedSlack vertices, |E| counting g's edges and the added ones
+// (duplicates included, as validate counts them). Without it a one-edge
+// request could grow a small corpus graph to millions of vertices, and
+// the O(n) CSR rebuild would run under the corpus lock. Endpoints below
+// g's own vertex count are always accepted.
+func checkGrowth(g *graph.Graph, edges [][2]graph.NodeID) error {
+	limit := max(g.NumNodes(), 2*(g.NumEdges()+len(edges))+wireIsolatedSlack)
+	for i, e := range edges {
+		if int(e[0]) >= limit || int(e[1]) >= limit {
+			return fmt.Errorf("service: added edge %d [%d,%d] would grow the graph past %d vertices for %d edges — ship edges for the vertices you use",
+				i, e[0], e[1], limit, g.NumEdges()+len(edges))
+		}
+	}
+	return nil
+}
+
 // Build validates the wire graph and builds the canonical immutable CSR
 // from it — the one constructor every inline graph on the API goes
 // through, whether for a detection request or a durable corpus create
