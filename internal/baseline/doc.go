@@ -16,8 +16,9 @@
 //
 // Pooling/determinism contract: the detectors run on the shared engine and
 // trial scheduler under the same rules as internal/core — per-node state
-// only, randomness derived from (seed, attempt index) via sched.Tag, and
-// the k-ball baseline's per-node edge sets use internal/idset with TTL
-// upserts. Results are bit-identical for every Parallel setting; reported
+// only, randomness derived from (seed, attempt index) via sched.Tag, the
+// local-threshold attempts drawn from a core.ColorBFSPool and run through
+// its shared color-BFS step, and the k-ball baseline's per-node edge sets
+// use internal/idset with TTL upserts. Results are bit-identical for every Parallel setting; reported
 // witnesses are verified against the input graph.
 package baseline

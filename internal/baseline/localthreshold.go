@@ -91,12 +91,11 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 	// Each (source, coloring) attempt is an independent trial on the
 	// shared scheduler, with all shared randomness derived from the
 	// attempt index so the outcome is the same for every Parallel setting.
-	type attemptOutcome struct {
-		costs   congest.Costs
-		found   bool
-		witness []graph.NodeID
-	}
-	trial := func(a int) (*attemptOutcome, error) {
+	// Invocations are pooled: every attempt reuses the identifier-set
+	// tables of earlier ones.
+	pool := core.NewColorBFSPool(opt.Arena, n)
+	defer pool.Close()
+	trial := func(a int) (congest.Verdict, error) {
 		rng := graph.NewRand(sched.Tag(opt.Seed, 0x10ca1, uint64(a)))
 		s := graph.NodeID(rng.Int32N(int32(n)))
 		if opt.HasFixedSource {
@@ -110,41 +109,25 @@ func DetectLocalThreshold(g *graph.Graph, k int, opt LocalThresholdOptions) (*Lo
 		for _, w := range g.Neighbors(s) {
 			inX[w] = true
 		}
-		bfs, err := core.NewColorBFS(n, core.ColorBFSSpec{
+		v, _, err := pool.Step(eng, g, core.ColorBFSSpec{
 			L:         L,
 			Color:     colors,
 			InH:       all,
 			InX:       inX,
 			Threshold: tau,
 			SeedProb:  1,
-		})
+		}, sched.Tag(opt.Seed, 0x10ca2, uint64(a)))
 		if err != nil {
-			return nil, fmt.Errorf("baseline: local threshold: %w", err)
+			return congest.Verdict{}, fmt.Errorf("baseline: local threshold: %w", err)
 		}
-		rep, err := bfs.RunSessions(eng, sched.Tag(opt.Seed, 0x10ca2, uint64(a)))
-		if err != nil {
-			return nil, fmt.Errorf("baseline: local threshold: %w", err)
-		}
-		out := &attemptOutcome{costs: bfs.Costs(rep)}
-		if ds := bfs.Detections(); len(ds) > 0 {
-			witness, err := bfs.Witness(ds[0])
-			if err != nil {
-				return nil, fmt.Errorf("baseline: local threshold witness: %w", err)
-			}
-			if err := graph.IsSimpleCycle(g, witness, L); err != nil {
-				return nil, fmt.Errorf("baseline: local threshold invalid witness: %w", err)
-			}
-			out.found = true
-			out.witness = witness
-		}
-		return out, nil
+		return v, nil
 	}
 	res := &LocalThresholdResult{}
-	fold := func(a int, out *attemptOutcome) bool {
+	fold := func(a int, out congest.Verdict) bool {
 		res.Iterations = a + 1
-		res.Merge(out.costs)
-		if out.found && !res.Found {
-			res.Found, res.Witness, res.FoundLen = true, out.witness, L
+		res.Merge(out.Costs)
+		if out.Found && !res.Found {
+			res.Found, res.Witness, res.FoundLen = true, out.Witness, out.FoundLen
 		}
 		return res.Found && !opt.KeepGoing
 	}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"weak"
@@ -25,12 +26,17 @@ import (
 // the next detection allocates afresh. Take lends a value only to a
 // network at least half its capacity, so the state a detection holds
 // live is never more than twice what it needs. Safe for concurrent use.
+//
+// A value dropped for its size is garbage once its run ends; past
+// arenaCollectBytes, the next Take collects it before the caller
+// allocates afresh (see ArenaMaxValueBytes).
 type Arena struct {
 	slots int
 
-	mu    sync.Mutex
-	bytes int64
-	lists map[any]pruner // kind[T]{} → *kept[T]
+	mu      sync.Mutex
+	bytes   int64
+	lists   map[any]pruner // kind[T]{} → *kept[T]
+	dropped bool           // a Keep dropped a value of arenaCollectBytes or more
 }
 
 // ArenaMaxBytes caps the bytes an Arena retains: past it, state is
@@ -57,8 +63,21 @@ const ArenaMaxBytes = 8 << 20
 // of networks up to a few thousand nodes: a k=3 protocol of a 2000-node
 // planted graph is laid out once at about 350 KB, while a k=2 one of a
 // 20000-node graph (about 4.1 MB, 8-byte walk-key slots included) is
-// dropped.
+// dropped. Dropping alone would leave the peak to the collector too: a
+// cold run on a large graph that starts before the last one's dropped
+// state is collected stacks its fresh state on top (two cold k=2 runs on
+// 20000-node graphs put cycleserved's peak RSS at about 17 or about
+// 22 MiB from one start to the next). So the first Take after the drop
+// of a value of arenaCollectBytes or more runs a collection, and the
+// fresh state reuses the dropped pages.
 const ArenaMaxValueBytes = 512 << 10
+
+// arenaCollectBytes is the size from which a dropped value is collected
+// at the next Take: the 2.2 MB session and 3.6 MB walk-key protocol of a
+// k=2 run on a 20000-node graph are; the ~600 KB k=3 protocol of a
+// planted:2000:6:1.5 graph, dropped on every such miss, is left to the
+// collector's pacing rather than forcing a collection per miss.
+const arenaCollectBytes = 4 * ArenaMaxValueBytes
 
 // kind[T] keys the arena's list of retained *T.
 type kind[T any] struct{}
@@ -129,6 +148,7 @@ func Take[T any](a *Arena, nodes, edges int) *T {
 	if a == nil {
 		return nil
 	}
+	a.collectDropped()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.prune()
@@ -145,6 +165,19 @@ func Take[T any](a *Arena, nodes, edges int) *T {
 	v := l.items[best].p.Value()
 	a.bytes -= l.drop(best)
 	return v
+}
+
+// collectDropped runs a collection if a value of arenaCollectBytes or
+// more was dropped since the last Take, so that its pages are free
+// before the caller allocates.
+func (a *Arena) collectDropped() {
+	a.mu.Lock()
+	dropped := a.dropped
+	a.dropped = false
+	a.mu.Unlock()
+	if dropped {
+		runtime.GC()
+	}
 }
 
 // Keep offers v, with its capacity, for retention; bytes is its size.
@@ -164,6 +197,7 @@ func Keep[T any](a *Arena, v *T, nodes, edges int, bytes int64) {
 		after -= l.items[0].bytes
 	}
 	if bytes > ArenaMaxValueBytes || after > ArenaMaxBytes {
+		a.dropped = a.dropped || bytes >= arenaCollectBytes
 		return
 	}
 	if full {

@@ -187,6 +187,37 @@ func TestArenaHoldsWeakly(t *testing.T) {
 	}
 }
 
+// TestArenaCollectsLargeDrops pins when Take runs a collection: once
+// after a Keep dropped a value of arenaCollectBytes or more, and never
+// for a retained value or a smaller dropped one.
+func TestArenaCollectsLargeDrops(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	type state struct{ name string }
+	numGC := func() uint32 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.NumGC
+	}
+	a := NewArena(2)
+	for _, tc := range []struct {
+		name  string
+		bytes int64
+		want  uint32 // collections by the next two Takes
+	}{
+		{"retained", ArenaMaxValueBytes, 0},
+		{"dropped under arenaCollectBytes", ArenaMaxValueBytes + 1, 0},
+		{"dropped at arenaCollectBytes", arenaCollectBytes, 1},
+	} {
+		Keep(a, &state{tc.name}, 1, 0, tc.bytes)
+		before := numGC()
+		Take[state](a, 1000, 0)
+		Take[state](a, 1000, 0)
+		if got := numGC() - before; got != tc.want {
+			t.Errorf("%s: %d collections by two Takes, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestArenaConcurrentEngines shares one arena among goroutines running
 // engines on networks of several sizes at once, as a service's admitted
 // misses do: every run's Report must equal its network's fresh Report.

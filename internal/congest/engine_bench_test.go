@@ -27,6 +27,23 @@ func (p *pingpong) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
 	}
 }
 
+// broadcaster is pingpong staged with Broadcast: each node stages one
+// message per round, which delivery copies to every neighbor — the
+// staging color-BFS, the det protocol and k-ball use.
+type broadcaster struct{ rounds int }
+
+func (p *broadcaster) Init(rt *Session) {
+	for u := 0; u < rt.N(); u++ {
+		rt.WakeAt(NodeID(u), 0)
+	}
+}
+
+func (p *broadcaster) HandleRound(rt *Session, u NodeID, r int, inbox []Message) {
+	if r < p.rounds {
+		rt.Broadcast(u, 1, uint64(u), uint64(r))
+	}
+}
+
 // BenchmarkSessionRoundLoop measures allocs/op and ns/op of back-to-back
 // sessions on one engine — the hot path of every detector's trial loop.
 // Before the pooled-session refactor each run allocated all per-session
@@ -63,12 +80,13 @@ func BenchmarkSessionRoundLoopSparse(b *testing.B) {
 }
 
 // BenchmarkDeliveryDense drives the delivery pipeline at maximal message
-// density — every node broadcasts to every neighbor every round — on the
-// two dense regimes the Congested-Clique-motivated scatter work targets:
-// a complete bipartite network (uniform high degree, 32k messages per
-// round) and a random-regular network (large n, moderate degree). The
-// msgs/sec metric is the direct before/after number for the scatter
-// path.
+// density — every node messages every neighbor every round — on a
+// complete bipartite network (uniform high degree, 32k messages per
+// round) and a random-regular network (large n, moderate degree). It
+// runs both staging styles: send/… stages each message with Send (the
+// per-edge scatter), broadcast/… stages one Broadcast per node (the path
+// the detectors' rounds take). The msgs/sec metric is the direct
+// before/after number for each delivery path.
 func BenchmarkDeliveryDense(b *testing.B) {
 	nets := []struct {
 		name string
@@ -85,20 +103,28 @@ func BenchmarkDeliveryDense(b *testing.B) {
 		b.Fatalf("random regular: %v", err)
 	}
 	const rounds = 8
-	for _, net := range nets {
-		b.Run(net.name, func(b *testing.B) {
-			e := NewEngine(NewNetwork(net.g, 1))
-			h := &pingpong{rounds: rounds}
-			var msgs int64
-			b.ReportAllocs()
-			for b.Loop() {
-				rep, err := e.Run(h)
-				if err != nil {
-					b.Fatal(err)
+	styles := []struct {
+		name string
+		h    Handler
+	}{
+		{"send", &pingpong{rounds: rounds}},
+		{"broadcast", &broadcaster{rounds: rounds}},
+	}
+	for _, style := range styles {
+		for _, net := range nets {
+			b.Run(style.name+"/"+net.name, func(b *testing.B) {
+				e := NewEngine(NewNetwork(net.g, 1))
+				var msgs int64
+				b.ReportAllocs()
+				for b.Loop() {
+					rep, err := e.Run(style.h)
+					if err != nil {
+						b.Fatal(err)
+					}
+					msgs += rep.Messages
 				}
-				msgs += rep.Messages
-			}
-			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/sec")
-		})
+				b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/sec")
+			})
+		}
 	}
 }

@@ -55,11 +55,7 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 	}
 
 	n := g.NumNodes()
-	net := congest.NewNetwork(g, opt.Seed)
-	eng := congest.NewEngine(net)
-	eng.Runtime = opt.Runtime
-	eng.Cancel = opt.Cancel
-	eng.Observe = opt.Observe
+	eng := newEngine([]*graph.Graph{g}, []uint64{opt.Seed}, opt)
 
 	res := &BoundedResult{Params: params}
 
@@ -68,7 +64,6 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 	if err != nil {
 		return nil, fmt.Errorf("core: bounded set construction: %w", err)
 	}
-	sets.Finish()
 	res.Merge(rep.Costs())
 
 	seedProb := opt.SeedProb
@@ -93,6 +88,7 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 	runner := sched.TrialRunner{Workers: opt.Parallel}
 	pool := NewColorBFSPool(opt.Arena, n)
 	defer pool.Close()
+	comps := []component{{FusedItem: FusedItem{Graph: g}, hi: graph.NodeID(n), active: true}}
 	for ell := 2; ell <= k && !res.Found; ell++ {
 		L := 2 * ell
 		calls := []struct {
@@ -107,9 +103,9 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 			// draws an independent fresh coloring, as the failure-probability
 			// bound assumes.
 			colors := IterationColors(n, L, sched.Tag(opt.Seed, 0x5bd1e995, uint64(ell)), it)
-			out := &iterOutcome{}
+			outs := make([]iterOutcome, 1)
 			for ci, call := range calls {
-				bfs, err := pool.Acquire(ColorBFSSpec{
+				_, err := colorBFSStep(pool, eng, ColorBFSSpec{
 					L:          L,
 					Color:      colors,
 					InH:        call.inH,
@@ -118,50 +114,19 @@ func DetectBoundedCycle(g *graph.Graph, k int, opt Options) (*BoundedResult, err
 					SeedProb:   seedProb,
 					DetectSkip: true,
 					Pipelined:  opt.Pipelined,
-				})
+				}, sched.Tag(opt.Seed, 0xb09d, uint64(ell), uint64(it), uint64(ci)), comps, outs, firstDetection)
 				if err != nil {
 					return nil, fmt.Errorf("core: bounded %s: %w", call.name, err)
 				}
-				rep, err := bfs.RunSessions(eng, sched.Tag(opt.Seed, 0xb09d, uint64(ell), uint64(it), uint64(ci)))
-				if err != nil {
-					return nil, fmt.Errorf("core: bounded %s: %w", call.name, err)
-				}
-				out.costs.Merge(bfs.Costs(rep))
-				if len(bfs.Detections()) > 0 && !out.found {
-					d := bfs.Detections()[0]
-					witness, err := bfs.Witness(d)
-					if err != nil {
-						return nil, fmt.Errorf("core: bounded %s: %w", call.name, err)
-					}
-					wantLen := L
-					if d.Skip {
-						wantLen = L - 1
-					}
-					if err := graph.IsSimpleCycle(g, witness, wantLen); err != nil {
-						return nil, fmt.Errorf("core: bounded %s invalid witness: %w", call.name, err)
-					}
-					out.found = true
-					out.witness = witness
-					out.detector = d.Node
-					out.det = d
-				}
-				// Witness already extracted and verified; nothing aliases the
-				// invocation's buffers past this point.
-				pool.Release(bfs)
 			}
-			return out, nil
+			return &outs[0], nil
 		}
 		fold := func(it int, out *iterOutcome) bool {
 			res.Iterations++
 			res.Merge(out.costs)
-			if out.found && !res.Found {
-				res.Found = true
-				res.FoundLen = L
-				if out.det.Skip {
-					res.FoundLen = L - 1
-				}
-				res.Witness = out.witness
-				res.Detector = out.detector
+			if len(out.witnesses) > 0 && !res.Found {
+				w := out.witnesses[0]
+				res.Found, res.Witness, res.FoundLen, res.Detector = true, w, len(w), out.det.Node
 			}
 			return res.Found
 		}

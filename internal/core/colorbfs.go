@@ -500,15 +500,6 @@ func (b *ColorBFS) MaxCongestionRange(lo, hi graph.NodeID) int {
 // Overflowed reports whether any forwarder discarded its set.
 func (b *ColorBFS) Overflowed() bool { return b.over }
 
-// Costs is the invocation's cost given its sessions' report rep: rep's
-// rounds, messages and bits plus the congestion watermark and overflow
-// flag. Read it before the invocation is released to its pool.
-func (b *ColorBFS) Costs(rep congest.Report) congest.Costs {
-	c := rep.Costs()
-	c.MaxCongestion, c.Overflowed = b.MaxCongestion(), b.Overflowed()
-	return c
-}
-
 // OverflowedRange reports whether any forwarder in [lo, hi) discarded its
 // set (the per-component split of Overflowed; over every node it is
 // Overflowed, O(1)).

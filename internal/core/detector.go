@@ -94,7 +94,7 @@ type Result struct {
 // Found with probability ≥ 1-ε under the faithful parameterization. It is
 // a batch of one for the fused driver (see DetectEvenCycleFused).
 func DetectEvenCycle(g *graph.Graph, k int, opt Options) (*Result, error) {
-	comps, _, err := algorithm1([]FusedItem{{Graph: g, Seed: opt.Seed, Iterations: opt.MaxIterations}}, k, opt, false)
+	comps, _, err := algorithm1([]FusedItem{{Graph: g, Seed: opt.Seed, Iterations: opt.MaxIterations}}, k, opt, firstDetection)
 	if err != nil {
 		return nil, err
 	}
@@ -153,21 +153,36 @@ func iterationColorsInto(dst []int8, L int, seed uint64, it int) {
 
 // iterOutcome is one component's result of one coloring iteration (one
 // trial of the shared scheduler): the summed cost of its color-BFS calls
-// plus the detection state needed to finish the run.
+// plus the detection state needed to finish the run: the verified
+// witnesses it keeps (in the component's IDs), the first one's detection
+// det (in the network's IDs) and, when captured, its invocation bfs.
 type iterOutcome struct {
-	costs    congest.Costs
-	found    bool
-	witness  []graph.NodeID
-	detector graph.NodeID
-	bfs      *ColorBFS
-	det      Detection
+	costs     congest.Costs
+	witnesses [][]graph.NodeID
+	det       Detection
+	bfs       *ColorBFS
 }
+
+// collect says which verified detections a run keeps.
+type collect uint8
+
+const (
+	// firstDetection keeps each component's first verified detection.
+	firstDetection collect = iota
+	// captureDetection also retains the detecting ColorBFS (a batch of
+	// one only), so a follow-up protocol can walk its parent pointers.
+	captureDetection
+	// everyDetection keeps every verified detection of every call, in
+	// addition to the first (listing).
+	everyDetection
+)
 
 // component is one item of an algorithm1 run: the item, its own
 // parameters, its node range in the fused network and its result. A
 // capturing run that found a cycle also keeps the detecting ColorBFS and
 // its detection, so that a follow-up protocol (witness notification) can
-// run on the same session state.
+// run on the same session state; a listing run keeps every verified
+// witness of every iteration in cycles.
 type component struct {
 	FusedItem
 	params Params
@@ -176,6 +191,105 @@ type component struct {
 	res    Result
 	bfs    *ColorBFS
 	det    Detection
+	cycles [][]graph.NodeID
+}
+
+// colorBFSStep is the step every coloring detector repeats: one
+// color-BFS invocation for spec, acquired from pool and run on eng from
+// session tag base. For each active component comps[i] it merges the
+// invocation's costs on the component's nodes into outs[i] and turns
+// the detections on those nodes into witnesses, offset to the
+// component's own vertex IDs and verified against its graph at length
+// spec.L (spec.L-1 for a skip detection) before anything reads them.
+// A component keeps its first verified detection of the trial, and with
+// everyDetection every one. The instance goes back to the pool unless
+// how is captureDetection and a component took it, which retained
+// reports.
+func colorBFSStep(pool *ColorBFSPool, eng *congest.Engine, spec ColorBFSSpec, base uint64, comps []component, outs []iterOutcome, how collect) (retained bool, err error) {
+	bfs, err := pool.Acquire(spec)
+	if err != nil {
+		return false, err
+	}
+	rep, err := bfs.RunSessions(eng, base)
+	if err != nil {
+		return false, err
+	}
+	for i := range comps {
+		c, out := &comps[i], &outs[i]
+		if !c.active {
+			continue
+		}
+		rc := rep.Comp(i)
+		out.costs.Merge(congest.Costs{
+			Rounds:        rc.Rounds,
+			Messages:      rc.Messages,
+			Bits:          rc.Messages * congest.MessageBits(int(c.hi-c.lo)),
+			MaxCongestion: bfs.MaxCongestionRange(c.lo, c.hi),
+			Overflowed:    bfs.OverflowedRange(c.lo, c.hi),
+		})
+		for _, d := range bfs.Detections() {
+			if len(out.witnesses) > 0 && how != everyDetection {
+				break
+			}
+			if d.Node < c.lo || d.Node >= c.hi {
+				continue
+			}
+			witness, err := bfs.Witness(d)
+			if err != nil {
+				return false, err
+			}
+			for j := range witness {
+				witness[j] -= c.lo
+			}
+			wantLen := spec.L
+			if d.Skip {
+				wantLen--
+			}
+			if err := graph.IsSimpleCycle(c.Graph, witness, wantLen); err != nil {
+				return false, fmt.Errorf("core: invalid witness %v: %w", witness, err)
+			}
+			out.witnesses = append(out.witnesses, witness)
+			if len(out.witnesses) == 1 {
+				out.det = d
+				if how == captureDetection {
+					out.bfs, retained = bfs, true
+				}
+			}
+		}
+	}
+	if !retained {
+		pool.Release(bfs)
+	}
+	return retained, nil
+}
+
+// Step runs one color-BFS invocation of a coloring detector whose
+// engine's network is g itself (see colorBFSStep). It returns the
+// invocation's costs and, when some node detected a cycle, the first
+// detection's verified witness, its length and the detecting node.
+func (p *ColorBFSPool) Step(eng *congest.Engine, g *graph.Graph, spec ColorBFSSpec, base uint64) (congest.Verdict, graph.NodeID, error) {
+	comps := [1]component{{FusedItem: FusedItem{Graph: g}, hi: graph.NodeID(g.NumNodes()), active: true}}
+	var outs [1]iterOutcome
+	if _, err := colorBFSStep(p, eng, spec, base, comps[:], outs[:], firstDetection); err != nil {
+		return congest.Verdict{}, 0, err
+	}
+	v := congest.Verdict{Costs: outs[0].costs}
+	if ws := outs[0].witnesses; len(ws) > 0 {
+		v.Found, v.Witness, v.FoundLen = true, ws[0], len(ws[0])
+	}
+	return v, outs[0].det.Node, nil
+}
+
+// newEngine builds the engine of a run over gs (see
+// congest.NewFusedEngine) with opt's per-run fields: Runtime, DropProb,
+// Cancel and Observe.
+func newEngine(gs []*graph.Graph, seeds []uint64, opt Options) *congest.Engine {
+	eng := congest.NewFusedEngine(gs, seeds)
+	eng.Runtime = opt.Runtime
+	eng.DropProb = opt.DropProb
+	eng.Cancel = opt.Cancel
+	eng.Observe = opt.Observe
+	return eng
 }
 
 // algorithm1 is the one driver of Algorithm 1. It runs the items in fused
@@ -191,9 +305,10 @@ type component struct {
 // only a batch of one depends on them. A batch of one runs its trials
 // opt.Parallel at a time; larger batches run them sequentially, because
 // the fold masks finished components out of arrays that the trials read.
-// capture (a batch of one only) retains the detecting ColorBFS; the
-// engine is returned for the follow-up protocol.
-func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]component, *congest.Engine, error) {
+// how says which detections the run keeps: captureDetection and
+// everyDetection are for a batch of one; the engine is returned for a
+// captured detection's follow-up protocol.
+func algorithm1(items []FusedItem, k int, opt Options, how collect) ([]component, *congest.Engine, error) {
 	comps := make([]component, len(items))
 	gs := make([]*graph.Graph, len(items))
 	seeds := make([]uint64, len(items))
@@ -217,11 +332,7 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 		iterations = max(iterations, p.Iterations)
 		uniform = uniform && p.N == comps[0].params.N
 	}
-	eng := congest.NewFusedEngine(gs, seeds)
-	eng.Runtime = opt.Runtime
-	eng.DropProb = opt.DropProb
-	eng.Cancel = opt.Cancel
-	eng.Observe = opt.Observe
+	eng := newEngine(gs, seeds, opt)
 
 	bfsThreshold := func(p Params) int {
 		if opt.BFSThreshold > 0 {
@@ -260,6 +371,7 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 		c := &comps[i]
 		rc := rep.Comp(i)
 		c.res.Rounds, c.res.Messages = rc.Rounds, rc.Messages
+		c.res.Bits = rc.Messages * congest.MessageBits(c.params.N)
 		for v := c.lo; v < c.hi; v++ {
 			c.res.SizeU += b2i(sets.InU[v])
 			c.res.SizeS += b2i(sets.InS[v])
@@ -309,7 +421,7 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 		// A retained invocation keeps reading its coloring.
 		kept := false
 		for ci, call := range calls {
-			bfs, err := pool.Acquire(ColorBFSSpec{
+			retained, err := colorBFSStep(pool, eng, ColorBFSSpec{
 				L:           L,
 				Color:       colors,
 				InH:         call.inH,
@@ -318,53 +430,9 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 				ThresholdAt: thrAt,
 				SeedProb:    seedProb,
 				Pipelined:   opt.Pipelined,
-			})
+			}, sched.Tag(comps[0].Seed, 0xa190, uint64(it), uint64(ci)), comps, outs, how)
 			if err != nil {
 				return nil, fmt.Errorf("core: %s: %w", call.name, err)
-			}
-			rep, err := bfs.RunSessions(eng, sched.Tag(comps[0].Seed, 0xa190, uint64(it), uint64(ci)))
-			if err != nil {
-				return nil, fmt.Errorf("core: %s: %w", call.name, err)
-			}
-			retained := false
-			for i := range comps {
-				c, out := &comps[i], &outs[i]
-				if !c.active {
-					continue
-				}
-				rc := rep.Comp(i)
-				out.costs.Merge(congest.Costs{
-					Rounds:        rc.Rounds,
-					Messages:      rc.Messages,
-					MaxCongestion: bfs.MaxCongestionRange(c.lo, c.hi),
-					Overflowed:    bfs.OverflowedRange(c.lo, c.hi),
-				})
-				if out.found {
-					continue
-				}
-				for _, d := range bfs.Detections() {
-					if d.Node < c.lo || d.Node >= c.hi {
-						continue
-					}
-					witness, err := bfs.Witness(d)
-					if err != nil {
-						return nil, fmt.Errorf("core: %s: %w", call.name, err)
-					}
-					for j := range witness {
-						witness[j] -= c.lo
-					}
-					if err := graph.IsSimpleCycle(c.Graph, witness, L); err != nil {
-						return nil, fmt.Errorf("core: %s produced invalid witness %v: %w", call.name, witness, err)
-					}
-					out.found, out.witness, out.detector = true, witness, d.Node-c.lo
-					if capture {
-						out.bfs, out.det, retained = bfs, d, true
-					}
-					break
-				}
-			}
-			if !retained {
-				pool.Release(bfs)
 			}
 			kept = kept || retained
 		}
@@ -386,8 +454,11 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 			}
 			c.res.Iterations = it + 1
 			c.res.Merge(out.costs)
-			if out.found && !c.res.Found {
-				c.res.Found, c.res.Witness, c.res.FoundLen, c.res.Detector = true, out.witness, L, out.detector
+			if how == everyDetection {
+				c.cycles = append(c.cycles, out.witnesses...)
+			}
+			if len(out.witnesses) > 0 && !c.res.Found {
+				c.res.Found, c.res.Witness, c.res.FoundLen, c.res.Detector = true, out.witnesses[0], L, out.det.Node-c.lo
 				c.bfs, c.det = out.bfs, out.det
 			} else if out.bfs != nil {
 				// A detecting trial that lost the fold (KeepGoing, or a later
@@ -425,11 +496,7 @@ func algorithm1(items []FusedItem, k int, opt Options, capture bool) ([]componen
 	if _, err := sched.Run(runner, iterations, trial, fold); err != nil {
 		return nil, nil, err
 	}
-	for i := range comps {
-		c := &comps[i]
-		c.res.Bits = c.res.Messages * congest.MessageBits(c.params.N)
-	}
-	if !capture {
+	if how != captureDetection {
 		// A captured invocation still reads the sets and masks.
 		sc.keep(opt.Arena)
 	}

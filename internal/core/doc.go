@@ -3,9 +3,16 @@
 // its color-BFS-with-threshold subroutine in both the paper's batch
 // schedule and a pipelined variant, the construction of the vertex sets U,
 // S and W (Instructions 1–5), witness extraction, the listing and
-// local-detection variants of Section 1.2, the bounded-length (F_{2k})
+// local-detection variants of Section 1.2 (batches of one of the same
+// Algorithm 1 driver as detection), the bounded-length (F_{2k})
 // detector of Section 3.5, and the Density Lemma machinery (Lemmas 4–7,
 // see density.go).
+//
+// One step, one copy: every coloring detector — Algorithm 1, bounded,
+// and lowprob's odd and baseline's local-threshold detectors through
+// ColorBFSPool.Step — runs its color-BFS invocations through one helper
+// that acquires, runs under the caller's session tag, reports costs,
+// verifies each witness and releases.
 //
 // Pooling contract: ColorBFS invocations are reusable via ColorBFSPool —
 // an acquired instance's identifier sets (internal/idset), forwarding
@@ -21,5 +28,6 @@
 // each invocation's detections are canonically sorted after its sessions
 // — so every verdict, witness and cost counter is bit-identical for any
 // Parallel setting. One-sidedness is enforced mechanically: every detection's
-// witness is re-verified against the input graph before it is reported.
+// witness is re-verified against the input graph, in that shared step,
+// before it is reported.
 package core

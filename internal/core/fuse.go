@@ -55,7 +55,7 @@ func DetectEvenCycleFused(items []FusedItem, k int, opt Options) ([]*Result, err
 			return nil, fmt.Errorf("core: fused item %d has no trial budget (iterations %d)", i, it.Iterations)
 		}
 	}
-	comps, _, err := algorithm1(items, k, opt, false)
+	comps, _, err := algorithm1(items, k, opt, firstDetection)
 	if err != nil {
 		return nil, err
 	}

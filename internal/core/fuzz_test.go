@@ -187,3 +187,56 @@ func TestOneSidednessUnderMessageLoss(t *testing.T) {
 		t.Fatal("false positive under message loss")
 	}
 }
+
+// Every Algorithm 1 entry point and the bounded detector build their
+// engine from Options, so total loss (DropProb 1) delivers no message
+// and, by one-sidedness, detects nothing on a graph that has a C_4.
+func TestDropProbHonoredByEveryDetector(t *testing.T) {
+	g, _, err := graph.PlantCycle(graph.Gnm(200, 400, graph.NewRand(1)), 4, graph.NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Seed: 1, MaxIterations: 64, DropProb: 1}
+	runs := []struct {
+		name string
+		run  func() (found bool, c congest.Costs, err error)
+	}{
+		{"DetectEvenCycle", func() (bool, congest.Costs, error) {
+			res, err := DetectEvenCycle(g, 2, opt)
+			if err != nil {
+				return false, congest.Costs{}, err
+			}
+			return res.Found, res.Costs, nil
+		}},
+		{"DetectBoundedCycle", func() (bool, congest.Costs, error) {
+			res, err := DetectBoundedCycle(g, 2, opt)
+			if err != nil {
+				return false, congest.Costs{}, err
+			}
+			return res.Found, res.Costs, nil
+		}},
+		{"ListEvenCycles", func() (bool, congest.Costs, error) {
+			res, err := ListEvenCycles(g, 2, opt)
+			if err != nil {
+				return false, congest.Costs{}, err
+			}
+			return len(res.Cycles) > 0, res.Costs, nil
+		}},
+		{"DetectEvenCycleLocal", func() (bool, congest.Costs, error) {
+			res, err := DetectEvenCycleLocal(g, 2, opt)
+			if err != nil {
+				return false, congest.Costs{}, err
+			}
+			return res.Found || len(res.Rejecting) > 0, res.Costs, nil
+		}},
+	}
+	for _, r := range runs {
+		found, c, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if found || c.Messages != 0 {
+			t.Errorf("%s under total loss: found=%v, %d messages delivered", r.name, found, c.Messages)
+		}
+	}
+}

@@ -1,26 +1,24 @@
 package core
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
-	"repro/internal/sched"
 )
 
 // This file implements the listing variant of cycle detection discussed in
 // the paper's Section 1.2: in subgraph listing, every occurrence must be
 // reported by at least one node (as opposed to decision, where one
 // rejection suffices). Algorithm 1 already surfaces one witness per
-// (coloring, detector, seed) collision; the listing driver keeps *all*
-// collisions across all iterations, reconstructs their witnesses, and
-// deduplicates them up to rotation and reflection. Since distinct
-// well-colored copies produce distinct collisions, every C_{2k} whose
-// vertices receive a consecutive coloring during some iteration is listed;
-// with the faithful K the guarantee "each copy listed with probability
-// ≥ 1-ε" follows from Fact 1 exactly as for detection.
+// (coloring, detector, seed) collision; listing runs the same driver
+// (algorithm1) with every iteration and every collision kept, and
+// deduplicates the verified witnesses up to rotation and reflection.
+// Since distinct well-colored copies produce distinct collisions, every
+// C_{2k} whose vertices receive a consecutive coloring during some
+// iteration is listed; with the faithful K the guarantee "each copy
+// listed with probability ≥ 1-ε" follows from Fact 1 exactly as for
+// detection.
 
 // CanonicalCycle returns a canonical form of a cycle's vertex sequence:
 // rotated so the minimum vertex comes first and oriented toward the
@@ -43,28 +41,10 @@ func CanonicalCycle(verts []graph.NodeID) []graph.NodeID {
 		forward[i] = verts[(minIdx+i)%n]
 		backward[i] = verts[(minIdx-i+n)%n]
 	}
-	if lessSeq(forward, backward) {
+	if slices.Compare(forward, backward) < 0 {
 		return forward
 	}
 	return backward
-}
-
-func lessSeq(a, b []graph.NodeID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-func cycleKey(verts []graph.NodeID) string {
-	canon := CanonicalCycle(verts)
-	var sb strings.Builder
-	for _, v := range canon {
-		fmt.Fprintf(&sb, "%d,", v)
-	}
-	return sb.String()
 }
 
 // ListResult reports a listing run.
@@ -78,117 +58,23 @@ type ListResult struct {
 	Iterations int
 }
 
-// ListEvenCycles runs Algorithm 1 in listing mode: all iterations execute
-// (no early stop), every identifier collision is materialized into a
-// witness, and distinct cycles are collected. Every returned cycle is
-// verified against g.
+// ListEvenCycles runs Algorithm 1 in listing mode: a batch of one of
+// the driver that runs every iteration (KeepGoing) and keeps every
+// verified collision, whose distinct cycles it returns. Its costs and
+// iteration count are those of DetectEvenCycle with KeepGoing on the
+// same seed.
 func ListEvenCycles(g *graph.Graph, k int, opt Options) (*ListResult, error) {
-	params, err := resolveParams(g.NumNodes(), k, opt)
+	opt.KeepGoing = true
+	comps, _, err := algorithm1([]FusedItem{{Graph: g, Seed: opt.Seed, Iterations: opt.MaxIterations}}, k, opt, everyDetection)
 	if err != nil {
 		return nil, err
 	}
-
-	n := g.NumNodes()
-	net := congest.NewNetwork(g, opt.Seed)
-	eng := congest.NewEngine(net)
-	eng.Runtime = opt.Runtime
-	eng.Cancel = opt.Cancel
-	eng.Observe = opt.Observe
-
-	sets := &Sets{Params: params}
-	rep, err := eng.Run(sets)
-	if err != nil {
-		return nil, fmt.Errorf("core: listing set construction: %w", err)
-	}
-	sets.Finish()
-	res := &ListResult{Costs: rep.Costs()}
-
-	seedProb := opt.SeedProb
-	if seedProb == 0 {
-		seedProb = 1
-	}
-	bfsThreshold := opt.BFSThreshold
-	if bfsThreshold == 0 {
-		bfsThreshold = params.Tau
-	}
-
-	all := make([]bool, n)
-	notS := make([]bool, n)
-	for v := 0; v < n; v++ {
-		all[v] = true
-		notS[v] = !sets.InS[v]
-	}
-	L := 2 * params.K
-	calls := []struct {
-		inH, inX []bool
-	}{
-		{sets.InU, sets.InU},
-		{all, sets.InS},
-		{notS, sets.InW},
-	}
-
-	// Listing mode has no early stop: every iteration is an independent
-	// trial; the fold merges each trial's witnesses in index order, so the
-	// listed set is identical for every Parallel setting.
-	type listOutcome struct {
-		costs     congest.Costs
-		witnesses [][]graph.NodeID
-	}
-	seen := make(map[string]struct{})
-	pool := NewColorBFSPool(opt.Arena, n)
-	defer pool.Close()
-	trial := func(it int) (*listOutcome, error) {
-		colors := IterationColors(n, L, opt.Seed, it)
-		out := &listOutcome{}
-		for ci, call := range calls {
-			bfs, err := pool.Acquire(ColorBFSSpec{
-				L:         L,
-				Color:     colors,
-				InH:       call.inH,
-				InX:       call.inX,
-				Threshold: bfsThreshold,
-				SeedProb:  seedProb,
-				Pipelined: opt.Pipelined,
-			})
-			if err != nil {
-				return nil, err
-			}
-			rep, err := bfs.RunSessions(eng, sched.Tag(opt.Seed, 0xa190, uint64(it), uint64(ci)))
-			if err != nil {
-				return nil, err
-			}
-			out.costs.Merge(bfs.Costs(rep))
-			for _, d := range bfs.Detections() {
-				witness, err := bfs.Witness(d)
-				if err != nil {
-					return nil, fmt.Errorf("core: listing witness: %w", err)
-				}
-				if err := graph.IsSimpleCycle(g, witness, L); err != nil {
-					return nil, fmt.Errorf("core: listing invalid witness: %w", err)
-				}
-				out.witnesses = append(out.witnesses, witness)
-			}
-			pool.Release(bfs)
-		}
-		return out, nil
-	}
-	fold := func(it int, out *listOutcome) bool {
-		res.Iterations = it + 1
-		res.Merge(out.costs)
-		for _, witness := range out.witnesses {
-			key := cycleKey(witness)
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			res.Cycles = append(res.Cycles, CanonicalCycle(witness))
-		}
-		return false
-	}
-	runner := sched.TrialRunner{Workers: opt.Parallel}
-	if _, err := sched.Run(runner, params.Iterations, trial, fold); err != nil {
-		return nil, err
+	c := &comps[0]
+	res := &ListResult{Costs: c.res.Costs, Iterations: c.res.Iterations}
+	for _, w := range c.cycles {
+		res.Cycles = append(res.Cycles, CanonicalCycle(w))
 	}
 	slices.SortFunc(res.Cycles, slices.Compare)
+	res.Cycles = slices.CompactFunc(res.Cycles, slices.Equal)
 	return res, nil
 }

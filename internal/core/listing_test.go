@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,5 +159,47 @@ func TestListEvenCyclesEmptyOnFreeGraph(t *testing.T) {
 	}
 	if len(res.Cycles) != 0 {
 		t.Fatalf("listed cycles on a C_4-free graph: %v", res.Cycles)
+	}
+}
+
+// Listing is Algorithm 1 that keeps every collision: on the same seed it
+// costs exactly what DetectEvenCycle with KeepGoing costs, over as many
+// iterations, and lists the detector's witness.
+func TestListingMatchesKeepGoingDetection(t *testing.T) {
+	found := 0
+	for _, tc := range []struct {
+		n, k int
+		seed uint64
+	}{{120, 2, 1}, {200, 2, 2}, {300, 2, 3}, {120, 3, 4}, {200, 3, 5}} {
+		host := graph.Gnm(tc.n, 2*tc.n, graph.NewRand(tc.seed))
+		g, _, err := graph.PlantCycle(host, 2*tc.k, graph.NewRand(tc.seed+100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{Seed: tc.seed, MaxIterations: 24, POverride: 0.5}
+		list, err := ListEvenCycles(g, tc.k, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.KeepGoing = true
+		det, err := DetectEvenCycle(g, tc.k, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if list.Costs != det.Costs || list.Iterations != det.Iterations {
+			t.Fatalf("n=%d k=%d: listing %+v over %d iterations, detection %+v over %d",
+				tc.n, tc.k, list.Costs, list.Iterations, det.Costs, det.Iterations)
+		}
+		if !det.Found {
+			continue
+		}
+		found++
+		want := CanonicalCycle(det.Witness)
+		if !slices.ContainsFunc(list.Cycles, func(c []graph.NodeID) bool { return slices.Equal(c, want) }) {
+			t.Fatalf("n=%d k=%d: detector's witness %v not among the %d listed cycles", tc.n, tc.k, want, len(list.Cycles))
+		}
+	}
+	if found == 0 {
+		t.Fatal("no instance detected a cycle; the witness check exercised nothing")
 	}
 }

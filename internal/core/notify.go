@@ -92,7 +92,7 @@ type LocalResult struct {
 // witness-notification protocol, returning the full rejecting set — the
 // local-detection output of Section 1.2.
 func DetectEvenCycleLocal(g *graph.Graph, k int, opt Options) (*LocalResult, error) {
-	comps, eng, err := algorithm1([]FusedItem{{Graph: g, Seed: opt.Seed, Iterations: opt.MaxIterations}}, k, opt, true)
+	comps, eng, err := algorithm1([]FusedItem{{Graph: g, Seed: opt.Seed, Iterations: opt.MaxIterations}}, k, opt, captureDetection)
 	if err != nil {
 		return nil, err
 	}

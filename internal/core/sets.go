@@ -32,8 +32,6 @@ type Sets struct {
 
 	InU, InS, InW []bool
 	SCount        []int32 // |N(u) ∩ S|
-
-	SizeU, SizeS, SizeW int
 }
 
 var _ congest.Handler = (*Sets)(nil)
@@ -72,22 +70,6 @@ func (s *Sets) HandleRound(rt *congest.Session, u graph.NodeID, r int, inbox []c
 			s.InW[u] = s.SCount[u] >= 1
 		} else {
 			s.InW[u] = !s.InS[u] && int(s.SCount[u]) >= s.Params.K*s.Params.K
-		}
-	}
-}
-
-// Finish tallies set sizes; call after the session completes.
-func (s *Sets) Finish() {
-	s.SizeU, s.SizeS, s.SizeW = 0, 0, 0
-	for i := range s.InU {
-		if s.InU[i] {
-			s.SizeU++
-		}
-		if s.InS[i] {
-			s.SizeS++
-		}
-		if s.InW[i] {
-			s.SizeW++
 		}
 	}
 }

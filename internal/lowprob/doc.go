@@ -12,7 +12,7 @@
 // quadratically faster than classical repetition.
 //
 // Determinism contract: the detectors reuse core's pooled color-BFS
-// invocations and run attempts as independent trials on the shared
+// invocations and its shared color-BFS step, and run attempts as independent trials on the shared
 // scheduler, with all randomness (colorings, seed activation) derived
 // from the caller's seed and attempt index — results are bit-identical
 // for every Parallel setting, and every reported witness is verified

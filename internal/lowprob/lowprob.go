@@ -165,54 +165,29 @@ func DetectOdd(g *graph.Graph, k int, opt OddOptions) (*OddResult, error) {
 	// Each coloring is an independent trial on the shared scheduler; the
 	// fold aggregates the deterministic prefix, so the outcome is the same
 	// for every Parallel setting.
-	type oddOutcome struct {
-		costs    congest.Costs
-		found    bool
-		witness  []graph.NodeID
-		detector graph.NodeID
-	}
 	pool := core.NewColorBFSPool(opt.Arena, n)
 	defer pool.Close()
-	trial := func(it int) (*oddOutcome, error) {
+	trial := func(it int) (*OddResult, error) {
 		colors := core.IterationColors(n, L, sched.Tag(opt.Seed, 0x27d4eb2f), it)
-		bfs, err := pool.Acquire(core.ColorBFSSpec{
+		v, detector, err := pool.Step(eng, g, core.ColorBFSSpec{
 			L:         L,
 			Color:     colors,
 			InH:       all,
 			InX:       all,
 			Threshold: threshold,
 			SeedProb:  seedProb,
-		})
+		}, sched.Tag(opt.Seed, 0x0dd, uint64(it)))
 		if err != nil {
 			return nil, fmt.Errorf("lowprob: odd color-BFS: %w", err)
 		}
-		rep, err := bfs.RunSessions(eng, sched.Tag(opt.Seed, 0x0dd, uint64(it)))
-		if err != nil {
-			return nil, fmt.Errorf("lowprob: odd color-BFS: %w", err)
-		}
-		out := &oddOutcome{costs: bfs.Costs(rep)}
-		if ds := bfs.Detections(); len(ds) > 0 {
-			witness, err := bfs.Witness(ds[0])
-			if err != nil {
-				return nil, fmt.Errorf("lowprob: odd witness: %w", err)
-			}
-			if err := graph.IsSimpleCycle(g, witness, L); err != nil {
-				return nil, fmt.Errorf("lowprob: odd invalid witness: %w", err)
-			}
-			out.found = true
-			out.witness = witness
-			out.detector = ds[0].Node
-		}
-		pool.Release(bfs)
-		return out, nil
+		return &OddResult{Verdict: v, Detector: detector}, nil
 	}
 	res := &OddResult{}
-	fold := func(it int, out *oddOutcome) bool {
+	fold := func(it int, out *OddResult) bool {
 		res.Iterations = it + 1
-		res.Merge(out.costs)
-		if out.found && !res.Found {
-			res.Found, res.Witness, res.FoundLen = true, out.witness, L
-			res.Detector = out.detector
+		res.Merge(out.Costs)
+		if out.Found && !res.Found {
+			res.Found, res.Witness, res.FoundLen, res.Detector = true, out.Witness, out.FoundLen, out.Detector
 		}
 		return res.Found && !opt.KeepGoing
 	}
